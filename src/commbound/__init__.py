@@ -19,7 +19,7 @@ from .bounds import (BoundReport, DistributionMatrix, SpectralDiscCert,
 from .composer import (Composition, WitnessMatrix, build_witness,
                        char_compose, compose_block, verify_orthogonality,
                        verify_rank_theorem, witness_spectral_bound)
-from .errors import CommboundError, ConvergenceError, ResourceLimitError
+from .errors import CommboundError, ResourceLimitError
 from .groupcomp import (AbelianGroupSpec, CharacterTable, GroupMapMatrix,
                         HardnessPartition, PairMultiset, block_group_bound,
                         characters_abelian, class_function_from_bool,

@@ -62,6 +62,8 @@ class DistributionMatrix:
     @classmethod
     def from_text(cls, text: str) -> "DistributionMatrix":
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty distribution text")
         m, n = (int(t) for t in lines[0].split())
         rows = [[float(t) for t in ln.split()] for ln in lines[1:1 + m]]
         arr = np.asarray(rows)

@@ -169,11 +169,10 @@ def _cmd_approx_degree(opts) -> tuple:
 def _cmd_compose(opts) -> tuple:
     f = load_function(opts["function"])
     g = _load_matrix(opts["inner"])
-    n = opts["blocks"] if opts["blocks"] is not None else f.n
-    comp = cp.compose_block(f, g, n, memory_cap=opts["memory_cap"])
+    comp = cp.compose_block(f, g, memory_cap=opts["memory_cap"])
     payload = {
         "outer_arity": f.n,
-        "blocks": n,
+        "blocks": f.n,
         "rows": comp.matrix.rows,
         "cols": comp.matrix.cols,
     }
@@ -345,14 +344,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--output", help="write the JSON report here "
                                         "instead of stdout")
-        p.add_argument("--tolerance", type=float, default=1e-9,
-                       help="numeric tolerance (default 1e-9)")
 
     p = sub.add_parser("analyze-matrix", help="balance, rank, spectrum, "
                                               "pattern-core freeness")
     p.add_argument("--input", required=True,
                    help="sign-matrix file or builtin name")
     p.add_argument("--enum-cap", type=int, default=bd.DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--tolerance", type=float, default=1e-9,
+                   help="numeric tolerance (default 1e-9)")
     add_common(p)
 
     p = sub.add_parser("approx-degree", help="approximate polynomial degree "
@@ -367,7 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", help="materialize a block composition")
     p.add_argument("--function", required=True)
     p.add_argument("--inner", required=True)
-    p.add_argument("--blocks", type=int, default=None)
     p.add_argument("--verify-rank", action="store_true")
     p.add_argument("--witness", action="store_true")
     p.add_argument("--epsilon", type=float, default=1.0 / 3.0)
@@ -452,14 +450,12 @@ def parse_args(argv) -> RunConfig:
 
 def run(config: RunConfig) -> int:
     opts = config.options
-    thread_cap = os.environ.get("COMMBOUND_THREADS")
     payload, code = _HANDLERS[config.command](opts)
     report = {
         "schema": SCHEMA_VERSION,
         "version": __version__,
         "command": config.command,
         "config": {k: v for k, v in sorted(opts.items()) if k != "output"},
-        "threads": int(thread_cap) if thread_cap else 1,
         "report": payload,
     }
     text = json.dumps(_round_floats(report), indent=2, sort_keys=True) + "\n"

@@ -20,7 +20,8 @@ import numpy as np
 from .approx import DualWitness
 from .boolfn import BoolFunction, character_sums
 from .errors import ResourceLimitError
-from .matrices import SignMatrix, balance_check, exact_rank, spectrum
+from .matrices import (SignMatrix, balance_check, block_mask, exact_rank,
+                       spectrum)
 
 DEFAULT_MEMORY_CAP = 2 ** 24  # entries per materialized matrix
 
@@ -85,20 +86,6 @@ def char_compose(T: int, g: SignMatrix, n: int,
     return SignMatrix(out)
 
 
-def _pointwise_compose(f: BoolFunction, g: SignMatrix, n: int) -> np.ndarray:
-    rows = g.rows ** n
-    cols = g.cols ** n
-    mask = np.zeros((rows, cols), dtype=np.int64)
-    row_idx = np.arange(rows)
-    col_idx = np.arange(cols)
-    for i in range(n):
-        xi = (row_idx // g.rows ** (n - 1 - i)) % g.rows
-        yi = (col_idx // g.cols ** (n - 1 - i)) % g.cols
-        zi = g.entries[np.ix_(xi, yi)]
-        mask |= ((zi == -1).astype(np.int64)) << i
-    return f.table[mask]
-
-
 _EXACT_CHECK_LIMIT = 2 ** 16  # exhaustive dual-path comparison up to this size
 
 
@@ -116,7 +103,7 @@ def compose_block(f: BoolFunction, g: SignMatrix, n: int | None = None,
     if n != f.n:
         raise ValueError(f"block count {n} must equal the outer arity {f.n}")
     _check_cap(g.rows ** n, g.cols ** n, memory_cap)
-    entries = _pointwise_compose(f, g, n)
+    entries = f.table[block_mask([g] * n)]
 
     if entries.size <= _EXACT_CHECK_LIMIT:
         sums = character_sums(f)  # 2^n * f_hat[T], exact integers
@@ -215,17 +202,7 @@ def build_witness(w: DualWitness, g: SignMatrix, mu=None,
         scale = 2.0 ** n
         factor = _kron_power(weights, n)
 
-    rows = g.rows ** n
-    cols = g.cols ** n
-    mask = np.zeros((rows, cols), dtype=np.int64)
-    row_idx = np.arange(rows)
-    col_idx = np.arange(cols)
-    for i in range(n):
-        xi = (row_idx // g.rows ** (n - 1 - i)) % g.rows
-        yi = (col_idx // g.cols ** (n - 1 - i)) % g.cols
-        zi = g.entries[np.ix_(xi, yi)]
-        mask |= ((zi == -1).astype(np.int64)) << i
-    B = scale * w.v.table[mask] * factor
+    B = scale * w.v.table[block_mask([g] * n)] * factor
 
     l1 = float(np.abs(B).sum())
     if abs(l1 - 1.0) > 1e-9:

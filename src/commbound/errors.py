@@ -11,7 +11,3 @@ class ResourceLimitError(CommboundError):
     The message names the required size so callers can decide whether to
     raise the cap or fall back to a cheaper bound.
     """
-
-
-class ConvergenceError(CommboundError):
-    """An iterative numerical routine hit its iteration cap."""

@@ -25,7 +25,7 @@ import numpy as np
 from .bounds import BoundReport, OMITTED_CONSTANT_WARNING
 from .boolfn import BoolFunction
 from .errors import ResourceLimitError
-from .matrices import SignMatrix, balance_check, spectrum
+from .matrices import SignMatrix, balance_check, block_mask, spectrum
 from .simplex import OPTIMAL, SimplexError, solve_lp
 
 MAX_GROUP_ORDER = 2 ** 14
@@ -124,8 +124,17 @@ class CharacterTable:
     @classmethod
     def from_json(cls, text: str) -> "CharacterTable":
         data = json.loads(text)
-        table = [complex(re, im) for re, im in data["table"]]
-        arr = np.asarray(table, dtype=complex).reshape(data["h"], data["order"])
+        keys = ("h", "order", "table", "class_of", "degrees")
+        if not isinstance(data, dict) or not all(k in data for k in keys):
+            raise ValueError("character table JSON needs an object with the "
+                             f"keys {', '.join(keys)}")
+        try:
+            table = [complex(re, im) for re, im in data["table"]]
+            arr = np.asarray(table, dtype=complex).reshape(data["h"],
+                                                           data["order"])
+        except (TypeError, ValueError):
+            raise ValueError("character table JSON: table must hold h*order "
+                             "[re, im] pairs") from None
         return cls(data["h"], data["order"], arr, data["class_of"],
                    data["degrees"])
 
@@ -197,27 +206,9 @@ class GroupMapMatrix:
         corresponds to bit 0 of the element index.
         """
         blocks = list(blocks)
-        t = len(blocks)
-        if t == 0:
+        if not blocks:
             raise ValueError("need at least one block")
-        rows = 1
-        cols = 1
-        for b in blocks:
-            rows *= b.rows
-            cols *= b.cols
-        entries = np.zeros((rows, cols), dtype=np.int64)
-        row_idx = np.arange(rows)
-        col_idx = np.arange(cols)
-        r_div = rows
-        c_div = cols
-        for i, b in enumerate(blocks):
-            r_div //= b.rows
-            c_div //= b.cols
-            xi = (row_idx // r_div) % b.rows
-            yi = (col_idx // c_div) % b.cols
-            zi = b.entries[np.ix_(xi, yi)]
-            entries |= ((zi == -1).astype(np.int64)) << i
-        return cls(entries, AbelianGroupSpec((2,) * t))
+        return cls(block_mask(blocks), AbelianGroupSpec((2,) * len(blocks)))
 
     @classmethod
     def from_text(cls, text: str) -> "GroupMapMatrix":

@@ -1,8 +1,8 @@
 """Dense sign-matrix primitives.
 
 Sign matrices (entries in {-1,+1}) represent two-party Boolean functions.
-This module provides exact rank over the rationals, singular spectra via a
-cyclic Jacobi eigensolver, balance predicates, tensor/entrywise products,
+This module provides exact rank over the rationals, singular spectra from
+LAPACK's SVD, balance predicates, tensor/entrywise products,
 pattern containment up to row/column permutations, and a canonical
 enumerator for strongly balanced matrices.
 
@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ConvergenceError
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -281,90 +279,23 @@ def exact_rank(M) -> int:
 
 
 # ---------------------------------------------------------------------------
-# singular spectrum via cyclic Jacobi
-
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_OFF_TARGET = 1e-14  # relative to the Frobenius norm of the Gram matrix
-
-
-def _jacobi_eigvalsh(H: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by the cyclic Jacobi method.
-
-    Convergence: the off-diagonal Frobenius mass must drop below
-    1e-14 * ||H||_F within `max_sweeps` full sweeps, else ConvergenceError.
-    """
-    A = np.array(H, dtype=complex)
-    n = A.shape[0]
-    if n == 1:
-        return A.real.diagonal().copy()
-    frob = math.sqrt(float(np.sum(np.abs(A) ** 2)))
-    if frob == 0.0:
-        return np.zeros(n)
-    target = _JACOBI_OFF_TARGET * frob
-    for _ in range(max_sweeps):
-        sq = np.abs(A) ** 2
-        np.fill_diagonal(sq, 0.0)
-        off = math.sqrt(float(sq.sum()))
-        if off <= target:
-            return np.sort(A.real.diagonal().copy())[::-1]
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                mag = abs(apq)
-                if mag <= target / (n * n):
-                    continue
-                phase = apq / mag
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * mag)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # unitary rotation: U[p,p]=c, U[p,q]=s, U[q,p]=-s*conj(phase),
-                # U[q,q]=c*conj(phase); apply A <- U^dag A U
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * np.conj(phase) * col_q
-                A[:, q] = s * col_p + c * np.conj(phase) * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * phase * row_q
-                A[q, :] = s * row_p + c * phase * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-    raise ConvergenceError(
-        f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
-        f"(matrix {n}x{n}, residual target {target:.3e})")
-
+# singular spectrum
 
 def spectrum(M, tolerance: float = DEFAULT_TOLERANCE) -> SpectrumReport:
-    """Singular spectrum via Jacobi eigen-decomposition of the Gram matrix.
+    """Singular spectrum from one LAPACK SVD.
 
-    Accepts a SignMatrix, ComplexMatrix, or a real/complex array.  The
-    numeric rank counts singular values above tolerance * sigma_1.
+    Accepts a SignMatrix, ComplexMatrix, or a real/complex array.  Singular
+    values within LAPACK's backward-error bound sigma_1 * max(m, n) * eps are
+    set to exactly zero.  The numeric rank counts singular values above
+    tolerance * sigma_1.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    if isinstance(M, (SignMatrix, ComplexMatrix)):
-        arr = M.entries
-    else:
-        arr = np.asarray(M)
-    arr = arr.astype(complex)
-    m, n = arr.shape
-    # use the smaller Gram matrix; its eigenvalues are the squared singular values
-    if m <= n:
-        gram = arr @ arr.conj().T
-    else:
-        gram = arr.conj().T @ arr
-    eigvals = _jacobi_eigvalsh(gram)
-    lam = np.clip(eigvals, 0.0, None)
-    # eigenvalues at the convergence floor of the Gram matrix are noise from
-    # squaring the condition number; treat them as exact zeros
-    floor = 10.0 * _JACOBI_OFF_TARGET * math.sqrt(float(np.sum(lam ** 2)))
-    lam[lam <= floor] = 0.0
-    sigma = np.sort(np.sqrt(lam))[::-1]
+    arr = M.entries if isinstance(M, (SignMatrix, ComplexMatrix)) else M
+    arr = np.asarray(arr, dtype=complex)
+    sigma = np.linalg.svd(arr, compute_uv=False)
     s1 = float(sigma[0]) if sigma.size else 0.0
+    sigma[sigma <= s1 * max(arr.shape) * np.finfo(float).eps] = 0.0
     numeric_rank = int(np.sum(sigma > tolerance * s1)) if s1 > 0 else 0
     return SpectrumReport(
         singular_values=tuple(float(v) for v in sigma),
@@ -406,6 +337,21 @@ def entrywise(A: SignMatrix, B: SignMatrix) -> SignMatrix:
             f"entrywise product needs equal dimensions, got "
             f"{A.rows}x{A.cols} and {B.rows}x{B.cols}")
     return SignMatrix(A.entries * B.entries)
+
+
+def block_mask(blocks) -> np.ndarray:
+    """Integer matrix over the tensor arrangement of the sign-matrix blocks.
+
+    Rows and columns index tuples (x^1, ..., x^t) and (y^1, ..., y^t) with
+    block 1 the most significant factor.  Bit i-1 of each entry is set where
+    block i is -1 at (x^i, y^i).
+    """
+    mask = np.zeros((1, 1), dtype=np.int64)
+    for i, b in enumerate(blocks):
+        bit = (b.entries == -1).astype(np.int64) << i
+        mask = (mask[:, None, :, None] | bit[None, :, None, :]).reshape(
+            mask.shape[0] * b.rows, mask.shape[1] * b.cols)
+    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def test_sherstov_bound_core6():
 def test_sherstov_bound_rank_one_warning():
     rep = bd.sherstov_bound(builtin_function("PARITY", 2), mx.XOR_2, 1.0 / 3.0)
     assert rep.applicable
-    assert rep.main_term == pytest.approx(0.0, abs=1e-12)
+    assert rep.main_term == 0.0  # ||XOR_2|| = 2 = sqrt(size) exactly
     assert any("rank 1" in w for w in rep.warnings)
 
 

@@ -113,9 +113,34 @@ def test_usage_errors(capsys, core4_file):
 
 
 def test_unknown_flag_exits_2(capsys):
-    code = main(["analyze-matrix", "--input", "xor2", "--frobnicate"])
-    capsys.readouterr()
-    assert code == EXIT_USAGE
+    for argv in (["analyze-matrix", "--input", "xor2", "--frobnicate"],
+                 ["compose", "--function", "AND:2", "--inner", "core4",
+                  "--blocks", "2"],
+                 ["approx-degree", "--function", "AND:2", "--epsilon", "0.3",
+                  "--tolerance", "1e-9"]):
+        code = main(argv)
+        capsys.readouterr()
+        assert code == EXIT_USAGE, argv
+
+
+def test_malformed_input_files_exit_2(capsys, tmp_path):
+    mu = tmp_path / "mu.txt"
+    mu.write_text("")
+    code, report = run_cli(capsys, "lower-bound", "--theorem", "shizhu",
+                           "--function", "PARITY:2", "--inner", "xor2",
+                           "--mu", str(mu))
+    assert (code, report) == (EXIT_USAGE, None)
+    gm = GroupMapMatrix.from_sign_blocks([PATTERN_CORE_4])
+    gmap = tmp_path / "gmap.txt"
+    gmap.write_text(gm.to_text())
+    table = tmp_path / "table.json"
+    for text in ('{"h": 2, "order": 2}',
+                 '{"h": 2, "order": 2, "table": [1, 1, 1, -1], '
+                 '"class_of": [0, 1], "degrees": [1, 1]}'):
+        table.write_text(text)
+        code, report = run_cli(capsys, "group-check", "--gmap", str(gmap),
+                               "--table", str(table))
+        assert (code, report) == (EXIT_USAGE, None), text
 
 
 def test_resource_cap_exits_3(capsys):

@@ -29,6 +29,25 @@ def test_char_compose_block_order():
     assert cp.char_compose(0b10, CORE4, 2) == mx.tensor(mx.all_ones(4, 4), CORE4)
 
 
+def test_char_compose_spectral_norm():
+    # ||M_T|| = ||M_g||^|T| * sqrt(size(g))^(n - |T|), from the Kronecker rule
+    for g, norm in [(CORE4, 2 * np.sqrt(2)), (CORE6, 2 * np.sqrt(3)),
+                    (mx.XOR_2, 2.0)]:
+        for n in (1, 2, 3):
+            for T in range(2 ** n):
+                k = bin(T).count("1")
+                got = mx.spectrum(cp.char_compose(T, g, n)).spectral_norm
+                assert got == pytest.approx(
+                    norm ** k * np.sqrt(g.size) ** (n - k), rel=1e-12)
+
+
+def test_compose_block_order():
+    # the dictator on input 1 reads block 1, the most significant factor
+    dictator = BoolFunction(2, [1, -1, 1, -1])
+    assert cp.compose_block(dictator, CORE4).matrix == \
+        cp.char_compose(0b01, CORE4, 2)
+
+
 def test_compose_parity_xor_rank_one():
     comp = cp.compose_block(builtin_function("PARITY", 2), mx.XOR_2)
     assert comp.matrix == mx.tensor(mx.XOR_2, mx.XOR_2)

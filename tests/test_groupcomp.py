@@ -122,6 +122,14 @@ def test_regularity():
     assert not rep.divisible and "divisible" in rep.reason
 
 
+def test_from_sign_blocks_layout():
+    # block 1 is the most significant factor and sets bit 0
+    gm = gc.GroupMapMatrix.from_sign_blocks([mx.PATTERN_CORE_4, mx.XOR_2])
+    bit0 = np.kron(mx.PATTERN_CORE_4.entries == -1, np.ones((2, 2), int))
+    bit1 = np.kron(np.ones((4, 4), int), mx.XOR_2.entries == -1)
+    assert np.array_equal(gm.entries, bit0 + 2 * bit1)
+
+
 def test_orthogonality_general_balanced_blocks():
     gm = gc.GroupMapMatrix.from_sign_blocks([mx.PATTERN_CORE_4,
                                              mx.PATTERN_CORE_4])

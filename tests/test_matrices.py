@@ -51,8 +51,14 @@ def test_spectrum_all_ones():
 
 
 def test_spectrum_hadamard_2():
-    sp = mx.spectrum(mx.HADAMARD_2)
-    assert sp.singular_values == pytest.approx((math.sqrt(2),) * 2, abs=1e-12)
+    # H_2^(x)k is 2^(k/2) times an orthogonal matrix
+    H = mx.HADAMARD_2
+    for k in range(1, 7):
+        sp = mx.spectrum(H)
+        assert sp.singular_values == pytest.approx((2 ** (k / 2),) * 2 ** k,
+                                                   rel=1e-12)
+        assert sp.numeric_rank == 2 ** k
+        H = mx.tensor(H, mx.HADAMARD_2)
 
 
 def test_spectrum_pattern_core():
@@ -61,13 +67,23 @@ def test_spectrum_pattern_core():
     assert sp.numeric_rank == 2
     # Gram eigenvalues are {8, 8, 0, 0}
     assert sp.singular_values[:2] == pytest.approx((2 * math.sqrt(2),) * 2)
-    assert sp.singular_values[2:] == pytest.approx((0.0, 0.0), abs=1e-9)
+    assert sp.singular_values[2:] == (0.0, 0.0)
 
 
 def test_spectrum_core_free_6():
     sp = mx.spectrum(mx.CORE_FREE_6)
     assert sp.spectral_norm == pytest.approx(2 * math.sqrt(3), abs=1e-12)
     assert sp.numeric_rank == 5
+
+
+def test_spectrum_kronecker_rule():
+    # singular values of A (x) B are the pairwise products of theirs
+    core4 = [2 * math.sqrt(2)] * 2 + [0.0] * 2
+    core6 = [2 * math.sqrt(3)] * 2 + [2.0] * 3 + [0.0]
+    want = sorted((a * b for a in core4 for b in core6), reverse=True)
+    sp = mx.spectrum(mx.tensor(mx.PATTERN_CORE_4, mx.CORE_FREE_6))
+    assert sp.singular_values == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert sp.numeric_rank == 10
 
 
 def test_spectrum_matches_numpy_svd():

@@ -1,10 +1,12 @@
 """Approximate polynomial degree via LP, and the dual witness that certifies it.
 
-The primal side finds, for each candidate degree d, the best sup-norm
-approximation of f by polynomials of degree at most d (a Chebyshev LP).  The
-dual side produces a point function v with unit l1 mass, zero correlation
-with every character below degree d, and correlation at least epsilon with f.
-All inner products here are plain sums over the 2^n points.
+One LP does both sides.  For each candidate degree d, `chebyshev` finds the
+best sup-norm approximation of f by polynomials of degree at most d, and its
+row duals give a point function v with unit l1 mass, zero correlation with
+every character of degree at most d, and correlation with f equal to that
+best error.  The dual at the last degree whose error exceeds epsilon is the
+witness that deg_epsilon(f) is larger.  All inner products here are plain
+sums over the 2^n points.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ class ApproxDegreeResult:
     approximant: FourierSpectrum
     max_error: float
     lp_status: str
+    witness: DualWitness
 
 
 @dataclass(frozen=True)
@@ -57,58 +60,66 @@ class DualCheck:
 
 
 def _character_matrix(n: int, masks) -> np.ndarray:
-    """Rows chi_T over all 2^n points, for T in masks."""
-    N = 2 ** n
-    out = np.empty((len(masks), N))
-    xs = np.arange(N)
-    for k, T in enumerate(masks):
-        bits = np.zeros(N, dtype=np.int64)
-        v = xs & T
-        while v.any():
-            bits += v & 1
-            v >>= 1
-        out[k] = np.where(bits % 2 == 1, -1.0, 1.0)
-    return out
+    """Rows chi_T(x) = (-1)^popcount(T & x) over all 2^n points, T in masks."""
+    v = np.bitwise_and.outer(np.asarray(masks, dtype=np.int64),
+                             np.arange(2 ** n))
+    for shift in (32, 16, 8, 4, 2, 1):   # fold the parity into bit 0
+        v ^= v >> shift
+    return 1.0 - 2.0 * (v & 1)
 
 
 def _masks_up_to_degree(n: int, d: int) -> list[int]:
     return [T for T in range(2 ** n) if bin(T).count("1") <= d]
 
 
-def best_approximation(f: BoolFunction, d: int) -> tuple[float, FourierSpectrum]:
-    """Minimal sup-norm error over real polynomials of degree <= d (Chebyshev LP).
+def chebyshev(fvals, basis) -> tuple[float, np.ndarray, np.ndarray]:
+    """Best sup-norm approximation of f by the real span of the basis rows.
 
-    Variables are the coefficients (split into positive/negative parts) plus
-    the error bound; constraints are two inequalities per point.
+    The LP minimizes delta subject to |f(x) - sum_k c_k basis_k(x)| <= delta
+    at every point, with c split into positive and negative parts.  Returns
+    (error, c, v), where v = y[N:] - y[:N] comes from the LP's row duals and
+    certifies the error: basis @ v = 0, v @ f = error and sum_x |v(x)| <= 1,
+    with equality whenever the error is positive (complementary slackness:
+    delta > 0 is basic, and no point has both of its rows tight).
     """
-    n = f.n
-    N = 2 ** n
-    masks = _masks_up_to_degree(n, d)
-    chi = _character_matrix(n, masks)  # k x N
-    k = len(masks)
-    # columns: c+ (k), c- (k), delta
-    A_ub = np.zeros((2 * N, 2 * k + 1))
-    b_ub = np.zeros(2 * N)
-    fv = f.table.astype(float)
-    # f(x) - p(x) <= delta   and   p(x) - f(x) <= delta
-    A_ub[:N, :k] = -chi.T
-    A_ub[:N, k:2 * k] = chi.T
-    A_ub[:N, -1] = -1.0
-    b_ub[:N] = -fv
-    A_ub[N:, :k] = chi.T
-    A_ub[N:, k:2 * k] = -chi.T
-    A_ub[N:, -1] = -1.0
-    b_ub[N:] = fv
+    f = np.asarray(fvals, dtype=float)
+    B = np.asarray(basis, dtype=float).reshape(-1, f.size)
+    k, N = B.shape
+    # rows: f - p <= delta, then p - f <= delta; columns: c+, c-, delta
+    A_ub = np.empty((2 * N, 2 * k + 1))
+    A_ub[:N, :k] = -B.T
+    A_ub[:N, k:2 * k] = B.T
+    A_ub[N:, :2 * k] = -A_ub[:N, :2 * k]
+    A_ub[:, -1] = -1.0
     c = np.zeros(2 * k + 1)
     c[-1] = 1.0
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub)
+    res = solve_lp(c, A_ub=A_ub, b_ub=np.concatenate([-f, f]))
     if res.status != OPTIMAL:
-        raise SimplexError(f"Chebyshev LP at degree {d} returned {res.status}")
-    coeffs = np.zeros(N)
-    raw = res.x[:k] - res.x[k:2 * k]
-    for idx, T in enumerate(masks):
-        coeffs[T] = raw[idx]
-    return float(res.x[-1]), FourierSpectrum(n=n, coeffs=tuple(coeffs))
+        raise SimplexError(f"Chebyshev LP over {k} basis functions "
+                           f"returned {res.status}")
+    return float(res.x[-1]), res.x[:k] - res.x[k:2 * k], res.y[N:] - res.y[:N]
+
+
+def _fit(f: BoolFunction, d: int) -> tuple[float, FourierSpectrum, np.ndarray]:
+    """Chebyshev LP over the characters of degree <= d, with its dual."""
+    masks = _masks_up_to_degree(f.n, d)
+    err, raw, v = chebyshev(f.table, _character_matrix(f.n, masks))
+    coeffs = np.zeros(2 ** f.n)
+    coeffs[masks] = raw
+    return err, FourierSpectrum(n=f.n, coeffs=tuple(coeffs)), v
+
+
+def _witness(f: BoolFunction, d: int, epsilon: float,
+             v: np.ndarray) -> DualWitness:
+    return DualWitness(v=RealPointFunction(f.n, v), d=d, epsilon=epsilon,
+                       correlation=float(v @ f.table.astype(float)),
+                       l1=float(np.abs(v).sum()))
+
+
+def best_approximation(f: BoolFunction, d: int) -> tuple[float, FourierSpectrum]:
+    """Minimal sup-norm error over real polynomials of degree <= d."""
+    err, approximant, _ = _fit(f, d)
+    return err, approximant
 
 
 def error_profile(f: BoolFunction) -> list[float]:
@@ -119,75 +130,53 @@ def error_profile(f: BoolFunction) -> list[float]:
 def approx_degree(f: BoolFunction, epsilon: float) -> ApproxDegreeResult:
     """Smallest d whose degree-<=d Chebyshev LP is feasible at error epsilon.
 
-    epsilon = 0 takes the exact path: the transform itself is the (unique)
-    errorless approximant at the exact degree.
+    The witness is the LP dual at degree d-1, whose error exceeds epsilon;
+    for d = 0 it is the point mass f(0) e_0, which no character below degree
+    0 constrains.  epsilon = 0 takes the exact path: the transform itself is
+    the (unique) errorless approximant at the exact degree, and only the
+    degree d-1 LP is solved.
     """
     if not 0 <= epsilon < 1:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
+    v = np.zeros(2 ** f.n)
+    v[0] = f.table[0]
     if epsilon == 0:
         from .boolfn import degree as exact_degree
 
         d = exact_degree(f)
+        if d > 0:
+            v = _fit(f, d - 1)[2]
         return ApproxDegreeResult(d=d, approximant=wht(f), max_error=0.0,
-                                  lp_status="exact")
+                                  lp_status="exact",
+                                  witness=_witness(f, d, epsilon, v))
     for d in range(f.n + 1):
-        err, approximant = best_approximation(f, d)
+        err, approximant, dual = _fit(f, d)
         if err <= epsilon + _FEAS_TOL:
             return ApproxDegreeResult(d=d, approximant=approximant,
-                                      max_error=err, lp_status="optimal")
+                                      max_error=err, lp_status="optimal",
+                                      witness=_witness(f, d, epsilon, v))
+        v = dual
     raise SimplexError(
         "no feasible degree found; the full-degree LP should always be exact")
 
 
 def dual_polynomial(f: BoolFunction, epsilon: float) -> DualWitness:
-    """Solve the dual LP for the degree certificate witness.
+    """The dual witness that deg_epsilon(f) >= d, from the approx_degree sweep.
 
-    Maximizes sum_x v(x) f(x) subject to sum_x |v(x)| <= 1 and plain-sum
-    orthogonality to every character below the certified degree d.  The LP
-    leaves ||v||_1 <= 1; the witness is rescaled to ||v||_1 = 1, which keeps
-    orthogonality and can only raise the correlation.
+    v has unit l1 mass, plain-sum orthogonality to every character below the
+    certified degree d, and correlation with f equal to the best error at
+    degree d-1, which exceeds epsilon.
     """
-    if not 0 <= epsilon < 1:
-        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
-    n = f.n
-    N = 2 ** n
-    d = approx_degree(f, epsilon).d
-    low_masks = [T for T in range(N) if bin(T).count("1") < d]
-    chi = _character_matrix(n, low_masks) if low_masks else np.zeros((0, N))
-    # variables: v+ (N), v- (N)
-    A_eq = np.hstack([chi, -chi]) if low_masks else None
-    b_eq = np.zeros(len(low_masks)) if low_masks else None
-    A_ub = np.ones((1, 2 * N))
-    b_ub = np.array([1.0])
-    fv = f.table.astype(float)
-    c = np.concatenate([-fv, fv])  # maximize sum v f
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
-    if res.status != OPTIMAL:
-        raise SimplexError(
-            f"dual LP at degree {d} unexpectedly returned {res.status}")
-    v = res.x[:N] - res.x[N:]
-    l1 = float(np.abs(v).sum())
-    if l1 <= 0:
-        raise SimplexError("dual LP returned the zero witness")
-    v = v / l1
-    correlation = float(v @ fv)
-    return DualWitness(v=RealPointFunction(n, v), d=d, epsilon=epsilon,
-                       correlation=correlation, l1=float(np.abs(v).sum()))
+    return approx_degree(f, epsilon).witness
 
 
 def verify_dual(w: DualWitness, f: BoolFunction) -> DualCheck:
     """Re-check the three witness properties independently of the LP."""
     if w.v.n != f.n:
         raise ValueError(f"arity mismatch: witness {w.v.n}, function {f.n}")
-    n = f.n
-    N = 2 ** n
     v = w.v.table
-    low_masks = [T for T in range(N) if bin(T).count("1") < w.d]
-    if low_masks:
-        chi = _character_matrix(n, low_masks)
-        orth_max = float(np.abs(chi @ v).max())
-    else:
-        orth_max = 0.0
+    chi = _character_matrix(f.n, _masks_up_to_degree(f.n, w.d - 1))
+    orth_max = float(np.abs(chi @ v).max(initial=0.0))
     l1 = float(np.abs(v).sum())
     corr = float(v @ f.table.astype(float))
     return DualCheck(

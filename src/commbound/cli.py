@@ -1,7 +1,8 @@
 """Command-line front end: parse inputs, dispatch, emit JSON reports.
 
 Exit codes: 0 success, 1 a theorem evaluated but is inapplicable or vacuous
-(the report is still emitted), 2 usage errors, 3 a resource cap was hit.
+(the report is still emitted), 2 usage errors, 3 a resource cap was hit or
+the LP solver failed.
 Reports are deterministic for fixed inputs and seed: keys are sorted, floats
 are rounded to 12 significant digits, and every report embeds the tool
 version plus the fully resolved configuration.
@@ -26,6 +27,7 @@ from . import matrices as mx
 from .approx import approx_degree, dual_polynomial, verify_dual
 from .boolfn import load_function
 from .errors import ResourceLimitError
+from .simplex import SimplexError
 from .suites import ALL_SUITES, run_suites
 
 SCHEMA_VERSION = 1
@@ -149,7 +151,7 @@ def _cmd_approx_degree(opts) -> tuple:
         "lp_status": result.lp_status,
     }
     if opts["dual"]:
-        w = dual_polynomial(f, eps)
+        w = result.witness
         check = verify_dual(w, f)
         payload["dual"] = {
             "witness_table": list(w.v.table),
@@ -484,6 +486,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except SimplexError as exc:
+        print(f"LP solver failed: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

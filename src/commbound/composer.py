@@ -89,19 +89,16 @@ def char_compose(T: int, g: SignMatrix, n: int,
 _EXACT_CHECK_LIMIT = 2 ** 16  # exhaustive dual-path comparison up to this size
 
 
-def compose_block(f: BoolFunction, g: SignMatrix, n: int | None = None,
+def compose_block(f: BoolFunction, g: SignMatrix,
                   memory_cap: int = DEFAULT_MEMORY_CAP) -> Composition:
-    """Materialize the sign matrix of f composed with g on n blocks.
+    """Materialize the sign matrix of f composed with g on f.n blocks.
 
     The matrix is built by direct pointwise evaluation; within the exhaustive
     check limit it is also rebuilt through the Fourier expansion
     sum_T f_hat[T] * char_compose(T) in exact integer arithmetic, and the two
     must agree entrywise.
     """
-    if n is None:
-        n = f.n
-    if n != f.n:
-        raise ValueError(f"block count {n} must equal the outer arity {f.n}")
+    n = f.n
     _check_cap(g.rows ** n, g.cols ** n, memory_cap)
     entries = f.table[block_mask([g] * n)]
 

@@ -22,15 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .approx import chebyshev
 from .bounds import BoundReport, OMITTED_CONSTANT_WARNING
 from .boolfn import BoolFunction
 from .errors import ResourceLimitError
 from .matrices import SignMatrix, balance_check, block_mask, spectrum
-from .simplex import OPTIMAL, SimplexError, solve_lp
+from .simplex import SimplexError
 
 MAX_GROUP_ORDER = 2 ** 14
 _SUM_TOL = 1e-8  # zero tests scale with multiset size
-_IM_SLACK = 1e-9
 
 
 class AbelianGroupSpec:
@@ -489,76 +489,44 @@ def tprime_check(T: PairMultiset, table: CharacterTable) -> TPrimeReport:
 # ---------------------------------------------------------------------------
 # distance to the easy span and its dual
 
-def _span_lp_error(fvals: np.ndarray, rows: np.ndarray) -> float:
-    """Chebyshev distance from a real f to the (complex) span of the given
-    character rows, with the imaginary part of the approximant pinned to zero
-    (within 1e-9)."""
-    k, N = rows.shape
-    if k == 0:
-        return float(np.abs(fvals).max())
-    re = rows.real.T    # N x k
-    im = rows.imag.T
-    # variables: Re c (+/-), Im c (+/-), delta
-    nv = 4 * k + 1
-    A_ub = np.zeros((4 * N, nv))
-    b_ub = np.zeros(4 * N)
-    # Re p(g) = re @ Rc - im @ Ic ; Im p(g) = im @ Rc + re @ Ic
-    re_block = np.hstack([re, -re, -im, im])
-    im_block = np.hstack([im, -im, re, -re])
-    A_ub[:N, :4 * k] = -re_block
-    A_ub[:N, -1] = -1.0
-    b_ub[:N] = -fvals
-    A_ub[N:2 * N, :4 * k] = re_block
-    A_ub[N:2 * N, -1] = -1.0
-    b_ub[N:2 * N] = fvals
-    A_ub[2 * N:3 * N, :4 * k] = im_block
-    b_ub[2 * N:3 * N] = _IM_SLACK
-    A_ub[3 * N:, :4 * k] = -im_block
-    b_ub[3 * N:] = _IM_SLACK
-    c = np.zeros(nv)
-    c[-1] = 1.0
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub)
-    if res.status != OPTIMAL:
-        raise SimplexError(f"span-distance LP returned {res.status}")
-    return float(res.x[-1])
+def _real_span_basis(rows: np.ndarray, members) -> np.ndarray:
+    """Real basis of the real functions in the span of rows[members].
+
+    A real f in the span of a set of characters lies in the span of the
+    set's conjugation-closed part, so in the real span of Re chi and Im chi
+    over that part.  chi_b is the conjugate of chi_a exactly when
+    sum_g chi_a(g) chi_b(g) reaches |G|, so argmax over every row finds it.
+    """
+    members = [int(a) for a in members]
+    partner = np.abs(rows[members] @ rows.T).argmax(axis=1)
+    inside = set(members)
+    basis = []
+    for a, b in zip(members, partner):
+        if b == a:
+            basis.append(rows[a].real)
+        elif a < b and b in inside:
+            basis += [rows[a].real, rows[a].imag]
+    return np.array(basis).reshape(-1, rows.shape[1])
+
+
+def _easy_span_lp(fv: np.ndarray, table: CharacterTable, easy):
+    """Chebyshev LP from a real f to the span of the easy characters."""
+    if fv.shape != (table.order,):
+        raise ValueError("f must assign one real value per group element")
+    return chebyshev(fv, _real_span_basis(table.table, sorted(easy)))
 
 
 def distance_to_easy(fvals, table: CharacterTable, easy) -> float:
     """Entrywise (sup-norm) distance from f to the span of the easy characters."""
-    fv = np.asarray(fvals, dtype=float)
-    if fv.shape != (table.order,):
-        raise ValueError("f must assign one real value per group element")
-    easy = sorted(easy)
-    rows = table.table[easy] if easy else np.zeros((0, table.order), complex)
-    return _span_lp_error(fv, rows)
+    return _easy_span_lp(np.asarray(fvals, dtype=float), table, easy)[0]
 
 
 def dual_h(fvals, table: CharacterTable, easy) -> DualClassFunction:
     """Dual of the distance LP: a real h with no easy-character support,
     sum |h| <= 2, and |sum f conj(h)| strictly above the distance."""
     fv = np.asarray(fvals, dtype=float)
-    if fv.shape != (table.order,):
-        raise ValueError("f must assign one real value per group element")
     easy = sorted(easy)
-    delta = distance_to_easy(fv, table, easy)
-    N = table.order
-    rows = table.table[easy] if easy else np.zeros((0, N), complex)
-    eq_rows = []
-    for r in rows:
-        eq_rows.append(np.concatenate([r.real, -r.real]))
-        eq_rows.append(np.concatenate([r.imag, -r.imag]))
-    A_eq = np.array(eq_rows) if eq_rows else None
-    b_eq = np.zeros(len(eq_rows)) if eq_rows else None
-    A_ub = np.ones((1, 2 * N))
-    b_ub = np.array([1.0])
-    c = np.concatenate([-fv, fv])
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
-    if res.status != OPTIMAL:
-        raise SimplexError(f"dual span LP returned {res.status}")
-    v = res.x[:N] - res.x[N:]
-    l1v = float(np.abs(v).sum())
-    if l1v > 0:
-        v = v / l1v
+    delta, _, v = _easy_span_lp(fv, table, easy)
     h = 2.0 * v
     coeffs = table.table @ h / table.order  # h is real, so conj(h) = h
     easy_max = float(np.abs(coeffs[easy]).max()) if easy else 0.0
@@ -631,26 +599,23 @@ def general_bound(gmap: GroupMapMatrix, fvals, table: CharacterTable,
     return report
 
 
-def _product_characters(tables, max_nonid: int):
-    """Index tuples of product characters with at most max_nonid non-identity
-    components, with their value rows over the product group.
+def _product_characters(tables):
+    """Every product character, as (number of non-identity components, value
+    row over the product group).
 
     The first group is the least significant factor of the element index, so
     its table goes into the innermost Kronecker position.
     """
     trivial = [t.trivial_index() for t in tables]
+    nonid = []
     rows = []
-    labels = []
     for combo in itertools.product(*[range(t.h) for t in tables]):
-        nonid = sum(1 for c, tr in zip(combo, trivial) if c != tr)
-        if nonid > max_nonid:
-            continue
+        nonid.append(sum(1 for c, tr in zip(combo, trivial) if c != tr))
         row = np.ones(1, dtype=complex)
         for c, t in zip(reversed(combo), reversed(tables)):
             row = np.kron(row, t.table[c])
         rows.append(row)
-        labels.append(combo)
-    return labels, np.array(rows)
+    return np.array(nonid), np.array(rows)
 
 
 def product_approx_degree(fvals, tables, epsilon: float) -> int:
@@ -665,11 +630,10 @@ def product_approx_degree(fvals, tables, epsilon: float) -> int:
         total *= t.order
     if fv.shape != (total,):
         raise ValueError(f"f must have one value per product element ({total})")
-    t_count = len(tables)
-    for d in range(t_count + 1):
-        _, rows = _product_characters(tables, d)
-        err = _span_lp_error(fv, rows)
-        if err <= epsilon + 1e-9:
+    nonid, rows = _product_characters(tables)
+    for d in range(len(tables) + 1):
+        basis = _real_span_basis(rows, np.flatnonzero(nonid <= d))
+        if chebyshev(fv, basis)[0] <= epsilon + 1e-9:
             return d
     raise SimplexError("full character set failed to represent f; "
                        "this should be impossible")

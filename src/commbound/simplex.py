@@ -1,8 +1,11 @@
 """Dense two-phase simplex with Bland's anti-cycling rule.
 
-Solves  min c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
-Problem sizes here are small (a few thousand variables/constraints at most),
-so a plain dense tableau is adequate and keeps the package dependency-free.
+Solves  min c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0,
+and returns the row duals y with it: c - A^T y >= 0, y <= 0 on the
+inequality rows, and b.y equals the optimum (A and b stack the _ub rows
+over the _eq rows).  Problem sizes here are small (a few thousand
+variables/constraints at most), so a plain dense tableau is adequate and
+keeps the package dependency-free.
 Feasibility tolerance is 1e-9 throughout.
 """
 
@@ -12,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CommboundError
+
 FEASIBILITY_TOL = 1e-9
 
 OPTIMAL = "optimal"
@@ -19,7 +24,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-class SimplexError(Exception):
+class SimplexError(CommboundError):
     """Solver failure (iteration cap or internal inconsistency)."""
 
 
@@ -29,6 +34,7 @@ class LPResult:
     x: np.ndarray | None
     objective: float | None
     iterations: int
+    y: np.ndarray | None = None
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
@@ -65,11 +71,9 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     T = np.hstack([A, slack])
 
     # normalize to b >= 0
-    for i in range(m):
-        if b[i] < 0:
-            T[i, :] *= -1.0
-            b = b.copy()
-            b[i] *= -1.0
+    sign = np.where(b < 0, -1.0, 1.0)
+    T *= sign[:, None]
+    b = b * sign
 
     n_struct = T.shape[1]
     # artificial variable per row
@@ -163,4 +167,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     for i in range(m):
         x[basis[i]] = tab[i, -1]
     objective = float(c @ x[:nvars])
-    return LPResult(OPTIMAL, x[:nvars].copy(), objective, iterations)
+    # an artificial column starts as e_i and has zero phase-2 cost, so its
+    # reduced cost is minus the dual of the (sign-normalized) row i
+    y = -tab[-1, n_struct:total] * sign
+    return LPResult(OPTIMAL, x[:nvars].copy(), objective, iterations, y)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from commbound.approx import (approx_degree, best_approximation,
+from commbound.approx import (_character_matrix, _masks_up_to_degree,
+                              approx_degree, best_approximation, chebyshev,
                               dual_polynomial, error_profile, verify_dual)
 from commbound.boolfn import (BoolFunction, RealPointFunction, all_functions,
                               builtin_function)
@@ -53,6 +54,64 @@ def test_constant_function():
     w = dual_polynomial(const, 1.0 / 3.0)
     assert w.d == 0
     assert verify_dual(w, const).ok
+    # at d = 0 the witness is the point mass f(0) e_0
+    for eps in (0.0, 1.0 / 3.0):
+        w = dual_polynomial(BoolFunction(2, [-1, -1, -1, -1]), eps)
+        assert w.d == 0 and list(w.v.table) == [-1.0, 0.0, 0.0, 0.0]
+
+
+def test_exact_path_witness():
+    f = builtin_function("AND", 3)
+    r = approx_degree(f, 0.0)
+    assert r.d == 3 and r.witness.d == 3
+    # the degree-2 dual: its correlation is the best degree-2 error, 1/4
+    assert r.witness.correlation == pytest.approx(0.25, abs=1e-12)
+    assert verify_dual(r.witness, f).ok
+
+
+def _highs_chebyshev(fv, B):
+    """min delta over free c with |f - B^T c| <= delta, solved by HiGHS."""
+    from scipy.optimize import linprog
+
+    k, N = B.shape
+    ones = np.ones((N, 1))
+    A_ub = np.vstack([np.hstack([-B.T, -ones]), np.hstack([B.T, -ones])])
+    c = np.zeros(k + 1)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=A_ub, b_ub=np.concatenate([-fv, fv]),
+                  bounds=[(None, None)] * k + [(0, None)], method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def test_chebyshev_certificates_against_highs():
+    fs = list(all_functions(3)) + [builtin_function("MAJ", 5),
+                                   builtin_function("PARITY", 5)]
+    for f in fs:
+        fv = f.table.astype(float)
+        for d in range(f.n + 1):
+            B = _character_matrix(f.n, _masks_up_to_degree(f.n, d))
+            err, coeffs, v = chebyshev(fv, B)
+            l1 = np.abs(v).sum()
+            # sum |v| = 1 wherever the error is positive; with error 0 any
+            # dual-feasible v (sum |v| <= 1) is optimal
+            if err > 1e-9:
+                assert abs(l1 - 1.0) <= 1e-12, (f.table, d)
+            assert l1 <= 1.0 + 1e-12
+            assert np.abs(B @ v).max() <= 1e-9
+            assert abs(v @ fv - err) <= 1e-9
+            assert np.abs(fv - coeffs @ B).max() <= err + 1e-9
+            assert err == pytest.approx(_highs_chebyshev(fv, B), abs=1e-9)
+
+
+def test_character_matrix_rows():
+    from commbound.boolfn import character_eval
+
+    for n in range(5):
+        chi = _character_matrix(n, range(2 ** n))
+        assert chi.tolist() == [[character_eval(T, x) for x in range(2 ** n)]
+                                for T in range(2 ** n)]
+    assert _character_matrix(3, []).shape == (0, 8)
 
 
 def test_approximant_quality():

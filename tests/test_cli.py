@@ -149,6 +149,37 @@ def test_resource_cap_exits_3(capsys):
     assert code == EXIT_RESOURCE
 
 
+def test_solver_failure_exits_3(capsys, monkeypatch):
+    import commbound.approx
+    from commbound.simplex import SimplexError
+
+    def fail(*args, **kwargs):
+        raise SimplexError("simplex iteration cap 10 exceeded")
+
+    monkeypatch.setattr(commbound.approx, "solve_lp", fail)
+    code = main(["approx-degree", "--function", "AND:2", "--epsilon", "0.3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_RESOURCE
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_dual_solves_one_lp_per_degree(capsys, monkeypatch):
+    # degrees 0..d are each solved once, and the witness is the degree d-1
+    # dual, so --dual adds no LP
+    import commbound.approx
+
+    calls = []
+    solve = commbound.approx.solve_lp
+    monkeypatch.setattr(commbound.approx, "solve_lp",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    code, report = run_cli(capsys, "approx-degree", "--function", "MAJ:5",
+                           "--epsilon", "0.333", "--dual")
+    assert code == EXIT_OK
+    assert report["report"]["dual"]["all_checks_pass"] is True
+    assert len(calls) == report["report"]["d"] + 1
+
+
 def test_search_balanced_command(capsys):
     code, report = run_cli(capsys, "search-balanced", "--rows", "4",
                            "--cols", "4")

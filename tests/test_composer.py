@@ -76,11 +76,6 @@ def test_compose_memory_cap():
         cp.compose_block(builtin_function("PARITY", 3), CORE6, memory_cap=1000)
 
 
-def test_compose_arity_mismatch():
-    with pytest.raises(ValueError):
-        cp.compose_block(builtin_function("AND", 2), CORE4, n=3)
-
-
 def test_orthogonality_reports():
     assert cp.verify_orthogonality(CORE4, 2).orthogonal
     assert cp.verify_orthogonality(mx.XOR_2, 1).orthogonal

@@ -313,3 +313,53 @@ def test_group_map_text_errors():
         gc.GroupMapMatrix.from_text("2,2\n0:0")
     with pytest.raises(ValueError):
         gc.GroupMapMatrix.from_text("group 2,2\n0:0:0")
+
+
+def test_distance_to_easy_unpaired_character_adds_nothing():
+    # a real approximant cannot use chi_1 without its conjugate chi_2, so
+    # easy = {0, 1} gives exactly the distance to the constants
+    fv = np.array([1.0, -1.0, -1.0])
+    assert gc.distance_to_easy(fv, T_Z3, [0, 1]) == 1.0
+    assert gc.distance_to_easy(fv, T_Z3, [0]) == 1.0
+
+
+def _complex_span_distance(fv, rows):
+    """HiGHS oracle: min delta with |f - Re p| <= delta and Im p = 0 exactly,
+    p = sum_a c_a chi_a over complex c."""
+    from scipy.optimize import linprog
+
+    k, N = rows.shape
+    re = np.hstack([rows.real.T, -rows.imag.T])    # Re p in (Re c, Im c)
+    im = np.hstack([rows.imag.T, rows.real.T])     # Im p
+    ones = np.ones((N, 1))
+    A_ub = np.vstack([np.hstack([-re, -ones]), np.hstack([re, -ones])])
+    c = np.zeros(2 * k + 1)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=A_ub, b_ub=np.concatenate([-fv, fv]),
+                  A_eq=np.hstack([im, np.zeros((N, 1))]), b_eq=np.zeros(N),
+                  bounds=[(None, None)] * (2 * k) + [(0, None)],
+                  method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def test_distance_to_easy_against_complex_span_oracle():
+    rng = np.random.default_rng(11)
+    for moduli in ([4], [3, 2], [5], [3, 3]):
+        table = gc.characters_abelian(gc.AbelianGroupSpec(moduli))
+        for _ in range(6):
+            fv = rng.uniform(-1.0, 1.0, size=table.order)
+            easy = sorted(rng.choice(table.order, size=rng.integers(1, 4),
+                                     replace=False).tolist())
+            ref = _complex_span_distance(fv, table.table[easy])
+            assert gc.distance_to_easy(fv, table, easy) == pytest.approx(
+                ref, abs=1e-9), (moduli, easy)
+            # closing the set under conjugation makes the dual a certificate
+            closed = sorted(set(easy) | {
+                gc.AbelianGroupSpec(moduli).negate(a) for a in easy})
+            if len(closed) == table.order:
+                continue
+            dh = gc.dual_h(fv, table, closed)
+            assert dh.ok, (moduli, closed)
+            assert dh.l1 == pytest.approx(2.0, abs=1e-12)
+            assert dh.correlation == pytest.approx(2.0 * dh.delta, abs=1e-9)

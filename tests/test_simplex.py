@@ -78,3 +78,33 @@ def test_against_scipy_corpus():
             if A_eq is not None:
                 assert np.allclose(A_eq @ res.x, b_eq, atol=1e-7)
             assert (res.x >= -1e-9).all()
+
+
+def test_row_duals_certify_the_optimum():
+    # y is dual feasible (c - A^T y >= 0, y <= 0 on the <= rows) and b.y
+    # equals the optimum, which HiGHS computes independently
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        m_ub = int(rng.integers(1, 6))
+        m_eq = int(rng.integers(0, 4))
+        c = rng.normal(size=n).round(3)
+        A_ub = rng.normal(size=(m_ub, n)).round(3)
+        b_ub = rng.normal(size=m_ub).round(3)
+        A_eq = rng.normal(size=(m_eq, n)).round(3) if m_eq else None
+        b_eq = rng.normal(size=m_eq).round(3) if m_eq else None
+        res = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
+        if res.status != OPTIMAL:
+            assert res.y is None
+            continue
+        ref = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                      bounds=[(0, None)] * n, method="highs")
+        A = A_ub if A_eq is None else np.vstack([A_ub, A_eq])
+        b = b_ub if b_eq is None else np.concatenate([b_ub, b_eq])
+        assert res.y.shape == (m_ub + m_eq,)
+        assert (c - A.T @ res.y >= -1e-9).all()
+        assert (res.y[:m_ub] <= 1e-9).all()
+        assert b @ res.y == pytest.approx(ref.fun, abs=1e-9)
+        checked += 1
+    assert checked >= 50

@@ -30,13 +30,14 @@ from .matrices import SignMatrix, balance_check, block_mask, spectrum
 from .simplex import SimplexError
 
 MAX_GROUP_ORDER = 2 ** 14
+MAX_TABLE_BYTES = 2 ** 28  # a complex |G| x |G| table: |G| <= 4096
 _SUM_TOL = 1e-8  # zero tests scale with multiset size
 
 
 class AbelianGroupSpec:
     """Direct product of cyclic groups Z_m1 x ... x Z_mk."""
 
-    __slots__ = ("moduli", "order")
+    __slots__ = ("moduli", "order", "shifts")
 
     def __init__(self, moduli):
         mods = tuple(int(m) for m in moduli)
@@ -49,6 +50,13 @@ class AbelianGroupSpec:
             raise ValueError(f"group order {order} exceeds cap {MAX_GROUP_ORDER}")
         self.moduli = mods
         self.order = order
+        # shifts[j, a] is the index of a + e_j, e_j generating factor j: a
+        # mixed-radix increment of digit j mod m_j
+        idx = np.arange(order)
+        m = np.array(mods)[:, None]
+        stride = np.cumprod((1,) + mods[:-1])[:, None]
+        self.shifts = idx + stride - m * stride * (idx // stride % m == m - 1)
+        self.shifts.setflags(write=False)
 
     def element(self, index: int) -> tuple:
         out = []
@@ -102,7 +110,8 @@ class CharacterTable:
         if len(degs) != h or any(d < 1 for d in degs):
             raise ValueError("degrees must be positive, one per character")
         gram = arr @ arr.conj().T
-        if abs(gram - order * np.eye(h)).max() > 1e-9 * max(order, 1):
+        gram.flat[::h + 1] -= order
+        if np.abs(gram).max() > 1e-9 * max(order, 1):
             raise ValueError("character rows are not orthogonal")
         for i in range(h):
             if np.abs(arr[i]).max() > degs[i] + 1e-12:
@@ -149,16 +158,32 @@ class CharacterTable:
         })
 
 
+def _cyclic_characters(m: int) -> np.ndarray:
+    """Table of Z_m: chi_a(x) = w^(a x) with w = exp(2 pi i / m), and the
+    powers of w at quarter turns exactly 1, i, -1, -i."""
+    k = np.arange(m)
+    roots = np.exp(2j * np.pi * k / m)
+    quarter = np.flatnonzero(4 * k % m == 0)
+    roots[quarter] = np.array([1, 1j, -1, -1j])[4 * quarter // m]
+    return roots[np.outer(k, k) % m]
+
+
 def characters_abelian(G: AbelianGroupSpec) -> CharacterTable:
-    """Full character table chi_a(x) = prod_j exp(2 pi i a_j x_j / m_j)."""
+    """Full character table chi_a(x) = prod_j exp(2 pi i a_j x_j / m_j).
+
+    The table is the Kronecker product of the cyclic tables, the first
+    modulus innermost to match the element indexing.  The cyclic tables are
+    exact at quarter turns, so the tables of Z_2^t are exactly +-1.
+    """
     order = G.order
-    table = np.ones((order, order), dtype=complex)
-    for a in range(order):
-        at = G.element(a)
-        for x in range(order):
-            xt = G.element(x)
-            phase = sum(aj * xj / m for aj, xj, m in zip(at, xt, G.moduli))
-            table[a, x] = np.exp(2j * math.pi * phase)
+    need = order * order * np.dtype(complex).itemsize
+    if need > MAX_TABLE_BYTES:
+        raise ResourceLimitError(
+            f"character table of order {order} needs {need} bytes "
+            f"(cap {MAX_TABLE_BYTES})")
+    table = np.ones((1, 1), dtype=complex)
+    for m in G.moduli:
+        table = np.kron(_cyclic_characters(m), table)
     return CharacterTable(h=order, order=order, table=table,
                           class_of=np.arange(order), degrees=[1] * order)
 
@@ -251,7 +276,7 @@ class GroupMapMatrix:
 class PairMultiset:
     """Multiset of element pairs, e.g. {(g(x,y), g(x',y)) : y}."""
 
-    pairs: tuple          # ((s, t, multiplicity), ...) sorted
+    pairs: tuple          # ((s, t, multiplicity), ...) sorted, no (s, t) twice
     total: int
     axis: str             # "row" or "col"
     indices: tuple        # (x, x') or (y, y')
@@ -335,32 +360,49 @@ class DualClassFunction:
         return self.hard_support_ok and self.l1_ok and self.correlation_ok
 
 
+def _line_pair_multisets(E: np.ndarray, order: int, axis: str) -> dict:
+    """PairMultiset {(E[x, y], E[x', y]) : y} for every ordered row pair
+    (x, x'), counted in one pass over the keys (x, x', E[x, y], E[x', y]).
+
+    The keys are sorted rather than binned: a bincount would need X^2 |G|^2
+    cells, 2 GiB for a 128 x 128 map over Z_128.
+    """
+    X, Y = E.shape
+    pair = np.arange(X * X).reshape(X, X, 1)
+    key = (pair * order + E[:, None, :]) * order + E[None, :, :]
+    keys, counts = np.unique(key, return_counts=True)
+    bounds = np.searchsorted(keys,
+                             np.arange(X * X + 1) * order * order).tolist()
+    triples = list(zip((keys // order % order).tolist(),
+                       (keys % order).tolist(), counts.tolist()))
+    lines = itertools.product(range(X), repeat=2)
+    return {ij: PairMultiset(pairs=tuple(triples[lo:hi]), total=Y, axis=axis,
+                             indices=ij)
+            for ij, lo, hi in zip(lines, bounds, bounds[1:])}
+
+
 def pair_multisets(gmap: GroupMapMatrix) -> PairFamilies:
     """All row-pair multisets S^{x,x'} and column-pair multisets T^{y,y'}."""
     E = gmap.entries
-    X, Y = E.shape
-    row_pairs = {}
-    for x in range(X):
-        for x2 in range(X):
-            cnt = Counter(zip(E[x, :].tolist(), E[x2, :].tolist()))
-            row_pairs[(x, x2)] = PairMultiset.from_counter(cnt, "row", (x, x2))
-    col_pairs = {}
-    for y in range(Y):
-        for y2 in range(Y):
-            cnt = Counter(zip(E[:, y].tolist(), E[:, y2].tolist()))
-            col_pairs[(y, y2)] = PairMultiset.from_counter(cnt, "col", (y, y2))
-    return PairFamilies(row_pairs=row_pairs, col_pairs=col_pairs)
+    return PairFamilies(row_pairs=_line_pair_multisets(E, gmap.order, "row"),
+                        col_pairs=_line_pair_multisets(E.T, gmap.order, "col"))
 
 
 def g_invariant(T: PairMultiset, G: AbelianGroupSpec) -> bool:
-    """Exact check that (s,s)T = T as multisets for every s in G."""
-    base = T.counter()
-    for s in range(1, G.order):
-        shifted = Counter({(G.add(s, a), G.add(s, b)): m
-                           for (a, b), m in base.items()})
-        if shifted != base:
-            return False
-    return True
+    """Exact check that (s,s)T = T as multisets for every s in G.
+
+    The shifts that fix T form a subgroup, so it is enough to test one
+    generator e_j per cyclic factor: every shifted pair must be a pair of
+    T with the same multiplicity.  T.pairs is sorted with distinct (s, t),
+    as from_counter and pair_multisets build it, so a binary search finds
+    each shifted pair.
+    """
+    s, t, m = np.fromiter(itertools.chain.from_iterable(T.pairs), np.int64,
+                          3 * len(T.pairs)).reshape(-1, 3).T
+    key = s * G.order + t
+    moved = G.shifts[:, s] * G.order + G.shifts[:, t]
+    at = np.searchsorted(key, moved).clip(max=len(key) - 1)
+    return bool((key[at] == moved).all() and (m[at] == m).all())
 
 
 def orthogonality_sums(T: PairMultiset, table: CharacterTable) -> float:
@@ -376,12 +418,24 @@ def orthogonality_sums(T: PairMultiset, table: CharacterTable) -> float:
     return float(mag.max())
 
 
+def _lines_uniform(E: np.ndarray, order: int) -> bool:
+    """Does every row of E hit every element equally often?"""
+    X, Y = E.shape
+    if Y % order:    # also keeps the count table within X * Y cells
+        return False
+    keys = np.arange(X)[:, None] * order + E
+    return bool((np.bincount(keys.reshape(-1), minlength=X * order)
+                 == Y // order).all())
+
+
 def regularity_check(gmap: GroupMapMatrix) -> RegularityReport:
     """Is the value multiset of g an exact multiple of G?
 
     Counts every element exactly; also reports whether the diagonal pair
     multisets are invariant (for Abelian maps), the hypothesis under which
-    invariance already forces regularity.
+    invariance already forces regularity.  (s,s) fixes the diagonal multiset
+    of a line exactly when the line hits every element equally often, so
+    that comes from per-line counts too.
     """
     E = gmap.entries
     total = E.size
@@ -391,14 +445,7 @@ def regularity_check(gmap: GroupMapMatrix) -> RegularityReport:
     regular = divisible and bool((counts == copies).all())
     diag = None
     if gmap.group is not None:
-        fam = pair_multisets(gmap)
-        rows_ok = all(g_invariant(fam.row_pairs[(x, x)], gmap.group)
-                      for x in range(gmap.rows))
-        cols_ok = True
-        if not rows_ok:
-            cols_ok = all(g_invariant(fam.col_pairs[(y, y)], gmap.group)
-                          for y in range(gmap.cols))
-        diag = rows_ok or cols_ok
+        diag = _lines_uniform(E, gmap.order) or _lines_uniform(E.T, gmap.order)
     if not divisible:
         reason = (f"matrix size {total} is not divisible by the group "
                   f"order {gmap.order}")
@@ -489,16 +536,24 @@ def tprime_check(T: PairMultiset, table: CharacterTable) -> TPrimeReport:
 # ---------------------------------------------------------------------------
 # distance to the easy span and its dual
 
+def _conjugates(rows: np.ndarray, members) -> np.ndarray:
+    """Row index of conj(chi_a) for each a in members.
+
+    chi_b is the conjugate of chi_a exactly when sum_g chi_a(g) chi_b(g)
+    reaches |G|, so argmax over every row finds it.
+    """
+    return np.abs(rows[list(members)] @ rows.T).argmax(axis=1)
+
+
 def _real_span_basis(rows: np.ndarray, members) -> np.ndarray:
     """Real basis of the real functions in the span of rows[members].
 
     A real f in the span of a set of characters lies in the span of the
     set's conjugation-closed part, so in the real span of Re chi and Im chi
-    over that part.  chi_b is the conjugate of chi_a exactly when
-    sum_g chi_a(g) chi_b(g) reaches |G|, so argmax over every row finds it.
+    over that part.
     """
     members = [int(a) for a in members]
-    partner = np.abs(rows[members] @ rows.T).argmax(axis=1)
+    partner = _conjugates(rows, members)
     inside = set(members)
     basis = []
     for a, b in zip(members, partner):
@@ -523,7 +578,12 @@ def distance_to_easy(fvals, table: CharacterTable, easy) -> float:
 
 def dual_h(fvals, table: CharacterTable, easy) -> DualClassFunction:
     """Dual of the distance LP: a real h with no easy-character support,
-    sum |h| <= 2, and |sum f conj(h)| strictly above the distance."""
+    sum |h| <= 2, and |sum f conj(h)| strictly above the distance.
+
+    A real h orthogonal to chi is orthogonal to conj(chi) too, so h
+    certifies the distance to the conjugation-closed part of the easy set
+    only; an easy character whose conjugate is hard can keep support in h.
+    """
     fv = np.asarray(fvals, dtype=float)
     easy = sorted(easy)
     delta, _, v = _easy_span_lp(fv, table, easy)
@@ -552,6 +612,14 @@ def general_bound(gmap: GroupMapMatrix, fvals, table: CharacterTable,
     """
     report = BoundReport(theorem="general-group", applicable=True,
                          main_term=None, warnings=[OMITTED_CONSTANT_WARNING])
+    easy = sorted(partition.easy)
+    unpaired = [int(a) for a, b in zip(easy, _conjugates(table.table, easy))
+                if b not in partition.easy]
+    if unpaired:
+        # a real approximant cannot use chi without conj(chi)
+        report.warnings.append(
+            f"easy characters {unpaired} have conjugates outside the easy "
+            "set; delta covers only its conjugation-closed part")
     fv = np.asarray(fvals, dtype=float)
     reg = regularity_check(gmap)
     if not reg.regular:

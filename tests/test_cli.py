@@ -149,6 +149,16 @@ def test_resource_cap_exits_3(capsys):
     assert code == EXIT_RESOURCE
 
 
+def test_group_check_character_table_cap_exits_3(capsys, tmp_path):
+    gmap = tmp_path / "gmap.txt"
+    gmap.write_text("group " + ",".join(["2"] * 13) + "\n" +
+                    ":".join(["0"] * 13) + "\n")
+    code = main(["group-check", "--gmap", str(gmap)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err.startswith("resource limit:") and err.count("\n") == 1
+
+
 def test_solver_failure_exits_3(capsys, monkeypatch):
     import commbound.approx
     from commbound.simplex import SimplexError

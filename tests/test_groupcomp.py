@@ -11,6 +11,7 @@ from commbound import groupcomp as gc
 from commbound import matrices as mx
 from commbound.approx import approx_degree, verify_dual
 from commbound.boolfn import all_functions, builtin_function, character_eval
+from commbound.errors import ResourceLimitError
 
 Z2 = gc.AbelianGroupSpec([2])
 Z3 = gc.AbelianGroupSpec([3])
@@ -31,6 +32,9 @@ def test_group_indexing_round_trip():
         assert G.index(G.element(i)) == i
     assert G.add(G.index((2, 3, 1)), G.index((1, 1, 1))) == G.index((0, 0, 0))
     assert G.negate(G.index((1, 0, 1))) == G.index((2, 0, 1))
+    gens = [G.index((1, 0, 0)), G.index((0, 1, 0)), G.index((0, 0, 1))]
+    assert G.shifts.tolist() == [[G.add(a, e) for a in range(G.order)]
+                                 for e in gens]
 
 
 def test_characters_z3():
@@ -41,10 +45,38 @@ def test_characters_z3():
 
 
 def test_characters_z2n_match_boolean_characters():
-    table = gc.characters_abelian(gc.AbelianGroupSpec([2, 2, 2]))
-    for T in range(8):
-        for x in range(8):
-            assert table.table[T, x] == pytest.approx(character_eval(T, x))
+    # the Kronecker product of exact +-1 tables is exact
+    for t in (1, 2, 3, 5):
+        table = gc.characters_abelian(gc.AbelianGroupSpec([2] * t)).table
+        for T in range(2 ** t):
+            for x in range(2 ** t):
+                assert table[T, x] == character_eval(T, x)
+
+
+def test_characters_abelian_against_elementwise_formula():
+    # asymmetric moduli: a reversed Kronecker order changes the table
+    for moduli in ((3, 4, 2), (2, 5), (7,)):
+        G = gc.AbelianGroupSpec(moduli)
+        expect = np.empty((G.order, G.order), dtype=complex)
+        for a in range(G.order):
+            for x in range(G.order):
+                phase = sum(aj * xj / m for aj, xj, m in
+                            zip(G.element(a), G.element(x), moduli))
+                expect[a, x] = np.exp(2j * math.pi * phase)
+        table = gc.characters_abelian(G)
+        assert np.abs(table.table - expect).max() <= 1e-12, moduli
+        assert np.array_equal(table.class_of, np.arange(G.order))
+
+
+def test_characters_abelian_quarter_turns_exact():
+    table = gc.characters_abelian(gc.AbelianGroupSpec([4, 2])).table
+    assert set(table.flat) == {1, 1j, -1, -1j}
+
+
+def test_characters_abelian_table_cap():
+    # 8192^2 complex entries would take 1 GiB; nothing is allocated
+    with pytest.raises(ResourceLimitError):
+        gc.characters_abelian(gc.AbelianGroupSpec((2,) * 13))
 
 
 def test_character_table_validation():
@@ -99,6 +131,98 @@ def test_invariance_examples():
         T = pair_set(closed)
         assert gc.g_invariant(T, G)
         assert gc.orthogonality_sums(T, table) <= 1e-8 * T.total
+
+
+def _shift_oracle(counter, G):
+    """Fixed by (s,s) for every s in G, one Counter per shift."""
+    return all(Counter({(G.add(u, a), G.add(u, b)): m
+                        for (a, b), m in counter.items()}) == counter
+               for u in range(G.order))
+
+
+def _closure(base, G, shifts):
+    closed = Counter()
+    for u in shifts:
+        for (a, b), m in base.items():
+            closed[(G.add(u, a), G.add(u, b))] += m
+    return closed
+
+
+def test_g_invariant_against_shift_oracle():
+    rng = np.random.default_rng(7)
+    groups = [gc.AbelianGroupSpec(m) for m in
+              ([3], [4], [2, 2], [3, 2], [4, 2])]
+    invariant_seen = 0
+    for G in groups:
+        n = G.order
+        # closures under the subgroup that e_1 generates are fixed by e_1
+        # only, so a check of one generator would pass them
+        first = range(G.moduli[0])
+        for _ in range(40):
+            base = Counter({(int(rng.integers(n)), int(rng.integers(n))):
+                            int(rng.integers(1, 4))
+                            for _ in range(int(rng.integers(1, 5)))})
+            for cnt in (base, _closure(base, G, range(n)),
+                        _closure(base, G, first)):
+                want = _shift_oracle(cnt, G)
+                assert gc.g_invariant(pair_set(cnt), G) == want, (G, cnt)
+                invariant_seen += want
+            # one extra copy of a pair breaks an invariant multiset
+            closed = _closure(base, G, range(n))
+            closed[next(iter(closed))] += 1
+            assert not gc.g_invariant(pair_set(closed), G)
+    assert invariant_seen >= 200
+
+
+def test_pair_multisets_against_counter_oracle():
+    rng = np.random.default_rng(3)
+    for moduli in ([2], [3], [2, 2], [3, 2], [4, 2], [2, 3, 2]):
+        G = gc.AbelianGroupSpec(moduli)
+        for rows, cols in ((1, 1), (1, 5), (4, 3), (6, 6)):
+            gm = gc.GroupMapMatrix(rng.integers(0, G.order, size=(rows, cols)),
+                                   G)
+            E = gm.entries
+            fam = gc.pair_multisets(gm)
+            assert sorted(fam.row_pairs) == [(x, x2) for x in range(rows)
+                                             for x2 in range(rows)]
+            assert sorted(fam.col_pairs) == [(y, y2) for y in range(cols)
+                                             for y2 in range(cols)]
+            for (x, x2), T in fam.row_pairs.items():
+                want = gc.PairMultiset.from_counter(
+                    Counter(zip(E[x].tolist(), E[x2].tolist())), "row",
+                    (x, x2))
+                assert T == want
+            for (y, y2), T in fam.col_pairs.items():
+                want = gc.PairMultiset.from_counter(
+                    Counter(zip(E[:, y].tolist(), E[:, y2].tolist())), "col",
+                    (y, y2))
+                assert T == want
+
+
+def test_diagonal_invariant_against_g_invariant():
+    rng = np.random.default_rng(9)
+    seen = set()
+    for moduli in ([2], [3], [2, 2], [3, 2]):
+        G = gc.AbelianGroupSpec(moduli)
+        n = G.order
+        for rows, cols in ((n, n), (2 * n, n), (3, 2 * n), (5, 7)):
+            # shuffled full cycles hit every element equally often; random
+            # rows mostly do not
+            cycle = np.resize(np.arange(n), cols)
+            for k in (0, rows // 2, rows):
+                E = rng.integers(0, n, size=(rows, cols))
+                E[:k] = np.reshape([rng.permutation(cycle) for _ in range(k)],
+                                   (k, cols))
+                for gm in (gc.GroupMapMatrix(E, G), gc.GroupMapMatrix(E.T, G)):
+                    fam = gc.pair_multisets(gm)
+                    rows_ok = all(gc.g_invariant(T, G) for (x, x2), T in
+                                  fam.row_pairs.items() if x == x2)
+                    cols_ok = all(gc.g_invariant(T, G) for (y, y2), T in
+                                  fam.col_pairs.items() if y == y2)
+                    got = gc.regularity_check(gm).diagonal_invariant
+                    assert got == (rows_ok or cols_ok), (moduli, gm.entries)
+                    seen.add((rows_ok, cols_ok))
+    assert {(True, False), (False, True), (False, False)} <= seen
 
 
 def test_tprime_routes_agree():
@@ -289,6 +413,28 @@ def test_degeneration_exhaustive_2x2_blocks():
         for b2 in blocks:
             rep = gc.degeneration_check([b1, b2])
             assert rep.equivalent
+
+
+def test_degeneration_core4_cubed():
+    rep = gc.degeneration_check([mx.PATTERN_CORE_4] * 3)
+    assert rep.equivalent and rep.all_pairs_invariant
+
+
+def test_general_bound_warns_on_easy_set_not_closed_under_conjugation():
+    latin = np.array([[(x + y) % 3 for y in range(3)] for x in range(3)])
+    gm = gc.GroupMapMatrix(latin, Z3)
+    fv = np.array([1.0, -1.0, -1.0])
+    for easy, warns in (([0, 1], True), ([0], False), ([0, 1, 2], False)):
+        part = gc.HardnessPartition.from_easy(easy, 3)
+        rep = gc.general_bound(gm, fv, T_Z3, part, 0.0)
+        flagged = [w for w in rep.warnings if "conjugat" in w]
+        assert bool(flagged) == warns, easy
+        if warns:
+            assert "[1]" in flagged[0]
+    # the warning does not change the verdict or the distance
+    rep = gc.general_bound(gm, fv, T_Z3,
+                           gc.HardnessPartition.from_easy([0, 1], 3), 0.0)
+    assert rep.applicable and rep.intermediates["delta"] == 1.0
 
 
 def test_degeneration_examples():

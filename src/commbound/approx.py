@@ -1,11 +1,12 @@
 """Approximate polynomial degree via LP, and the dual witness that certifies it.
 
-One LP does both sides.  For each candidate degree d, `chebyshev` finds the
-best sup-norm approximation of f by polynomials of degree at most d, and its
-row duals give a point function v with unit l1 mass, zero correlation with
-every character of degree at most d, and correlation with f equal to that
-best error.  The dual at the last degree whose error exceeds epsilon is the
-witness that deg_epsilon(f) is larger.  All inner products here are plain
+One LP does both sides.  For each candidate degree d, `chebyshev` solves the
+dual form of the best sup-norm approximation of f by polynomials of degree
+at most d: its solution is a point function v with unit l1 mass, zero
+correlation with every character of degree at most d, and correlation with
+f equal to that best error, and its row duals are the approximant.  The v
+at the last degree whose error exceeds epsilon is the witness that
+deg_epsilon(f) is larger.  All inner products here are plain
 sums over the 2^n points.
 """
 
@@ -75,29 +76,25 @@ def _masks_up_to_degree(n: int, d: int) -> list[int]:
 def chebyshev(fvals, basis) -> tuple[float, np.ndarray, np.ndarray]:
     """Best sup-norm approximation of f by the real span of the basis rows.
 
-    The LP minimizes delta subject to |f(x) - sum_k c_k basis_k(x)| <= delta
-    at every point, with c split into positive and negative parts.  Returns
-    (error, c, v), where v = y[N:] - y[:N] comes from the LP's row duals and
-    certifies the error: basis @ v = 0, v @ f = error and sum_x |v(x)| <= 1,
-    with equality whenever the error is positive (complementary slackness:
-    delta > 0 is basic, and no point has both of its rows tight).
+    Solves the LP dual of min_c max_x |f(x) - sum_k c_k basis_k(x)|, which
+    has one row per basis function plus one:  maximize <f, v> over
+    v = p - q with p, q >= 0, basis @ v = 0 and sum (p + q) <= 1.  Returns
+    (error, c, v): the error is the optimum, c is minus the row duals of the
+    equality rows (the LP's dual feasibility is |f - c @ basis| <= error at
+    every point), and v certifies the error: basis @ v = 0, v @ f = error
+    and sum_x |v(x)| <= 1.  A tableau past MAX_TABLE_BYTES raises
+    ResourceLimitError from solve_lp.
     """
     f = np.asarray(fvals, dtype=float)
     B = np.asarray(basis, dtype=float).reshape(-1, f.size)
     k, N = B.shape
-    # rows: f - p <= delta, then p - f <= delta; columns: c+, c-, delta
-    A_ub = np.empty((2 * N, 2 * k + 1))
-    A_ub[:N, :k] = -B.T
-    A_ub[:N, k:2 * k] = B.T
-    A_ub[N:, :2 * k] = -A_ub[:N, :2 * k]
-    A_ub[:, -1] = -1.0
-    c = np.zeros(2 * k + 1)
-    c[-1] = 1.0
-    res = solve_lp(c, A_ub=A_ub, b_ub=np.concatenate([-f, f]))
+    res = solve_lp(np.concatenate([-f, f]),
+                   A_ub=np.ones((1, 2 * N)), b_ub=[1.0],
+                   A_eq=np.hstack([B, -B]), b_eq=np.zeros(k))
     if res.status != OPTIMAL:
         raise SimplexError(f"Chebyshev LP over {k} basis functions "
                            f"returned {res.status}")
-    return float(res.x[-1]), res.x[:k] - res.x[k:2 * k], res.y[N:] - res.y[:N]
+    return -res.objective, -res.y[1:], res.x[:N] - res.x[N:]
 
 
 def _fit(f: BoolFunction, d: int) -> tuple[float, FourierSpectrum, np.ndarray]:

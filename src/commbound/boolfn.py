@@ -16,6 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceLimitError
+
+# largest arity accepted from a builtin spec or a truth table: 2^16 points,
+# whose degree-2 Chebyshev LP still fits MAX_TABLE_BYTES
+MAX_ARITY = 16
+
 DEGREE_ZERO_TEST = 0.5  # coefficients are multiples of 2^-n; test vs 2^-(n+1)
 
 
@@ -174,6 +180,12 @@ BUILTIN_FUNCTIONS = {
 }
 
 
+def _check_arity(n: int) -> None:
+    if n > MAX_ARITY:
+        raise ResourceLimitError(
+            f"arity {n} needs a 2^{n}-entry table (cap arity {MAX_ARITY})")
+
+
 def builtin_function(name: str, arity: int) -> BoolFunction:
     key = name.upper()
     if key not in BUILTIN_FUNCTIONS:
@@ -181,6 +193,7 @@ def builtin_function(name: str, arity: int) -> BoolFunction:
                          f"choose from {sorted(BUILTIN_FUNCTIONS)}")
     if arity < 1:
         raise ValueError("arity must be at least 1")
+    _check_arity(arity)
     return BoolFunction(arity, BUILTIN_FUNCTIONS[key](arity))
 
 
@@ -202,6 +215,7 @@ def parse_truth_table(text: str) -> BoolFunction:
     if not lines or not lines[0].startswith("n="):
         raise ValueError('truth table must start with an "n=<arity>" line')
     n = int(lines[0][2:])
+    _check_arity(n)
     bits = "".join(lines[1:])
     if len(bits) != 2 ** n:
         raise ValueError(f"expected {2 ** n} table bits, got {len(bits)}")

@@ -429,6 +429,10 @@ def parse_args(argv) -> RunConfig:
         _check_epsilon(opts["epsilon0"], "--epsilon0", allow_zero=False)
     if opts.get("tolerance") is not None and opts["tolerance"] <= 0:
         raise UsageError(f"--tolerance must be positive, got {opts['tolerance']}")
+    for key in ("limit", "min_rank", "enum_cap", "memory_cap"):
+        if opts.get(key) is not None and opts[key] < 0:
+            raise UsageError(f"--{key.replace('_', '-')} must be "
+                             f"non-negative, got {opts[key]}")
     if opts.get("suites"):
         names = [s.strip() for s in opts["suites"].split(",") if s.strip()]
         for s in names:

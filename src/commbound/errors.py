@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the byte budget they guard."""
+
+# one dense table: a complex |G| x |G| character table (|G| <= 4096) or an
+# LP tableau
+MAX_TABLE_BYTES = 2 ** 28
 
 
 class CommboundError(Exception):

@@ -25,12 +25,11 @@ import numpy as np
 from .approx import chebyshev
 from .bounds import BoundReport, OMITTED_CONSTANT_WARNING
 from .boolfn import BoolFunction
-from .errors import ResourceLimitError
+from .errors import MAX_TABLE_BYTES, ResourceLimitError
 from .matrices import SignMatrix, balance_check, block_mask, spectrum
 from .simplex import SimplexError
 
 MAX_GROUP_ORDER = 2 ** 14
-MAX_TABLE_BYTES = 2 ** 28  # a complex |G| x |G| table: |G| <= 4096
 _SUM_TOL = 1e-8  # zero tests scale with multiset size
 
 

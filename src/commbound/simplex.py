@@ -1,11 +1,27 @@
-"""Dense two-phase simplex with Bland's anti-cycling rule.
+"""Dense two-phase simplex: Dantzig pricing, Harris ratio test, rank-1 pivots.
 
 Solves  min c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0,
 and returns the row duals y with it: c - A^T y >= 0, y <= 0 on the
 inequality rows, and b.y equals the optimum (A and b stack the _ub rows
-over the _eq rows).  Problem sizes here are small (a few thousand
-variables/constraints at most), so a plain dense tableau is adequate and
-keeps the package dependency-free.
+over the _eq rows).  Problem sizes here are small (a few hundred rows at
+most), so a plain dense tableau is adequate and keeps the package
+dependency-free.
+
+Every step is a whole-array operation.  The entering column is the most
+negative reduced cost (Dantzig).  The leaving row comes from Harris's
+two-pass ratio test: pass one bounds the step by min (rhs+ + tol) / a, pass
+two takes the largest pivot a among the rows within that bound, ties to the
+smallest basic index.  Preferring large pivots keeps rounding noise in
+degenerate rows (rhs near 0) from steering the choice, which is what makes
+smallest-index rules cycle in floating point.  A pivot is one in-place
+rank-1 update of the tableau.
+
+Harris carries no anti-cycling proof.  A long run of degenerate pivots
+(the Chebyshev LP of AND:10 at degree 4 stalls at one vertex) shifts every
+basic value up by a small random amount, which separates the tied ratios;
+at the shifted optimum the true rhs is restored from the basis inverse and
+any negative basic value is pivoted out by dual simplex steps.  The
+iteration cap stays as the backstop.
 Feasibility tolerance is 1e-9 throughout.
 """
 
@@ -15,9 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CommboundError
+from .errors import MAX_TABLE_BYTES, CommboundError, ResourceLimitError
 
 FEASIBILITY_TOL = 1e-9
+# a run of degenerate pivots longer than _STALL_ROWS times the row count
+# shifts the rhs by 100 to 200 times the tolerance, so that the ratio test
+# sees distinct ratios; the longest run in a solve that converges is about
+# 1.6 times the row count on the Chebyshev LPs up to 9 bits
+_STALL_ROWS = 3
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -37,9 +58,43 @@ class LPResult:
     y: np.ndarray | None = None
 
 
+def _pivot(tab: np.ndarray, row: int, col: int) -> None:
+    """Make column col the unit vector e_row by one rank-1 update."""
+    pivot_row = tab[row] / tab[row, col]
+    column = tab[:, col].copy()
+    column[row] = 0.0
+    tab -= np.outer(column, pivot_row)
+    tab[row] = pivot_row
+
+
+def _shift_rhs(tab: np.ndarray, size: float, seed: int) -> None:
+    """Raise every basic value by a random amount in [size, 2 size)."""
+    rng = np.random.default_rng(seed)
+    tab[:-1, -1] += size * (1.0 + rng.random(tab.shape[0] - 1))
+
+
+def _leaving_row(a: np.ndarray, rhs: np.ndarray, basis: np.ndarray,
+                 tol: float) -> int:
+    """Harris two-pass ratio test on column a; -1 if no row bounds the step."""
+    rows = np.flatnonzero(a > tol)
+    if rows.size == 0:
+        return -1
+    a = a[rows]
+    r = np.maximum(rhs[rows], 0.0)
+    theta = ((r + tol) / a).min()
+    within = r <= theta * a
+    rows, a = rows[within], a[within]
+    rows = rows[a == a.max()]
+    return int(rows[np.argmin(basis[rows])])
+
+
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
              tol: float = FEASIBILITY_TOL, max_iter: int | None = None) -> LPResult:
-    """Minimize c.x over x >= 0 with the given inequality/equality rows."""
+    """Minimize c.x over x >= 0 with the given inequality/equality rows.
+
+    Raises ResourceLimitError, before building the tableau, when it would
+    pass MAX_TABLE_BYTES.
+    """
     c = np.asarray(c, dtype=float)
     nvars = c.shape[0]
     rows = []
@@ -64,108 +119,110 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
         b = np.zeros(0)
     m = A.shape[0]
 
-    # slacks for the inequality rows
-    slack = np.zeros((m, n_ub))
-    for i in range(n_ub):
-        slack[i, i] = 1.0
-    T = np.hstack([A, slack])
-
-    # normalize to b >= 0
-    sign = np.where(b < 0, -1.0, 1.0)
-    T *= sign[:, None]
-    b = b * sign
-
-    n_struct = T.shape[1]
-    # artificial variable per row
-    art = np.eye(m)
-    tab = np.hstack([T, art, b.reshape(-1, 1)])
-    basis = [n_struct + i for i in range(m)]
+    # columns: structural, one slack per inequality row, one artificial per
+    # row, then the rhs; every row is normalized to b >= 0
+    n_struct = nvars + n_ub
     total = n_struct + m
+    need = (m + 1) * (total + 1) * 8
+    if need > MAX_TABLE_BYTES:
+        raise ResourceLimitError(
+            f"simplex tableau of {m} rows and {total} columns needs {need} "
+            f"bytes (cap {MAX_TABLE_BYTES})")
+    sign = np.where(b < 0, -1.0, 1.0)
+    b_norm = b * sign
+    tab = np.zeros((m + 1, total + 1))
+    tab[:m, :nvars] = A * sign[:, None]
+    tab[np.arange(n_ub), nvars + np.arange(n_ub)] = sign[:n_ub]
+    tab[np.arange(m), n_struct + np.arange(m)] = 1.0
+    tab[:m, -1] = b_norm
+    basis = np.arange(n_struct, total)
     if max_iter is None:
         max_iter = 200 * (m + total + 10)
 
     iterations = 0
 
-    def pivot(tab, row, col):
-        tab[row, :] /= tab[row, col]
-        for r in range(tab.shape[0]):
-            if r != row and tab[r, col] != 0.0:
-                tab[r, :] -= tab[r, col] * tab[row, :]
-
-    def run_phase(tab, cost, allowed):
-        """Bland's rule iteration on the current tableau; returns status."""
+    def step(row: int, col: int) -> None:
         nonlocal iterations
-        m_rows = tab.shape[0] - 1
+        if iterations >= max_iter:
+            raise SimplexError(
+                f"simplex iteration cap {max_iter} exceeded "
+                f"({m} rows, {total} columns)")
+        _pivot(tab, row, col)
+        basis[row] = col
+        iterations += 1
+
+    def restore_rhs(cost) -> None:
+        """Put back the true rhs after a shift, x_B = B^-1 b with B^-1 in
+        the artificial columns, then pivot out negative basic values by
+        dual simplex steps, which keep every reduced cost nonnegative."""
+        tab[:m, -1] = tab[:m, n_struct:total] @ b_norm
         while True:
-            if iterations > max_iter:
-                raise SimplexError(
-                    f"simplex iteration cap {max_iter} exceeded "
-                    f"({m_rows} rows, {total} columns)")
-            # entering: smallest index with negative reduced cost
-            enter = -1
-            for j in allowed:
-                if tab[-1, j] < -tol:
-                    enter = j
-                    break
-            if enter < 0:
-                return OPTIMAL
-            # leaving: min ratio, ties by smallest basis variable (Bland)
-            best_ratio = None
-            leave = -1
-            for i in range(m_rows):
-                a = tab[i, enter]
-                if a > tol:
-                    ratio = tab[i, -1] / a
-                    if (best_ratio is None or ratio < best_ratio - 1e-15
-                            or (abs(ratio - best_ratio) <= 1e-15
-                                and basis[i] < basis[leave])):
-                        best_ratio = ratio
-                        leave = i
+            r = int(np.argmin(tab[:m, -1]))
+            if tab[r, -1] >= -tol:
+                break
+            row = tab[r, :n_struct]
+            cols = np.flatnonzero(row < -tol)
+            if cols.size == 0:
+                raise SimplexError("no pivot restores feasibility after an "
+                                   "rhs shift")
+            step(r, int(cols[np.argmin(tab[-1, cols] / -row[cols])]))
+        tab[-1, -1] = -cost[basis] @ tab[:m, -1]
+
+    def run_phase(cost) -> str:
+        """Dantzig/Harris iteration on the objective cost (one entry per
+        tableau column, the rhs last); returns the status.
+
+        A run of more than _STALL_ROWS * m degenerate pivots shifts the rhs
+        (_shift_rhs), and the true rhs is restored at the shifted optimum.
+        """
+        tab[-1] = cost - cost[basis] @ tab[:m]
+        stall = 0
+        shifted = False
+        while True:
+            enter = int(np.argmin(tab[-1, :n_struct]))
+            if tab[-1, enter] >= -tol:
+                if not shifted:
+                    return OPTIMAL
+                restore_rhs(cost)
+                stall, shifted = 0, False
+                continue
+            leave = _leaving_row(tab[:m, enter], tab[:m, -1], basis, tol)
             if leave < 0:
                 return UNBOUNDED
-            pivot(tab, leave, enter)
-            basis[leave] = enter
-            iterations += 1
+            stall = stall + 1 if tab[leave, -1] <= tol else 0
+            if stall > _STALL_ROWS * m and not shifted:
+                _shift_rhs(tab, 100 * tol, seed=iterations)
+                shifted = True
+                continue
+            step(leave, enter)
 
     # ---- phase 1: minimize the sum of artificials
-    cost1 = np.zeros(total + 1)
-    cost1[n_struct:total] = 1.0
-    tab = np.vstack([tab, cost1])
-    # reduce cost row against the artificial basis
-    for i in range(m):
-        tab[-1, :] -= tab[i, :]
-    status = run_phase(tab, cost1, range(n_struct))
+    cost = np.zeros(total + 1)
+    cost[n_struct:total] = 1.0
+    status = run_phase(cost)
     # the phase-1 objective is -tab[-1,-1] and can never be negative
     if status != OPTIMAL or tab[-1, -1] > 1e-7:
         raise SimplexError("phase-1 simplex ended in an inconsistent state")
     if -tab[-1, -1] > 1e-7:
         return LPResult(INFEASIBLE, None, None, iterations)
 
-    # drive leftover artificials out of the basis where possible
-    for i in range(m):
-        if basis[i] >= n_struct:
-            for j in range(n_struct):
-                if abs(tab[i, j]) > tol:
-                    pivot(tab, i, j)
-                    basis[i] = j
-                    break
-            # an all-zero structural row is redundant; its artificial stays
-            # basic at value zero and never re-enters
+    # drive leftover artificials out of the basis on their largest
+    # structural entry; an all-zero structural row is redundant, and its
+    # artificial stays basic at value zero and never re-enters
+    for i in np.flatnonzero(basis >= n_struct):
+        j = int(np.argmax(np.abs(tab[i, :n_struct])))
+        if abs(tab[i, j]) > tol:
+            _pivot(tab, i, j)
+            basis[i] = j
 
     # ---- phase 2: original objective
-    cost2 = np.zeros(total + 1)
-    cost2[:nvars] = c
-    tab[-1, :] = cost2
-    for i in range(m):
-        if basis[i] < n_struct and cost2[basis[i]] != 0.0:
-            tab[-1, :] -= cost2[basis[i]] * tab[i, :]
-    status = run_phase(tab, cost2, range(n_struct))
-    if status == UNBOUNDED:
+    cost = np.zeros(total + 1)
+    cost[:nvars] = c
+    if run_phase(cost) == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None, iterations)
 
     x = np.zeros(total)
-    for i in range(m):
-        x[basis[i]] = tab[i, -1]
+    x[basis] = tab[:m, -1]
     objective = float(c @ x[:nvars])
     # an artificial column starts as e_i and has zero phase-2 cost, so its
     # reduced cost is minus the dual of the (sign-normalized) row i

@@ -85,11 +85,14 @@ def _highs_chebyshev(fv, B):
 
 
 def test_chebyshev_certificates_against_highs():
-    fs = list(all_functions(3)) + [builtin_function("MAJ", 5),
-                                   builtin_function("PARITY", 5)]
-    for f in fs:
+    # AND:8 and OR:8 are the degenerate LPs on which a smallest-index
+    # (Bland) simplex cycled in floating point
+    cases = [(f, f.n) for f in all_functions(3)] + [
+        (builtin_function("MAJ", 5), 5), (builtin_function("PARITY", 5), 5),
+        (builtin_function("AND", 8), 4), (builtin_function("OR", 8), 4)]
+    for f, top in cases:
         fv = f.table.astype(float)
-        for d in range(f.n + 1):
+        for d in range(top + 1):
             B = _character_matrix(f.n, _masks_up_to_degree(f.n, d))
             err, coeffs, v = chebyshev(fv, B)
             l1 = np.abs(v).sum()
@@ -102,6 +105,48 @@ def test_chebyshev_certificates_against_highs():
             assert abs(v @ fv - err) <= 1e-9
             assert np.abs(fv - coeffs @ B).max() <= err + 1e-9
             assert err == pytest.approx(_highs_chebyshev(fv, B), abs=1e-9)
+
+
+def test_chebyshev_solves_the_k_plus_1_row_dual(monkeypatch):
+    import commbound.approx
+
+    shapes = []
+    solve = commbound.approx.solve_lp
+
+    def spy(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, **kw):
+        shapes.append((len(c), np.shape(A_ub)[0], np.shape(A_eq)[0]))
+        return solve(c, A_ub, b_ub, A_eq, b_eq, **kw)
+
+    monkeypatch.setattr(commbound.approx, "solve_lp", spy)
+    f = builtin_function("MAJ", 5)
+    for d in range(f.n + 1):
+        B = _character_matrix(f.n, _masks_up_to_degree(f.n, d))
+        chebyshev(f.table, B)
+        # one l1 row and one equality row per basis function, over p and q
+        assert shapes[-1] == (2 * 2 ** f.n, 1, B.shape[0])
+
+
+def test_chebyshev_tableau_cap():
+    from commbound.errors import ResourceLimitError
+
+    # 6000 basis functions on one point: a 6002 x 6005 tableau, past 2^28
+    # bytes, refused before the tableau is allocated
+    with pytest.raises(ResourceLimitError):
+        chebyshev([1.0], np.ones((6000, 1)))
+
+
+def test_maj7_at_one_third():
+    # the desk-scale ceiling: degree 5, with a verified degree-4 dual
+    f = builtin_function("MAJ", 7)
+    r = approx_degree(f, 1.0 / 3.0)
+    assert r.d == 5
+    assert verify_dual(r.witness, f).ok
+    B = _character_matrix(7, _masks_up_to_degree(7, 5))
+    assert r.max_error == pytest.approx(
+        _highs_chebyshev(f.table.astype(float), B), abs=1e-9)
+    B = _character_matrix(7, _masks_up_to_degree(7, 4))
+    assert r.witness.correlation == pytest.approx(
+        _highs_chebyshev(f.table.astype(float), B), abs=1e-9)
 
 
 def test_character_matrix_rows():

@@ -13,6 +13,17 @@ def test_table_validation():
         bf.BoolFunction(1, [1, 0])
 
 
+def test_arity_cap():
+    from commbound.errors import ResourceLimitError
+
+    assert bf.builtin_function("AND", bf.MAX_ARITY).n == bf.MAX_ARITY
+    with pytest.raises(ResourceLimitError):
+        bf.builtin_function("AND", bf.MAX_ARITY + 1)
+    # refused from the header alone, before the bits are read
+    with pytest.raises(ResourceLimitError):
+        bf.parse_truth_table(f"n={bf.MAX_ARITY + 1}\n01\n")
+
+
 def test_character_eval():
     assert bf.character_eval(0, 0b101) == 1
     assert bf.character_eval(0b001, 0b001) == -1

@@ -110,6 +110,18 @@ def test_usage_errors(capsys, core4_file):
     assert code == EXIT_USAGE
     code, _ = run_cli(capsys, "verify-suite", "--suites", "nonsense")
     assert code == EXIT_USAGE
+    # negative counts and caps are refused up front with one line
+    for argv in (["search-balanced", "--rows", "4", "--cols", "4",
+                  "--limit", "-1"],
+                 ["search-balanced", "--rows", "4", "--cols", "4",
+                  "--min-rank", "-2"],
+                 ["analyze-matrix", "--input", "core4", "--enum-cap", "-1"],
+                 ["compose", "--function", "AND:2", "--inner", "core4",
+                  "--memory-cap", "-5"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err.startswith("error: --") and err.count("\n") == 1, argv
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -147,6 +159,21 @@ def test_resource_cap_exits_3(capsys):
     code, _ = run_cli(capsys, "compose", "--function", "PARITY:3",
                       "--inner", "corefree6", "--memory-cap", "100")
     assert code == EXIT_RESOURCE
+
+
+def test_arity_cap_exits_3_before_building_the_table(capsys, tmp_path):
+    import time
+
+    table = tmp_path / "f.txt"
+    table.write_text("n=30\n0110\n")
+    for spec in ("AND:30", str(table)):
+        start = time.perf_counter()
+        code = main(["approx-degree", "--function", spec, "--epsilon", "0.3"])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_RESOURCE, ""), spec
+        assert err.startswith("resource limit:") and err.count("\n") == 1
+        assert elapsed < 1.0, spec
 
 
 def test_group_check_character_table_cap_exits_3(capsys, tmp_path):

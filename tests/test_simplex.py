@@ -45,7 +45,8 @@ def test_redundant_equality_rows():
 
 
 def test_degenerate_cycling_guard():
-    # classic Beale-style degeneracy; Bland's rule must terminate
+    # Beale's example, on which Dantzig's rule with a plain min-ratio test
+    # cycles; the Harris ratio test must leave the degenerate vertex
     c = [-0.75, 150.0, -0.02, 6.0]
     A_ub = [[0.25, -60.0, -0.04, 9.0],
             [0.5, -90.0, -0.02, 3.0],
@@ -108,3 +109,63 @@ def test_row_duals_certify_the_optimum():
         assert b @ res.y == pytest.approx(ref.fun, abs=1e-9)
         checked += 1
     assert checked >= 50
+
+
+def _degenerate_l1_lps(rng, count):
+    """The shape of the Chebyshev dual: equality rows with zero right-hand
+    side, one l1 row, small-integer data.  Every vertex but the optimum is
+    highly degenerate, which is where smallest-index rules cycle in floating
+    point."""
+    for _ in range(count):
+        N = int(rng.integers(2, 17))
+        k = int(rng.integers(1, min(N, 8) + 1))
+        E = rng.integers(-2, 3, size=(k, N)).astype(float)
+        f = rng.integers(-2, 3, size=N).astype(float)
+        yield (np.concatenate([-f, f]), np.ones((1, 2 * N)), np.ones(1),
+               np.hstack([E, -E]), np.zeros(k))
+
+
+def _check_against_highs(c, A_ub, b_ub, A_eq, b_eq):
+    """Solve, then check status, objective, feasibility and the row-dual
+    certificate against HiGHS."""
+    res = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
+    ref = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(0, None)] * len(c), method="highs")
+    assert res.status == _STATUS.get(ref.status), (res.status, ref.status)
+    if res.status != OPTIMAL:
+        return
+    assert res.objective == pytest.approx(ref.fun, abs=1e-9)
+    assert (res.x >= -1e-9).all()
+    assert (A_ub @ res.x <= b_ub + 1e-9).all()
+    assert np.abs(A_eq @ res.x - b_eq).max() <= 1e-9
+    A = np.vstack([A_ub, A_eq])
+    assert (c - A.T @ res.y >= -1e-9).all()
+    assert (res.y[:len(b_ub)] <= 1e-9).all()
+    assert np.concatenate([b_ub, b_eq]) @ res.y == pytest.approx(ref.fun,
+                                                                 abs=1e-9)
+
+
+def test_degenerate_l1_corpus():
+    for lp in _degenerate_l1_lps(np.random.default_rng(11), 150):
+        _check_against_highs(*lp)
+
+
+def test_stall_shift_engages(monkeypatch):
+    # with no degenerate pivot allowed, every degenerate step shifts the rhs;
+    # a shift 10^5 times the usual size leaves the shifted optimum infeasible
+    # for the true rhs, so the dual-simplex restore runs as well
+    import commbound.simplex as sx
+
+    shifts = []
+    shift = sx._shift_rhs
+
+    def big_shift(tab, size, seed):
+        shifts.append(seed)
+        shift(tab, 1e5 * size, seed)
+
+    monkeypatch.setattr(sx, "_STALL_ROWS", 0)
+    monkeypatch.setattr(sx, "_shift_rhs", big_shift)
+    for lp in _degenerate_l1_lps(np.random.default_rng(12), 60):
+        _check_against_highs(*lp)
+    assert len(shifts) >= 30
+    test_degenerate_cycling_guard()

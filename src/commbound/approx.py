@@ -86,6 +86,8 @@ def chebyshev(fvals, basis) -> tuple[float, np.ndarray, np.ndarray]:
     ResourceLimitError from solve_lp.
     """
     f = np.asarray(fvals, dtype=float)
+    if not np.isfinite(f).all():
+        raise ValueError("values to approximate must be finite")
     B = np.asarray(basis, dtype=float).reshape(-1, f.size)
     k, N = B.shape
     res = solve_lp(np.concatenate([-f, f]),

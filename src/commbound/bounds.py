@@ -2,7 +2,8 @@
 lower-bound main terms for composed functions.
 
 Discrepancy is computed exactly by enumerating row subsets (the column side
-has a closed form for fixed rows).  The dual factorization norm is never
+has a closed form for fixed rows), their column sums taken from 0/1 matrix
+products.  The dual factorization norm is never
 computed directly; a certified enclosure [disc, K_G * disc] from
 Grothendieck's inequality replaces it, with K_G over-approximated by 1.7823.
 Every theorem evaluator reports a main term only: unquantified additive
@@ -29,6 +30,9 @@ DEFAULT_ENUMERATION_CAP = 24
 
 OMITTED_CONSTANT_WARNING = "additive O(1) constant omitted from main_term"
 
+# discrepancy sums the subsets of this many rows in one matrix product
+_LOW_ROWS = 12
+
 
 class DistributionMatrix:
     """Probability distribution on the entries of a matrix."""
@@ -39,8 +43,9 @@ class DistributionMatrix:
         arr = np.asarray(weights, dtype=float)
         if arr.ndim != 2:
             raise ValueError("distribution must be a 2-d array")
-        if (arr < 0).any():
-            raise ValueError("distribution entries must be nonnegative")
+        if not np.isfinite(arr).all() or (arr < 0).any():
+            raise ValueError("distribution entries must be finite and "
+                             "nonnegative")
         if abs(arr.sum() - 1.0) > 1e-12:
             raise ValueError(f"distribution must sum to 1, got {arr.sum()!r}")
         arr = arr.copy()
@@ -124,8 +129,10 @@ def discrepancy(A: SignMatrix, P: DistributionMatrix,
     """Exact discrepancy max_{x,y in {0,1}} |x (A*P) y| by row-subset enumeration.
 
     For a fixed row subset the optimal column subset takes either all positive
-    or all negative column sums, so only 2^rows cases are enumerated (Gray
-    code, one row toggled per step).
+    or all negative column sums, so only the 2^rows row subsets are
+    enumerated.  The column sums of every subset of the first min(rows, 12)
+    rows come from one 0/1 matrix product; each subset of the remaining rows
+    adds its column sums to that block as an offset.
     """
     if (A.rows, A.cols) != (P.rows, P.cols):
         raise ValueError("matrix and distribution dimensions must match")
@@ -135,24 +142,15 @@ def discrepancy(A: SignMatrix, P: DistributionMatrix,
             f"discrepancy enumeration needs 2^{m} row subsets (cap 2^{cap}); "
             "fall back to the bound disc <= ||A||/sqrt(size(A))")
     W = A.entries * P.weights
-    col = np.zeros(A.cols)
+    low = min(m, _LOW_ROWS)
+    subsets = (np.arange(2 ** low)[:, None] >> np.arange(low)) & 1
+    block = subsets @ W[:low]
     best = 0.0
-    prev = 0
-    for k in range(1, 2 ** m):
-        gray = k ^ (k >> 1)
-        bit = gray ^ prev
-        row = bit.bit_length() - 1
-        if gray & bit:
-            col += W[row]
-        else:
-            col -= W[row]
-        prev = gray
-        pos = col[col > 0].sum()
-        neg = -col[col < 0].sum()
-        val = max(pos, neg)
-        if val > best:
-            best = float(val)
-    return best
+    for high in range(2 ** (m - low)):
+        col = block + ((high >> np.arange(m - low)) & 1) @ W[low:]
+        best = max(best, np.clip(col, 0, None).sum(axis=1).max(),
+                   -np.clip(col, None, 0).sum(axis=1).min())
+    return float(best)
 
 
 def uniform_discrepancy(A: SignMatrix, cap: int = DEFAULT_ENUMERATION_CAP) -> float:

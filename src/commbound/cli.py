@@ -238,9 +238,12 @@ def _cmd_group_check(opts) -> tuple:
             raise UsageError("--table order does not match the group map")
     else:
         table = gc.characters_abelian(gmap.group)
-    reg = gc.regularity_check(gmap)
     easy = sorted(opts["easy"]) if opts["easy"] is not None else \
         [table.trivial_index()]
+    if not set(easy) <= set(range(table.h)) or len(set(easy)) < len(easy):
+        raise UsageError(f"--easy must list distinct character indices in "
+                         f"[0, {table.h}), got {opts['easy']}")
+    reg = gc.regularity_check(gmap)
     hard = sorted(set(range(table.h)) - set(easy))
     orth = gc.orthogonality_general(gmap, table, hard)
     payload = {

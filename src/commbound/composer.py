@@ -191,7 +191,8 @@ def build_witness(w: DualWitness, g: SignMatrix, mu=None,
         weights = np.asarray(getattr(mu, "weights", mu), dtype=float)
         if weights.shape != (g.rows, g.cols):
             raise ValueError("mu must have the same shape as the inner matrix")
-        if (weights < 0).any() or abs(weights.sum() - 1.0) > 1e-12:
+        if not np.isfinite(weights).all() or (weights < 0).any() \
+                or abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError("mu must be a probability distribution")
         if abs(float((weights * g.entries).sum())) > 1e-9:
             raise ValueError("mu must be balanced with respect to g "

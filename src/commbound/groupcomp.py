@@ -102,6 +102,8 @@ class CharacterTable:
         arr = np.asarray(table, dtype=complex)
         if arr.shape != (h, order):
             raise ValueError(f"character table must be {h}x{order}")
+        if not np.isfinite(arr).all():
+            raise ValueError("character values must be finite")
         cls = np.asarray(class_of, dtype=np.int64)
         if cls.shape != (order,) or cls.min() < 0 or cls.max() >= h:
             raise ValueError("class_of must map each element to a class index")
@@ -620,6 +622,8 @@ def general_bound(gmap: GroupMapMatrix, fvals, table: CharacterTable,
             f"easy characters {unpaired} have conjugates outside the easy "
             "set; delta covers only its conjugation-closed part")
     fv = np.asarray(fvals, dtype=float)
+    if not np.isfinite(fv).all():
+        raise ValueError("class-function values must be finite")
     reg = regularity_check(gmap)
     if not reg.regular:
         report.applicable = False

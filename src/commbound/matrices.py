@@ -4,7 +4,9 @@ Sign matrices (entries in {-1,+1}) represent two-party Boolean functions.
 This module provides exact rank over the rationals, singular spectra from
 LAPACK's SVD, balance predicates, tensor/entrywise products,
 pattern containment up to row/column permutations, and a canonical
-enumerator for strongly balanced matrices.
+enumerator for strongly balanced matrices.  Containment and the
+enumerator's forbidden-pattern check share one matcher that encodes every
+submatrix as an integer and looks chunks of them up in sorted targets.
 
 Conventions: for canonical forms and search order, +1 sorts before -1.
 """
@@ -19,9 +21,10 @@ import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
 
-# Largest pattern for which containment uses a precomputed permutation orbit;
-# beyond this the slower canonical-form comparison kicks in.
-_ORBIT_LIMIT = 40320  # 4! * 4! * ... keep p!*q! at most this
+# Containment packs a submatrix of at most _KEY_BITS cells into one int64,
+# and encodes about _CHUNK_CELLS cells per chunk of row subsets.
+_KEY_BITS = 62
+_CHUNK_CELLS = 1 << 16
 
 
 class SignMatrix:
@@ -357,11 +360,6 @@ def block_mask(blocks) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # canonical forms under row/column permutations
 
-def _word(arr: np.ndarray) -> list:
-    # +1 maps to 0 and -1 to 1 so that +1 sorts first
-    return [0 if v == 1 else 1 for v in arr.flat]
-
-
 def _refine(partition, row_bits):
     """Minimal arrangement of one row given an ordered column partition.
 
@@ -435,14 +433,67 @@ def is_canonical(M: SignMatrix) -> bool:
 # ---------------------------------------------------------------------------
 # pattern containment
 
-def _permutation_orbit(P: SignMatrix) -> set[bytes]:
-    out = set()
-    rows = range(P.rows)
-    for rp in itertools.permutations(rows):
-        Q = P.entries[list(rp), :]
-        for cp in itertools.permutations(range(P.cols)):
-            out.add(np.ascontiguousarray(Q[:, list(cp)]).tobytes())
-    return out
+def _submatrix_matcher(P: SignMatrix, permute: bool, cols: int):
+    """find(E, row_sets) for P in matrices E with `cols` columns: the first
+    (rows, cols) pair, over row_sets in order and then the increasing column
+    subsets, whose submatrix of E equals P (after some row and column
+    permutation when permute is set), or None.
+
+    A submatrix is packed into one int64, one code per line along P's longer
+    side with bit i set where the line's i-th entry is -1.  Sorted codes undo
+    permutations along that side, and the targets are P's keys under every
+    permutation of the shorter one.  Keys are looked up in the sorted targets
+    with np.searchsorted, a chunk of row subsets at a time; patterns of more
+    than _KEY_BITS cells are compared by canonical words instead.
+    """
+    p, q = P.rows, P.cols
+    col_sets = np.array(list(itertools.combinations(range(cols), q)),
+                        dtype=np.intp).reshape(-1, q)
+    tall = p > q
+    if P.size > _KEY_BITS:
+        # the canonical word branches over rows: take it along the short side
+        orient = np.transpose if tall else np.asarray
+        word = _minimal_word(orient(P.entries))[0]
+
+        def same(sub):
+            return (_minimal_word(orient(sub))[0] == word if permute
+                    else np.array_equal(sub, P.entries))
+
+        def find(E, row_sets):
+            return next(((tuple(rows), tuple(int(c) for c in cs))
+                         for rows in row_sets for cs in col_sets
+                         if same(E[np.ix_(rows, cs)])), None)
+        return find
+
+    short, long = sorted((p, q))
+    weights = 1 << np.arange(short)
+    places = 1 << short * np.arange(long)
+
+    def keys(codes):
+        return (np.sort(codes, axis=-1) if permute else codes) @ places
+
+    lines = (P.entries.T if tall else P.entries) == -1
+    orders = itertools.permutations(range(short)) if permute else [range(short)]
+    # not np.unique or np.isin: their hash table made peak memory vary by run
+    targets = np.sort([keys(weights @ lines[list(o)]) for o in orders])
+
+    def find(E, row_sets):
+        bits = np.asarray(E) == -1
+        row_codes = bits[:, col_sets] @ weights if tall else None
+        per = max(1, _CHUNK_CELLS // (col_sets.shape[0] * long or 1))
+        row_sets = iter(row_sets)
+        while chunk := list(itertools.islice(row_sets, per)):
+            R = np.array(chunk, dtype=np.intp).reshape(-1, p)
+            codes = (row_codes[R].transpose(0, 2, 1) if tall
+                     else (weights @ bits[R])[:, col_sets])
+            k = keys(codes)
+            hit = targets[np.searchsorted(targets, k) % targets.size] == k
+            if hit.any():
+                i, j = divmod(int(hit.argmax()), col_sets.shape[0])
+                return (tuple(int(r) for r in R[i]),
+                        tuple(int(c) for c in col_sets[j]))
+        return None
+    return find
 
 
 def contains_pattern(M: SignMatrix, P: SignMatrix,
@@ -453,7 +504,8 @@ def contains_pattern(M: SignMatrix, P: SignMatrix,
     of M induce exactly P.  mode="up_to_permutation" (default): the induced
     submatrix matches P after some row and column permutation.  The search is
     exhaustive and deterministic; the first witness in lexicographic order of
-    (row subset, column subset) is returned.
+    (row subset, column subset) is returned.  Submatrices are encoded as
+    integers and matched in chunks (see _submatrix_matcher).
     """
     if mode not in ("ordered", "up_to_permutation"):
         raise ValueError(f"unknown containment mode {mode!r}")
@@ -461,51 +513,24 @@ def contains_pattern(M: SignMatrix, P: SignMatrix,
     if p > M.rows or q > M.cols:
         raise ValueError(
             f"pattern {p}x{q} larger than matrix {M.rows}x{M.cols}")
-
-    if mode == "ordered":
-        target = P.entries
-        for rows in itertools.combinations(range(M.rows), p):
-            sub_rows = M.entries[list(rows), :]
-            for cols in itertools.combinations(range(M.cols), q):
-                if np.array_equal(sub_rows[:, list(cols)], target):
-                    return ContainmentResult(True, rows, cols, mode)
-        return ContainmentResult(False, None, None, mode)
-
-    use_orbit = math.factorial(p) * math.factorial(q) <= _ORBIT_LIMIT
-    if use_orbit:
-        orbit = _permutation_orbit(P)
-        for rows in itertools.combinations(range(M.rows), p):
-            sub_rows = M.entries[list(rows), :]
-            for cols in itertools.combinations(range(M.cols), q):
-                sub = np.ascontiguousarray(sub_rows[:, list(cols)])
-                if sub.tobytes() in orbit:
-                    return ContainmentResult(True, rows, cols, mode)
-        return ContainmentResult(False, None, None, mode)
-
-    target_word = _minimal_word(P.entries)[0]
-    for rows in itertools.combinations(range(M.rows), p):
-        sub_rows = M.entries[list(rows), :]
-        for cols in itertools.combinations(range(M.cols), q):
-            sub = sub_rows[:, list(cols)]
-            if _minimal_word(sub)[0] == target_word:
-                return ContainmentResult(True, rows, cols, mode)
-    return ContainmentResult(False, None, None, mode)
+    find = _submatrix_matcher(P, mode == "up_to_permutation", M.cols)
+    rows, cols = find(M.entries, itertools.combinations(range(M.rows), p)) \
+        or (None, None)
+    return ContainmentResult(rows is not None, rows, cols, mode)
 
 
 # ---------------------------------------------------------------------------
 # strongly balanced search
 
 def _balanced_rows(cols: int) -> list[tuple[int, ...]]:
-    """All +-1 rows of even length summing to zero, ordered with +1 first."""
-    half = cols // 2
-    rows = []
-    for ones_positions in itertools.combinations(range(cols), half):
-        row = [1] * cols
-        for c in ones_positions:
-            row[c] = -1
-        rows.append(tuple(row))
-    rows.sort(key=lambda r: [0 if v == 1 else 1 for v in r])
-    return rows
+    """All +-1 rows of even length summing to zero, ordered with +1 first.
+
+    Words with +1 first sort in the reverse order of their +-1 tuples, so
+    the rows come in descending tuple order.
+    """
+    return sorted((tuple(-1 if c in minus else 1 for c in range(cols))
+                   for minus in itertools.combinations(range(cols), cols // 2)),
+                  reverse=True)
 
 
 def search_strongly_balanced(rows: int, cols: int, min_rank: int | None = None,
@@ -532,83 +557,50 @@ def search_strongly_balanced(rows: int, cols: int, min_rank: int | None = None,
         return
 
     candidates = _balanced_rows(cols)
-    forbidden_orbit = None
-    forbidden_word = None
-    if forbidden is not None:
-        if forbidden.rows > rows or forbidden.cols > cols:
-            forbidden_orbit = set()  # cannot occur
-        elif math.factorial(forbidden.rows) * math.factorial(forbidden.cols) \
-                <= _ORBIT_LIMIT:
-            forbidden_orbit = _permutation_orbit(forbidden)
-        else:
-            forbidden_word = _minimal_word(forbidden.entries)[0]
+    find_forbidden = None if forbidden is None else \
+        _submatrix_matcher(forbidden, True, cols)
 
     picked: list[tuple[int, ...]] = []
     col_sums = np.zeros(cols, dtype=np.int64)
 
     def partial_contains_forbidden() -> bool:
-        # checked whenever the newest row could complete a forbidden submatrix
-        if forbidden is None or len(picked) < forbidden.rows:
+        # only submatrices through the newest row can be new
+        if find_forbidden is None or len(picked) < forbidden.rows:
             return False
-        sub = np.array(picked, dtype=np.int64)
-        p, q = forbidden.rows, forbidden.cols
         last = len(picked) - 1
-        for head in itertools.combinations(range(last), p - 1):
-            sel = sub[list(head) + [last], :]
-            for cols_sel in itertools.combinations(range(cols), q):
-                block = np.ascontiguousarray(sel[:, list(cols_sel)])
-                if forbidden_orbit is not None:
-                    if block.tobytes() in forbidden_orbit:
-                        return True
-                elif _minimal_word(block)[0] == forbidden_word:
-                    return True
-        return False
+        heads = itertools.combinations(range(last), forbidden.rows - 1)
+        return find_forbidden(np.array(picked),
+                              (h + (last,) for h in heads)) is not None
 
     def columns_sorted_ok() -> bool:
-        # canonical matrices have non-decreasing column words; prune when a
-        # decided column prefix already violates that
-        sub = np.array(picked, dtype=np.int64)
-        for c in range(cols - 1):
-            left = [0 if v == 1 else 1 for v in sub[:, c]]
-            right = [0 if v == 1 else 1 for v in sub[:, c + 1]]
-            if left > right:
-                return False
-        return True
+        # canonical matrices have non-decreasing column words, so
+        # non-increasing +-1 columns; prune a decided prefix that is not
+        columns = list(zip(*picked))
+        return all(a >= b for a, b in zip(columns, columns[1:]))
 
     def dfs():
         depth = len(picked)
         if depth == rows:
             M = SignMatrix(np.array(picked, dtype=np.int64))
-            if min_rank is not None and exact_rank(M) < min_rank:
-                return
-            if not is_canonical(M):
-                return
-            yield M
+            if (min_rank is None or exact_rank(M) >= min_rank) \
+                    and is_canonical(M):
+                yield M
             return
         remaining = rows - depth - 1
-        row_choices = candidates
-        if depth == 0:
-            # the canonical first row is the sorted balanced row
-            row_choices = candidates[:1]
-        for row in row_choices:
-            if depth > 0 and [0 if v == 1 else 1 for v in row] < \
-                    [0 if v == 1 else 1 for v in picked[-1]]:
-                continue  # canonical matrices have non-decreasing rows
-            new_sums = col_sums + np.array(row)
+        # the canonical first row is the sorted balanced row, and row words
+        # never decrease, so each row comes at or after the one before
+        for row in (candidates[candidates.index(picked[-1]):] if picked
+                    else candidates[:1]):
+            # a column sum beyond the rows left can no longer reach zero;
+            # its parity always matches, as rows is even
+            new_sums = col_sums + row
             if (np.abs(new_sums) > remaining).any():
-                continue
-            if ((new_sums + remaining) % 2 != 0).any():
                 continue
             picked.append(row)
             col_sums[:] = new_sums
             if columns_sorted_ok() and not partial_contains_forbidden():
                 yield from dfs()
             picked.pop()
-            col_sums[:] = col_sums - np.array(row)
+            col_sums[:] = new_sums - row
 
-    count = 0
-    for M in dfs():
-        yield M
-        count += 1
-        if limit is not None and count >= limit:
-            return
+    yield from itertools.islice(dfs(), limit)

@@ -73,7 +73,6 @@ def suite_matrix_invariants(seed: int = 0) -> SuiteResult:
         B[r_split:, c_split:] = rng.choice((-1, 1),
                                            size=(m - r_split, n - c_split))
         assert not (A @ B.T).any() and not (A.T @ B).any()
-        rk = np.linalg.matrix_rank
         res.note(mx.exact_rank(A + B) == mx.exact_rank(A) + mx.exact_rank(B),
                  "rank additivity failed for an orthogonal pair")
         sa, sb, sab = (mx.spectrum(x) for x in (A, B, A + B))

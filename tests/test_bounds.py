@@ -35,6 +35,9 @@ def test_distribution_validation():
         bd.DistributionMatrix([[0.5, -0.1], [0.3, 0.3]])
     with pytest.raises(ValueError):
         bd.DistributionMatrix([[0.3, 0.3], [0.3, 0.3]])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            bd.DistributionMatrix([[0.25, 0.25], [0.25, bad]])
     d = U(2, 2)
     assert d.weights.sum() == pytest.approx(1.0)
 
@@ -64,6 +67,26 @@ def test_disc_nonuniform():
     P = bd.DistributionMatrix(w / w.sum())
     assert bd.discrepancy(A, P) == pytest.approx(brute_force_disc(A, P),
                                                  abs=1e-12)
+
+
+def all_subsets(k):
+    return (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
+
+
+def test_disc_matches_all_subset_pairs():
+    """Non-uniform P against |x (A*P) y| over every row and column subset
+    pair at once.  13 and 14 rows run more than one block of row subsets;
+    their last rows carry most of the mass, so the optimum needs them."""
+    rng = np.random.default_rng(47)
+    for m, n in [(1, 3), (4, 1), (7, 6), (10, 5), (10, 9), (13, 4), (14, 5)]:
+        A = mx.SignMatrix(rng.choice((-1, 1), size=(m, n)))
+        w = rng.random((m, n))
+        w[12:] *= 50
+        P = bd.DistributionMatrix(w / w.sum())
+        W = A.entries * P.weights
+        expect = np.abs(all_subsets(m) @ W @ all_subsets(n).T).max()
+        assert bd.discrepancy(A, P) == pytest.approx(
+            expect, rel=0, abs=A.size * np.finfo(float).eps)
 
 
 def test_disc_enumeration_cap():

@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from commbound import CORE_FREE_6, PATTERN_CORE_4
+from commbound import CORE_FREE_6, PATTERN_CORE_4, XOR_2, SignMatrix
 from commbound.cli import (EXIT_INAPPLICABLE, EXIT_OK, EXIT_RESOURCE,
                            EXIT_USAGE, main)
 from commbound.groupcomp import GroupMapMatrix
@@ -41,6 +42,22 @@ def test_analyze_matrix_core6(capsys, core6_file):
     assert body["core4_free_up_to_permutation"] is True
     assert body["core4_free_ordered"] is True
     assert body["spectrum"]["spectral_norm"] == pytest.approx(3.46410161514)
+
+
+def test_analyze_matrix_rank_one_16x16(capsys, tmp_path):
+    path = tmp_path / "kron.txt"
+    path.write_text(SignMatrix(np.kron(XOR_2.entries,
+                                       np.ones((8, 8), dtype=int))).to_text())
+    code, report = run_cli(capsys, "analyze-matrix", "--input", str(path))
+    assert code == EXIT_OK
+    body = report["report"]
+    assert body["exact_rank"] == 1
+    # a rank-1 matrix cannot hold the rank-2 core in any arrangement
+    assert body["core4_free_up_to_permutation"] is True
+    assert body["core4_free_ordered"] is True
+    # M = u v^T with u, v of eight +1s and eight -1s: disc_U is
+    # max |<x, u>| |<y, v>| / 256 over 0/1 vectors x, y, which is 8 * 8 / 256
+    assert body["disc_uniform"] == 0.25
 
 
 def test_analyze_accepts_builtin_names(capsys):
@@ -153,6 +170,46 @@ def test_malformed_input_files_exit_2(capsys, tmp_path):
         code, report = run_cli(capsys, "group-check", "--gmap", str(gmap),
                                "--table", str(table))
         assert (code, report) == (EXIT_USAGE, None), text
+
+
+def test_non_finite_inputs_exit_2(capsys, tmp_path):
+    gmap = tmp_path / "gmap.txt"
+    gmap.write_text(GroupMapMatrix.from_sign_blocks([XOR_2]).to_text())
+    irregular = tmp_path / "irregular.txt"
+    irregular.write_text("group 2\n0,0\n1,0\n")
+    mu = tmp_path / "mu.txt"
+    mu.write_text("2 2\n0.25 0.25\n0.25 nan\n")
+    table = tmp_path / "table.json"
+    table.write_text('{"h": 2, "order": 2, "table": [[1, 0], [1, 0], [1, 0], '
+                     '[NaN, 0]], "class_of": [0, 1], "degrees": [1, 1]}')
+    argvs = [["lower-bound", "--theorem", "shizhu", "--function", "PARITY:2",
+              "--inner", "xor2", "--mu", str(mu)],
+             ["group-check", "--gmap", str(gmap), "--table", str(table)]]
+    for text in ("nan 1", "1 inf", "-inf 0"):
+        values = tmp_path / f"values-{len(argvs)}.txt"
+        values.write_text(text + "\n")
+        for path in (gmap, irregular):
+            argvs.append(["group-check", "--gmap", str(path),
+                          "--values", str(values)])
+    for argv in argvs:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err.startswith("error: ") and "finite" in err, argv
+        assert err.count("\n") == 1, argv
+
+
+def test_group_check_easy_indices_exit_2(capsys, tmp_path):
+    gmap = tmp_path / "gmap.txt"
+    gmap.write_text(GroupMapMatrix.from_sign_blocks([XOR_2]).to_text())
+    for easy in ("99", "0,0", "-1", "1,2"):
+        code = main(["group-check", "--gmap", str(gmap), "--easy", easy])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_USAGE, ""), easy
+        assert err.startswith("error: --easy") and err.count("\n") == 1, easy
+    code, report = run_cli(capsys, "group-check", "--gmap", str(gmap),
+                           "--easy", "1,0")
+    assert code == EXIT_OK and report["report"]["easy"] == [0, 1]
 
 
 def test_resource_cap_exits_3(capsys):

@@ -149,6 +149,10 @@ def test_witness_rejects_unbalanced_mu():
         cp.build_witness(w, mx.XOR_2, mu=mu)
     with pytest.raises(ValueError):
         cp.build_witness(w, mx.XOR_2, mu=np.full((2, 2), 0.3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="probability distribution"):
+            cp.build_witness(w, mx.XOR_2,
+                             mu=np.array([[0.25, 0.25], [0.25, bad]]))
 
 
 def test_witness_bound_across_functions():

@@ -84,6 +84,9 @@ def test_character_table_validation():
         gc.CharacterTable(2, 2, [[1, 1], [1, 1]], [0, 1], [1, 1])  # not orthogonal
     with pytest.raises(ValueError):
         gc.CharacterTable(2, 2, [[1, 1], [2, -2]], [0, 1], [1, 1])  # exceeds degree
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            gc.CharacterTable(2, 2, [[1, 1], [1, bad]], [0, 1], [1, 1])
 
 
 def test_character_table_json_round_trip():

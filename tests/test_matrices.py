@@ -1,5 +1,6 @@
 """Sign-matrix primitives: ranks, spectra, balance, containment, search."""
 
+import itertools
 import math
 
 import numpy as np
@@ -182,6 +183,93 @@ def test_containment_rejects_oversized_pattern():
         mx.contains_pattern(mx.XOR_2, mx.PATTERN_CORE_4)
 
 
+def orbit_oracle(M, P, mode):
+    """First (rows, cols) whose submatrix is one of P's p!*q! arrangements
+    (P itself when ordered), trying every submatrix in lexicographic order."""
+    p, q = P.shape
+    arrangements = [P] if mode == "ordered" else [
+        P[np.ix_(r, c)] for r in itertools.permutations(range(p))
+        for c in itertools.permutations(range(q))]
+    orbit = {np.ascontiguousarray(Q, dtype=np.int64).tobytes()
+             for Q in arrangements}
+    for rows in itertools.combinations(range(M.shape[0]), p):
+        for cols in itertools.combinations(range(M.shape[1]), q):
+            sub = np.ascontiguousarray(M[np.ix_(rows, cols)], dtype=np.int64)
+            if sub.tobytes() in orbit:
+                return rows, cols
+    return None, None
+
+
+def plant(rng, M, P):
+    """Copy a random row/column arrangement of P into random rows and cols."""
+    rows = np.sort(rng.choice(M.shape[0], P.shape[0], replace=False))
+    cols = np.sort(rng.choice(M.shape[1], P.shape[1], replace=False))
+    M[np.ix_(rows, cols)] = P[rng.permutation(P.shape[0])][
+        :, rng.permutation(P.shape[1])]
+
+
+def test_containment_matches_orbit_oracle():
+    rng = np.random.default_rng(41)
+    shapes = [tuple(int(v) for v in rng.integers(4, 9, size=2))
+              + tuple(int(v) for v in rng.integers(1, 5, size=2))
+              for _ in range(60)]
+    shapes += [(6, 5, 4, 2), (7, 4, 3, 1), (8, 8, 4, 3)]  # taller than wide
+    found = 0
+    for m, n, p, q in shapes:
+        M = rng.choice((-1, 1), size=(m, n))
+        P = rng.choice((-1, 1), size=(p, q))
+        if rng.random() < 0.5:
+            plant(rng, M, P)
+        for mode in ("ordered", "up_to_permutation"):
+            hit = mx.contains_pattern(mx.SignMatrix(M), mx.SignMatrix(P), mode)
+            rows, cols = orbit_oracle(M, P, mode)
+            assert (hit.found, hit.row_indices, hit.col_indices) == \
+                (rows is not None, rows, cols), (M, P, mode)
+            found += hit.found
+    assert 0 < found < 2 * len(shapes)
+
+
+def test_containment_past_one_integer_key():
+    """Patterns of more than 62 cells are compared by canonical words.  The
+    oracle tries both orders of the two-line side and compares the sorted
+    lines of the other side."""
+    def oracle(M, P, mode):
+        swap = P.shape[0] > P.shape[1]
+        if swap:
+            M, P = M.T, P.T
+        target = sorted(map(tuple, P.T))
+        hits = []
+        for rows in itertools.combinations(range(M.shape[0]), 2):
+            for cols in itertools.combinations(range(M.shape[1]), P.shape[1]):
+                S = M[np.ix_(rows, cols)]
+                if (np.array_equal(S, P) if mode == "ordered" else
+                        any(sorted(map(tuple, S[list(r)].T)) == target
+                            for r in itertools.permutations(range(2)))):
+                    hits.append((cols, rows) if swap else (rows, cols))
+        return min(hits) if hits else (None, None)
+
+    rng = np.random.default_rng(43)
+    P = rng.choice((-1, 1), size=(2, 32))
+    found = {"ordered": 0, "up_to_permutation": 0}
+    for trial in range(6):
+        M = rng.choice((-1, 1), size=(3, 33))
+        if trial:
+            cols = np.sort(rng.choice(33, 32, replace=False))
+            M[np.ix_([0, 2], cols)] = \
+                P[::-1][:, rng.permutation(32)] if trial % 2 else P
+        if trial > 3:
+            M[1] = M[2]             # an earlier copy at rows (0, 1)
+        for A, B in ((M, P), (M.T, P.T)):
+            for mode in found:
+                hit = mx.contains_pattern(mx.SignMatrix(A), mx.SignMatrix(B),
+                                          mode)
+                rows, cols = oracle(A, B, mode)
+                assert (hit.found, hit.row_indices, hit.col_indices) == \
+                    (rows is not None, rows, cols), (trial, mode)
+                found[mode] += hit.found
+    assert found == {"ordered": 4, "up_to_permutation": 10}
+
+
 # --- canonical forms ------------------------------------------------------
 
 def test_canonical_form_is_orbit_minimum():
@@ -267,6 +355,20 @@ def test_search_6x6_core_free_exists():
     # the published 6x6 example passes the same filter
     assert mx.balance_check(mx.CORE_FREE_6).strongly_balanced
     assert mx.exact_rank(mx.CORE_FREE_6) >= 2
+
+
+def test_search_6x6_core_free_frozen():
+    # the full output, frozen from the orbit-set enumerator that predates
+    # the integer submatrix matcher
+    found = [M.entries.tolist() for M in
+             mx.search_strongly_balanced(6, 6, forbidden=mx.PATTERN_CORE_4)]
+    assert found == [
+        [[1, 1, 1, -1, -1, -1], [1, 1, 1, -1, -1, -1], [1, 1, 1, -1, -1, -1],
+         [-1, -1, -1, 1, 1, 1], [-1, -1, -1, 1, 1, 1], [-1, -1, -1, 1, 1, 1]],
+        [[1, 1, 1, -1, -1, -1], [1, 1, -1, 1, -1, -1], [1, -1, -1, -1, 1, 1],
+         [-1, 1, -1, -1, 1, 1], [-1, -1, 1, 1, 1, -1], [-1, -1, 1, 1, -1, 1]],
+    ]
+    assert mx.canonical_form(mx.CORE_FREE_6).entries.tolist() == found[1]
 
 
 def test_search_respects_limit():

@@ -64,13 +64,13 @@ def _character_matrix(n: int, masks) -> np.ndarray:
     """Rows chi_T(x) = (-1)^popcount(T & x) over all 2^n points, T in masks."""
     v = np.bitwise_and.outer(np.asarray(masks, dtype=np.int64),
                              np.arange(2 ** n))
-    for shift in (32, 16, 8, 4, 2, 1):   # fold the parity into bit 0
-        v ^= v >> shift
-    return 1.0 - 2.0 * (v & 1)
+    return 1.0 - 2.0 * (np.bitwise_count(v) & 1)
 
 
-def _masks_up_to_degree(n: int, d: int) -> list[int]:
-    return [T for T in range(2 ** n) if bin(T).count("1") <= d]
+def _masks_up_to_degree(n: int, d: int) -> np.ndarray:
+    """Every T with |T| <= d, in ascending order."""
+    T = np.arange(2 ** n)
+    return T[np.bitwise_count(T) <= d]
 
 
 def chebyshev(fvals, basis) -> tuple[float, np.ndarray, np.ndarray]:

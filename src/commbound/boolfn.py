@@ -22,8 +22,6 @@ from .errors import ResourceLimitError
 # whose degree-2 Chebyshev LP still fits MAX_TABLE_BYTES
 MAX_ARITY = 16
 
-DEGREE_ZERO_TEST = 0.5  # coefficients are multiples of 2^-n; test vs 2^-(n+1)
-
 
 class BoolFunction:
     """Truth table of f: {-1,+1}^n -> {-1,+1}."""
@@ -103,15 +101,18 @@ def character_eval(T: int, x: int) -> int:
 
 
 def _fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard butterfly, O(n 2^n)."""
+    """Unnormalized fast Walsh-Hadamard butterfly, O(n 2^n).
+
+    Level h pairs a[i] with a[i + h] in every block of 2h entries; the
+    reshape to (blocks, 2, h) makes each level one array update.
+    """
     h = 1
     size = a.shape[0]
     while h < size:
-        for start in range(0, size, 2 * h):
-            x = a[start:start + h].copy()
-            y = a[start + h:start + 2 * h]
-            a[start:start + h] = x + y
-            a[start + h:start + 2 * h] = x - y
+        v = a.reshape(-1, 2, h)
+        x = v[:, 0].copy()
+        v[:, 0] += v[:, 1]
+        v[:, 1] = x - v[:, 1]
         h *= 2
     return a
 
@@ -138,45 +139,23 @@ def iwht(s: FourierSpectrum) -> RealPointFunction:
 def degree(f: BoolFunction) -> int:
     """Largest |T| with a nonzero Fourier coefficient.
 
-    Coefficients of +-1 functions are multiples of 2^-n, so zero is tested
-    exactly against 2^-(n+1).
+    The character sums of a +-1 table are integers, so zero is tested
+    exactly.
     """
-    sums = character_sums(f)
-    deg = 0
-    for T in range(2 ** f.n):
-        if sums[T] != 0:
-            deg = max(deg, bin(T).count("1"))
-    return deg
+    nonzero = np.flatnonzero(character_sums(f))
+    return int(np.bitwise_count(nonzero).max(initial=0))
 
 
 # ---------------------------------------------------------------------------
 # built-in functions and text format
 
-def _parity(n):
-    return [(-1 if bin(x).count("1") % 2 else 1) for x in range(2 ** n)]
-
-
-def _and(n):
-    # -1 exactly when every input is -1 (all mask bits set)
-    return [(-1 if x == 2 ** n - 1 else 1) for x in range(2 ** n)]
-
-
-def _or(n):
-    # -1 as soon as any input is -1
-    return [(-1 if x != 0 else 1) for x in range(2 ** n)]
-
-
-def _maj(n):
-    if n % 2 == 0:
-        raise ValueError("MAJ needs odd arity")
-    return [(-1 if 2 * bin(x).count("1") > n else 1) for x in range(2 ** n)]
-
-
+# each builtin is -1 exactly where its predicate holds of k, the number of
+# -1 inputs (the popcount of the point mask)
 BUILTIN_FUNCTIONS = {
-    "PARITY": _parity,
-    "AND": _and,
-    "OR": _or,
-    "MAJ": _maj,
+    "PARITY": lambda k, n: k % 2 == 1,
+    "AND": lambda k, n: k == n,
+    "OR": lambda k, n: k > 0,
+    "MAJ": lambda k, n: 2 * k > n,
 }
 
 
@@ -194,7 +173,11 @@ def builtin_function(name: str, arity: int) -> BoolFunction:
     if arity < 1:
         raise ValueError("arity must be at least 1")
     _check_arity(arity)
-    return BoolFunction(arity, BUILTIN_FUNCTIONS[key](arity))
+    if key == "MAJ" and arity % 2 == 0:
+        raise ValueError("MAJ needs odd arity")
+    k = np.bitwise_count(np.arange(2 ** arity))
+    return BoolFunction(arity, np.where(BUILTIN_FUNCTIONS[key](k, arity),
+                                        -1, 1))
 
 
 def parse_function_spec(spec: str) -> BoolFunction:
@@ -241,6 +224,6 @@ def load_function(path_or_spec: str) -> BoolFunction:
 
 def all_functions(n: int):
     """Yield every BoolFunction of arity n (2^2^n of them; keep n small)."""
-    N = 2 ** n
-    for bits in range(2 ** N):
-        yield BoolFunction(n, [1 - 2 * ((bits >> x) & 1) for x in range(N)])
+    x = np.arange(2 ** n)
+    for bits in range(2 ** 2 ** n):
+        yield BoolFunction(n, 1 - 2 * ((bits >> x) & 1))

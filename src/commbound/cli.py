@@ -267,11 +267,7 @@ def _cmd_group_check(opts) -> tuple:
     if not external_table:
         # group-invariance of pair multisets is the Abelian characterization;
         # with a user-supplied table the file's product structure may not match
-        fam = gc.pair_multisets(gmap)
-        payload["all_pairs_invariant"] = (
-            all(gc.g_invariant(T, gmap.group) for T in fam.row_pairs.values())
-            and all(gc.g_invariant(T, gmap.group)
-                    for T in fam.col_pairs.values()))
+        payload["all_pairs_invariant"] = gc.all_pairs_invariant(gmap)
     code = EXIT_OK
     if opts["values"] is not None:
         with open(opts["values"], "r", encoding="utf-8") as fh:

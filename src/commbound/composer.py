@@ -150,14 +150,13 @@ def verify_rank_theorem(f: BoolFunction, g: SignMatrix,
         raise ValueError("inner matrix must be strongly balanced for the "
                          "rank formula to apply")
     rank_g = exact_rank(g)
-    sums = character_sums(f)
-    support = tuple(T for T in range(2 ** f.n) if sums[T] != 0)
-    formula = sum(rank_g ** bin(T).count("1") for T in support)
+    support = np.flatnonzero(character_sums(f))
+    formula = sum(rank_g ** int(k) for k in np.bitwise_count(support))
     composed = compose_block(f, g, memory_cap=memory_cap)
     actual = exact_rank(composed.matrix)
     return RankTheoremReport(formula_rank=formula, composed_rank=actual,
                              equal=formula == actual, inner_rank=rank_g,
-                             support=support)
+                             support=tuple(support.tolist()))
 
 
 def _kron_power(w: np.ndarray, n: int) -> np.ndarray:

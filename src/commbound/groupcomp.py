@@ -114,9 +114,9 @@ class CharacterTable:
         gram.flat[::h + 1] -= order
         if np.abs(gram).max() > 1e-9 * max(order, 1):
             raise ValueError("character rows are not orthogonal")
-        for i in range(h):
-            if np.abs(arr[i]).max() > degs[i] + 1e-12:
-                raise ValueError(f"character {i} exceeds its degree bound")
+        over = np.flatnonzero(np.abs(arr).max(axis=1) > np.array(degs) + 1e-12)
+        if over.size:
+            raise ValueError(f"character {over[0]} exceeds its degree bound")
         arr = arr.copy()
         arr.setflags(write=False)
         self.h = h
@@ -273,23 +273,37 @@ class GroupMapMatrix:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairMultiset:
-    """Multiset of element pairs, e.g. {(g(x,y), g(x',y)) : y}."""
+    """Multiset of element pairs, e.g. {(g(x,y), g(x',y)) : y}.
 
-    pairs: tuple          # ((s, t, multiplicity), ...) sorted, no (s, t) twice
+    pairs is a read-only k x 3 int64 array of (s, t, multiplicity) rows,
+    sorted, with no (s, t) twice.
+    """
+
+    pairs: np.ndarray
     total: int
     axis: str             # "row" or "col"
     indices: tuple        # (x, x') or (y, y')
 
+    def __post_init__(self):
+        arr = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 3)
+        arr.setflags(write=False)
+        object.__setattr__(self, "pairs", arr)
+
+    def __eq__(self, other):
+        return (isinstance(other, PairMultiset) and self.total == other.total
+                and self.axis == other.axis and self.indices == other.indices
+                and np.array_equal(self.pairs, other.pairs))
+
     @classmethod
     def from_counter(cls, counter: Counter, axis: str, indices: tuple):
-        pairs = tuple(sorted((s, t, m) for (s, t), m in counter.items()))
+        pairs = sorted((s, t, m) for (s, t), m in counter.items())
         return cls(pairs=pairs, total=sum(counter.values()),
                    axis=axis, indices=indices)
 
     def counter(self) -> Counter:
-        return Counter({(s, t): m for s, t, m in self.pairs})
+        return Counter({(s, t): m for s, t, m in self.pairs.tolist()})
 
 
 @dataclass(frozen=True)
@@ -374,10 +388,10 @@ def _line_pair_multisets(E: np.ndarray, order: int, axis: str) -> dict:
     keys, counts = np.unique(key, return_counts=True)
     bounds = np.searchsorted(keys,
                              np.arange(X * X + 1) * order * order).tolist()
-    triples = list(zip((keys // order % order).tolist(),
-                       (keys % order).tolist(), counts.tolist()))
+    rows = np.column_stack([keys // order % order, keys % order, counts])
+    rows.setflags(write=False)
     lines = itertools.product(range(X), repeat=2)
-    return {ij: PairMultiset(pairs=tuple(triples[lo:hi]), total=Y, axis=axis,
+    return {ij: PairMultiset(pairs=rows[lo:hi], total=Y, axis=axis,
                              indices=ij)
             for ij, lo, hi in zip(lines, bounds, bounds[1:])}
 
@@ -398,25 +412,39 @@ def g_invariant(T: PairMultiset, G: AbelianGroupSpec) -> bool:
     as from_counter and pair_multisets build it, so a binary search finds
     each shifted pair.
     """
-    s, t, m = np.fromiter(itertools.chain.from_iterable(T.pairs), np.int64,
-                          3 * len(T.pairs)).reshape(-1, 3).T
+    s, t, m = T.pairs.T
     key = s * G.order + t
     moved = G.shifts[:, s] * G.order + G.shifts[:, t]
     at = np.searchsorted(key, moved).clip(max=len(key) - 1)
     return bool((key[at] == moved).all() and (m[at] == m).all())
 
 
-def orthogonality_sums(T: PairMultiset, table: CharacterTable) -> float:
-    """max over i != j of |sum over T of chi_i(s) conj(chi_j(t))|."""
-    if table.h < 2:
-        return 0.0
-    M = np.zeros((table.order, table.order))
-    for s, t, m in T.pairs:
-        M[s, t] += m
-    E = table.table @ M @ table.table.conj().T
+def all_pairs_invariant(gmap: GroupMapMatrix) -> bool:
+    """Is every row-pair and column-pair multiset of an Abelian map fixed
+    by every diagonal shift (s, s)?"""
+    fam = pair_multisets(gmap)
+    return all(g_invariant(T, gmap.group) for T in
+               itertools.chain(fam.row_pairs.values(), fam.col_pairs.values()))
+
+
+def _count_matrix(T: PairMultiset, order: int) -> np.ndarray:
+    """M[s, t] = multiplicity of (s, t) in T."""
+    M = np.zeros((order, order))
+    s, t, m = T.pairs.T
+    np.add.at(M, (s, t), m)
+    return M
+
+
+def _off_diagonal_max(E: np.ndarray) -> float:
     mag = np.abs(E)
     np.fill_diagonal(mag, 0.0)
     return float(mag.max())
+
+
+def orthogonality_sums(T: PairMultiset, table: CharacterTable) -> float:
+    """max over i != j of |sum over T of chi_i(s) conj(chi_j(t))|."""
+    M = _count_matrix(T, table.order)
+    return _off_diagonal_max(table.table @ M @ table.table.conj().T)
 
 
 def _lines_uniform(E: np.ndarray, order: int) -> bool:
@@ -500,21 +528,12 @@ def tprime_check(T: PairMultiset, table: CharacterTable) -> TPrimeReport:
     """
     h = table.h
     order = table.order
-    # direct sums over the raw multiset
-    direct = 0.0
-    if h >= 2:
-        for i in range(h):
-            for j in range(h):
-                if i == j:
-                    continue
-                acc = 0.0 + 0.0j
-                for s, t, m in T.pairs:
-                    acc += m * table.table[i, s] * np.conj(table.table[j, t])
-                direct = max(direct, abs(acc))
+    # direct sums over the raw multiset, one h x k by k x h product
+    s, t, m = T.pairs.T
+    direct = _off_diagonal_max(
+        (table.table[:, s] * m) @ table.table[:, t].conj().T)
     # class-averaged matrix conjugated by the table
-    M = np.zeros((order, order))
-    for s, t, m in T.pairs:
-        M[s, t] += m
+    M = _count_matrix(T, order)
     cls = table.class_of
     class_sizes = np.bincount(cls, minlength=h)
     proj = np.zeros((h, order))
@@ -522,14 +541,12 @@ def tprime_check(T: PairMultiset, table: CharacterTable) -> TPrimeReport:
     class_sum = proj @ M @ proj.T    # total mass per class pair
     Tprime = class_sum[np.ix_(cls, cls)] / np.outer(class_sizes[cls],
                                                     class_sizes[cls])
-    E = table.table @ Tprime @ table.table.conj().T
-    mag = np.abs(E)
-    np.fill_diagonal(mag, 0.0)
-    conjugated = float(mag.max()) if h >= 2 else 0.0
+    conjugated = _off_diagonal_max(table.table @ Tprime
+                                   @ table.table.conj().T)
     thr = _SUM_TOL * max(T.total, 1)
     d_ok = direct <= thr
     c_ok = conjugated <= thr
-    return TPrimeReport(direct_max=float(direct), conjugated_max=conjugated,
+    return TPrimeReport(direct_max=direct, conjugated_max=conjugated,
                         threshold=thr, direct_ok=d_ok, conjugated_ok=c_ok,
                         agree=d_ok == c_ok)
 
@@ -677,16 +694,13 @@ def _product_characters(tables):
     The first group is the least significant factor of the element index, so
     its table goes into the innermost Kronecker position.
     """
-    trivial = [t.trivial_index() for t in tables]
-    nonid = []
-    rows = []
-    for combo in itertools.product(*[range(t.h) for t in tables]):
-        nonid.append(sum(1 for c, tr in zip(combo, trivial) if c != tr))
-        row = np.ones(1, dtype=complex)
-        for c, t in zip(reversed(combo), reversed(tables)):
-            row = np.kron(row, t.table[c])
-        rows.append(row)
-    return np.array(nonid), np.array(rows)
+    nonid = np.zeros(1, dtype=np.int64)
+    rows = np.ones((1, 1), dtype=complex)
+    for t in reversed(tables):
+        nonid = np.add.outer(nonid,
+                             np.arange(t.h) != t.trivial_index()).ravel()
+        rows = np.kron(rows, t.table)
+    return nonid, rows
 
 
 def product_approx_degree(fvals, tables, epsilon: float) -> int:
@@ -791,10 +805,7 @@ def degeneration_check(blocks) -> DegenerationReport:
     balance of every block."""
     blocks = list(blocks)
     gmap = GroupMapMatrix.from_sign_blocks(blocks)
-    fam = pair_multisets(gmap)
-    G = gmap.group
-    invariant = all(g_invariant(T, G) for T in fam.row_pairs.values()) and \
-        all(g_invariant(T, G) for T in fam.col_pairs.values())
+    invariant = all_pairs_invariant(gmap)
     balanced = all(balance_check(b).strongly_balanced for b in blocks)
     return DegenerationReport(
         all_pairs_invariant=invariant,

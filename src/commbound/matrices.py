@@ -80,38 +80,6 @@ class SignMatrix:
         return format_sign_matrix(self)
 
 
-class ComplexMatrix:
-    """Immutable dense complex matrix (used for character-valued matrices)."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        arr = np.asarray(entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("complex matrix must be 2-dimensional and non-empty")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self.entries = arr
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    @property
-    def size(self) -> int:
-        return self.entries.size
-
-    def __getitem__(self, key):
-        return self.entries[key]
-
-    def __repr__(self):
-        return f"ComplexMatrix({self.rows}x{self.cols})"
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     """Singular spectrum of a matrix with the derived norms."""
@@ -236,11 +204,6 @@ def load_sign_matrix(path) -> SignMatrix:
         return parse_sign_matrix(fh.read())
 
 
-def save_sign_matrix(M: SignMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_sign_matrix(M))
-
-
 # ---------------------------------------------------------------------------
 # exact rank
 
@@ -287,14 +250,14 @@ def exact_rank(M) -> int:
 def spectrum(M, tolerance: float = DEFAULT_TOLERANCE) -> SpectrumReport:
     """Singular spectrum from one LAPACK SVD.
 
-    Accepts a SignMatrix, ComplexMatrix, or a real/complex array.  Singular
+    Accepts a SignMatrix or a real/complex array.  Singular
     values within LAPACK's backward-error bound sigma_1 * max(m, n) * eps are
     set to exactly zero.  The numeric rank counts singular values above
     tolerance * sigma_1.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    arr = M.entries if isinstance(M, (SignMatrix, ComplexMatrix)) else M
+    arr = M.entries if isinstance(M, SignMatrix) else M
     arr = np.asarray(arr, dtype=complex)
     sigma = np.linalg.svd(arr, compute_uv=False)
     s1 = float(sigma[0]) if sigma.size else 0.0
@@ -385,12 +348,13 @@ def _minimal_word(arr: np.ndarray, stop_early: bool = False):
 
     Returns (word, smaller_than_identity).  Branch-and-bound over row choices
     with an ordered column partition; a branch is cut as soon as its prefix
-    exceeds the matching prefix of the best complete word so far.  With
+    exceeds the matching prefix of the best complete word so far.  Equal
+    rows open equal subtrees, so each level tries one row of each kind.  With
     stop_early the search stops once any word beats the identity arrangement,
     which is all a canonicality test needs.
     """
     m, n = arr.shape
-    bits = [[0 if v == 1 else 1 for v in row] for row in arr]
+    bits = [tuple(0 if v == 1 else 1 for v in row) for row in arr]
     best = [b for row in bits for b in row]  # identity arrangement
     found_smaller = False
 
@@ -403,9 +367,11 @@ def _minimal_word(arr: np.ndarray, stop_early: bool = False):
                 best = list(prefix)
                 found_smaller = True
             return
+        tried = set()
         for r in range(m):
-            if used & (1 << r):
+            if used & (1 << r) or bits[r] in tried:
                 continue
+            tried.add(bits[r])
             row_word, refined = _refine(partition, bits[r])
             cand = prefix + row_word
             if cand > best[:len(cand)]:

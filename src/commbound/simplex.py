@@ -73,23 +73,21 @@ def _shift_rhs(tab: np.ndarray, size: float, seed: int) -> None:
     tab[:-1, -1] += size * (1.0 + rng.random(tab.shape[0] - 1))
 
 
-def _leaving_row(a: np.ndarray, rhs: np.ndarray, basis: np.ndarray,
-                 tol: float) -> int:
+def _leaving_row(a: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> int:
     """Harris two-pass ratio test on column a; -1 if no row bounds the step."""
-    rows = np.flatnonzero(a > tol)
+    rows = np.flatnonzero(a > FEASIBILITY_TOL)
     if rows.size == 0:
         return -1
     a = a[rows]
     r = np.maximum(rhs[rows], 0.0)
-    theta = ((r + tol) / a).min()
+    theta = ((r + FEASIBILITY_TOL) / a).min()
     within = r <= theta * a
     rows, a = rows[within], a[within]
     rows = rows[a == a.max()]
     return int(rows[np.argmin(basis[rows])])
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-             tol: float = FEASIBILITY_TOL, max_iter: int | None = None) -> LPResult:
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
     """Minimize c.x over x >= 0 with the given inequality/equality rows.
 
     Raises ResourceLimitError, before building the tableau, when it would
@@ -136,8 +134,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     tab[np.arange(m), n_struct + np.arange(m)] = 1.0
     tab[:m, -1] = b_norm
     basis = np.arange(n_struct, total)
-    if max_iter is None:
-        max_iter = 200 * (m + total + 10)
+    max_iter = 200 * (m + total + 10)
 
     iterations = 0
 
@@ -158,10 +155,10 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
         tab[:m, -1] = tab[:m, n_struct:total] @ b_norm
         while True:
             r = int(np.argmin(tab[:m, -1]))
-            if tab[r, -1] >= -tol:
+            if tab[r, -1] >= -FEASIBILITY_TOL:
                 break
             row = tab[r, :n_struct]
-            cols = np.flatnonzero(row < -tol)
+            cols = np.flatnonzero(row < -FEASIBILITY_TOL)
             if cols.size == 0:
                 raise SimplexError("no pivot restores feasibility after an "
                                    "rhs shift")
@@ -180,18 +177,18 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
         shifted = False
         while True:
             enter = int(np.argmin(tab[-1, :n_struct]))
-            if tab[-1, enter] >= -tol:
+            if tab[-1, enter] >= -FEASIBILITY_TOL:
                 if not shifted:
                     return OPTIMAL
                 restore_rhs(cost)
                 stall, shifted = 0, False
                 continue
-            leave = _leaving_row(tab[:m, enter], tab[:m, -1], basis, tol)
+            leave = _leaving_row(tab[:m, enter], tab[:m, -1], basis)
             if leave < 0:
                 return UNBOUNDED
-            stall = stall + 1 if tab[leave, -1] <= tol else 0
+            stall = stall + 1 if tab[leave, -1] <= FEASIBILITY_TOL else 0
             if stall > _STALL_ROWS * m and not shifted:
-                _shift_rhs(tab, 100 * tol, seed=iterations)
+                _shift_rhs(tab, 100 * FEASIBILITY_TOL, seed=iterations)
                 shifted = True
                 continue
             step(leave, enter)
@@ -211,7 +208,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     # artificial stays basic at value zero and never re-enters
     for i in np.flatnonzero(basis >= n_struct):
         j = int(np.argmax(np.abs(tab[i, :n_struct])))
-        if abs(tab[i, j]) > tol:
+        if abs(tab[i, j]) > FEASIBILITY_TOL:
             _pivot(tab, i, j)
             basis[i] = j
 

@@ -229,3 +229,10 @@ def test_weak_duality_all_n2():
         w = dual_polynomial(f, 1.0 / 3.0)
         if w.d >= 1:
             assert w.correlation == pytest.approx(profile[w.d - 1], abs=1e-7)
+
+
+def test_masks_up_to_degree_against_popcount():
+    for n in range(0, 11):
+        for d in range(-1, n + 2):
+            want = [T for T in range(2 ** n) if bin(T).count("1") <= d]
+            assert _masks_up_to_degree(n, d).tolist() == want, (n, d)

@@ -122,3 +122,75 @@ def test_truth_table_round_trip():
         bf.parse_truth_table("n=2\n010")
     with pytest.raises(ValueError):
         bf.parse_truth_table("2\n0101")
+
+
+def _per_block_fwht(a):
+    """The butterfly one block at a time, as it was before the levels were
+    vectorized; kept as the bit-for-bit reference."""
+    h = 1
+    while h < a.shape[0]:
+        for start in range(0, a.shape[0], 2 * h):
+            x = a[start:start + h].copy()
+            y = a[start + h:start + 2 * h]
+            a[start:start + h] = x + y
+            a[start + h:start + 2 * h] = x - y
+        h *= 2
+    return a
+
+
+def test_character_sums_against_dense_hadamard():
+    rng = np.random.default_rng(4)
+    H = np.ones((1, 1), dtype=np.int64)
+    for n in range(0, 11):
+        f = bf.BoolFunction(n, rng.choice((-1, 1), size=2 ** n))
+        got = bf.character_sums(f)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, H @ f.table), n
+        H = np.kron(np.array([[1, 1], [1, -1]]), H)
+
+
+def test_wht_iwht_bitwise_against_per_block_loop():
+    rng = np.random.default_rng(5)
+    for n in range(0, 13):
+        table = rng.normal(size=2 ** n)
+        got = np.array(bf.wht(bf.RealPointFunction(n, table)).coeffs)
+        want = _per_block_fwht(table.copy()) / 2 ** n
+        assert got.tobytes() == want.tobytes(), n
+        s = bf.FourierSpectrum(n=n, coeffs=tuple(table))
+        got = bf.iwht(s).table
+        assert got.tobytes() == _per_block_fwht(table.copy()).tobytes(), n
+
+
+def test_builtins_against_per_point_formulas():
+    formulas = {
+        "PARITY": lambda x, n: bin(x).count("1") % 2 == 1,
+        "AND": lambda x, n: x == 2 ** n - 1,
+        "OR": lambda x, n: x != 0,
+        "MAJ": lambda x, n: 2 * bin(x).count("1") > n,
+    }
+    assert set(formulas) == set(bf.BUILTIN_FUNCTIONS)
+    for name, minus in formulas.items():
+        for n in range(1, 11):
+            if name == "MAJ" and n % 2 == 0:
+                with pytest.raises(ValueError, match="odd arity"):
+                    bf.builtin_function(name, n)
+                continue
+            want = [-1 if minus(x, n) else 1 for x in range(2 ** n)]
+            assert bf.builtin_function(name, n).table.tolist() == want
+
+
+def test_degree_against_popcount_of_support():
+    rng = np.random.default_rng(6)
+    cases = [bf.builtin_function(name, n) for name in ("AND", "OR", "PARITY")
+             for n in range(1, 9)]
+    cases += [bf.BoolFunction(n, rng.choice((-1, 1), size=2 ** n))
+              for n in range(0, 9) for _ in range(5)]
+    # low-degree tables: products of at most two coordinates
+    for n in range(2, 9):
+        x = np.arange(2 ** n)
+        cases.append(bf.BoolFunction(n, 1 - 2 * ((x ^ (x >> 1)) & 1)))
+    for f in cases:
+        sums = bf.character_sums(f)
+        want = max((bin(T).count("1") for T in range(2 ** f.n)
+                    if sums[T] != 0), default=0)
+        assert bf.degree(f) == want

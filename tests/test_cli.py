@@ -281,6 +281,15 @@ def test_search_balanced_command(capsys):
     assert report["report"]["count"] == 2
 
 
+def test_search_balanced_tall_repeated_rows(capsys):
+    # every 16x2 strongly balanced matrix repeats its two row kinds eight
+    # times; the canonicality test branches once per kind
+    code, report = run_cli(capsys, "search-balanced", "--rows", "16",
+                           "--cols", "2")
+    assert code == EXIT_OK
+    assert report["report"]["count"] == 1
+
+
 def test_search_balanced_core_free(capsys, core4_file):
     code, report = run_cli(capsys, "search-balanced", "--rows", "6",
                            "--cols", "6", "--min-rank", "2",

@@ -1,5 +1,6 @@
 """Group characters, invariance, the distance LP and its dual, group bounds."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -87,6 +88,12 @@ def test_character_table_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             gc.CharacterTable(2, 2, [[1, 1], [1, bad]], [0, 1], [1, 1])
+    # orthogonal rows of norm sqrt(2) each: the first row over its degree
+    # is named
+    r2 = math.sqrt(2)
+    for degrees, first in (([1, 1], 0), ([2, 1], 1)):
+        with pytest.raises(ValueError, match=f"character {first} exceeds"):
+            gc.CharacterTable(2, 2, [[r2, 0], [0, r2]], [0, 1], degrees)
 
 
 def test_character_table_json_round_trip():
@@ -110,6 +117,23 @@ def test_pair_multisets_single_cell():
     assert len(fam.row_pairs) == 1 and len(fam.col_pairs) == 1
     only = fam.row_pairs[(0, 0)]
     assert only.total == 1 and only.counter() == Counter({(2, 2): 1})
+
+
+def test_pair_multiset_is_a_read_only_array_compared_by_value():
+    T = pair_set({(2, 0): 3, (0, 1): 1})
+    assert T.pairs.dtype == np.int64
+    assert T.pairs.tolist() == [[0, 1, 1], [2, 0, 3]]
+    fam = gc.pair_multisets(gc.GroupMapMatrix([[0, 1], [2, 2]], Z3))
+    for P in (T, fam.row_pairs[(0, 1)], fam.col_pairs[(1, 0)]):
+        with pytest.raises(ValueError):
+            P.pairs[0, 2] = 7
+    assert T == pair_set({(0, 1): 1, (2, 0): 3})
+    assert T != pair_set({(0, 1): 1, (2, 0): 2})
+    assert T != pair_set({(0, 1): 1, (2, 0): 3}, indices=(0, 1))
+    assert T != T.pairs
+    assert fam.row_pairs[(0, 1)] == gc.PairMultiset.from_counter(
+        Counter({(0, 2): 1, (1, 2): 1}), "row", (0, 1))
+    assert pair_set({}).pairs.shape == (0, 3)
 
 
 def test_invariance_examples():
@@ -222,6 +246,10 @@ def test_diagonal_invariant_against_g_invariant():
                                   fam.row_pairs.items() if x == x2)
                     cols_ok = all(gc.g_invariant(T, G) for (y, y2), T in
                                   fam.col_pairs.items() if y == y2)
+                    every = all(gc.g_invariant(T, G) for T in
+                                [*fam.row_pairs.values(),
+                                 *fam.col_pairs.values()])
+                    assert gc.all_pairs_invariant(gm) == every
                     got = gc.regularity_check(gm).diagonal_invariant
                     assert got == (rows_ok or cols_ok), (moduli, gm.entries)
                     seen.add((rows_ok, cols_ok))
@@ -235,6 +263,30 @@ def test_tprime_routes_agree():
     bad = pair_set({(0, 0): 1, (0, 1): 1})
     rep = gc.tprime_check(bad, T_Z3)
     assert not rep.direct_ok and not rep.conjugated_ok and rep.agree
+
+
+def test_tprime_direct_against_quadruple_loop():
+    rng = np.random.default_rng(11)
+    for G in (Z3, Z4, Z22):
+        table = gc.characters_abelian(G)
+        chi = table.table
+        for trial in range(30):
+            cnt = Counter({(int(rng.integers(G.order)),
+                            int(rng.integers(G.order))):
+                           int(rng.integers(1, 4))
+                           for _ in range(int(rng.integers(1, 6)))})
+            if trial % 2:
+                cnt = _closure(cnt, G, range(G.order))
+            T = pair_set(cnt)
+            want = 0.0
+            for i in range(table.h):
+                for j in range(table.h):
+                    if i != j:
+                        acc = 0.0 + 0.0j
+                        for s, t, m in T.pairs.tolist():
+                            acc += m * chi[i, s] * np.conj(chi[j, t])
+                        want = max(want, abs(acc))
+            assert abs(gc.tprime_check(T, table).direct_max - want) <= 1e-12
 
 
 def test_regularity():
@@ -359,6 +411,23 @@ def test_product_approx_degree_matches_boolean():
             d_prod = gc.product_approx_degree(
                 gc.class_function_from_bool(f), [T_Z2] * n, 1.0 / 3.0)
             assert d_prod == approx_degree(f, 1.0 / 3.0).d
+
+
+def test_product_characters_against_per_combination():
+    T_Z4 = gc.characters_abelian(Z4)
+    for tables in ([T_Z3], [T_Z2, T_Z3], [T_Z3, T_Z22, T_Z2],
+                   [T_Z4, T_Z2, T_Z3]):
+        want = []
+        trivial = [t.trivial_index() for t in tables]
+        for combo in itertools.product(*[range(t.h) for t in tables]):
+            row = np.ones(1, dtype=complex)
+            for c, t in zip(reversed(combo), reversed(tables)):
+                row = np.kron(row, t.table[c])
+            nonid = sum(c != tr for c, tr in zip(combo, trivial))
+            want.append((nonid, row.tobytes()))
+        nonid, rows = gc._product_characters(tables)
+        assert sorted(zip(nonid.tolist(), (r.tobytes() for r in rows))) == \
+            sorted(want)
 
 
 def test_product_approx_degree_constant():

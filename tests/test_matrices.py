@@ -282,6 +282,33 @@ def test_canonical_form_is_orbit_minimum():
     assert mx.is_canonical(base)
 
 
+def _brute_canonical_word(E):
+    """Smallest row-major word (+1 -> 0, -1 -> 1) over every row and
+    column permutation."""
+    bits = (E == -1).astype(int)
+    m, n = E.shape
+    return min(tuple(bits[np.ix_(r, c)].ravel())
+               for r in itertools.permutations(range(m))
+               for c in itertools.permutations(range(n)))
+
+
+def test_canonical_form_tall_repeated_rows_against_brute_force():
+    rng = np.random.default_rng(23)
+    for m, n in ((5, 2), (6, 2), (7, 2), (5, 3), (6, 3), (4, 4)):
+        for _ in range(4):
+            kinds = rng.choice((-1, 1), size=(int(rng.integers(1, 4)), n))
+            E = kinds[rng.integers(0, len(kinds), size=m)]
+            want = _brute_canonical_word(E)
+            got = mx.canonical_form(mx.SignMatrix(E)).entries
+            assert tuple((got == -1).ravel()) == want, E
+            ident = tuple((E == -1).astype(int).ravel())
+            assert mx.is_canonical(mx.SignMatrix(E)) == (ident == want), E
+    # six copies each of two rows: one branch per distinct row, not per row
+    M = mx.SignMatrix(np.kron(np.ones((6, 1), dtype=int), mx.XOR_2.entries))
+    assert mx.canonical_form(M).entries.tolist() == \
+        [[1, -1]] * 6 + [[-1, 1]] * 6
+
+
 # --- strongly balanced search ---------------------------------------------
 
 def test_search_rejects_odd_dimensions():

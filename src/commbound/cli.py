@@ -130,10 +130,11 @@ def _cmd_analyze_matrix(opts) -> tuple:
     }
     core = mx.PATTERN_CORE_4
     if M.rows >= core.rows and M.cols >= core.cols:
-        payload["core4_free_up_to_permutation"] = \
-            not mx.contains_pattern(M, core, "up_to_permutation").found
+        # an ordered copy is also a permuted one
+        free = not mx.contains_pattern(M, core, "up_to_permutation").found
+        payload["core4_free_up_to_permutation"] = free
         payload["core4_free_ordered"] = \
-            not mx.contains_pattern(M, core, "ordered").found
+            free or not mx.contains_pattern(M, core, "ordered").found
     if M.rows <= opts["enum_cap"]:
         payload["disc_uniform"] = bd.uniform_discrepancy(M, opts["enum_cap"])
     return payload, EXIT_OK
@@ -180,7 +181,7 @@ def _cmd_compose(opts) -> tuple:
     }
     code = EXIT_OK
     if opts["verify_rank"]:
-        rep = cp.verify_rank_theorem(f, g, memory_cap=opts["memory_cap"])
+        rep = cp.verify_rank_theorem(comp)
         payload["rank_formula"] = {
             "formula_rank": rep.formula_rank,
             "composed_rank": rep.composed_rank,

@@ -13,6 +13,7 @@ block i corresponds to bit i-1 of subset/point masks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +79,10 @@ def char_compose(T: int, g: SignMatrix, n: int,
     if T < 0 or T >= 2 ** n:
         raise ValueError(f"mask {T} does not fit in {n} bits")
     _check_cap(g.rows ** n, g.cols ** n, memory_cap)
-    out = np.ones((1, 1), dtype=np.int64)
-    for i in range(n):
-        factor = g.entries if (T >> i) & 1 else np.ones(
-            (g.rows, g.cols), dtype=np.int64)
-        out = np.kron(out, factor)
-    return SignMatrix(out)
+    ones = np.ones((g.rows, g.cols), dtype=np.int64)
+    return SignMatrix(functools.reduce(
+        np.kron, [g.entries if (T >> i) & 1 else ones for i in range(n)],
+        np.ones((1, 1), dtype=np.int64)))
 
 
 _EXACT_CHECK_LIMIT = 2 ** 16  # exhaustive dual-path comparison up to this size
@@ -138,32 +137,23 @@ def verify_orthogonality(g: SignMatrix, n: int,
                                max_violation=worst, orthogonal=worst == 0)
 
 
-def verify_rank_theorem(f: BoolFunction, g: SignMatrix,
-                        memory_cap: int = DEFAULT_MEMORY_CAP) -> RankTheoremReport:
+def verify_rank_theorem(comp: Composition) -> RankTheoremReport:
     """Compare the composed rank with sum of rk(M_g)^|T| over the spectrum support.
 
     Both sides are exact integers: the formula uses Bareiss rank of g, the
-    left side Bareiss rank of the materialized composition.  Requires g
-    strongly balanced (the formula does not hold otherwise).
+    left side Bareiss rank of the already materialized composition.
+    Requires g strongly balanced (the formula does not hold otherwise).
     """
-    if not balance_check(g).strongly_balanced:
+    if not balance_check(comp.g).strongly_balanced:
         raise ValueError("inner matrix must be strongly balanced for the "
                          "rank formula to apply")
-    rank_g = exact_rank(g)
-    support = np.flatnonzero(character_sums(f))
+    rank_g = exact_rank(comp.g)
+    support = np.flatnonzero(character_sums(comp.f))
     formula = sum(rank_g ** int(k) for k in np.bitwise_count(support))
-    composed = compose_block(f, g, memory_cap=memory_cap)
-    actual = exact_rank(composed.matrix)
+    actual = exact_rank(comp.matrix)
     return RankTheoremReport(formula_rank=formula, composed_rank=actual,
                              equal=formula == actual, inner_rank=rank_g,
                              support=tuple(support.tolist()))
-
-
-def _kron_power(w: np.ndarray, n: int) -> np.ndarray:
-    out = np.ones((1, 1))
-    for _ in range(n):
-        out = np.kron(out, w)
-    return out
 
 
 def build_witness(w: DualWitness, g: SignMatrix, mu=None,
@@ -197,7 +187,7 @@ def build_witness(w: DualWitness, g: SignMatrix, mu=None,
             raise ValueError("mu must be balanced with respect to g "
                              "(sum of mu*g must vanish)")
         scale = 2.0 ** n
-        factor = _kron_power(weights, n)
+        factor = functools.reduce(np.kron, [weights] * n, np.ones((1, 1)))
 
     B = scale * w.v.table[block_mask([g] * n)] * factor
 

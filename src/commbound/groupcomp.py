@@ -14,6 +14,7 @@ element index coincides with the point mask used by the Boolean modules.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -42,9 +43,7 @@ class AbelianGroupSpec:
         mods = tuple(int(m) for m in moduli)
         if not mods or any(m < 2 for m in mods):
             raise ValueError("every modulus must be an integer >= 2")
-        order = 1
-        for m in mods:
-            order *= m
+        order = math.prod(mods)
         if order > MAX_GROUP_ORDER:
             raise ValueError(f"group order {order} exceeds cap {MAX_GROUP_ORDER}")
         self.moduli = mods
@@ -125,6 +124,29 @@ class CharacterTable:
         self.class_of = cls
         self.degrees = degs
 
+    @classmethod
+    def product(cls, tables) -> "CharacterTable":
+        """Table of the direct product of the groups of checked tables, the
+        first group least significant in element and character indices.
+
+        Rows are Kronecker products of factor rows, orthogonal and within
+        their degrees because the factors' rows are: (A (x) B)(A (x) B)^H =
+        AA^H (x) BB^H, so the constructor's checks are skipped.  Classes are
+        the mixed radix of the factors' classes, and degrees multiply.
+        """
+        tables = list(tables)[::-1]
+        out = object.__new__(cls)
+        out.table = functools.reduce(np.kron, [t.table for t in tables],
+                                     np.ones((1, 1), dtype=complex))
+        out.table.setflags(write=False)
+        out.h, out.order = out.table.shape
+        out.class_of = functools.reduce(
+            lambda acc, t: np.add.outer(acc * t.h, t.class_of).ravel(),
+            tables, np.zeros(1, dtype=np.int64))
+        out.degrees = tuple(functools.reduce(
+            np.kron, [t.degrees for t in tables], [1]).tolist())
+        return out
+
     def trivial_index(self) -> int:
         for i in range(self.h):
             if np.abs(self.table[i] - 1.0).max() <= 1e-9:
@@ -172,9 +194,9 @@ def _cyclic_characters(m: int) -> np.ndarray:
 def characters_abelian(G: AbelianGroupSpec) -> CharacterTable:
     """Full character table chi_a(x) = prod_j exp(2 pi i a_j x_j / m_j).
 
-    The table is the Kronecker product of the cyclic tables, the first
-    modulus innermost to match the element indexing.  The cyclic tables are
-    exact at quarter turns, so the tables of Z_2^t are exactly +-1.
+    The CharacterTable.product of the cyclic tables, each checked by the
+    constructor, first modulus innermost as in the element indexing.  The
+    cyclic tables are exact at quarter turns, so Z_2^t tables are exactly +-1.
     """
     order = G.order
     need = order * order * np.dtype(complex).itemsize
@@ -182,11 +204,9 @@ def characters_abelian(G: AbelianGroupSpec) -> CharacterTable:
         raise ResourceLimitError(
             f"character table of order {order} needs {need} bytes "
             f"(cap {MAX_TABLE_BYTES})")
-    table = np.ones((1, 1), dtype=complex)
-    for m in G.moduli:
-        table = np.kron(_cyclic_characters(m), table)
-    return CharacterTable(h=order, order=order, table=table,
-                          class_of=np.arange(order), degrees=[1] * order)
+    return CharacterTable.product(
+        CharacterTable(m, m, _cyclic_characters(m), np.arange(m), [1] * m)
+        for m in G.moduli)
 
 
 class GroupMapMatrix:
@@ -316,14 +336,13 @@ class PairFamilies:
 class HardnessPartition:
     easy: frozenset
     hard: frozenset
-    delta: float | None = None
 
     @classmethod
-    def from_easy(cls, easy, h: int, delta: float | None = None):
+    def from_easy(cls, easy, h: int):
         easy = frozenset(easy)
         if any(i < 0 or i >= h for i in easy):
             raise ValueError("easy indices out of range")
-        return cls(easy=easy, hard=frozenset(range(h)) - easy, delta=delta)
+        return cls(easy=easy, hard=frozenset(range(h)) - easy)
 
 
 @dataclass(frozen=True)
@@ -657,9 +676,7 @@ def general_bound(gmap: GroupMapMatrix, fvals, table: CharacterTable,
         report.applicable = False
         report.warnings.append("hard set is empty, no denominator")
         return report
-    delta = partition.delta
-    if delta is None:
-        delta = distance_to_easy(fv, table, partition.easy)
+    delta = distance_to_easy(fv, table, partition.easy)
     margin = delta - 2.0 * epsilon
     if margin <= 0:
         report.applicable = False
@@ -691,16 +708,14 @@ def _product_characters(tables):
     """Every product character, as (number of non-identity components, value
     row over the product group).
 
-    The first group is the least significant factor of the element index, so
-    its table goes into the innermost Kronecker position.
+    The first group is the least significant factor of the element index,
+    as in CharacterTable.product.
     """
     nonid = np.zeros(1, dtype=np.int64)
-    rows = np.ones((1, 1), dtype=complex)
     for t in reversed(tables):
         nonid = np.add.outer(nonid,
                              np.arange(t.h) != t.trivial_index()).ravel()
-        rows = np.kron(rows, t.table)
-    return nonid, rows
+    return nonid, CharacterTable.product(tables).table
 
 
 def product_approx_degree(fvals, tables, epsilon: float) -> int:
@@ -710,9 +725,7 @@ def product_approx_degree(fvals, tables, epsilon: float) -> int:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     tables = list(tables)
     fv = np.asarray(fvals, dtype=float)
-    total = 1
-    for t in tables:
-        total *= t.order
+    total = math.prod(t.order for t in tables)
     if fv.shape != (total,):
         raise ValueError(f"f must have one value per product element ({total})")
     nonid, rows = _product_characters(tables)
@@ -774,20 +787,16 @@ def block_group_bound(gmaps, fvals, tables) -> BoundReport:
         c_best = min(terms, key=lambda c: terms[c])
         best_term.append(terms[c_best])
         best_char.append(c_best)
-    order = sorted(range(t), key=lambda i: best_term[i])
-    best_total = None
-    best_S = None
-    for k in range(d + 1, t + 1):
-        chosen = order[:k]
-        tot = sum(best_term[i] for i in chosen)
-        if best_total is None or tot < best_total:
-            best_total = tot
-            best_S = sorted(chosen)
-    report.main_term = best_total
+    # totals[k] sums the k + 1 smallest terms; subsets larger than d start
+    # at k = d, and the first minimum wins ties
+    order = np.argsort(best_term, kind="stable")
+    totals = np.cumsum(np.array(best_term)[order])
+    k = d + int(np.argmin(totals[d:]))
+    report.main_term = float(totals[k])
     report.intermediates.update({
         "per_block_best_term": list(best_term),
         "per_block_best_character": [int(c) for c in best_char],
-        "chosen_blocks": [i + 1 for i in best_S],
+        "chosen_blocks": np.sort(order[:k + 1] + 1).tolist(),
     })
     return report
 

@@ -83,16 +83,15 @@ def suite_matrix_invariants(seed: int = 0) -> SuiteResult:
                  "spectral max rule failed")
 
     # strongly balanced iff the products with the all-ones matrix vanish,
-    # exhaustively over all 4x4 sign matrices
+    # over all 4x4 sign matrices at once: E[b, i, j] = -1 iff bit 4i + j of b
     J = np.ones((4, 4), dtype=np.int64)
-    violations = 0
-    for bits in range(2 ** 16):
-        E = np.array([[1 - 2 * ((bits >> (4 * i + j)) & 1) for j in range(4)]
-                      for i in range(4)], dtype=np.int64)
-        flag = bool((E.sum(axis=0) == 0).all() and (E.sum(axis=1) == 0).all())
-        product_flag = not (E @ J).any() and not (E.T @ J).any()
-        if flag != product_flag:
-            violations += 1
+    E = (1 - 2 * (np.arange(2 ** 16)[:, None] >> np.arange(16) & 1)
+         ).reshape(-1, 4, 4)
+    flag = ((E.sum(axis=1) == 0).all(axis=1)
+            & (E.sum(axis=2) == 0).all(axis=1))
+    product_flag = (~(E @ J).any(axis=(1, 2))
+                    & ~(E.transpose(0, 2, 1) @ J).any(axis=(1, 2)))
+    violations = int((flag != product_flag).sum())
     res.note(violations == 0,
              f"{violations} 4x4 matrices disagree on the balance criterion")
 

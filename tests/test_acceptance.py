@@ -41,20 +41,20 @@ def test_criterion_1_rank_formula_exactness():
     n2_functions = list(all_functions(2))
     for g in _all_strongly_balanced_4x4():
         for f in n2_functions:
-            rep = cp.verify_rank_theorem(f, g)
+            rep = cp.verify_rank_theorem(cp.compose_block(f, g))
             checked += 1
             if not rep.equal:
                 failures += 1
     for g in (CORE4, CORE6):
         for f in n2_functions:
-            rep = cp.verify_rank_theorem(f, g)
+            rep = cp.verify_rank_theorem(cp.compose_block(f, g))
             checked += 1
             if not rep.equal:
                 failures += 1
     rng = np.random.default_rng(0)
     for _ in range(20):
         f = BoolFunction(3, rng.choice((-1, 1), size=8))
-        rep = cp.verify_rank_theorem(f, CORE4)
+        rep = cp.verify_rank_theorem(cp.compose_block(f, CORE4))
         checked += 1
         if not rep.equal:
             failures += 1

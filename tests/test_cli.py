@@ -60,6 +60,25 @@ def test_analyze_matrix_rank_one_16x16(capsys, tmp_path):
     assert body["disc_uniform"] == 0.25
 
 
+def test_analyze_matrix_core_free_skips_the_ordered_search(
+        capsys, monkeypatch, core6_file):
+    # an ordered copy is also a permuted one, so a core-free matrix needs
+    # only the permuted search, and a matrix holding the core needs both
+    import commbound.matrices
+
+    calls = []
+    find = commbound.matrices.contains_pattern
+    monkeypatch.setattr(commbound.matrices, "contains_pattern",
+                        lambda *a, **k: calls.append(a[2]) or find(*a, **k))
+    code, report = run_cli(capsys, "analyze-matrix", "--input", core6_file)
+    assert code == EXIT_OK and calls == ["up_to_permutation"]
+    assert report["report"]["core4_free_ordered"] is True
+    calls.clear()
+    code, report = run_cli(capsys, "analyze-matrix", "--input", "core4")
+    assert calls == ["up_to_permutation", "ordered"]
+    assert report["report"]["core4_free_ordered"] is False
+
+
 def test_analyze_accepts_builtin_names(capsys):
     code, report = run_cli(capsys, "analyze-matrix", "--input", "xor2")
     assert code == EXIT_OK

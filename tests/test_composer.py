@@ -85,17 +85,33 @@ def test_orthogonality_reports():
 
 
 def test_rank_theorem_examples():
-    rep = cp.verify_rank_theorem(builtin_function("AND", 2), CORE4)
+    rep = cp.verify_rank_theorem(
+        cp.compose_block(builtin_function("AND", 2), CORE4))
     assert (rep.formula_rank, rep.composed_rank, rep.equal) == (9, 9, True)
-    rep = cp.verify_rank_theorem(builtin_function("PARITY", 2), mx.XOR_2)
+    rep = cp.verify_rank_theorem(
+        cp.compose_block(builtin_function("PARITY", 2), mx.XOR_2))
     assert (rep.formula_rank, rep.composed_rank) == (1, 1)
-    rep = cp.verify_rank_theorem(BoolFunction(2, [1, 1, 1, 1]), CORE4)
+    rep = cp.verify_rank_theorem(
+        cp.compose_block(BoolFunction(2, [1, 1, 1, 1]), CORE4))
     assert (rep.formula_rank, rep.composed_rank) == (1, 1)
+
+
+def test_rank_theorem_reuses_the_composition(monkeypatch):
+    comp = cp.compose_block(builtin_function("AND", 3), CORE4)
+    calls = []
+    compose = cp.compose_block
+    monkeypatch.setattr(cp, "compose_block",
+                        lambda *a, **k: calls.append(1) or compose(*a, **k))
+    rep = cp.verify_rank_theorem(comp)
+    assert calls == []
+    # every subset is in AND's support: 3^3 = sum over T of 2^|T|
+    assert (rep.formula_rank, rep.composed_rank) == (27, 27)
 
 
 def test_rank_theorem_requires_strong_balance():
     with pytest.raises(ValueError):
-        cp.verify_rank_theorem(builtin_function("AND", 2), mx.HADAMARD_2)
+        cp.verify_rank_theorem(
+            cp.compose_block(builtin_function("AND", 2), mx.HADAMARD_2))
 
 
 def test_witness_hand_value():

@@ -96,6 +96,107 @@ def test_character_table_validation():
             gc.CharacterTable(2, 2, [[r2, 0], [0, r2]], [0, 1], degrees)
 
 
+def _kron_loop_characters(moduli):
+    """The table as built before the product fold: kron(cyclic, table) from
+    the first modulus on."""
+    table = np.ones((1, 1), dtype=complex)
+    for m in moduli:
+        table = np.kron(gc._cyclic_characters(m), table)
+    return table
+
+
+def test_characters_abelian_against_kron_loop():
+    # the fold multiplies the same factors in the other association; Z2
+    # factors multiply by +-1 exactly and two other factors meet in a single
+    # product either way, so the values are equal while at most two factors
+    # are not Z2 (only the sign of some zero imaginary parts may differ)
+    for moduli in ((2,) * 9, (2, 5), (7,), (4, 2), (3, 4, 2), (2, 5, 2, 3)):
+        G = gc.AbelianGroupSpec(moduli)
+        table = gc.characters_abelian(G)
+        assert np.array_equal(table.table, _kron_loop_characters(moduli))
+        assert np.array_equal(table.class_of, np.arange(G.order))
+        assert table.degrees == (1,) * G.order
+        assert not table.table.flags.writeable
+    # with three other factors the two associations may round apart in the
+    # last bit
+    for moduli in ((3, 3, 3), (5, 3, 4)):
+        got = gc.characters_abelian(gc.AbelianGroupSpec(moduli)).table
+        assert np.abs(got - _kron_loop_characters(moduli)).max() <= \
+            4 * np.finfo(float).eps
+
+
+def _s3():
+    """S3 as permutations of (0, 1, 2): e, the transpositions (01), (02),
+    (12), then the 3-cycles; its multiplication table and 3 x 6 table."""
+    perms = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
+    mult = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms]
+            for p in perms]
+    table = gc.CharacterTable(3, 6, [[1, 1, 1, 1, 1, 1],
+                                     [1, -1, -1, -1, 1, 1],
+                                     [2, 0, 0, 0, -1, -1]],
+                              [0, 1, 1, 1, 2, 2], [1, 1, 2])
+    return np.array(mult), table
+
+
+def test_non_abelian_s3_general_bound():
+    mult, table = _s3()
+    gm = gc.GroupMapMatrix(mult, order=6)
+    reg = gc.regularity_check(gm)
+    assert reg.regular and reg.copies == 6
+    assert reg.diagonal_invariant is None  # no Abelian structure to test
+    orth = gc.orthogonality_general(gm, table, [1, 2])
+    assert orth.passed and orth.pairs_checked == 1
+    assert max(orth.max_row_violation, orth.max_col_violation) <= 1e-12
+    # f = the standard character; the best constant is 1/2, off by 3/2 at
+    # e and at the 3-cycles
+    rep = gc.general_bound(gm, table.table[2].real, table,
+                           gc.HardnessPartition.from_easy([0], 3), 0.0)
+    assert rep.applicable
+    assert rep.intermediates["delta"] == pytest.approx(1.5, abs=1e-9)
+    for i in (1, 2):
+        c = rep.intermediates["per_character"][i]
+        assert c["max_value"] * c["spectral_norm"] == pytest.approx(6.0)
+    assert rep.main_term == pytest.approx(math.log2(1.5), abs=1e-9)
+
+
+def test_product_approx_degree_s3_squared():
+    _, table = _s3()
+    square = gc.CharacterTable.product([table, table])
+    assert (square.h, square.order) == (9, 36)
+    # classes and degrees in mixed radix, the first factor least significant
+    assert np.array_equal(square.class_of,
+                          np.add.outer(3 * table.class_of, table.class_of)
+                          .ravel())
+    assert square.degrees == (1, 1, 2, 1, 1, 2, 2, 2, 4)
+    std = table.table[2].real
+    assert gc.product_approx_degree(np.ones(36), [table] * 2, 1 / 3) == 0
+    # the standard character of the first factor, at index a + 6 b
+    assert gc.product_approx_degree(np.kron(np.ones(6), std), [table] * 2,
+                                    1 / 3) == 1
+    # std x std is orthogonal to every other product character: h = f
+    # certifies a distance of at least <f, f> / |f|_1 = 36 / 16 from them
+    assert gc.product_approx_degree(np.kron(std, std), [table] * 2,
+                                    1 / 3) == 2
+
+
+def test_product_tables_pass_the_constructor_checks():
+    # what the constructor would check, on tables the fold built unchecked:
+    # the Gram matrix is |G| I and every row stays within its degree
+    _, s3 = _s3()
+    for table in (gc.characters_abelian(gc.AbelianGroupSpec((2,) * 10)),
+                  gc.characters_abelian(gc.AbelianGroupSpec((3, 4, 2))),
+                  gc.CharacterTable.product([gc.characters_abelian(
+                      gc.AbelianGroupSpec((m,))) for m in (5, 2)]),
+                  gc.CharacterTable.product([s3, T_Z2])):
+        arr = table.table
+        gram = arr @ arr.conj().T
+        assert np.abs(gram - table.order * np.eye(table.h)).max() <= \
+            1e-9 * table.order
+        assert (np.abs(arr).max(axis=1)
+                <= np.array(table.degrees) + 1e-12).all()
+    assert gc.CharacterTable.product([s3, T_Z2]).degrees == (1, 1, 2) * 2
+
+
 def test_character_table_json_round_trip():
     again = gc.CharacterTable.from_json(T_Z3.to_json())
     assert np.allclose(again.table, T_Z3.table)

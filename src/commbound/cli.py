@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 a theorem evaluated but is inapplicable or vacuous
 (the report is still emitted), 2 usage errors, 3 a resource cap was hit or
 the LP solver failed.
+A usage error exits 2 with one stderr line and nothing on stdout. Each flag
+is checked by its argparse ``type=`` as it is parsed, so a malformed or
+out-of-range number, an unknown suite or a missing file is refused before
+any work starts.
 Reports are deterministic for fixed inputs and seed: keys are sorted, floats
 are rounded to 12 significant digits, and every report embeds the tool
 version plus the fully resolved configuration.
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -40,12 +45,6 @@ EXIT_RESOURCE = 3
 
 class UsageError(Exception):
     pass
-
-
-@dataclasses.dataclass
-class RunConfig:
-    command: str
-    options: dict
 
 
 def _round_floats(obj):
@@ -80,53 +79,17 @@ def _load_matrix(spec: str) -> mx.SignMatrix:
             f"matrix name {sorted(mx.BUILTIN_MATRICES)}") from None
 
 
-def _check_epsilon(value: float, flag: str, allow_zero: bool = True) -> float:
-    low_ok = value >= 0 if allow_zero else value > 0
-    if not (low_ok and value < 1):
-        raise UsageError(f"{flag} must lie in "
-                         f"{'[0,1)' if allow_zero else '(0,1)'}, got {value}")
-    return value
-
-
-def _spectrum_payload(sp) -> dict:
-    return {
-        "singular_values": list(sp.singular_values),
-        "spectral_norm": sp.spectral_norm,
-        "trace_norm": sp.trace_norm,
-        "frobenius_norm": sp.frobenius_norm,
-        "numeric_rank": sp.numeric_rank,
-        "tolerance": sp.tolerance,
-    }
-
-
-def _bound_payload(rep: bd.BoundReport) -> dict:
-    return {
-        "theorem": rep.theorem,
-        "applicable": rep.applicable,
-        "main_term": rep.main_term,
-        "intermediates": rep.intermediates,
-        "warnings": rep.warnings,
-    }
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (payload, exit_code)
 
 def _cmd_analyze_matrix(opts) -> tuple:
     M = _load_matrix(opts["input"])
-    tol = opts["tolerance"]
-    bal = mx.balance_check(M)
     payload = {
         "rows": M.rows,
         "cols": M.cols,
-        "balance": {
-            "row_sums": list(bal.row_sums),
-            "col_sums": list(bal.col_sums),
-            "balanced": bal.balanced,
-            "strongly_balanced": bal.strongly_balanced,
-        },
+        "balance": dataclasses.asdict(mx.balance_check(M)),
         "exact_rank": mx.exact_rank(M),
-        "spectrum": _spectrum_payload(mx.spectrum(M, tol)),
+        "spectrum": dataclasses.asdict(mx.spectrum(M, opts["tolerance"])),
     }
     core = mx.PATTERN_CORE_4
     if M.rows >= core.rows and M.cols >= core.cols:
@@ -179,7 +142,6 @@ def _cmd_compose(opts) -> tuple:
         "rows": comp.matrix.rows,
         "cols": comp.matrix.cols,
     }
-    code = EXIT_OK
     if opts["verify_rank"]:
         rep = cp.verify_rank_theorem(comp)
         payload["rank_formula"] = {
@@ -200,7 +162,7 @@ def _cmd_compose(opts) -> tuple:
             "spectral_norm": W.spectral_norm,
             "spectral_bound": cp.witness_spectral_bound(w, g),
         }
-    return payload, code
+    return payload, EXIT_OK
 
 
 def _cmd_lower_bound(opts) -> tuple:
@@ -220,12 +182,11 @@ def _cmd_lower_bound(opts) -> tuple:
         rep = bd.shizhu_bound(f, g, mu, eps0, cap=opts["enum_cap"])
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown theorem {theorem!r}")
-    payload = _bound_payload(rep)
     vacuous = rep.main_term is not None and rep.main_term <= 0
-    rank_one = any("rank 1" in w for w in rep.warnings)
+    rank_one = rep.intermediates.get("inner_rank") == 1
     code = EXIT_OK if rep.applicable and not vacuous and not rank_one \
         else EXIT_INAPPLICABLE
-    return payload, code
+    return dataclasses.asdict(rep), code
 
 
 def _cmd_group_check(opts) -> tuple:
@@ -279,7 +240,7 @@ def _cmd_group_check(opts) -> tuple:
         partition = gc.HardnessPartition.from_easy(easy, table.h)
         rep = gc.general_bound(gmap, np.array(vals), table, partition,
                                opts["epsilon"])
-        payload["bound"] = _bound_payload(rep)
+        payload["bound"] = dataclasses.asdict(rep)
         if not rep.applicable:
             code = EXIT_INAPPLICABLE
     return payload, code
@@ -306,19 +267,10 @@ def _cmd_search_balanced(opts) -> tuple:
 
 
 def _cmd_verify_suite(opts) -> tuple:
-    names = opts["suites"] if opts["suites"] else None
-    results = run_suites(names, seed=opts["seed"])
+    results = run_suites(opts["suites"] or None, seed=opts["seed"])
     payload = {
         "seed": opts["seed"],
-        "suites": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "checks": r.checks,
-                "failures": r.failures,
-            }
-            for r in results
-        ],
+        "suites": [dataclasses.asdict(r) for r in results],
         "all_passed": all(r.passed for r in results),
     }
     return payload, EXIT_OK if payload["all_passed"] else EXIT_INAPPLICABLE
@@ -335,7 +287,58 @@ _HANDLERS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# flag types: argparse calls each with (flag, text) through its ``type=``,
+# and each failure is one UsageError line naming the flag
+
+def _number(kind, rule=None, ok=None):
+    """Type of an int or float flag, bounded by ``ok`` when given."""
+    noun = "an integer" if kind is int else "a number"
+
+    def convert(flag, text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise UsageError(f"{flag} must be {noun}, got {text!r}") from None
+        if ok is not None and not ok(value):
+            raise UsageError(f"{flag} must {rule}, got {value}")
+        return value
+    return convert
+
+
+_INT = _number(int)
+_COUNT = _number(int, "be non-negative", lambda v: v >= 0)
+_EPSILON = _number(float, "lie in [0,1)", lambda v: 0 <= v < 1)
+_EPSILON0 = _number(float, "lie in (0,1)", lambda v: 0 < v < 1)
+_TOLERANCE = _number(float, "be positive", lambda v: v > 0)
+
+
+def _existing_file(flag, path):
+    if not os.path.exists(path):
+        raise UsageError(f"{flag}: file {path!r} does not exist")
+    return path
+
+
+def _easy_indices(flag, text):
+    try:
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise UsageError(f"{flag} must be a comma-separated list of "
+                         "integers") from None
+
+
+def _suite_names(flag, text):
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    for s in names:
+        if s not in ALL_SUITES:
+            raise UsageError(f"{flag}: unknown suite {s!r}")
+    return names
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first ``main`` call. Every
+    default is an immutable scalar, so no call can change the next."""
     parser = argparse.ArgumentParser(
         prog="commbound",
         description="Sign-matrix composition workbench: ranks, spectra, "
@@ -347,20 +350,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the JSON report here "
                                         "instead of stdout")
 
+    def typed(p, flag, convert, **kwargs):
+        p.add_argument(flag, type=functools.partial(convert, flag), **kwargs)
+
+    # file-or-builtin flags (--function, --input, --inner, --forbidden) are
+    # resolved by their handlers; plain file flags must exist when parsed
     p = sub.add_parser("analyze-matrix", help="balance, rank, spectrum, "
                                               "pattern-core freeness")
     p.add_argument("--input", required=True,
                    help="sign-matrix file or builtin name")
-    p.add_argument("--enum-cap", type=int, default=bd.DEFAULT_ENUMERATION_CAP)
-    p.add_argument("--tolerance", type=float, default=1e-9,
-                   help="numeric tolerance (default 1e-9)")
+    typed(p, "--enum-cap", _COUNT, default=bd.DEFAULT_ENUMERATION_CAP)
+    typed(p, "--tolerance", _TOLERANCE, default=1e-9,
+          help="numeric tolerance (default 1e-9)")
     add_common(p)
 
     p = sub.add_parser("approx-degree", help="approximate polynomial degree "
                                              "and the dual witness")
     p.add_argument("--function", required=True,
                    help="truth-table file or NAME:arity builtin")
-    p.add_argument("--epsilon", type=float, required=True)
+    typed(p, "--epsilon", _EPSILON, required=True)
     p.add_argument("--dual", action="store_true",
                    help="also emit the dual witness")
     add_common(p)
@@ -370,8 +378,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner", required=True)
     p.add_argument("--verify-rank", action="store_true")
     p.add_argument("--witness", action="store_true")
-    p.add_argument("--epsilon", type=float, default=1.0 / 3.0)
-    p.add_argument("--memory-cap", type=int, default=cp.DEFAULT_MEMORY_CAP)
+    typed(p, "--epsilon", _EPSILON, default=1.0 / 3.0)
+    typed(p, "--memory-cap", _COUNT, default=cp.DEFAULT_MEMORY_CAP)
     add_common(p)
 
     p = sub.add_parser("lower-bound", help="evaluate a lower-bound main term")
@@ -379,88 +387,55 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["sherstov", "disc", "shizhu"])
     p.add_argument("--function", required=True)
     p.add_argument("--inner", required=True)
-    p.add_argument("--mu", default=None,
-                   help="distribution file (required for shizhu)")
-    p.add_argument("--epsilon0", type=float, default=1.0 / 3.0)
-    p.add_argument("--enum-cap", type=int, default=bd.DEFAULT_ENUMERATION_CAP)
+    typed(p, "--mu", _existing_file, default=None,
+          help="distribution file (required for shizhu)")
+    typed(p, "--epsilon0", _EPSILON0, default=1.0 / 3.0)
+    typed(p, "--enum-cap", _COUNT, default=bd.DEFAULT_ENUMERATION_CAP)
     add_common(p)
 
     p = sub.add_parser("group-check", help="regularity, invariance, and "
                                            "orthogonality of a group map")
-    p.add_argument("--gmap", required=True, help="group-map file")
-    p.add_argument("--table", default=None,
-                   help="character-table JSON (defaults to the Abelian table)")
-    p.add_argument("--easy", default=None,
-                   help="comma-separated easy character indices "
-                        "(default: just the trivial character)")
-    p.add_argument("--values", default=None,
-                   help="class-function values file (enables the bound)")
-    p.add_argument("--epsilon", type=float, default=0.0)
+    typed(p, "--gmap", _existing_file, required=True, help="group-map file")
+    typed(p, "--table", _existing_file, default=None,
+          help="character-table JSON (defaults to the Abelian table)")
+    typed(p, "--easy", _easy_indices, default=None,
+          help="comma-separated easy character indices "
+               "(default: just the trivial character)")
+    typed(p, "--values", _existing_file, default=None,
+          help="class-function values file (enables the bound)")
+    typed(p, "--epsilon", _EPSILON, default=0.0)
     add_common(p)
 
     p = sub.add_parser("search-balanced", help="enumerate strongly balanced "
                                                "matrices up to permutation")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--min-rank", type=int, default=None)
+    typed(p, "--rows", _INT, required=True)
+    typed(p, "--cols", _INT, required=True)
+    typed(p, "--min-rank", _COUNT, default=None)
     p.add_argument("--forbidden", default=None,
                    help="forbidden pattern file or builtin name")
-    p.add_argument("--limit", type=int, default=None)
+    typed(p, "--limit", _COUNT, default=None)
     add_common(p)
 
     p = sub.add_parser("verify-suite", help="run the property suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--suites", default=None,
-                   help=f"comma-separated subset of {sorted(ALL_SUITES)}")
+    typed(p, "--seed", _INT, default=0)
+    typed(p, "--suites", _suite_names, default=None,
+          help=f"comma-separated subset of {sorted(ALL_SUITES)}")
     add_common(p)
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    opts = vars(ns).copy()
-    command = opts.pop("command")
-    # normalize and validate
-    if "epsilon" in opts and opts["epsilon"] is not None \
-            and command in ("approx-degree", "compose", "group-check"):
-        _check_epsilon(opts["epsilon"], "--epsilon")
-    if "epsilon0" in opts and opts["epsilon0"] is not None:
-        _check_epsilon(opts["epsilon0"], "--epsilon0", allow_zero=False)
-    if opts.get("tolerance") is not None and opts["tolerance"] <= 0:
-        raise UsageError(f"--tolerance must be positive, got {opts['tolerance']}")
-    for key in ("limit", "min_rank", "enum_cap", "memory_cap"):
-        if opts.get(key) is not None and opts[key] < 0:
-            raise UsageError(f"--{key.replace('_', '-')} must be "
-                             f"non-negative, got {opts[key]}")
-    if opts.get("suites"):
-        names = [s.strip() for s in opts["suites"].split(",") if s.strip()]
-        for s in names:
-            if s not in ALL_SUITES:
-                raise UsageError(f"--suites: unknown suite {s!r}")
-        opts["suites"] = names
-    if opts.get("easy") is not None:
-        try:
-            opts["easy"] = [int(t) for t in opts["easy"].split(",") if t.strip()]
-        except ValueError:
-            raise UsageError("--easy must be a comma-separated list of "
-                             "integers") from None
-    # plain file flags must exist now; file-or-builtin flags (--function,
-    # --input, --inner, --forbidden) are resolved by their handlers
-    for key in ("mu", "gmap", "table", "values"):
-        path = opts.get(key)
-        if path is not None and not os.path.exists(path):
-            raise UsageError(f"--{key}: file {path!r} does not exist")
-    return RunConfig(command=command, options=opts)
+def parse_args(argv) -> tuple:
+    """(command, options) from argv; each flag's type has checked it."""
+    opts = vars(_build_parser().parse_args(argv))
+    return opts.pop("command"), opts
 
 
-def run(config: RunConfig) -> int:
-    opts = config.options
-    payload, code = _HANDLERS[config.command](opts)
+def run(command: str, opts: dict) -> int:
+    payload, code = _HANDLERS[command](opts)
     report = {
         "schema": SCHEMA_VERSION,
         "version": __version__,
-        "command": config.command,
+        "command": command,
         "config": {k: v for k, v in sorted(opts.items()) if k != "output"},
         "report": payload,
     }
@@ -476,25 +451,17 @@ def run(config: RunConfig) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return run(*parse_args(argv))
     except SystemExit as exc:
         # argparse exits with code 2 on usage problems, 0 on --help
         return int(exc.code or 0)
-    try:
-        return run(config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except SimplexError as exc:
         print(f"LP solver failed: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

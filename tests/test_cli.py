@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from commbound import CORE_FREE_6, PATTERN_CORE_4, XOR_2, SignMatrix
+from commbound import cli
+from commbound.bounds import BoundReport
 from commbound.cli import (EXIT_INAPPLICABLE, EXIT_OK, EXIT_RESOURCE,
                            EXIT_USAGE, main)
 from commbound.groupcomp import GroupMapMatrix
@@ -121,6 +123,22 @@ def test_lower_bound_rank_one_exits_1(capsys):
     assert any("rank 1" in w for w in report["report"]["warnings"])
 
 
+def test_lower_bound_exit_reads_the_inner_rank(capsys, monkeypatch):
+    # the rank-1 exit comes from the reported rank, not from warning text
+    import commbound.bounds
+
+    def rank_12(f, g, epsilon0):
+        return BoundReport(theorem="sherstov", applicable=True, main_term=1.0,
+                           intermediates={"inner_rank": 12},
+                           warnings=["inner matrix has rank 12"])
+
+    monkeypatch.setattr(commbound.bounds, "sherstov_bound", rank_12)
+    code, report = run_cli(capsys, "lower-bound", "--theorem", "sherstov",
+                           "--function", "PARITY:2", "--inner", "core4")
+    assert code == EXIT_OK
+    assert report["report"]["intermediates"] == {"inner_rank": 12}
+
+
 def test_lower_bound_shizhu_needs_mu(capsys, core4_file):
     code, _ = run_cli(capsys, "lower-bound", "--theorem", "shizhu",
                       "--function", "PARITY:2", "--inner", core4_file)
@@ -137,7 +155,7 @@ def test_lower_bound_shizhu(capsys, tmp_path):
     assert report["report"]["intermediates"]["gap"] > 0
 
 
-def test_usage_errors(capsys, core4_file):
+def test_usage_errors(capsys, monkeypatch, tmp_path, core4_file):
     code, _ = run_cli(capsys, "approx-degree", "--function", "PARITY:2",
                       "--epsilon", "1.5")
     assert code == EXIT_USAGE
@@ -146,14 +164,42 @@ def test_usage_errors(capsys, core4_file):
     assert code == EXIT_USAGE
     code, _ = run_cli(capsys, "verify-suite", "--suites", "nonsense")
     assert code == EXIT_USAGE
-    # negative counts and caps are refused up front with one line
+    gmap = tmp_path / "gmap.txt"
+    gmap.write_text(GroupMapMatrix.from_sign_blocks([XOR_2]).to_text())
+    missing = str(tmp_path / "missing.txt")
+    group = ["group-check", "--gmap", str(gmap)]
+    shizhu = ["lower-bound", "--theorem", "shizhu", "--function", "PARITY:2",
+              "--inner", "xor2"]
+
+    # every check fires while parsing, before any handler runs
+    def unreachable(opts):
+        raise AssertionError("a handler ran on a usage error")
+
+    for command in cli._HANDLERS:
+        monkeypatch.setitem(cli._HANDLERS, command, unreachable)
+    # negative counts and caps, malformed or out-of-range numbers, unknown
+    # suites and missing files are refused up front with one line
     for argv in (["search-balanced", "--rows", "4", "--cols", "4",
                   "--limit", "-1"],
                  ["search-balanced", "--rows", "4", "--cols", "4",
                   "--min-rank", "-2"],
                  ["analyze-matrix", "--input", "core4", "--enum-cap", "-1"],
                  ["compose", "--function", "AND:2", "--inner", "core4",
-                  "--memory-cap", "-5"]):
+                  "--memory-cap", "-5"],
+                 ["approx-degree", "--function", "AND:2", "--epsilon", "abc"],
+                 ["lower-bound", "--theorem", "sherstov", "--function",
+                  "AND:2", "--inner", "core4", "--epsilon0", "0"],
+                 ["analyze-matrix", "--input", "core4", "--tolerance", "0"],
+                 ["analyze-matrix", "--input", "core4", "--tolerance", "nan"],
+                 ["search-balanced", "--rows", "4", "--cols", "4",
+                  "--limit", "x"],
+                 ["search-balanced", "--rows", "x", "--cols", "4"],
+                 group + ["--easy", "1,a"],
+                 ["verify-suite", "--suites", "boolfn,nonsense"],
+                 ["group-check", "--gmap", missing],
+                 group + ["--values", missing],
+                 group + ["--table", missing],
+                 shizhu + ["--mu", missing]):
         code = main(argv)
         out, err = capsys.readouterr()
         assert (code, out) == (EXIT_USAGE, ""), argv
@@ -348,6 +394,51 @@ def test_reports_are_deterministic(capsys, core4_file):
     main(list(args))
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_one_parser_per_process(capsys, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1) or
+                        init(self, *a, **k))
+    cli._build_parser.cache_clear()
+    assert main(["approx-degree", "--function", "AND:2",
+                 "--epsilon", "0.3"]) == EXIT_OK
+    first = len(built)
+    assert first > 0
+    assert main(["search-balanced", "--rows", "4", "--cols", "4"]) == EXIT_OK
+    assert len(built) == first
+    capsys.readouterr()
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.strip() == cli.__version__
+    assert main(["compose", "--help"]) == 0
+    assert "--verify-rank" in capsys.readouterr().out
+    assert len(built) == first
+
+
+def test_module_entry_point(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "commbound.cli", "approx-degree",
+            "--function", "AND:2", "--epsilon"]
+    ok = subprocess.run(argv + ["0.3"], capture_output=True, text=True,
+                        cwd=tmp_path, env=env, timeout=120)
+    assert ok.returncode == EXIT_OK, ok.stderr
+    report = json.loads(ok.stdout)
+    assert report["command"] == "approx-degree"
+    assert report["config"]["epsilon"] == 0.3
+    bad = subprocess.run(argv + ["abc"], capture_output=True, text=True,
+                         cwd=tmp_path, env=env, timeout=120)
+    assert (bad.returncode, bad.stdout) == (EXIT_USAGE, "")
+    assert bad.stderr == "error: --epsilon must be a number, got 'abc'\n"
 
 
 def test_output_file(capsys, tmp_path, core4_file):

@@ -310,7 +310,7 @@ _INT = _number(int)
 _COUNT = _number(int, "be non-negative", lambda v: v >= 0)
 _EPSILON = _number(float, "lie in [0,1)", lambda v: 0 <= v < 1)
 _EPSILON0 = _number(float, "lie in (0,1)", lambda v: 0 < v < 1)
-_TOLERANCE = _number(float, "be positive", lambda v: v > 0)
+_TOLERANCE = _number(float, "lie in (0,1)", lambda v: 0 < v < 1)
 
 
 def _existing_file(flag, path):
@@ -361,7 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sign-matrix file or builtin name")
     typed(p, "--enum-cap", _COUNT, default=bd.DEFAULT_ENUMERATION_CAP)
     typed(p, "--tolerance", _TOLERANCE, default=1e-9,
-          help="numeric tolerance (default 1e-9)")
+          help="numeric-rank cutoff relative to the largest singular value, in "
+               "(0,1) (default 1e-9)")
     add_common(p)
 
     p = sub.add_parser("approx-degree", help="approximate polynomial degree "
@@ -417,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("verify-suite", help="run the property suites")
-    typed(p, "--seed", _INT, default=0)
+    typed(p, "--seed", _COUNT, default=0)
     typed(p, "--suites", _suite_names, default=None,
           help=f"comma-separated subset of {sorted(ALL_SUITES)}")
     add_common(p)

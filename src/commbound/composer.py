@@ -140,8 +140,10 @@ def verify_orthogonality(g: SignMatrix, n: int,
 def verify_rank_theorem(comp: Composition) -> RankTheoremReport:
     """Compare the composed rank with sum of rk(M_g)^|T| over the spectrum support.
 
-    Both sides are exact integers: the formula uses Bareiss rank of g, the
-    left side Bareiss rank of the already materialized composition.
+    Both sides are exact integers: the formula uses the exact rank of g, the
+    left side the exact rank of the already materialized composition, each
+    from matrices.exact_rank (elimination modulo primes below 2^21, stopped
+    by Hadamard's bound).
     Requires g strongly balanced (the formula does not hold otherwise).
     """
     if not balance_check(comp.g).strongly_balanced:

@@ -135,16 +135,25 @@ class CharacterTable:
         the mixed radix of the factors' classes, and degrees multiply.
         """
         tables = list(tables)[::-1]
+        return cls._trusted(
+            functools.reduce(np.kron, [t.table for t in tables],
+                             np.ones((1, 1), dtype=complex)),
+            functools.reduce(
+                lambda acc, t: np.add.outer(acc * t.h, t.class_of).ravel(),
+                tables, np.zeros(1, dtype=np.int64)),
+            functools.reduce(np.kron, [t.degrees for t in tables],
+                             [1]).tolist())
+
+    @classmethod
+    def _trusted(cls, table: np.ndarray, class_of, degrees) -> "CharacterTable":
+        """Wrap a complex table whose rows are orthogonal and within their
+        degrees by construction, skipping the constructor's checks."""
         out = object.__new__(cls)
-        out.table = functools.reduce(np.kron, [t.table for t in tables],
-                                     np.ones((1, 1), dtype=complex))
-        out.table.setflags(write=False)
-        out.h, out.order = out.table.shape
-        out.class_of = functools.reduce(
-            lambda acc, t: np.add.outer(acc * t.h, t.class_of).ravel(),
-            tables, np.zeros(1, dtype=np.int64))
-        out.degrees = tuple(functools.reduce(
-            np.kron, [t.degrees for t in tables], [1]).tolist())
+        table.setflags(write=False)
+        out.table = table
+        out.h, out.order = table.shape
+        out.class_of = class_of
+        out.degrees = tuple(degrees)
         return out
 
     def trivial_index(self) -> int:
@@ -194,9 +203,11 @@ def _cyclic_characters(m: int) -> np.ndarray:
 def characters_abelian(G: AbelianGroupSpec) -> CharacterTable:
     """Full character table chi_a(x) = prod_j exp(2 pi i a_j x_j / m_j).
 
-    The CharacterTable.product of the cyclic tables, each checked by the
-    constructor, first modulus innermost as in the element indexing.  The
-    cyclic tables are exact at quarter turns, so Z_2^t tables are exactly +-1.
+    The CharacterTable.product of the cyclic tables, first modulus innermost
+    as in the element indexing.  The cyclic tables are DFT matrices, whose
+    rows are orthogonal and of modulus one by construction, so they skip the
+    constructor's O(m^3) Gram check.  They are exact at quarter turns, so
+    Z_2^t tables are exactly +-1.
     """
     order = G.order
     need = order * order * np.dtype(complex).itemsize
@@ -205,7 +216,7 @@ def characters_abelian(G: AbelianGroupSpec) -> CharacterTable:
             f"character table of order {order} needs {need} bytes "
             f"(cap {MAX_TABLE_BYTES})")
     return CharacterTable.product(
-        CharacterTable(m, m, _cyclic_characters(m), np.arange(m), [1] * m)
+        CharacterTable._trusted(_cyclic_characters(m), np.arange(m), [1] * m)
         for m in G.moduli)
 
 

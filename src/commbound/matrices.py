@@ -207,41 +207,105 @@ def load_sign_matrix(path) -> SignMatrix:
 # ---------------------------------------------------------------------------
 # exact rank
 
-def exact_rank(M) -> int:
-    """Rank over the rationals, by fraction-free (Bareiss) elimination.
+# exact_rank eliminates modulo primes below 2^21: a product of two residues
+# is below 2^42, so int64 entries absorb up to 2^21 unreduced row updates.
+_PRIME_LIMIT = 1 << 21
+_PRIMES: list[int] = []  # those found so far, largest first
 
-    Works on exact integers throughout, so the result is deterministic and
-    never subject to floating-point rank decisions.  Accepts a SignMatrix or
-    any integer array-like.
-    """
+
+def _prime(i: int) -> int:
+    """The primes below 2^21 in decreasing order, _prime(0) the largest,
+    found by trial division on first use."""
+    while len(_PRIMES) <= i:
+        p = (_PRIMES[-1] if _PRIMES else _PRIME_LIMIT) - 1
+        while any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            p -= 1
+        if p < 2:
+            raise ValueError("exact_rank: entries too large for the primes "
+                             "below 2^21")
+        _PRIMES.append(p)
+    return _PRIMES[i]
+
+
+def _integer_matrix(M) -> np.ndarray:
+    """M as a 2-D int64 array, or as an object array of Python ints when
+    some entry does not fit int64."""
     arr = M.entries if isinstance(M, SignMatrix) else np.asarray(M)
-    A = [[int(v) for v in row] for row in arr]
-    m = len(A)
-    n = len(A[0]) if m else 0
+    if arr.ndim != 2:
+        raise ValueError(
+            f"exact_rank needs a 2-D matrix, got {arr.ndim} dimension(s)")
+    if np.can_cast(arr.dtype, np.int64):
+        return arr.astype(np.int64, copy=False)
+    values = arr.ravel().tolist()
+    try:
+        ints = [int(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != values:
+        raise ValueError("exact_rank needs integer entries")
+    try:
+        return np.array(ints, dtype=np.int64).reshape(arr.shape)
+    except OverflowError:
+        return np.array(ints, dtype=object).reshape(arr.shape)
+
+
+def _rank_mod(A: np.ndarray, p: int) -> int:
+    """Rank over GF(p) of the int64 array A, whose entries lie in [0, p).
+
+    Gaussian elimination with lazy reduction: only the pivot column and the
+    pivot row are reduced mod p, and each update of the trailing block adds
+    less than p^2 in magnitude, so A is overwritten but never overflows.
+    """
+    m, n = A.shape
     rank = 0
-    prev_pivot = 1
-    for col in range(n):
-        if rank == m:
-            break
-        pivot_row = None
-        for r in range(rank, m):
-            if A[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
+    for c in range(n):
+        col = A[rank:, c] % p
+        nonzero = np.flatnonzero(col)
+        if not nonzero.size:
             continue
-        if pivot_row != rank:
-            A[rank], A[pivot_row] = A[pivot_row], A[rank]
-        pivot = A[rank][col]
-        for r in range(rank + 1, m):
-            factor = A[r][col]
-            row_r = A[r]
-            row_p = A[rank]
-            for c in range(col, n):
-                row_r[c] = (row_r[c] * pivot - factor * row_p[c]) // prev_pivot
-        prev_pivot = pivot
+        k = nonzero[0]
+        if k:
+            A[[rank, rank + k]] = A[[rank + k, rank]]
+            col[[0, k]] = col[[k, 0]]
+        if rank + 1 == m:
+            return m
+        factors = col[1:] * pow(int(col[0]), -1, p) % p
+        A[rank + 1:, c + 1:] -= factors[:, None] * (A[rank, c + 1:] % p)
         rank += 1
     return rank
+
+
+def exact_rank(M) -> int:
+    """Rank over the rationals, by elimination modulo several primes.
+
+    Accepts a SignMatrix or any 2-D array-like of integers, including
+    object arrays of Python ints beyond int64; a 0 x n or m x 0 matrix has
+    rank 0, and non-integer entries or input that is not 2-D raise
+    ValueError.  The rank mod p never exceeds the rational rank, so the
+    largest rank r found over the primes used is a lower bound.  If the
+    rank were above r, some nonzero (r+1) x (r+1) minor D would be
+    divisible by every prime used, so their product P would be at most
+    |D| <= ((r+1) a^2)^((r+1)/2), Hadamard's bound with a the largest
+    absolute entry.  Primes below 2^21 are taken, largest first, until
+    r = min(m, n) or P^2 > ((r+1) a^2)^(r+1); the answer is exact, never a
+    floating-point or probabilistic rank decision.  One prime settles every
+    full-rank matrix and every +-1 matrix with at most 11 rows or columns.
+    """
+    A = _integer_matrix(M)
+    full = min(A.shape)
+    if not full:
+        return 0
+    if full >= _PRIME_LIMIT:
+        raise ValueError("exact_rank: 2^21 or more rows and columns "
+                         "overflow int64 elimination")
+    a = max(int(A.max()), -int(A.min()))
+    rank, product = 0, 1
+    for i in itertools.count():
+        p = _prime(i)
+        rank = max(rank, _rank_mod((A % p).astype(np.int64, copy=False), p))
+        product *= p
+        if rank == full or product ** 2 > ((rank + 1) * a * a) ** (rank + 1):
+            return rank
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +317,10 @@ def spectrum(M, tolerance: float = DEFAULT_TOLERANCE) -> SpectrumReport:
     Accepts a SignMatrix or a real/complex array.  Singular
     values within LAPACK's backward-error bound sigma_1 * max(m, n) * eps are
     set to exactly zero.  The numeric rank counts singular values above
-    tolerance * sigma_1.
+    tolerance * sigma_1, so the tolerance must lie in (0, 1).
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < 1:
+        raise ValueError("tolerance must lie in (0, 1)")
     arr = M.entries if isinstance(M, SignMatrix) else M
     arr = np.asarray(arr, dtype=complex)
     sigma = np.linalg.svd(arr, compute_uv=False)

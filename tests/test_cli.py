@@ -191,6 +191,8 @@ def test_usage_errors(capsys, monkeypatch, tmp_path, core4_file):
                   "AND:2", "--inner", "core4", "--epsilon0", "0"],
                  ["analyze-matrix", "--input", "core4", "--tolerance", "0"],
                  ["analyze-matrix", "--input", "core4", "--tolerance", "nan"],
+                 ["analyze-matrix", "--input", "core4", "--tolerance", "1"],
+                 ["verify-suite", "--seed", "-5"],
                  ["search-balanced", "--rows", "4", "--cols", "4",
                   "--limit", "x"],
                  ["search-balanced", "--rows", "x", "--cols", "4"],

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -72,6 +73,29 @@ def test_characters_abelian_against_elementwise_formula():
 def test_characters_abelian_quarter_turns_exact():
     table = gc.characters_abelian(gc.AbelianGroupSpec([4, 2])).table
     assert set(table.flat) == {1, 1j, -1, -1j}
+
+
+def test_cyclic_tables_match_checked_constructor():
+    # the cyclic tables skip the Gram check; the checked constructor
+    # accepts the same arrays and builds equal tables
+    for m in range(2, 65):
+        got = gc.characters_abelian(gc.AbelianGroupSpec([m]))
+        want = gc.CharacterTable(m, m, gc._cyclic_characters(m),
+                                 np.arange(m), [1] * m)
+        assert (got.h, got.order, got.degrees) == (want.h, want.order,
+                                                    want.degrees)
+        assert np.array_equal(got.table, want.table)
+        assert np.array_equal(got.class_of, want.class_of)
+        assert not got.table.flags.writeable
+
+
+def test_large_cyclic_table_skips_gram_check():
+    # the Gram check alone took over a second on Z_2048
+    start = time.perf_counter()
+    table = gc.characters_abelian(gc.AbelianGroupSpec([2048]))
+    assert time.perf_counter() - start < 0.3
+    assert table.table.shape == (2048, 2048)
+    assert table.table[1, 512] == 1j
 
 
 def test_characters_abelian_table_cap():

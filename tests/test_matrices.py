@@ -42,6 +42,121 @@ def test_exact_rank_vs_floating_rank():
         assert mx.exact_rank(mx.SignMatrix(A)) == np.linalg.matrix_rank(A)
 
 
+def _bareiss_rank(arr) -> int:
+    """Fraction-free (Bareiss) elimination on Python ints: the reference
+    that exact_rank replaced."""
+    A = [[int(v) for v in row] for row in arr]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    rank = 0
+    prev_pivot = 1
+    for col in range(n):
+        if rank == m:
+            break
+        pivot_row = next((r for r in range(rank, m) if A[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        A[rank], A[pivot_row] = A[pivot_row], A[rank]
+        pivot = A[rank][col]
+        for r in range(rank + 1, m):
+            factor = A[r][col]
+            row_r, row_p = A[r], A[rank]
+            for c in range(col, n):
+                row_r[c] = (row_r[c] * pivot - factor * row_p[c]) // prev_pivot
+        prev_pivot = pivot
+        rank += 1
+    return rank
+
+
+def test_exact_rank_vs_bareiss():
+    rng = np.random.default_rng(11)
+    for shape in [(40, 40), (40, 13), (13, 40), (1, 40), (40, 1)]:
+        for _ in range(3):
+            A = rng.integers(-50, 51, size=shape)
+            assert mx.exact_rank(A) == _bareiss_rank(A), shape
+    for _ in range(100):
+        m, n = rng.integers(1, 41, size=2)
+        r = rng.integers(0, min(m, n) + 1)
+        A = rng.integers(-3, 4, size=(m, r)) @ rng.integers(-3, 4, size=(r, n))
+        assert mx.exact_rank(A) == _bareiss_rank(A), (m, n, r)
+
+
+def test_exact_rank_vs_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        m, n = rng.integers(1, 16, size=2)
+        r = rng.integers(0, min(m, n) + 1)
+        A = rng.integers(-9, 10, size=(m, r)) @ rng.integers(-9, 10, size=(r, n))
+        assert mx.exact_rank(A) == sympy.Matrix(A.tolist()).rank(), (m, n, r)
+
+
+def test_exact_rank_survives_bad_primes():
+    # each matrix is singular modulo the first prime(s) eliminated over,
+    # but not over the rationals
+    p0, p1 = mx._prime(0), mx._prime(1)
+    for A in ([[1, 0], [0, p0]], [[p0 * p1, 0], [0, 1]], [[p0 ** 2, 0], [0, 1]]):
+        assert mx.exact_rank(np.array(A, dtype=object)) == 2, A
+
+
+def test_exact_rank_entries_beyond_int64():
+    assert mx.exact_rank(np.array([[2 ** 70, 1], [1, 0]], dtype=object)) == 2
+    assert mx.exact_rank([[2 ** 70, 2 ** 71], [1, 2]]) == 1
+    assert mx.exact_rank(np.array([[2 ** 64 - 1, 1]], dtype=np.uint64)) == 1
+
+
+def _signed_hadamard_256(seed):
+    """A 256 x 256 sign matrix of full rank: the Sylvester-Hadamard matrix,
+    whose rows are orthogonal, under random row and column signs and a
+    random row order."""
+    rng = np.random.default_rng(seed)
+    H = np.ones((1, 1), dtype=np.int64)
+    for _ in range(8):
+        H = np.kron(H, mx.HADAMARD_2.entries)
+    H = H * rng.choice((-1, 1), size=(256, 1)) * rng.choice((-1, 1), size=256)
+    return H[rng.permutation(256)]
+
+
+def test_exact_rank_sign_matrix_with_repeated_row():
+    H = _signed_hadamard_256(13)
+    assert mx.exact_rank(mx.SignMatrix(H)) == 256
+    # overwriting one row by another leaves 255 orthogonal rows
+    H[200] = H[3]
+    assert mx.exact_rank(mx.SignMatrix(H)) == 255
+
+
+def test_exact_rank_primes(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    used = []
+    prime = mx._prime
+
+    def recording(i):
+        used.append(prime(i))
+        return used[-1]
+
+    monkeypatch.setattr(mx, "_prime", recording)
+    H = _signed_hadamard_256(14)
+    H[7] = H[100]
+    assert mx.exact_rank(H) == 255
+    # a rank-deficient 256 x 256 sign matrix takes dozens of primes
+    assert 10 < len(used) == len(set(used))
+    assert all(sympy.isprime(p) and p < 2 ** 21 for p in used)
+
+
+def test_exact_rank_input_checks():
+    assert mx.exact_rank(np.zeros((0, 3))) == 0
+    assert mx.exact_rank(np.zeros((3, 0), dtype=np.int64)) == 0
+    assert mx.exact_rank(np.zeros((3, 4))) == 0
+    assert mx.exact_rank([[1.0, 2.0], [2.0, 4.0]]) == 1
+    for bad in ([[0.5, 0.5], [0.5, 0.7]], [[1, math.nan]], [[math.inf]],
+                [[1 + 2j]], [["1"]]):
+        with pytest.raises(ValueError, match="integer entries"):
+            mx.exact_rank(bad)
+    for bad in ([1, 2, 3], 5, np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="2-D"):
+            mx.exact_rank(bad)
+
+
 # --- spectrum -------------------------------------------------------------
 
 def test_spectrum_all_ones():
@@ -101,8 +216,11 @@ def test_spectrum_matches_numpy_svd():
 
 
 def test_spectrum_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        mx.spectrum(mx.XOR_2, tolerance=0.0)
+    # the numeric rank counts values above tolerance * sigma_1, so a
+    # tolerance of 1 or more would always report rank 0
+    for tolerance in (0.0, -1e-9, 1.0, 2.5, math.nan):
+        with pytest.raises(ValueError):
+            mx.spectrum(mx.XOR_2, tolerance=tolerance)
 
 
 def test_frobenius_identity_for_sign_matrices():

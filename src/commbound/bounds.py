@@ -70,7 +70,7 @@ class DistributionMatrix:
         if not lines:
             raise ValueError("empty distribution text")
         m, n = (int(t) for t in lines[0].split())
-        rows = [[float(t) for t in ln.split()] for ln in lines[1:1 + m]]
+        rows = [[float(t) for t in ln.split()] for ln in lines[1:]]
         arr = np.asarray(rows)
         if arr.shape != (m, n):
             raise ValueError("distribution grid does not match its header")

@@ -14,6 +14,7 @@ block i corresponds to bit i-1 of subset/point masks.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,55 +86,42 @@ def char_compose(T: int, g: SignMatrix, n: int,
         np.ones((1, 1), dtype=np.int64)))
 
 
-_EXACT_CHECK_LIMIT = 2 ** 16  # exhaustive dual-path comparison up to this size
-
-
 def compose_block(f: BoolFunction, g: SignMatrix,
                   memory_cap: int = DEFAULT_MEMORY_CAP) -> Composition:
     """Materialize the sign matrix of f composed with g on f.n blocks.
 
-    The matrix is built by direct pointwise evaluation; within the exhaustive
-    check limit it is also rebuilt through the Fourier expansion
-    sum_T f_hat[T] * char_compose(T) in exact integer arithmetic, and the two
-    must agree entrywise.
+    Each entry is f evaluated at the block mask of its row and column, so
+    the matrix is built once.  It equals the Fourier expansion
+    sum_T f_hat[T] * char_compose(T) because block_mask's bit order is
+    char_compose's Kronecker order; that depends only on the shape of g and
+    n, and the tests check it per shape.
     """
     n = f.n
     _check_cap(g.rows ** n, g.cols ** n, memory_cap)
     entries = f.table[block_mask([g] * n)]
-
-    if entries.size <= _EXACT_CHECK_LIMIT:
-        sums = character_sums(f)  # 2^n * f_hat[T], exact integers
-        acc = np.zeros(entries.shape, dtype=np.int64)
-        for T in range(2 ** n):
-            if sums[T] == 0:
-                continue
-            acc += sums[T] * char_compose(T, g, n, memory_cap).entries
-        if not np.array_equal(acc, entries * 2 ** n):
-            raise RuntimeError(
-                "Fourier-expansion and pointwise composition disagree; "
-                "this indicates an internal indexing bug")
-
     return Composition(f=f, g=g, n=n, matrix=SignMatrix(entries))
 
 
-def verify_orthogonality(g: SignMatrix, n: int,
-                         memory_cap: int = DEFAULT_MEMORY_CAP) -> OrthogonalityReport:
-    """Exact integer check that distinct composed characters are orthogonal.
+def verify_orthogonality(g: SignMatrix, n: int) -> OrthogonalityReport:
+    """Exact check that distinct composed characters are orthogonal, read
+    off the row and column sums of g.
 
-    For every pair S != T of masks, both M_T M_S^dag and M_T^dag M_S must
-    vanish identically.  Reports the largest absolute entry seen across all
-    pairs (zero iff orthogonal).
+    For masks S != T, M_T M_S^T is a Kronecker product with one factor per
+    block: M_g M_g^T or J J^T where the masks agree, whose largest entry is
+    cols, and M_g J^T or J M_g^T where they differ, whose entries are row
+    sums.  As |row sum| <= cols, pairs differing in one block give the
+    largest entry, cols^(n-1) * max|row sum|; M_T^T M_S gives
+    rows^(n-1) * max|col sum| the same way.  Reports the C(2^n, 2) pairs and
+    the larger of the two (zero iff orthogonal: g strongly balanced, n >= 1).
     """
-    mats = [char_compose(T, g, n, memory_cap).entries for T in range(2 ** n)]
+    if n < 0:
+        raise ValueError(f"block count must be non-negative, got {n}")
     worst = 0
-    pairs = 0
-    for T in range(2 ** n):
-        for S in range(T + 1, 2 ** n):
-            left = np.abs(mats[T] @ mats[S].T).max()
-            right = np.abs(mats[T].T @ mats[S]).max()
-            worst = max(worst, int(left), int(right))
-            pairs += 1
-    return OrthogonalityReport(n=n, pairs_checked=pairs,
+    if n >= 1:
+        bal = balance_check(g)
+        worst = max(g.cols ** (n - 1) * max(map(abs, bal.row_sums)),
+                    g.rows ** (n - 1) * max(map(abs, bal.col_sums)))
+    return OrthogonalityReport(n=n, pairs_checked=math.comb(2 ** n, 2),
                                max_violation=worst, orthogonal=worst == 0)
 
 

@@ -86,6 +86,14 @@ class AbelianGroupSpec:
         return f"AbelianGroupSpec({'x'.join(f'Z{m}' for m in self.moduli)})"
 
 
+def _integer_array(values, what: str) -> np.ndarray:
+    """values as an int64 array; ValueError unless every entry is an integer."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} entries must be integers")
+    return arr.astype(np.int64)
+
+
 class CharacterTable:
     """Irreducible character values, one row per character.
 
@@ -103,12 +111,13 @@ class CharacterTable:
             raise ValueError(f"character table must be {h}x{order}")
         if not np.isfinite(arr).all():
             raise ValueError("character values must be finite")
-        cls = np.asarray(class_of, dtype=np.int64)
+        cls = _integer_array(class_of, "class_of")
         if cls.shape != (order,) or cls.min() < 0 or cls.max() >= h:
             raise ValueError("class_of must map each element to a class index")
-        degs = tuple(int(d) for d in degrees)
-        if len(degs) != h or any(d < 1 for d in degs):
+        degs = _integer_array(degrees, "degrees")
+        if degs.shape != (h,) or (degs < 1).any():
             raise ValueError("degrees must be positive, one per character")
+        degs = tuple(degs.tolist())
         gram = arr @ arr.conj().T
         gram.flat[::h + 1] -= order
         if np.abs(gram).max() > 1e-9 * max(order, 1):
@@ -142,7 +151,7 @@ class CharacterTable:
                 lambda acc, t: np.add.outer(acc * t.h, t.class_of).ravel(),
                 tables, np.zeros(1, dtype=np.int64)),
             functools.reduce(np.kron, [t.degrees for t in tables],
-                             [1]).tolist())
+                             np.ones(1, dtype=np.int64)).tolist())
 
     @classmethod
     def _trusted(cls, table: np.ndarray, class_of, degrees) -> "CharacterTable":

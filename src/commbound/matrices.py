@@ -167,8 +167,8 @@ def builtin_matrix(name: str) -> SignMatrix:
 def parse_sign_matrix(text: str) -> SignMatrix:
     """Parse the sign-matrix text format.
 
-    First line is "m n"; the next m lines hold n whitespace-separated tokens
-    from {+1, -1, +, -}.
+    First line is "m n"; exactly m non-blank lines follow, each holding n
+    whitespace-separated tokens from {+1, -1, +, -}.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -177,11 +177,11 @@ def parse_sign_matrix(text: str) -> SignMatrix:
     if len(header) != 2:
         raise ValueError('sign-matrix header must be "m n"')
     m, n = int(header[0]), int(header[1])
-    if len(lines) - 1 < m:
+    if len(lines) - 1 != m:
         raise ValueError(f"expected {m} matrix rows, found {len(lines) - 1}")
     token_map = {"+1": 1, "-1": -1, "+": 1, "-": -1}
     rows = []
-    for ln in lines[1:1 + m]:
+    for ln in lines[1:]:
         toks = ln.split()
         if len(toks) != n:
             raise ValueError(f"expected {n} tokens per row, got {len(toks)}")

@@ -190,7 +190,6 @@ def suite_composer(seed: int = 0) -> SuiteResult:
             bound = cp.witness_spectral_bound(w, g)
             res.note(W.spectral_norm <= bound + 1e-8,
                      f"witness norm {W.spectral_norm} above bound {bound}")
-            # dual-path equality is asserted inside compose_block
             comp = cp.compose_block(f, g)
             inner = float((comp.matrix.entries * W.B).sum())
             res.note(abs(inner - W.correlation) <= 1e-10,

@@ -42,6 +42,15 @@ def test_distribution_validation():
     assert d.weights.sum() == pytest.approx(1.0)
 
 
+def test_distribution_text_rows_match_the_header():
+    text = "2 2\n0.25 0.25\n0.25 0.25\n"
+    assert bd.DistributionMatrix.from_text(text).weights.shape == (2, 2)
+    # rows past the header's count are refused, not dropped
+    for extra in ("0.25 0.25\n", "0 0 0\n"):
+        with pytest.raises(ValueError):
+            bd.DistributionMatrix.from_text(text + extra)
+
+
 def test_disc_frozen_values():
     assert bd.uniform_discrepancy(mx.HADAMARD_2) == pytest.approx(0.5)
     assert bd.uniform_discrepancy(mx.all_ones(3, 5)) == pytest.approx(1.0)

@@ -230,13 +230,22 @@ def test_malformed_input_files_exit_2(capsys, tmp_path):
     gmap = tmp_path / "gmap.txt"
     gmap.write_text(gm.to_text())
     table = tmp_path / "table.json"
+    pairs = '"table": [[1, 0], [1, 0], [1, 0], [-1, 0]]'
     for text in ('{"h": 2, "order": 2}',
                  '{"h": 2, "order": 2, "table": [1, 1, 1, -1], '
-                 '"class_of": [0, 1], "degrees": [1, 1]}'):
+                 '"class_of": [0, 1], "degrees": [1, 1]}',
+                 '{"h": 2, "order": 2, %s, "class_of": [0, 1], '
+                 '"degrees": [null, 1]}' % pairs,
+                 '{"h": 2, "order": 2, %s, "class_of": [0.5, 1], '
+                 '"degrees": [1, 1]}' % pairs,
+                 '{"h": 2, "order": 2, %s, "class_of": [0, 1], '
+                 '"degrees": [1.5, 1]}' % pairs):
         table.write_text(text)
-        code, report = run_cli(capsys, "group-check", "--gmap", str(gmap),
-                               "--table", str(table))
-        assert (code, report) == (EXIT_USAGE, None), text
+        code = main(["group-check", "--gmap", str(gmap),
+                     "--table", str(table)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_USAGE, ""), text
+        assert err.startswith("error: ") and err.count("\n") == 1, text
 
 
 def test_non_finite_inputs_exit_2(capsys, tmp_path):

@@ -7,11 +7,49 @@ from commbound import composer as cp
 from commbound import matrices as mx
 from commbound.approx import DualWitness, dual_polynomial
 from commbound.boolfn import (BoolFunction, RealPointFunction, all_functions,
-                              builtin_function)
+                              builtin_function, character_sums)
 from commbound.errors import ResourceLimitError
 
 CORE4 = mx.PATTERN_CORE_4
 CORE6 = mx.CORE_FREE_6
+# rectangular inner matrices, strongly balanced or not
+WIDE = mx.SignMatrix([[1, -1, 1, -1], [-1, 1, -1, 1]])
+TALL = mx.SignMatrix([[1, -1], [-1, -1], [1, 1]])
+
+
+def _pairwise_orthogonality(g, n):
+    """Reference: the largest entry of M_T M_S^T and M_T^T M_S over all
+    pairs of masks, from the dense composed characters."""
+    mats = [cp.char_compose(T, g, n).entries for T in range(2 ** n)]
+    worst = 0
+    pairs = 0
+    for T in range(2 ** n):
+        for S in range(T + 1, 2 ** n):
+            left = np.abs(mats[T] @ mats[S].T).max()
+            right = np.abs(mats[T].T @ mats[S]).max()
+            worst = max(worst, int(left), int(right))
+            pairs += 1
+    return cp.OrthogonalityReport(n=n, pairs_checked=pairs,
+                                  max_violation=worst, orthogonal=worst == 0)
+
+
+def _fourier_composition(f, g):
+    """Reference: sum_T f_hat[T] * char_compose(T), in exact integers."""
+    sums = character_sums(f)  # 2^n * f_hat[T]
+    acc = sum(int(sums[T]) * cp.char_compose(T, g, f.n).entries
+              for T in range(2 ** f.n))
+    assert np.all(acc % 2 ** f.n == 0)
+    return mx.SignMatrix(acc // 2 ** f.n)
+
+
+def _all_sign_matrices(rows, cols):
+    bits = (np.arange(2 ** (rows * cols))[:, None]
+            >> np.arange(rows * cols)) & 1
+    return (1 - 2 * bits).reshape(-1, rows, cols)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("char_compose called")
 
 
 def test_char_compose_trivial_mask():
@@ -71,6 +109,39 @@ def test_compose_pointwise_definition():
             assert comp.matrix[x, y] == f(m)
 
 
+def test_block_mask_order_matches_char_compose():
+    # compose_block reads f at block_mask; it equals the Fourier expansion
+    # for every f exactly when each character of the mask is char_compose
+    rng = np.random.default_rng(7)
+    for rows, cols, n in [(2, 2, 3), (4, 4, 2), (6, 6, 2), (2, 4, 3),
+                          (3, 2, 4), (1, 3, 3), (5, 2, 2)]:
+        for _ in range(3):
+            g = mx.SignMatrix(rng.choice((-1, 1), size=(rows, cols)))
+            mask = mx.block_mask([g] * n)
+            for T in range(2 ** n):
+                parity = np.bitwise_count(mask & T).astype(np.int64) & 1
+                assert np.array_equal(1 - 2 * parity,
+                                      cp.char_compose(T, g, n).entries)
+
+
+def test_compose_block_matches_fourier_oracle(monkeypatch):
+    rng = np.random.default_rng(11)
+    pairs = [(f, g) for f in all_functions(1)
+             for g in (CORE4, CORE6, WIDE, TALL, mx.HADAMARD_2)]
+    pairs += [(f, g) for f in all_functions(2)
+              for g in (CORE4, WIDE, TALL, mx.all_ones(1, 2))]
+    pairs += [(builtin_function(name, 3), g)
+              for name in ("AND", "OR", "MAJ", "PARITY")
+              for g in (CORE4, CORE6, WIDE, TALL)]
+    pairs += [(BoolFunction(4, rng.choice((-1, 1), size=16)), g)
+              for g in (mx.XOR_2, WIDE, TALL, mx.HADAMARD_2)]
+    pairs += [(builtin_function("AND", 4), CORE4)]
+    want = [_fourier_composition(f, g) for f, g in pairs]
+    monkeypatch.setattr(cp, "char_compose", _raise)
+    for (f, g), M in zip(pairs, want):
+        assert cp.compose_block(f, g).matrix == M, (f.table, g)
+
+
 def test_compose_memory_cap():
     with pytest.raises(ResourceLimitError):
         cp.compose_block(builtin_function("PARITY", 3), CORE6, memory_cap=1000)
@@ -80,8 +151,57 @@ def test_orthogonality_reports():
     assert cp.verify_orthogonality(CORE4, 2).orthogonal
     assert cp.verify_orthogonality(mx.XOR_2, 1).orthogonal
     rep = cp.verify_orthogonality(mx.all_ones(2, 2), 1)
-    assert not rep.orthogonal and rep.max_violation > 0
-    assert rep.pairs_checked == 1
+    assert (rep.pairs_checked, rep.max_violation, rep.orthogonal) == \
+        (1, 2, False)
+    # no blocks, no pairs
+    assert cp.verify_orthogonality(mx.all_ones(2, 3), 0) == \
+        cp.OrthogonalityReport(n=0, pairs_checked=0, max_violation=0,
+                               orthogonal=True)
+    with pytest.raises(ValueError):
+        cp.verify_orthogonality(CORE4, -1)
+
+
+def test_orthogonality_matches_pairwise_oracle_small():
+    # every sign matrix up to 3x3, square and rectangular
+    for rows in (1, 2, 3):
+        for cols in (1, 2, 3):
+            for entries in _all_sign_matrices(rows, cols):
+                g = mx.SignMatrix(entries)
+                for n in (0, 1, 2):
+                    assert cp.verify_orthogonality(g, n) == \
+                        _pairwise_orthogonality(g, n), (entries, n)
+
+
+def test_orthogonality_matches_pairwise_oracle_balanced_4x4():
+    cube = _all_sign_matrices(4, 4)
+    balanced = cube[(cube.sum(axis=1) == 0).all(axis=1)
+                    & (cube.sum(axis=2) == 0).all(axis=1)]
+    assert len(balanced) == 90
+    for entries in balanced:
+        g = mx.SignMatrix(entries)
+        for n in (1, 2):
+            rep = cp.verify_orthogonality(g, n)
+            assert rep.orthogonal
+            assert rep == _pairwise_orthogonality(g, n)
+
+
+def test_orthogonality_matches_pairwise_oracle_named():
+    for g in (CORE4, CORE6, mx.XOR_2, mx.HADAMARD_2, mx.all_ones(2, 3),
+              WIDE, TALL):
+        for n in (0, 1, 2, 3):
+            assert cp.verify_orthogonality(g, n) == \
+                _pairwise_orthogonality(g, n), (g, n)
+
+
+def test_orthogonality_builds_no_matrix(monkeypatch):
+    monkeypatch.setattr(cp, "char_compose", _raise)
+    rep = cp.verify_orthogonality(CORE6, 4)
+    assert (rep.pairs_checked, rep.max_violation, rep.orthogonal) == \
+        (120, 0, True)
+    # the closed form stays exact past int64: J_{2x3} at 64 blocks
+    rep = cp.verify_orthogonality(mx.all_ones(2, 3), 64)
+    assert rep.max_violation == 3 ** 64
+    assert rep.pairs_checked == 2 ** 63 * (2 ** 64 - 1)
 
 
 def test_rank_theorem_examples():

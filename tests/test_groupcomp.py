@@ -221,6 +221,21 @@ def test_product_tables_pass_the_constructor_checks():
     assert gc.CharacterTable.product([s3, T_Z2]).degrees == (1, 1, 2) * 2
 
 
+def test_product_of_no_tables_is_trivial():
+    t = gc.CharacterTable.product([])
+    assert (t.h, t.order, t.degrees) == (1, 1, (1,))
+    assert t.table.tolist() == [[1]]
+    assert t.class_of.tolist() == [0]
+
+
+def test_character_table_rejects_non_integer_entries():
+    for class_of, degrees in (([0.5, 1], [1, 1]), ([None, 1], [1, 1]),
+                              (["0", 1], [1, 1]), ([0, 1], [None, 1]),
+                              ([0, 1], [1.5, 1]), ([0, 1], ["1", 1])):
+        with pytest.raises(ValueError, match="must be integers"):
+            gc.CharacterTable(2, 2, [[1, 1], [1, -1]], class_of, degrees)
+
+
 def test_character_table_json_round_trip():
     again = gc.CharacterTable.from_json(T_Z3.to_json())
     assert np.allclose(again.table, T_Z3.table)

@@ -541,3 +541,6 @@ def test_text_errors():
         mx.parse_sign_matrix("2 2\n+1 -1")
     with pytest.raises(ValueError):
         mx.parse_sign_matrix("1 2\n+1 0")
+    # rows past the header's count are refused, not dropped
+    with pytest.raises(ValueError, match="expected 2 matrix rows, found 3"):
+        mx.parse_sign_matrix("2 2\n+ -\n- +\n+ +")

@@ -194,16 +194,21 @@ def parse_function_spec(spec: str) -> BoolFunction:
 
 def parse_truth_table(text: str) -> BoolFunction:
     """Truth-table format: "n=<arity>" then a 2^n string of 0/1, 1 meaning -1."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError('truth table must start with an "n=<arity>" line')
-    n = int(lines[0][2:])
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()] or [""]
+    try:
+        n = int(lines[0][2:]) if lines[0].startswith("n=") else -1
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise ValueError('truth table must start with an "n=<arity>" line, '
+                         f"a non-negative integer arity; got {lines[0]!r}")
     _check_arity(n)
     bits = "".join(lines[1:])
     if len(bits) != 2 ** n:
-        raise ValueError(f"expected {2 ** n} table bits, got {len(bits)}")
+        raise ValueError(f"truth table: expected {2 ** n} table bits, "
+                         f"got {len(bits)}")
     if set(bits) - {"0", "1"}:
-        raise ValueError("table bits must be 0 or 1")
+        raise ValueError("truth table bits must be 0 or 1")
     return BoolFunction(n, [(-1 if b == "1" else 1) for b in bits])
 
 

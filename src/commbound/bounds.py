@@ -21,7 +21,8 @@ from .approx import approx_degree
 from .boolfn import BoolFunction
 from .composer import WitnessMatrix
 from .errors import ResourceLimitError
-from .matrices import SignMatrix, balance_check, exact_rank, spectrum
+from .matrices import (DistributionMatrix, SignMatrix, balance_check,
+                       exact_rank, spectrum)
 
 #: Documented upper bound on Grothendieck's constant (1.78...).
 GROTHENDIECK_UPPER = 1.7823
@@ -32,49 +33,6 @@ OMITTED_CONSTANT_WARNING = "additive O(1) constant omitted from main_term"
 
 # discrepancy sums the subsets of this many rows in one matrix product
 _LOW_ROWS = 12
-
-
-class DistributionMatrix:
-    """Probability distribution on the entries of a matrix."""
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights):
-        arr = np.asarray(weights, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("distribution must be a 2-d array")
-        if not np.isfinite(arr).all() or (arr < 0).any():
-            raise ValueError("distribution entries must be finite and "
-                             "nonnegative")
-        if abs(arr.sum() - 1.0) > 1e-12:
-            raise ValueError(f"distribution must sum to 1, got {arr.sum()!r}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self.weights = arr
-
-    @property
-    def rows(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.weights.shape[1]
-
-    @classmethod
-    def uniform(cls, rows: int, cols: int) -> "DistributionMatrix":
-        return cls(np.full((rows, cols), 1.0 / (rows * cols)))
-
-    @classmethod
-    def from_text(cls, text: str) -> "DistributionMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty distribution text")
-        m, n = (int(t) for t in lines[0].split())
-        rows = [[float(t) for t in ln.split()] for ln in lines[1:]]
-        arr = np.asarray(rows)
-        if arr.shape != (m, n):
-            raise ValueError("distribution grid does not match its header")
-        return cls(arr)
 
 
 @dataclass
@@ -296,10 +254,7 @@ def shizhu_bound(f: BoolFunction, g: SignMatrix, mu: DistributionMatrix,
     """
     if not 0 < epsilon0 < 1:
         raise ValueError(f"epsilon0 must lie in (0, 1), got {epsilon0}")
-    if (g.rows, g.cols) != (mu.rows, mu.cols):
-        raise ValueError("mu dimensions must match the inner matrix")
-    if abs(float((mu.weights * g.entries).sum())) > 1e-9:
-        raise ValueError("mu must be balanced with respect to g")
+    mu.check_balanced(g)
     report = BoundReport(theorem="shizhu", applicable=True, main_term=None,
                          warnings=[OMITTED_CONSTANT_WARNING])
     d = approx_degree(f, epsilon0).d

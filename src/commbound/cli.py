@@ -233,7 +233,10 @@ def _cmd_group_check(opts) -> tuple:
     code = EXIT_OK
     if opts["values"] is not None:
         with open(opts["values"], "r", encoding="utf-8") as fh:
-            vals = [float(t) for t in fh.read().split()]
+            try:
+                vals = [float(t) for t in fh.read().split()]
+            except ValueError as exc:
+                raise UsageError(f"--values: {exc}") from None
         if len(vals) != gmap.order:
             raise UsageError(
                 f"--values must supply {gmap.order} numbers, got {len(vals)}")

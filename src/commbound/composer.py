@@ -22,8 +22,8 @@ import numpy as np
 from .approx import DualWitness
 from .boolfn import BoolFunction, character_sums
 from .errors import ResourceLimitError
-from .matrices import (SignMatrix, balance_check, block_mask, exact_rank,
-                       spectrum)
+from .matrices import (DistributionMatrix, SignMatrix, balance_check,
+                       block_mask, exact_rank, spectrum)
 
 DEFAULT_MEMORY_CAP = 2 ** 24  # entries per materialized matrix
 
@@ -167,15 +167,9 @@ def build_witness(w: DualWitness, g: SignMatrix, mu=None,
         scale = (2.0 ** n) / float(g.size) ** n
         factor = 1.0
     else:
-        weights = np.asarray(getattr(mu, "weights", mu), dtype=float)
-        if weights.shape != (g.rows, g.cols):
-            raise ValueError("mu must have the same shape as the inner matrix")
-        if not np.isfinite(weights).all() or (weights < 0).any() \
-                or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("mu must be a probability distribution")
-        if abs(float((weights * g.entries).sum())) > 1e-9:
-            raise ValueError("mu must be balanced with respect to g "
-                             "(sum of mu*g must vanish)")
+        mu = DistributionMatrix(getattr(mu, "weights", mu))
+        mu.check_balanced(g)
+        weights = mu.weights
         scale = 2.0 ** n
         factor = functools.reduce(np.kron, [weights] * n, np.ones((1, 1)))
 

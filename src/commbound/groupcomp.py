@@ -48,36 +48,30 @@ class AbelianGroupSpec:
             raise ValueError(f"group order {order} exceeds cap {MAX_GROUP_ORDER}")
         self.moduli = mods
         self.order = order
-        # shifts[j, a] is the index of a + e_j, e_j generating factor j: a
-        # mixed-radix increment of digit j mod m_j
-        idx = np.arange(order)
-        m = np.array(mods)[:, None]
-        stride = np.cumprod((1,) + mods[:-1])[:, None]
-        self.shifts = idx + stride - m * stride * (idx // stride % m == m - 1)
+        # shifts[j, a] is the index of a + e_j, e_j generating factor j
+        digits = np.array(np.unravel_index(np.arange(order), mods, order="F"))
+        steps = np.eye(len(mods), dtype=np.int64)[:, :, None]
+        self.shifts = np.ravel_multi_index(
+            np.swapaxes(digits + steps, 0, 1), mods, mode="wrap", order="F")
         self.shifts.setflags(write=False)
 
     def element(self, index: int) -> tuple:
-        out = []
-        for m in self.moduli:
-            out.append(index % m)
-            index //= m
-        return tuple(out)
+        return tuple(np.array(np.unravel_index(index, self.moduli,
+                                               order="F")).tolist())
 
     def index(self, element) -> int:
-        idx = 0
-        for a, m in zip(reversed(element), reversed(self.moduli)):
-            if not 0 <= a < m:
-                raise ValueError(f"component {a} out of range for modulus {m}")
-            idx = idx * m + a
-        return idx
+        return int(np.ravel_multi_index(tuple(element), self.moduli,
+                                        order="F"))
 
     def add(self, i: int, j: int) -> int:
-        return self.index(tuple((a + b) % m for a, b, m in
-                                zip(self.element(i), self.element(j), self.moduli)))
+        digits = np.unravel_index([i, j], self.moduli, order="F")
+        return int(np.ravel_multi_index(np.sum(digits, axis=1), self.moduli,
+                                        mode="wrap", order="F"))
 
     def negate(self, i: int) -> int:
-        return self.index(tuple((-a) % m for a, m in
-                                zip(self.element(i), self.moduli)))
+        digits = np.unravel_index(i, self.moduli, order="F")
+        return int(np.ravel_multi_index(np.negative(digits), self.moduli,
+                                        mode="wrap", order="F"))
 
     def __eq__(self, other):
         return isinstance(other, AbelianGroupSpec) and self.moduli == other.moduli
@@ -173,20 +167,30 @@ class CharacterTable:
 
     @classmethod
     def from_json(cls, text: str) -> "CharacterTable":
-        data = json.loads(text)
+        """Parse and validate a table; every failure is one ValueError
+        starting "character table JSON"."""
         keys = ("h", "order", "table", "class_of", "degrees")
-        if not isinstance(data, dict) or not all(k in data for k in keys):
-            raise ValueError("character table JSON needs an object with the "
-                             f"keys {', '.join(keys)}")
         try:
-            table = [complex(re, im) for re, im in data["table"]]
-            arr = np.asarray(table, dtype=complex).reshape(data["h"],
-                                                           data["order"])
-        except (TypeError, ValueError):
-            raise ValueError("character table JSON: table must hold h*order "
-                             "[re, im] pairs") from None
-        return cls(data["h"], data["order"], arr, data["class_of"],
-                   data["degrees"])
+            data = json.loads(text)
+            if not isinstance(data, dict) or not all(k in data for k in keys):
+                raise ValueError("needs an object with the keys "
+                                 f"{', '.join(keys)}")
+            for key in ("h", "order"):
+                if type(data[key]) is not int or data[key] < 1:
+                    raise ValueError(f"{key} must be a positive integer, "
+                                     f"got {data[key]!r}")
+            try:
+                table = [complex(re, im) for re, im in data["table"]]
+                arr = np.asarray(table, dtype=complex).reshape(data["h"],
+                                                               data["order"])
+            except (OverflowError, TypeError, ValueError):
+                raise ValueError("table must hold h*order [re, im] "
+                                 "pairs") from None
+            return cls(data["h"], data["order"], arr, data["class_of"],
+                       data["degrees"])
+        # json.loads recurses once per nesting level of the text
+        except (RecursionError, ValueError) as exc:
+            raise ValueError(f"character table JSON: {exc}") from None
 
     def to_json(self) -> str:
         flat = [[float(z.real), float(z.imag)] for z in self.table.flat]
@@ -279,38 +283,53 @@ class GroupMapMatrix:
     @classmethod
     def from_text(cls, text: str) -> "GroupMapMatrix":
         """Parse the group-map format: header "group m1,m2,...", then one
-        line per row of comma-separated tuples like "a1:a2"."""
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("group"):
-            raise ValueError('group map must start with a "group m1,m2,..." line')
-        moduli = [int(t) for t in lines[0][len("group"):].strip().split(",")]
-        G = AbelianGroupSpec(moduli)
-        rows = []
-        for ln in lines[1:]:
-            row = []
-            for token in ln.split(","):
-                parts = tuple(int(p) for p in token.split(":"))
-                if len(parts) != len(moduli):
-                    raise ValueError(
-                        f"element {token!r} has {len(parts)} components, "
-                        f"expected {len(moduli)}")
-                row.append(G.index(parts))
-            rows.append(row)
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
+        line per row of comma-separated tuples like "a1:a2".  Every failure
+        is one ValueError naming the group-map format."""
+        lines = [ln.strip() for ln in text.splitlines() if ln.strip()] or [""]
+        head = lines[0]
+        try:
+            G = AbelianGroupSpec(
+                [int(t) for t in head.removeprefix("group").split(",")]
+                if head.startswith("group") else [])
+        except ValueError:
+            raise ValueError('group map must start with a "group m1,m2,..." '
+                             "line of integer moduli >= 2, their product at "
+                             f"most {MAX_GROUP_ORDER}; got {head!r}") from None
+        rows = [ln.split(",") for ln in lines[1:]]
+        if not rows:
+            raise ValueError("group map has no rows")
+        if len({len(row) for row in rows}) != 1:
             raise ValueError("all group-map rows must have equal length")
-        return cls(rows, G)
+        cells = [c for row in rows for c in row]
+        k = len(G.moduli)
+        wrong = [c for c in cells if c.count(":") != k - 1]
+        if wrong:
+            raise ValueError(f"group-map element {wrong[0]!r} has "
+                             f"{wrong[0].count(':') + 1} components, "
+                             f"expected {k}")
+        # every cell has k components, so one split yields them all in order
+        try:
+            digits = np.fromiter(map(int, ":".join(cells).split(":")),
+                                 np.int64).reshape(len(rows), -1, k)
+        except (OverflowError, ValueError):
+            raise ValueError("group-map element components must be integers "
+                             "in [0, m) for each modulus m") from None
+        bad = np.flatnonzero(((digits < 0) | (digits >= G.moduli)).any(-1))
+        if bad.size:
+            raise ValueError(f"group-map element {cells[bad[0]]!r} is out of "
+                             f"range for the moduli {G.moduli}")
+        return cls(np.ravel_multi_index(np.moveaxis(digits, -1, 0), G.moduli,
+                                        order="F"), G)
 
     def to_text(self) -> str:
         if self.group is None:
             raise ValueError("only Abelian group maps have a text form")
-        head = "group " + ",".join(str(m) for m in self.group.moduli)
-        lines = [head]
-        for row in self.entries:
-            lines.append(",".join(
-                ":".join(str(a) for a in self.group.element(int(v)))
-                for v in row))
-        return "\n".join(lines) + "\n"
+        digits = np.unravel_index(self.entries, self.group.moduli, order="F")
+        cells = np.stack(digits, axis=-1).tolist()
+        return "\n".join(
+            ["group " + ",".join(map(str, self.group.moduli))]
+            + [",".join(":".join(map(str, e)) for e in row) for row in cells]
+        ) + "\n"
 
 
 @dataclass(frozen=True, eq=False)

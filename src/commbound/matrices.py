@@ -80,6 +80,52 @@ class SignMatrix:
         return format_sign_matrix(self)
 
 
+class DistributionMatrix:
+    """Probability distribution on the entries of a matrix."""
+
+    __slots__ = ("weights",)
+
+    def __init__(self, weights):
+        arr = np.asarray(weights, dtype=float)
+        if arr.ndim != 2:
+            raise ValueError("probability distribution must be a 2-d array")
+        if not np.isfinite(arr).all() or (arr < 0).any():
+            raise ValueError("probability distribution entries must be "
+                             "finite and nonnegative")
+        if abs(arr.sum() - 1.0) > 1e-12:
+            raise ValueError("probability distribution must sum to 1, "
+                             f"got {float(arr.sum())!r}")
+        arr = arr.copy()
+        arr.setflags(write=False)
+        self.weights = arr
+
+    @property
+    def rows(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.weights.shape[1]
+
+    @classmethod
+    def uniform(cls, rows: int, cols: int) -> "DistributionMatrix":
+        return cls(np.full((rows, cols), 1.0 / (rows * cols)))
+
+    @classmethod
+    def from_text(cls, text: str) -> "DistributionMatrix":
+        """Parse the "m n" grid of a sign matrix with real entries."""
+        return cls(_read_grid(text, "distribution", float))
+
+    def check_balanced(self, g: SignMatrix) -> None:
+        """ValueError unless mu has g's shape and sum(mu * g) vanishes (to
+        1e-9): mu balanced with respect to g."""
+        if self.weights.shape != g.entries.shape:
+            raise ValueError("mu must have the same shape as the inner matrix")
+        if abs(float((self.weights * g.entries).sum())) > 1e-9:
+            raise ValueError("mu must be balanced with respect to g "
+                             "(sum of mu*g must vanish)")
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Singular spectrum of a matrix with the derived norms."""
@@ -164,32 +210,42 @@ def builtin_matrix(name: str) -> SignMatrix:
 # ---------------------------------------------------------------------------
 # text format
 
-def parse_sign_matrix(text: str) -> SignMatrix:
-    """Parse the sign-matrix text format.
+_SIGN_TOKENS = {"+1": 1, "-1": -1, "+": 1, "-": -1}
 
-    First line is "m n"; exactly m non-blank lines follow, each holding n
-    whitespace-separated tokens from {+1, -1, +, -}.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty sign-matrix text")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError('sign-matrix header must be "m n"')
-    m, n = int(header[0]), int(header[1])
+
+def _read_grid(text: str, what: str, convert) -> np.ndarray:
+    """The "m n" grid of sign matrices and distributions: a header of two
+    positive integers, then exactly m non-blank lines of n tokens, each
+    read by convert.  Each failure is one ValueError naming the format."""
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()] or [[]]
+    try:
+        m, n = map(int, lines[0])
+    except ValueError:
+        m = n = 0
+    if m < 1 or n < 1:
+        raise ValueError(f'{what} header must be two positive integers "m n", '
+                         f'got {" ".join(lines[0])!r}')
     if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} matrix rows, found {len(lines) - 1}")
-    token_map = {"+1": 1, "-1": -1, "+": 1, "-": -1}
-    rows = []
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != n:
-            raise ValueError(f"expected {n} tokens per row, got {len(toks)}")
-        try:
-            rows.append([token_map[t] for t in toks])
-        except KeyError as exc:
-            raise ValueError(f"bad sign-matrix token {exc.args[0]!r}") from None
-    return SignMatrix(rows)
+        raise ValueError(f"{what}: expected {m} matrix rows, "
+                         f"found {len(lines) - 1}")
+    values = []
+    for row in lines[1:]:
+        if len(row) != n:
+            raise ValueError(f"{what}: expected {n} tokens per row, "
+                             f"got {len(row)}")
+        for t in row:
+            try:
+                values.append(convert(t))
+            except (KeyError, ValueError):
+                raise ValueError(f"bad {what} token {t!r}") from None
+    return np.reshape(values, (m, n))
+
+
+def parse_sign_matrix(text: str) -> SignMatrix:
+    """Parse the sign-matrix text format: the "m n" grid with tokens from
+    {+1, -1, +, -}."""
+    return SignMatrix(_read_grid(text, "sign-matrix",
+                                 _SIGN_TOKENS.__getitem__))
 
 
 def format_sign_matrix(M: SignMatrix) -> str:

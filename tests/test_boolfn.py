@@ -122,6 +122,14 @@ def test_truth_table_round_trip():
         bf.parse_truth_table("n=2\n010")
     with pytest.raises(ValueError):
         bf.parse_truth_table("2\n0101")
+    # a header that is not a non-negative integer arity is refused by name
+    for text in ("n=-1\n", "n=x\n0", "n=\n0", "", "n=1.0\n01"):
+        with pytest.raises(ValueError, match="truth table must start") as err:
+            bf.parse_truth_table(text)
+        assert "invalid literal" not in str(err.value), text
+    for text in ("n=1\n0", "n=1\n02"):
+        with pytest.raises(ValueError, match="truth table"):
+            bf.parse_truth_table(text)
 
 
 def _per_block_fwht(a):

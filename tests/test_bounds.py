@@ -49,6 +49,15 @@ def test_distribution_text_rows_match_the_header():
     for extra in ("0.25 0.25\n", "0 0 0\n"):
         with pytest.raises(ValueError):
             bd.DistributionMatrix.from_text(text + extra)
+    # the sign-matrix grid reader, with its errors naming the format
+    for bad, words in (("", "header"), ("2 2 2\n" + text[4:], "header"),
+                       ("2 x\n" + text[4:], "header"),
+                       ("2 2\n0.25\n0.25 0.25 0.25\n", "tokens per row"),
+                       ("2 2\n0.25 abc\n0.25 0.25\n", "token 'abc'")):
+        with pytest.raises(ValueError, match="distribution") as err:
+            bd.DistributionMatrix.from_text(bad)
+        assert words in str(err.value), bad
+    assert mx.DistributionMatrix is bd.DistributionMatrix
 
 
 def test_disc_frozen_values():

@@ -229,23 +229,46 @@ def test_malformed_input_files_exit_2(capsys, tmp_path):
     gm = GroupMapMatrix.from_sign_blocks([PATTERN_CORE_4])
     gmap = tmp_path / "gmap.txt"
     gmap.write_text(gm.to_text())
-    table = tmp_path / "table.json"
+    bad = tmp_path / "bad.txt"
     pairs = '"table": [[1, 0], [1, 0], [1, 0], [-1, 0]]'
-    for text in ('{"h": 2, "order": 2}',
-                 '{"h": 2, "order": 2, "table": [1, 1, 1, -1], '
-                 '"class_of": [0, 1], "degrees": [1, 1]}',
-                 '{"h": 2, "order": 2, %s, "class_of": [0, 1], '
-                 '"degrees": [null, 1]}' % pairs,
-                 '{"h": 2, "order": 2, %s, "class_of": [0.5, 1], '
-                 '"degrees": [1, 1]}' % pairs,
-                 '{"h": 2, "order": 2, %s, "class_of": [0, 1], '
-                 '"degrees": [1.5, 1]}' % pairs):
-        table.write_text(text)
-        code = main(["group-check", "--gmap", str(gmap),
-                     "--table", str(table)])
+    table = ('{"h": %s, "order": %s, ' + pairs +
+             ', "class_of": [0, 1], "degrees": [1, 1]}')
+    group_check = ["group-check", "--gmap", str(gmap), "--table", str(bad)]
+    cases = [(group_check, text, "character table JSON") for text in (
+        '{"h": 2, "order": 2}',
+        '{"h": 2, "order": 2, "table": [1, 1, 1, -1], '
+        '"class_of": [0, 1], "degrees": [1, 1]}',
+        '{"h": 2, "order": 2, %s, "class_of": [0, 1], '
+        '"degrees": [null, 1]}' % pairs,
+        '{"h": 2, "order": 2, %s, "class_of": [0.5, 1], '
+        '"degrees": [1, 1]}' % pairs,
+        '{"h": 2, "order": 2, %s, "class_of": [0, 1], '
+        '"degrees": [1.5, 1]}' % pairs,
+        "not json", "[" * 100000)]
+    for value in ("2.0", '"2"', "2.5", "true"):
+        cases += [(group_check, table % (value, 2), "h must be"),
+                  (group_check, table % (2, value), "order must be")]
+    shizhu = ["lower-bound", "--theorem", "shizhu", "--function", "PARITY:2",
+              "--inner", "xor2", "--mu", str(bad)]
+    cases += [(shizhu, "2 2\n0.25 0.25\n0.5\n", "distribution"),
+              (shizhu, "2 2 2\n0.25 0.25\n0.25 0.25\n", "distribution"),
+              (shizhu, "a b\n", "distribution")]
+    cases += [(["analyze-matrix", "--input", str(bad)], text, "sign-matrix")
+              for text in ("a b\n+ -\n", "2 2 2\n+ -\n- +\n", "1 2\n+\n")]
+    cases += [(["approx-degree", "--function", str(bad), "--epsilon", "0.3"],
+               text, "truth table") for text in ("n=-1\n", "n=x\n01\n")]
+    cases += [(["group-check", "--gmap", str(bad)], text, "group")
+              for text in ("group 2,2\n", "group\n0\n", "group 2,\n0\n",
+                           "group 2\n0,x\n", "group 2\n0:0\n")]
+    cases += [(["group-check", "--gmap", str(gmap), "--values", str(bad)],
+               "1 abc 1 1\n", "--values")]
+    for argv, text, words in cases:
+        bad.write_text(text)
+        code = main(argv)
         out, err = capsys.readouterr()
         assert (code, out) == (EXIT_USAGE, ""), text
         assert err.startswith("error: ") and err.count("\n") == 1, text
+        assert words in err and "invalid literal" not in err, (text, err)
 
 
 def test_non_finite_inputs_exit_2(capsys, tmp_path):

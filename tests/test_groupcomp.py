@@ -671,6 +671,108 @@ def test_group_map_text_errors():
         gc.GroupMapMatrix.from_text("2,2\n0:0")
     with pytest.raises(ValueError):
         gc.GroupMapMatrix.from_text("group 2,2\n0:0:0")
+    # one ValueError naming the format, never int()'s own message
+    for text, words in (("group", "must start"),
+                        ("group 2,2,\n0:0", "must start"),
+                        ("group 2,x\n0:0", "must start"),
+                        ("group 1\n0", "must start"),
+                        ("group 2,2", "no rows"), ("group 2,2\n\n", "no rows"),
+                        ("group 2,2\n0:0,1:1\n0:0", "equal length"),
+                        ("group 2,2\n0:0,1", "has 1 components, expected 2"),
+                        ("group 2,2\n0:0,1:x", "must be integers"),
+                        ("group 2,2\n0:0,1:", "must be integers"),
+                        ("group 2\n0,,1", "must be integers"),
+                        ("group 2\n" + "9" * 30, "must be integers"),
+                        ("group 3,2\n0:0,2:2", "'2:2' is out of range")):
+        with pytest.raises(ValueError, match="group.map") as err:
+            gc.GroupMapMatrix.from_text(text)
+        assert words in str(err.value), text
+        assert "invalid literal" not in str(err.value), text
+
+
+# The scalar mixed-radix code the numpy encoding replaced, kept as the oracle:
+# the first modulus is the least significant digit.
+
+def _oracle_element(moduli, index):
+    out = []
+    for m in moduli:
+        out.append(index % m)
+        index //= m
+    return tuple(out)
+
+
+def _oracle_index(moduli, element):
+    idx = 0
+    for a, m in zip(reversed(element), reversed(moduli)):
+        if not 0 <= a < m:
+            raise ValueError(f"component {a} out of range for modulus {m}")
+        idx = idx * m + a
+    return idx
+
+
+def _oracle_add(moduli, i, j):
+    return _oracle_index(moduli, tuple(
+        (a + b) % m for a, b, m in zip(_oracle_element(moduli, i),
+                                       _oracle_element(moduli, j), moduli)))
+
+
+def _oracle_negate(moduli, i):
+    return _oracle_index(moduli, tuple(
+        (-a) % m for a, m in zip(_oracle_element(moduli, i), moduli)))
+
+
+def _oracle_shifts(moduli):
+    idx = np.arange(math.prod(moduli))
+    m = np.array(moduli)[:, None]
+    stride = np.cumprod((1,) + tuple(moduli[:-1]))[:, None]
+    return idx + stride - m * stride * (idx // stride % m == m - 1)
+
+
+def _oracle_from_text(text):
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    moduli = [int(t) for t in lines[0][len("group"):].strip().split(",")]
+    return [[_oracle_index(moduli, tuple(int(p) for p in token.split(":")))
+             for token in ln.split(",")] for ln in lines[1:]]
+
+
+def _oracle_to_text(moduli, entries):
+    lines = ["group " + ",".join(str(m) for m in moduli)]
+    for row in entries:
+        lines.append(",".join(":".join(str(a) for a in
+                                       _oracle_element(moduli, int(v)))
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+ORACLE_GROUPS = [(2,) * t for t in range(1, 7)] + [
+    (3,), (4,), (5,), (7,), (8,), (3, 3), (4, 2), (6, 2), (3, 4, 2)]
+
+
+def test_group_encoding_against_scalar_oracle():
+    for moduli in ORACLE_GROUPS:
+        G = gc.AbelianGroupSpec(moduli)
+        assert np.array_equal(G.shifts, _oracle_shifts(moduli)), moduli
+        for i in range(G.order):
+            e = _oracle_element(moduli, i)
+            assert G.element(i) == e and G.index(e) == i, (moduli, i)
+            assert all(type(a) is int for a in G.element(i))
+            assert G.negate(i) == _oracle_negate(moduli, i), (moduli, i)
+            for j in range(G.order):
+                assert G.add(i, j) == _oracle_add(moduli, i, j), (moduli, i, j)
+
+
+def test_group_map_text_against_scalar_oracle():
+    rng = np.random.default_rng(12)
+    for moduli in ORACLE_GROUPS:
+        G = gc.AbelianGroupSpec(moduli)
+        for shape in ((1, 1), (3, 5), (7, 4)):
+            gm = gc.GroupMapMatrix(rng.integers(G.order, size=shape), G)
+            text = gm.to_text()
+            assert text == _oracle_to_text(moduli, gm.entries), moduli
+            again = gc.GroupMapMatrix.from_text(text)
+            assert again.group == G
+            assert np.array_equal(again.entries, gm.entries), moduli
+            assert again.entries.tolist() == _oracle_from_text(text), moduli
 
 
 def test_distance_to_easy_unpaired_character_adds_nothing():

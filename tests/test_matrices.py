@@ -544,3 +544,12 @@ def test_text_errors():
     # rows past the header's count are refused, not dropped
     with pytest.raises(ValueError, match="expected 2 matrix rows, found 3"):
         mx.parse_sign_matrix("2 2\n+ -\n- +\n+ +")
+    # one ValueError naming the format and the token or count, never
+    # Python's own message
+    for text, words in (("a b\n+ -", "header"), ("2 2 2\n+ -\n- +", "header"),
+                        ("-1 2", "header"), ("2\n+ -", "header"),
+                        ("1 2\n+ - +", "expected 2 tokens per row, got 3"),
+                        ("1 2\n+ 1", "token '1'")):
+        with pytest.raises(ValueError, match="sign-matrix") as err:
+            mx.parse_sign_matrix(text)
+        assert words in str(err.value), text

@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 a theorem evaluated but is inapplicable or vacuous
 (the report is still emitted), 2 usage errors, 3 a resource cap was hit or
 the LP solver failed.
-A usage error exits 2 with one stderr line and nothing on stdout. Each flag
-is checked by its argparse ``type=`` as it is parsed, so a malformed or
-out-of-range number, an unknown suite or a missing file is refused before
-any work starts.
+A usage error exits 2 with one stderr line and nothing on stdout, before
+any work starts. Each number and list flag is checked by its argparse
+``type=`` as it is parsed, and each input flag is read by its entry in
+``_READERS`` before dispatch, so handlers get parsed inputs and every
+refusal names its flag.
 Reports are deterministic for fixed inputs and seed: keys are sorted, floats
 are rounded to 12 significant digits, and every report embeds the tool
 version plus the fully resolved configuration.
@@ -19,8 +20,8 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -68,22 +69,11 @@ def _round_floats(obj):
     return obj
 
 
-def _load_matrix(spec: str) -> mx.SignMatrix:
-    if os.path.exists(spec):
-        return mx.load_sign_matrix(spec)
-    try:
-        return mx.builtin_matrix(spec)
-    except ValueError:
-        raise UsageError(
-            f"--inner/--input: {spec!r} is neither a file nor a builtin "
-            f"matrix name {sorted(mx.BUILTIN_MATRICES)}") from None
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (payload, exit_code)
 
 def _cmd_analyze_matrix(opts) -> tuple:
-    M = _load_matrix(opts["input"])
+    M = opts["input"]
     payload = {
         "rows": M.rows,
         "cols": M.cols,
@@ -104,7 +94,7 @@ def _cmd_analyze_matrix(opts) -> tuple:
 
 
 def _cmd_approx_degree(opts) -> tuple:
-    f = load_function(opts["function"])
+    f = opts["function"]
     eps = opts["epsilon"]
     result = approx_degree(f, eps)
     payload = {
@@ -133,8 +123,7 @@ def _cmd_approx_degree(opts) -> tuple:
 
 
 def _cmd_compose(opts) -> tuple:
-    f = load_function(opts["function"])
-    g = _load_matrix(opts["inner"])
+    f, g = opts["function"], opts["inner"]
     comp = cp.compose_block(f, g, memory_cap=opts["memory_cap"])
     payload = {
         "outer_arity": f.n,
@@ -166,22 +155,17 @@ def _cmd_compose(opts) -> tuple:
 
 
 def _cmd_lower_bound(opts) -> tuple:
-    f = load_function(opts["function"])
-    g = _load_matrix(opts["inner"])
+    f, g = opts["function"], opts["inner"]
     theorem = opts["theorem"]
     eps0 = opts["epsilon0"]
     if theorem == "sherstov":
         rep = bd.sherstov_bound(f, g, eps0)
     elif theorem == "disc":
         rep = bd.disc_bound(f, g, cap=opts["enum_cap"])
-    elif theorem == "shizhu":
+    else:  # shizhu, the last of the choices argparse allows
         if opts["mu"] is None:
             raise UsageError("--mu is required for --theorem shizhu")
-        with open(opts["mu"], "r", encoding="utf-8") as fh:
-            mu = bd.DistributionMatrix.from_text(fh.read())
-        rep = bd.shizhu_bound(f, g, mu, eps0, cap=opts["enum_cap"])
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown theorem {theorem!r}")
+        rep = bd.shizhu_bound(f, g, opts["mu"], eps0, cap=opts["enum_cap"])
     vacuous = rep.main_term is not None and rep.main_term <= 0
     rank_one = rep.intermediates.get("inner_rank") == 1
     code = EXIT_OK if rep.applicable and not vacuous and not rank_one \
@@ -190,23 +174,23 @@ def _cmd_lower_bound(opts) -> tuple:
 
 
 def _cmd_group_check(opts) -> tuple:
-    with open(opts["gmap"], "r", encoding="utf-8") as fh:
-        gmap = gc.GroupMapMatrix.from_text(fh.read())
-    external_table = opts["table"] is not None
-    if external_table:
-        with open(opts["table"], "r", encoding="utf-8") as fh:
-            table = gc.CharacterTable.from_json(fh.read())
-        if table.order != gmap.order:
-            raise UsageError("--table order does not match the group map")
-    else:
+    gmap, table, vals = opts["gmap"], opts["table"], opts["values"]
+    external_table = table is not None
+    if external_table and table.order != gmap.order:
+        raise UsageError("--table order does not match the group map")
+    if vals is not None and len(vals) != gmap.order:
+        raise UsageError(
+            f"--values must supply {gmap.order} numbers, got {len(vals)}")
+    if not external_table:
         table = gc.characters_abelian(gmap.group)
-    easy = sorted(opts["easy"]) if opts["easy"] is not None else \
+    easy = opts["easy"] if opts["easy"] is not None else \
         [table.trivial_index()]
     if not set(easy) <= set(range(table.h)) or len(set(easy)) < len(easy):
         raise UsageError(f"--easy must list distinct character indices in "
                          f"[0, {table.h}), got {opts['easy']}")
+    partition = gc.HardnessPartition.from_easy(easy, table.h)
+    hard = sorted(partition.hard)
     reg = gc.regularity_check(gmap)
-    hard = sorted(set(range(table.h)) - set(easy))
     orth = gc.orthogonality_general(gmap, table, hard)
     payload = {
         "rows": gmap.rows,
@@ -218,7 +202,7 @@ def _cmd_group_check(opts) -> tuple:
             "counts": list(reg.counts),
             "diagonal_invariant": reg.diagonal_invariant,
         },
-        "easy": easy,
+        "easy": sorted(partition.easy),
         "hard": hard,
         "orthogonality": {
             "max_row_violation": orth.max_row_violation,
@@ -231,18 +215,8 @@ def _cmd_group_check(opts) -> tuple:
         # with a user-supplied table the file's product structure may not match
         payload["all_pairs_invariant"] = gc.all_pairs_invariant(gmap)
     code = EXIT_OK
-    if opts["values"] is not None:
-        with open(opts["values"], "r", encoding="utf-8") as fh:
-            try:
-                vals = [float(t) for t in fh.read().split()]
-            except ValueError as exc:
-                raise UsageError(f"--values: {exc}") from None
-        if len(vals) != gmap.order:
-            raise UsageError(
-                f"--values must supply {gmap.order} numbers, got {len(vals)}")
-        partition = gc.HardnessPartition.from_easy(easy, table.h)
-        rep = gc.general_bound(gmap, np.array(vals), table, partition,
-                               opts["epsilon"])
+    if vals is not None:
+        rep = gc.general_bound(gmap, vals, table, partition, opts["epsilon"])
         payload["bound"] = dataclasses.asdict(rep)
         if not rep.applicable:
             code = EXIT_INAPPLICABLE
@@ -250,11 +224,10 @@ def _cmd_group_check(opts) -> tuple:
 
 
 def _cmd_search_balanced(opts) -> tuple:
-    forbidden = _load_matrix(opts["forbidden"]) if opts["forbidden"] else None
     found = []
     for M in mx.search_strongly_balanced(opts["rows"], opts["cols"],
                                          min_rank=opts["min_rank"],
-                                         forbidden=forbidden,
+                                         forbidden=opts["forbidden"],
                                          limit=opts["limit"]):
         found.append({
             "rank": mx.exact_rank(M),
@@ -316,12 +289,6 @@ _EPSILON0 = _number(float, "lie in (0,1)", lambda v: 0 < v < 1)
 _TOLERANCE = _number(float, "lie in (0,1)", lambda v: 0 < v < 1)
 
 
-def _existing_file(flag, path):
-    if not os.path.exists(path):
-        raise UsageError(f"{flag}: file {path!r} does not exist")
-    return path
-
-
 def _easy_indices(flag, text):
     try:
         return [int(t) for t in text.split(",") if t.strip()]
@@ -356,8 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def typed(p, flag, convert, **kwargs):
         p.add_argument(flag, type=functools.partial(convert, flag), **kwargs)
 
-    # file-or-builtin flags (--function, --input, --inner, --forbidden) are
-    # resolved by their handlers; plain file flags must exist when parsed
+    # input flags keep their text here; run() reads them through _READERS
     p = sub.add_parser("analyze-matrix", help="balance, rank, spectrum, "
                                               "pattern-core freeness")
     p.add_argument("--input", required=True,
@@ -391,22 +357,22 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["sherstov", "disc", "shizhu"])
     p.add_argument("--function", required=True)
     p.add_argument("--inner", required=True)
-    typed(p, "--mu", _existing_file, default=None,
-          help="distribution file (required for shizhu)")
+    p.add_argument("--mu", default=None,
+                   help="distribution file (required for shizhu)")
     typed(p, "--epsilon0", _EPSILON0, default=1.0 / 3.0)
     typed(p, "--enum-cap", _COUNT, default=bd.DEFAULT_ENUMERATION_CAP)
     add_common(p)
 
     p = sub.add_parser("group-check", help="regularity, invariance, and "
                                            "orthogonality of a group map")
-    typed(p, "--gmap", _existing_file, required=True, help="group-map file")
-    typed(p, "--table", _existing_file, default=None,
-          help="character-table JSON (defaults to the Abelian table)")
+    p.add_argument("--gmap", required=True, help="group-map file")
+    p.add_argument("--table", default=None,
+                   help="character-table JSON (defaults to the Abelian table)")
     typed(p, "--easy", _easy_indices, default=None,
           help="comma-separated easy character indices "
                "(default: just the trivial character)")
-    typed(p, "--values", _existing_file, default=None,
-          help="class-function values file (enables the bound)")
+    p.add_argument("--values", default=None,
+                   help="class-function values file (enables the bound)")
     typed(p, "--epsilon", _EPSILON, default=0.0)
     add_common(p)
 
@@ -434,13 +400,39 @@ def parse_args(argv) -> tuple:
     return opts.pop("command"), opts
 
 
+# input flag -> its reader, from the flag's text to the parsed input.  A
+# lambda looks its loader up when called, so a patched loader is the one run.
+_READERS = {
+    "function": lambda spec: load_function(spec),
+    "input": lambda spec: mx.load_matrix(spec),
+    "inner": lambda spec: mx.load_matrix(spec),
+    "forbidden": lambda spec: mx.load_matrix(spec),
+    "mu": lambda path: bd.DistributionMatrix.from_text(
+        Path(path).read_text(encoding="utf-8")),
+    "gmap": lambda path: gc.GroupMapMatrix.from_text(
+        Path(path).read_text(encoding="utf-8")),
+    "table": lambda path: gc.CharacterTable.from_json(
+        Path(path).read_text(encoding="utf-8")),
+    "values": lambda path: np.array(
+        [float(t) for t in Path(path).read_text(encoding="utf-8").split()]),
+}
+
+
 def run(command: str, opts: dict) -> int:
+    config = {k: v for k, v in sorted(opts.items()) if k != "output"}
+    opts = dict(opts)
+    for key, read in _READERS.items():
+        if opts.get(key) is not None:
+            try:
+                opts[key] = read(opts[key])
+            except (OSError, ValueError) as exc:
+                raise UsageError(f"--{key}: {exc}") from None
     payload, code = _HANDLERS[command](opts)
     report = {
         "schema": SCHEMA_VERSION,
         "version": __version__,
         "command": command,
-        "config": {k: v for k, v in sorted(opts.items()) if k != "output"},
+        "config": config,
         "report": payload,
     }
     text = json.dumps(_round_floats(report), indent=2, sort_keys=True) + "\n"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,9 +256,12 @@ def format_sign_matrix(M: SignMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_sign_matrix(path) -> SignMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_sign_matrix(fh.read())
+def load_matrix(path_or_name: str) -> SignMatrix:
+    """Load a sign matrix from a file path, or by builtin name."""
+    if os.path.exists(path_or_name):
+        with open(path_or_name, "r", encoding="utf-8") as fh:
+            return parse_sign_matrix(fh.read())
+    return builtin_matrix(path_or_name)
 
 
 # ---------------------------------------------------------------------------

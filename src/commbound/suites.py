@@ -256,11 +256,13 @@ def _random_multiset(rng, order: int, max_size: int = 6) -> Counter:
 
 
 def _orbit_closure(cnt: Counter, G: gc.AbelianGroupSpec) -> Counter:
-    out = Counter()
-    for s in range(G.order):
-        for (a, b), m in cnt.items():
-            out[(G.add(s, a), G.add(s, b))] += m
-    return out
+    """cnt's pairs, each repeated by its count, shifted by every s in G."""
+    pairs = np.repeat(np.array(list(cnt)), list(cnt.values()), axis=0)
+    digits = zip(np.unravel_index(np.arange(G.order), G.moduli, order="F"),
+                 np.unravel_index(pairs, G.moduli, order="F"))
+    moved = np.ravel_multi_index([s[:, None, None] + p for s, p in digits],
+                                 G.moduli, mode="wrap", order="F")
+    return Counter(map(tuple, moved.reshape(-1, 2).tolist()))
 
 
 def suite_groupcomp(seed: int = 0) -> SuiteResult:

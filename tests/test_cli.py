@@ -167,6 +167,10 @@ def test_usage_errors(capsys, monkeypatch, tmp_path, core4_file):
     gmap = tmp_path / "gmap.txt"
     gmap.write_text(GroupMapMatrix.from_sign_blocks([XOR_2]).to_text())
     missing = str(tmp_path / "missing.txt")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    bad_json = tmp_path / "table.json"
+    bad_json.write_text('{"h": 2, "order": 2}')
     group = ["group-check", "--gmap", str(gmap)]
     shizhu = ["lower-bound", "--theorem", "shizhu", "--function", "PARITY:2",
               "--inner", "xor2"]
@@ -201,11 +205,76 @@ def test_usage_errors(capsys, monkeypatch, tmp_path, core4_file):
                  ["group-check", "--gmap", missing],
                  group + ["--values", missing],
                  group + ["--table", missing],
-                 shizhu + ["--mu", missing]):
+                 shizhu + ["--mu", missing],
+                 # malformed contents are read before dispatch too
+                 ["group-check", "--gmap", str(empty)],
+                 group + ["--table", str(bad_json)]):
         code = main(argv)
         out, err = capsys.readouterr()
         assert (code, out) == (EXIT_USAGE, ""), argv
         assert err.startswith("error: --") and err.count("\n") == 1, argv
+
+
+def test_input_flag_refusals_name_the_flag(capsys, monkeypatch, tmp_path):
+    # every read failure of an input flag, whether the file is missing, a
+    # directory, not UTF-8 or malformed, is one line naming that flag
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe")
+    bad_mu = tmp_path / "mu.txt"
+    bad_mu.write_text("2 2\n0.25 0.25\n0.5\n")
+    gmap = tmp_path / "gmap.txt"
+    gmap.write_text(GroupMapMatrix.from_sign_blocks([XOR_2]).to_text())
+    group = ["group-check", "--gmap", str(gmap)]
+    bound = ["lower-bound", "--function", "PARITY:2", "--inner", "xor2"]
+    cases = [
+        ("--input", ["analyze-matrix", "--input", str(binary)]),
+        ("--function", ["approx-degree", "--epsilon", "0.3",
+                        "--function", str(binary)]),
+        ("--mu", bound + ["--theorem", "shizhu", "--mu", str(binary)]),
+        ("--gmap", ["group-check", "--gmap", str(binary)]),
+        ("--table", group + ["--table", str(binary)]),
+        ("--values", group + ["--values", str(binary)]),
+        ("--inner", ["compose", "--function", "AND:2",
+                     "--inner", str(tmp_path)]),
+        ("--gmap", ["group-check", "--gmap", str(tmp_path)]),
+        ("--function", ["approx-degree", "--epsilon", "0.3",
+                        "--function", "/nonexist"]),
+        ("--forbidden", ["search-balanced", "--rows", "4", "--cols", "4",
+                         "--forbidden", "nosuch"]),
+        # a malformed --mu is refused even where the theorem does not read it
+        ("--mu", bound + ["--theorem", "sherstov", "--mu", str(bad_mu)]),
+    ]
+
+    def unreachable(opts):
+        raise AssertionError("a handler ran on a usage error")
+
+    for command in cli._HANDLERS:
+        monkeypatch.setitem(cli._HANDLERS, command, unreachable)
+    for flag, argv in cases:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err.startswith(f"error: {flag}: "), (argv, err)
+        assert err.count("\n") == 1, (argv, err)
+
+
+def test_handlers_get_parsed_inputs_and_config_echoes_the_flags(
+        capsys, monkeypatch, tmp_path):
+    # the function loader is looked up when a flag is read, so a patched
+    # load_function (as a tracer installs it) is the one that runs
+    calls = []
+    load = cli.load_function
+    monkeypatch.setattr(cli, "load_function",
+                        lambda spec: calls.append(spec) or load(spec))
+    mu = tmp_path / "mu.txt"
+    mu.write_text("2 2\n0.25 0.25\n0.25 0.25\n")
+    code, report = run_cli(capsys, "lower-bound", "--theorem", "shizhu",
+                           "--function", "PARITY:2", "--inner", "xor2",
+                           "--mu", str(mu))
+    assert code == EXIT_INAPPLICABLE and calls == ["PARITY:2"]
+    config = report["config"]
+    assert (config["function"], config["inner"], config["mu"]) == \
+        ("PARITY:2", "xor2", str(mu))
 
 
 def test_unknown_flag_exits_2(capsys):

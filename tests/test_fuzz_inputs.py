@@ -3,8 +3,9 @@
 Each input is arbitrary text or a valid file with one token replaced.  A
 reader either parses it or raises one ValueError whose message names the
 format (a truth table above MAX_ARITY raises ResourceLimitError instead).
-Through ``cli.main`` an input never gives a traceback: a refused file exits
-2 with one ``error:`` line on stderr and nothing on stdout.
+Through ``cli.main`` a file, given as text or as raw bytes that need not be
+UTF-8, never gives a traceback: a refused file exits 2 with one ``error:``
+line on stderr and nothing on stdout.
 """
 
 import re
@@ -38,16 +39,23 @@ READERS = {
                         "character table JSON"),
 }
 
-# the argv that reads each format from a file named last; None is the
-# valid group map that --table and --values need
+# name: (the format in READERS, the argv that reads it from a file named
+# last); None is the valid group map that --table and --values need
 FLAGS = {
-    "sign matrix": ["analyze-matrix", "--input"],
-    "distribution": ["lower-bound", "--theorem", "shizhu", "--function",
-                     "PARITY:1", "--inner", "xor2", "--mu"],
-    "truth table": ["approx-degree", "--epsilon", "0.3", "--function"],
-    "group map": ["group-check", "--gmap"],
-    "character table": ["group-check", "--gmap", None, "--table"],
-    "values": ["group-check", "--gmap", None, "--values"],
+    "sign matrix": ("sign matrix", ["analyze-matrix", "--input"]),
+    "inner matrix": ("sign matrix", ["compose", "--function", "PARITY:1",
+                                     "--inner"]),
+    "forbidden pattern": ("sign matrix", ["search-balanced", "--rows", "2",
+                                          "--cols", "2", "--forbidden"]),
+    "distribution": ("distribution", [
+        "lower-bound", "--theorem", "shizhu", "--function", "PARITY:1",
+        "--inner", "xor2", "--mu"]),
+    "truth table": ("truth table",
+                    ["approx-degree", "--epsilon", "0.3", "--function"]),
+    "group map": ("group map", ["group-check", "--gmap"]),
+    "character table": ("character table",
+                        ["group-check", "--gmap", None, "--table"]),
+    "values": ("values", ["group-check", "--gmap", None, "--values"]),
 }
 
 SEPARATORS = r"(\s+|[,:\[\]{}])"
@@ -101,23 +109,24 @@ def test_cli_input_files_exit_cleanly(name, tmp_path, capsys):
     gmap = tmp_path / "gmap.txt"
     gmap.write_text(GMAP.to_text())
     path = tmp_path / "input.txt"
-    argv = [str(gmap) if a is None else a for a in FLAGS[name]] + [str(path)]
+    fmt, flag_argv = FLAGS[name]
+    argv = [str(gmap) if a is None else a for a in flag_argv] + [str(path)]
     values = st.lists(st.sampled_from(["1", "-1", "0.5"]), min_size=4,
                       max_size=4).map(" ".join)
-    texts = inputs(name) if name in READERS else \
+    texts = inputs(fmt) if fmt in READERS else \
         st.one_of(TEXT, ALPHABET_TEXT, values.flatmap(mutations))
 
     @fuzz(40)
-    @given(texts)
-    def check(text):
-        path.write_text(text, encoding="utf-8")
+    @given(st.one_of(texts.map(str.encode), st.binary(max_size=60)))
+    def check(data):
+        path.write_bytes(data)
         code = cli.main(argv)
         out, err = capsys.readouterr()
         assert code in (cli.EXIT_OK, cli.EXIT_INAPPLICABLE, cli.EXIT_USAGE,
-                        cli.EXIT_RESOURCE), (text, code)
+                        cli.EXIT_RESOURCE), (data, code)
         if code in (cli.EXIT_USAGE, cli.EXIT_RESOURCE):
-            assert out == "" and err.count("\n") == 1, (text, out, err)
+            assert out == "" and err.count("\n") == 1, (data, out, err)
         if code == cli.EXIT_USAGE:
-            assert err.startswith("error: "), (text, err)
+            assert err.startswith("error: "), (data, err)
 
     check()

@@ -21,12 +21,12 @@ from .composer import (Composition, WitnessMatrix, build_witness,
                        verify_rank_theorem, witness_spectral_bound)
 from .errors import CommboundError, ResourceLimitError
 from .groupcomp import (AbelianGroupSpec, CharacterTable, GroupMapMatrix,
-                        HardnessPartition, PairMultiset, all_pairs_invariant,
+                        HardnessPartition, all_pairs_invariant,
                         block_group_bound, characters_abelian,
                         class_function_from_bool, degeneration_check,
                         distance_to_easy, dual_h, g_invariant, general_bound,
                         orthogonality_general, orthogonality_sums,
-                        pair_multisets, product_approx_degree,
+                        pair_counts, pair_multisets, product_approx_degree,
                         regularity_check, tprime_check)
 from .matrices import (BalanceReport, ContainmentResult,
                        CORE_FREE_6, HADAMARD_2, PATTERN_CORE_4, SignMatrix,

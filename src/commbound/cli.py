@@ -16,6 +16,7 @@ version plus the fully resolved configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -46,6 +47,16 @@ EXIT_RESOURCE = 3
 
 class UsageError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _blaming(flag: str):
+    """Turn an OSError or ValueError raised in the block into a UsageError
+    naming flag: an input that cannot be read, or that does not fit."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _round_floats(obj):
@@ -132,7 +143,8 @@ def _cmd_compose(opts) -> tuple:
         "cols": comp.matrix.cols,
     }
     if opts["verify_rank"]:
-        rep = cp.verify_rank_theorem(comp)
+        with _blaming("--inner"):
+            rep = cp.verify_rank_theorem(comp)
         payload["rank_formula"] = {
             "formula_rank": rep.formula_rank,
             "composed_rank": rep.composed_rank,
@@ -142,7 +154,8 @@ def _cmd_compose(opts) -> tuple:
     if opts["witness"]:
         eps = opts["epsilon"]
         w = dual_polynomial(f, eps)
-        W = cp.build_witness(w, g, memory_cap=opts["memory_cap"])
+        with _blaming("--inner"):
+            W = cp.build_witness(w, g, memory_cap=opts["memory_cap"])
         payload["witness"] = {
             "epsilon": eps,
             "d": w.d,
@@ -165,6 +178,8 @@ def _cmd_lower_bound(opts) -> tuple:
     else:  # shizhu, the last of the choices argparse allows
         if opts["mu"] is None:
             raise UsageError("--mu is required for --theorem shizhu")
+        with _blaming("--mu"):
+            opts["mu"].check_balanced(g)
         rep = bd.shizhu_bound(f, g, opts["mu"], eps0, cap=opts["enum_cap"])
     vacuous = rep.main_term is not None and rep.main_term <= 0
     rank_one = rep.intermediates.get("inner_rank") == 1
@@ -183,8 +198,9 @@ def _cmd_group_check(opts) -> tuple:
             f"--values must supply {gmap.order} numbers, got {len(vals)}")
     if not external_table:
         table = gc.characters_abelian(gmap.group)
-    easy = opts["easy"] if opts["easy"] is not None else \
-        [table.trivial_index()]
+    with _blaming("--table"):   # a table file may lack the trivial row
+        easy = opts["easy"] if opts["easy"] is not None else \
+            [table.trivial_index()]
     if not set(easy) <= set(range(table.h)) or len(set(easy)) < len(easy):
         raise UsageError(f"--easy must list distinct character indices in "
                          f"[0, {table.h}), got {opts['easy']}")
@@ -282,11 +298,12 @@ def _number(kind, rule=None, ok=None):
     return convert
 
 
-_INT = _number(int)
 _COUNT = _number(int, "be non-negative", lambda v: v >= 0)
 _EPSILON = _number(float, "lie in [0,1)", lambda v: 0 <= v < 1)
 _EPSILON0 = _number(float, "lie in (0,1)", lambda v: 0 < v < 1)
 _TOLERANCE = _number(float, "lie in (0,1)", lambda v: 0 < v < 1)
+_EVEN = _number(int, "be a positive even integer",
+                lambda v: v > 0 and v % 2 == 0)
 
 
 def _easy_indices(flag, text):
@@ -378,8 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search-balanced", help="enumerate strongly balanced "
                                                "matrices up to permutation")
-    typed(p, "--rows", _INT, required=True)
-    typed(p, "--cols", _INT, required=True)
+    typed(p, "--rows", _EVEN, required=True)
+    typed(p, "--cols", _EVEN, required=True)
     typed(p, "--min-rank", _COUNT, default=None)
     p.add_argument("--forbidden", default=None,
                    help="forbidden pattern file or builtin name")
@@ -400,6 +417,12 @@ def parse_args(argv) -> tuple:
     return opts.pop("command"), opts
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ValueError("class-function values must be finite")
+    return values
+
+
 # input flag -> its reader, from the flag's text to the parsed input.  A
 # lambda looks its loader up when called, so a patched loader is the one run.
 _READERS = {
@@ -413,8 +436,8 @@ _READERS = {
         Path(path).read_text(encoding="utf-8")),
     "table": lambda path: gc.CharacterTable.from_json(
         Path(path).read_text(encoding="utf-8")),
-    "values": lambda path: np.array(
-        [float(t) for t in Path(path).read_text(encoding="utf-8").split()]),
+    "values": lambda path: _finite(np.array(
+        [float(t) for t in Path(path).read_text(encoding="utf-8").split()])),
 }
 
 
@@ -423,10 +446,8 @@ def run(command: str, opts: dict) -> int:
     opts = dict(opts)
     for key, read in _READERS.items():
         if opts.get(key) is not None:
-            try:
+            with _blaming(f"--{key}"):
                 opts[key] = read(opts[key])
-            except (OSError, ValueError) as exc:
-                raise UsageError(f"--{key}: {exc}") from None
     payload, code = _HANDLERS[command](opts)
     report = {
         "schema": SCHEMA_VERSION,

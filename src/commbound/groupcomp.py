@@ -18,7 +18,6 @@ import functools
 import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,43 +331,21 @@ class GroupMapMatrix:
         ) + "\n"
 
 
-@dataclass(frozen=True, eq=False)
-class PairMultiset:
-    """Multiset of element pairs, e.g. {(g(x,y), g(x',y)) : y}.
-
-    pairs is a read-only k x 3 int64 array of (s, t, multiplicity) rows,
-    sorted, with no (s, t) twice.
-    """
-
-    pairs: np.ndarray
-    total: int
-    axis: str             # "row" or "col"
-    indices: tuple        # (x, x') or (y, y')
-
-    def __post_init__(self):
-        arr = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 3)
-        arr.setflags(write=False)
-        object.__setattr__(self, "pairs", arr)
-
-    def __eq__(self, other):
-        return (isinstance(other, PairMultiset) and self.total == other.total
-                and self.axis == other.axis and self.indices == other.indices
-                and np.array_equal(self.pairs, other.pairs))
-
-    @classmethod
-    def from_counter(cls, counter: Counter, axis: str, indices: tuple):
-        pairs = sorted((s, t, m) for (s, t), m in counter.items())
-        return cls(pairs=pairs, total=sum(counter.values()),
-                   axis=axis, indices=indices)
-
-    def counter(self) -> Counter:
-        return Counter({(s, t): m for s, t, m in self.pairs.tolist()})
+def pair_counts(pairs) -> np.ndarray:
+    """The pair multiset of an array-like of (s, t) rows, such as
+    {(g(x,y), g(x',y)) : y}: a read-only k x 3 int64 array of sorted
+    (s, t, multiplicity) rows, with no (s, t) twice."""
+    st, m = np.unique(np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
+                      axis=0, return_counts=True)
+    out = np.column_stack([st, m])
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
 class PairFamilies:
-    row_pairs: dict   # (x, x') -> PairMultiset over y
-    col_pairs: dict   # (y, y') -> PairMultiset over x
+    row_pairs: dict   # (x, x') -> pair multiset over y, as pair_counts
+    col_pairs: dict   # (y, y') -> pair multiset over x
 
 
 @dataclass(frozen=True)
@@ -433,14 +410,15 @@ class DualClassFunction:
         return self.hard_support_ok and self.l1_ok and self.correlation_ok
 
 
-def _line_pair_multisets(E: np.ndarray, order: int, axis: str) -> dict:
-    """PairMultiset {(E[x, y], E[x', y]) : y} for every ordered row pair
-    (x, x'), counted in one pass over the keys (x, x', E[x, y], E[x', y]).
+def _line_pair_multisets(E: np.ndarray, order: int) -> dict:
+    """Pair multiset {(E[x, y], E[x', y]) : y} for every ordered row pair
+    (x, x'), counted in one pass over the keys (x, x', E[x, y], E[x', y]);
+    each is a read-only slice of one (s, t, multiplicity) array.
 
     The keys are sorted rather than binned: a bincount would need X^2 |G|^2
     cells, 2 GiB for a 128 x 128 map over Z_128.
     """
-    X, Y = E.shape
+    X = E.shape[0]
     pair = np.arange(X * X).reshape(X, X, 1)
     key = (pair * order + E[:, None, :]) * order + E[None, :, :]
     keys, counts = np.unique(key, return_counts=True)
@@ -449,28 +427,26 @@ def _line_pair_multisets(E: np.ndarray, order: int, axis: str) -> dict:
     rows = np.column_stack([keys // order % order, keys % order, counts])
     rows.setflags(write=False)
     lines = itertools.product(range(X), repeat=2)
-    return {ij: PairMultiset(pairs=rows[lo:hi], total=Y, axis=axis,
-                             indices=ij)
-            for ij, lo, hi in zip(lines, bounds, bounds[1:])}
+    return {ij: rows[lo:hi] for ij, lo, hi in zip(lines, bounds, bounds[1:])}
 
 
 def pair_multisets(gmap: GroupMapMatrix) -> PairFamilies:
     """All row-pair multisets S^{x,x'} and column-pair multisets T^{y,y'}."""
     E = gmap.entries
-    return PairFamilies(row_pairs=_line_pair_multisets(E, gmap.order, "row"),
-                        col_pairs=_line_pair_multisets(E.T, gmap.order, "col"))
+    return PairFamilies(row_pairs=_line_pair_multisets(E, gmap.order),
+                        col_pairs=_line_pair_multisets(E.T, gmap.order))
 
 
-def g_invariant(T: PairMultiset, G: AbelianGroupSpec) -> bool:
+def g_invariant(T: np.ndarray, G: AbelianGroupSpec) -> bool:
     """Exact check that (s,s)T = T as multisets for every s in G.
 
     The shifts that fix T form a subgroup, so it is enough to test one
     generator e_j per cyclic factor: every shifted pair must be a pair of
-    T with the same multiplicity.  T.pairs is sorted with distinct (s, t),
-    as from_counter and pair_multisets build it, so a binary search finds
-    each shifted pair.
+    T with the same multiplicity.  T's (s, t, multiplicity) rows are sorted
+    with distinct (s, t), as pair_counts and pair_multisets build them, so a
+    binary search finds each shifted pair.
     """
-    s, t, m = T.pairs.T
+    s, t, m = T.T
     key = s * G.order + t
     moved = G.shifts[:, s] * G.order + G.shifts[:, t]
     at = np.searchsorted(key, moved).clip(max=len(key) - 1)
@@ -485,23 +461,18 @@ def all_pairs_invariant(gmap: GroupMapMatrix) -> bool:
                itertools.chain(fam.row_pairs.values(), fam.col_pairs.values()))
 
 
-def _count_matrix(T: PairMultiset, order: int) -> np.ndarray:
-    """M[s, t] = multiplicity of (s, t) in T."""
-    M = np.zeros((order, order))
-    s, t, m = T.pairs.T
-    np.add.at(M, (s, t), m)
-    return M
-
-
 def _off_diagonal_max(E: np.ndarray) -> float:
     mag = np.abs(E)
     np.fill_diagonal(mag, 0.0)
     return float(mag.max())
 
 
-def orthogonality_sums(T: PairMultiset, table: CharacterTable) -> float:
-    """max over i != j of |sum over T of chi_i(s) conj(chi_j(t))|."""
-    M = _count_matrix(T, table.order)
+def orthogonality_sums(T: np.ndarray, table: CharacterTable) -> float:
+    """max over i != j of |sum over T of chi_i(s) conj(chi_j(t))|, through
+    the count matrix M[s, t] = multiplicity of (s, t) in T."""
+    M = np.zeros((table.order, table.order))
+    s, t, m = T.T
+    np.add.at(M, (s, t), m)
     return _off_diagonal_max(table.table @ M @ table.table.conj().T)
 
 
@@ -556,28 +527,22 @@ def orthogonality_general(gmap: GroupMapMatrix, table: CharacterTable,
     hard = sorted(hard)
     X, Y = gmap.entries.shape
     mats = {i: table.table[i][gmap.entries] for i in hard}
-    worst_row = 0.0
-    worst_col = 0.0
-    pairs = 0
-    for ia, ib in itertools.combinations(hard, 2):
-        A = mats[ia]
-        B = mats[ib]
+    worst_row = worst_col = 0.0
+    pairs = list(itertools.combinations(hard, 2))
+    for ia, ib in pairs:
+        A, B = mats[ia], mats[ib]
         worst_row = max(worst_row, float(np.abs(A @ B.conj().T).max()))
         worst_col = max(worst_col, float(np.abs(A.T @ B.conj()).max()))
-        pairs += 1
     row_thr = _SUM_TOL * Y
     col_thr = _SUM_TOL * X
     return GroupOrthogonalityReport(
-        max_row_violation=worst_row,
-        max_col_violation=worst_col,
-        row_threshold=row_thr,
-        col_threshold=col_thr,
+        max_row_violation=worst_row, max_col_violation=worst_col,
+        row_threshold=row_thr, col_threshold=col_thr,
         passed=worst_row <= row_thr and worst_col <= col_thr,
-        pairs_checked=pairs,
-    )
+        pairs_checked=len(pairs))
 
 
-def tprime_check(T: PairMultiset, table: CharacterTable) -> TPrimeReport:
+def tprime_check(T: np.ndarray, table: CharacterTable) -> TPrimeReport:
     """Two independent routes to the same diagonalization statement.
 
     Route one sums chi_i(s) conj(chi_j(t)) directly over the multiset; route
@@ -585,23 +550,19 @@ def tprime_check(T: PairMultiset, table: CharacterTable) -> TPrimeReport:
     matrix, and measures off-diagonal mass.  The two verdicts must agree.
     """
     h = table.h
-    order = table.order
     # direct sums over the raw multiset, one h x k by k x h product
-    s, t, m = T.pairs.T
+    s, t, m = T.T
     direct = _off_diagonal_max(
         (table.table[:, s] * m) @ table.table[:, t].conj().T)
     # class-averaged matrix conjugated by the table
-    M = _count_matrix(T, order)
     cls = table.class_of
-    class_sizes = np.bincount(cls, minlength=h)
-    proj = np.zeros((h, order))
-    proj[cls, np.arange(order)] = 1.0
-    class_sum = proj @ M @ proj.T    # total mass per class pair
-    Tprime = class_sum[np.ix_(cls, cls)] / np.outer(class_sizes[cls],
-                                                    class_sizes[cls])
+    sizes = np.bincount(cls, minlength=h)[cls]
+    class_sum = np.zeros((h, h))    # total mass per class pair
+    np.add.at(class_sum, (cls[s], cls[t]), m)
+    Tprime = class_sum[np.ix_(cls, cls)] / np.outer(sizes, sizes)
     conjugated = _off_diagonal_max(table.table @ Tprime
                                    @ table.table.conj().T)
-    thr = _SUM_TOL * max(T.total, 1)
+    thr = _SUM_TOL * max(int(m.sum()), 1)
     d_ok = direct <= thr
     c_ok = conjugated <= thr
     return TPrimeReport(direct_max=direct, conjugated_max=conjugated,
@@ -679,13 +640,24 @@ def dual_h(fvals, table: CharacterTable, easy) -> DualClassFunction:
 # ---------------------------------------------------------------------------
 # bound evaluators
 
+def _check_table_order(gmap: GroupMapMatrix, table: CharacterTable,
+                       what: str = "character table") -> None:
+    if table.order != gmap.order:
+        raise ValueError(f"{what} has order {table.order}, but the group "
+                         f"map has order {gmap.order}")
+
+
 def general_bound(gmap: GroupMapMatrix, fvals, table: CharacterTable,
                   partition: HardnessPartition, epsilon: float) -> BoundReport:
     """Main term log2(sqrt(MN) (delta - 2 eps) / max_hard(max|psi| * ||[psi(g)]||)).
 
     Preconditions checked here: regularity of the map, orthogonality of the
-    hard characters, a non-empty hard set, and delta > 2 eps.
+    hard characters, a non-empty hard set, and delta > 2 eps.  An epsilon
+    outside [0, 1) or a table of another order is a ValueError.
     """
+    if not 0 <= epsilon < 1:
+        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
+    _check_table_order(gmap, table)
     report = BoundReport(theorem="general-group", applicable=True,
                          main_term=None, warnings=[OMITTED_CONSTANT_WARNING])
     easy = sorted(partition.easy)
@@ -788,6 +760,8 @@ def block_group_bound(gmaps, fvals, tables) -> BoundReport:
     tables = list(tables)
     if len(gmaps) != len(tables):
         raise ValueError("need one character table per block")
+    for i, (gm, tb) in enumerate(zip(gmaps, tables)):
+        _check_table_order(gm, tb, f"block {i + 1}'s character table")
     t = len(gmaps)
     norm_evals = sum(tb.h - 1 for tb in tables)
     if norm_evals > 4096:

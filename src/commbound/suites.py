@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,22 +246,20 @@ def suite_bounds(seed: int = 0) -> SuiteResult:
     return res
 
 
-def _random_multiset(rng, order: int, max_size: int = 6) -> Counter:
+def _random_multiset(rng, order: int, max_size: int = 6) -> np.ndarray:
     k = int(rng.integers(1, max_size + 1))
-    cnt = Counter()
-    for _ in range(k):
-        cnt[(int(rng.integers(order)), int(rng.integers(order)))] += 1
-    return cnt
+    return gc.pair_counts([(int(rng.integers(order)), int(rng.integers(order)))
+                           for _ in range(k)])
 
 
-def _orbit_closure(cnt: Counter, G: gc.AbelianGroupSpec) -> Counter:
-    """cnt's pairs, each repeated by its count, shifted by every s in G."""
-    pairs = np.repeat(np.array(list(cnt)), list(cnt.values()), axis=0)
+def _orbit_closure(T: np.ndarray, G: gc.AbelianGroupSpec) -> np.ndarray:
+    """T's pairs, repeated by their multiplicities, shifted by every s in G."""
+    pairs = np.repeat(T[:, :2], T[:, 2], axis=0)
     digits = zip(np.unravel_index(np.arange(G.order), G.moduli, order="F"),
                  np.unravel_index(pairs, G.moduli, order="F"))
     moved = np.ravel_multi_index([s[:, None, None] + p for s, p in digits],
                                  G.moduli, mode="wrap", order="F")
-    return Counter(map(tuple, moved.reshape(-1, 2).tolist()))
+    return gc.pair_counts(moved.reshape(-1, 2))
 
 
 def suite_groupcomp(seed: int = 0) -> SuiteResult:
@@ -276,13 +273,12 @@ def suite_groupcomp(seed: int = 0) -> SuiteResult:
     for trial in range(500):
         G = groups[trial % 3]
         table = tables[G.moduli]
-        cnt = _random_multiset(rng, G.order)
+        T = _random_multiset(rng, G.order)
         if trial % 2 == 0:
-            cnt = _orbit_closure(cnt, G)
-        T = gc.PairMultiset.from_counter(cnt, "row", (0, 0))
+            T = _orbit_closure(T, G)
         inv = gc.g_invariant(T, G)
         sums = gc.orthogonality_sums(T, table)
-        res.note(inv == (sums <= 1e-8 * T.total),
+        res.note(inv == (sums <= 1e-8 * T[:, 2].sum()),
                  f"invariance/sums equivalence failed (inv={inv}, sums={sums})")
         rep = gc.tprime_check(T, table)
         res.note(rep.agree, "t' statements disagree")

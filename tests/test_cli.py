@@ -200,6 +200,9 @@ def test_usage_errors(capsys, monkeypatch, tmp_path, core4_file):
                  ["search-balanced", "--rows", "4", "--cols", "4",
                   "--limit", "x"],
                  ["search-balanced", "--rows", "x", "--cols", "4"],
+                 ["search-balanced", "--rows", "3", "--cols", "4"],
+                 ["search-balanced", "--rows", "0", "--cols", "4"],
+                 ["search-balanced", "--rows", "4", "--cols", "-2"],
                  group + ["--easy", "1,a"],
                  ["verify-suite", "--suites", "boolfn,nonsense"],
                  ["group-check", "--gmap", missing],
@@ -222,6 +225,10 @@ def test_input_flag_refusals_name_the_flag(capsys, monkeypatch, tmp_path):
     binary.write_bytes(b"\xff\xfe")
     bad_mu = tmp_path / "mu.txt"
     bad_mu.write_text("2 2\n0.25 0.25\n0.5\n")
+    nan = tmp_path / "nan.txt"
+    nan.write_text("nan 1\n")
+    inf = tmp_path / "inf.txt"
+    inf.write_text("1 -inf\n")
     gmap = tmp_path / "gmap.txt"
     gmap.write_text(GroupMapMatrix.from_sign_blocks([XOR_2]).to_text())
     group = ["group-check", "--gmap", str(gmap)]
@@ -234,6 +241,8 @@ def test_input_flag_refusals_name_the_flag(capsys, monkeypatch, tmp_path):
         ("--gmap", ["group-check", "--gmap", str(binary)]),
         ("--table", group + ["--table", str(binary)]),
         ("--values", group + ["--values", str(binary)]),
+        ("--values", group + ["--values", str(nan)]),
+        ("--values", group + ["--values", str(inf)]),
         ("--inner", ["compose", "--function", "AND:2",
                      "--inner", str(tmp_path)]),
         ("--gmap", ["group-check", "--gmap", str(tmp_path)]),
@@ -255,6 +264,48 @@ def test_input_flag_refusals_name_the_flag(capsys, monkeypatch, tmp_path):
         out, err = capsys.readouterr()
         assert (code, out) == (EXIT_USAGE, ""), argv
         assert err.startswith(f"error: {flag}: "), (argv, err)
+        assert err.count("\n") == 1, (argv, err)
+
+
+def test_refusals_after_the_read_name_the_flag(capsys, tmp_path):
+    # inputs that parse but do not fit the command are refused by the
+    # handler, each with one line naming the flag at fault
+    small_mu = tmp_path / "small.txt"
+    small_mu.write_text("1 1\n1\n")
+    skewed_mu = tmp_path / "skewed.txt"
+    skewed_mu.write_text("2 2\n1 0\n0 0\n")
+    gmap = tmp_path / "gmap.txt"
+    gmap.write_text(GroupMapMatrix.from_sign_blocks([XOR_2]).to_text())
+    # rows (1, -1) and (i, i): orthogonal, within degree 1, neither trivial
+    table = tmp_path / "table.json"
+    table.write_text('{"h": 2, "order": 2, "table": [[1, 0], [-1, 0], '
+                     '[0, 1], [0, 1]], "class_of": [0, 1], '
+                     '"degrees": [1, 1]}')
+    shizhu = ["lower-bound", "--theorem", "shizhu", "--function", "PARITY:1"]
+    compose = ["compose", "--function", "AND:2", "--inner", "h2"]
+    cases = [
+        ("--mu: mu must have the same shape",
+         shizhu + ["--inner", "xor2", "--mu", str(small_mu)]),
+        ("--mu: mu must be balanced",
+         shizhu + ["--inner", "h2", "--mu", str(skewed_mu)]),
+        ("--table: table has no trivial character row",
+         ["group-check", "--gmap", str(gmap), "--table", str(table)]),
+        ("--inner: inner matrix must be strongly balanced",
+         compose + ["--verify-rank"]),
+        ("--inner: witness construction without mu requires",
+         compose + ["--witness"]),
+        ("--rows must be a positive even integer, got 3",
+         ["search-balanced", "--rows", "3", "--cols", "4"]),
+        ("--rows must be a positive even integer, got 0",
+         ["search-balanced", "--rows", "0", "--cols", "4"]),
+        ("--cols must be a positive even integer, got 5",
+         ["search-balanced", "--rows", "4", "--cols", "5"]),
+    ]
+    for prefix, argv in cases:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err.startswith(f"error: {prefix}"), (argv, err)
         assert err.count("\n") == 1, (argv, err)
 
 

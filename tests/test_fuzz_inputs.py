@@ -4,8 +4,8 @@ Each input is arbitrary text or a valid file with one token replaced.  A
 reader either parses it or raises one ValueError whose message names the
 format (a truth table above MAX_ARITY raises ResourceLimitError instead).
 Through ``cli.main`` a file, given as text or as raw bytes that need not be
-UTF-8, never gives a traceback: a refused file exits 2 with one ``error:``
-line on stderr and nothing on stdout.
+UTF-8, never gives a traceback: a refused file exits 2 with one line on
+stderr that names the flag, ``error: --<flag>``, and nothing on stdout.
 """
 
 import re
@@ -127,6 +127,6 @@ def test_cli_input_files_exit_cleanly(name, tmp_path, capsys):
         if code in (cli.EXIT_USAGE, cli.EXIT_RESOURCE):
             assert out == "" and err.count("\n") == 1, (data, out, err)
         if code == cli.EXIT_USAGE:
-            assert err.startswith("error: "), (data, err)
+            assert err.startswith(f"error: {flag_argv[-1]}"), (data, err)
 
     check()

@@ -24,8 +24,13 @@ T_Z3 = gc.characters_abelian(Z3)
 T_Z22 = gc.characters_abelian(Z22)
 
 
-def pair_set(counter, total=None, axis="row", indices=(0, 0)):
-    return gc.PairMultiset.from_counter(Counter(counter), axis, indices)
+def pair_set(counter):
+    """The pair multiset of a Counter of (s, t) pairs."""
+    return gc.pair_counts(list(Counter(counter).elements()))
+
+
+def as_counter(T):
+    return Counter({(s, t): m for s, t, m in T.tolist()})
 
 
 def test_group_indexing_round_trip():
@@ -246,8 +251,9 @@ def test_pair_multisets_from_xor():
     gm = gc.GroupMapMatrix.from_sign_matrix(mx.XOR_2)
     fam = gc.pair_multisets(gm)
     assert len(fam.row_pairs) == 4 and len(fam.col_pairs) == 4
-    assert fam.row_pairs[(0, 1)].counter() == Counter({(0, 1): 1, (1, 0): 1})
-    assert fam.row_pairs[(0, 1)].total == 2
+    assert as_counter(fam.row_pairs[(0, 1)]) == Counter({(0, 1): 1,
+                                                         (1, 0): 1})
+    assert fam.row_pairs[(0, 1)][:, 2].sum() == 2
     assert gc.g_invariant(fam.row_pairs[(0, 1)], gm.group)
 
 
@@ -256,24 +262,41 @@ def test_pair_multisets_single_cell():
     fam = gc.pair_multisets(gm)
     assert len(fam.row_pairs) == 1 and len(fam.col_pairs) == 1
     only = fam.row_pairs[(0, 0)]
-    assert only.total == 1 and only.counter() == Counter({(2, 2): 1})
+    assert only[:, 2].sum() == 1 and as_counter(only) == Counter({(2, 2): 1})
 
 
 def test_pair_multiset_is_a_read_only_array_compared_by_value():
     T = pair_set({(2, 0): 3, (0, 1): 1})
-    assert T.pairs.dtype == np.int64
-    assert T.pairs.tolist() == [[0, 1, 1], [2, 0, 3]]
+    assert T.dtype == np.int64
+    assert T.tolist() == [[0, 1, 1], [2, 0, 3]]
     fam = gc.pair_multisets(gc.GroupMapMatrix([[0, 1], [2, 2]], Z3))
     for P in (T, fam.row_pairs[(0, 1)], fam.col_pairs[(1, 0)]):
+        assert P.dtype == np.int64 and P.shape[1] == 3
         with pytest.raises(ValueError):
-            P.pairs[0, 2] = 7
-    assert T == pair_set({(0, 1): 1, (2, 0): 3})
-    assert T != pair_set({(0, 1): 1, (2, 0): 2})
-    assert T != pair_set({(0, 1): 1, (2, 0): 3}, indices=(0, 1))
-    assert T != T.pairs
-    assert fam.row_pairs[(0, 1)] == gc.PairMultiset.from_counter(
-        Counter({(0, 2): 1, (1, 2): 1}), "row", (0, 1))
-    assert pair_set({}).pairs.shape == (0, 3)
+            P[0, 2] = 7
+    assert np.array_equal(T, pair_set({(0, 1): 1, (2, 0): 3}))
+    assert not np.array_equal(T, pair_set({(0, 1): 1, (2, 0): 2}))
+    assert np.array_equal(fam.row_pairs[(0, 1)],
+                          pair_set({(0, 2): 1, (1, 2): 1}))
+    assert pair_set({}).shape == (0, 3)
+
+
+def test_pair_counts_against_counter_oracle():
+    rng = np.random.default_rng(5)
+    for size in (0, 1, 2, 7, 40):
+        for order in (2, 3, 8):
+            pairs = rng.integers(0, order, size=(size, 2))
+            want = Counter(map(tuple, pairs.tolist()))
+            rows = sorted([s, t, m] for (s, t), m in want.items())
+            for given in (pairs, pairs.tolist(), list(want.elements())):
+                T = gc.pair_counts(given)
+                assert T.dtype == np.int64 and T.shape == (len(want), 3)
+                assert T.tolist() == rows
+                assert not T.flags.writeable
+    # duplicates merge into one row, and the rows come out sorted
+    assert gc.pair_counts([(1, 0), (0, 2), (1, 0)]).tolist() == \
+        [[0, 2, 1], [1, 0, 2]]
+    assert gc.pair_counts([]).shape == (0, 3)
 
 
 def test_invariance_examples():
@@ -297,7 +320,7 @@ def test_invariance_examples():
                 closed[(G.add(s, a), G.add(s, b))] += m
         T = pair_set(closed)
         assert gc.g_invariant(T, G)
-        assert gc.orthogonality_sums(T, table) <= 1e-8 * T.total
+        assert gc.orthogonality_sums(T, table) <= 1e-8 * T[:, 2].sum()
 
 
 def _shift_oracle(counter, G):
@@ -354,16 +377,18 @@ def test_pair_multisets_against_counter_oracle():
                                              for x2 in range(rows)]
             assert sorted(fam.col_pairs) == [(y, y2) for y in range(cols)
                                              for y2 in range(cols)]
+            # sorted rows, no (s, t) twice, multiplicities summing to the
+            # line length, read-only
             for (x, x2), T in fam.row_pairs.items():
-                want = gc.PairMultiset.from_counter(
-                    Counter(zip(E[x].tolist(), E[x2].tolist())), "row",
-                    (x, x2))
-                assert T == want
+                want = Counter(zip(E[x].tolist(), E[x2].tolist()))
+                assert T.tolist() == sorted([s, t, m] for (s, t), m in
+                                            want.items())
+                assert T.dtype == np.int64 and not T.flags.writeable
             for (y, y2), T in fam.col_pairs.items():
-                want = gc.PairMultiset.from_counter(
-                    Counter(zip(E[:, y].tolist(), E[:, y2].tolist())), "col",
-                    (y, y2))
-                assert T == want
+                want = Counter(zip(E[:, y].tolist(), E[:, y2].tolist()))
+                assert T.tolist() == sorted([s, t, m] for (s, t), m in
+                                            want.items())
+                assert T.dtype == np.int64 and not T.flags.writeable
 
 
 def test_diagonal_invariant_against_g_invariant():
@@ -423,7 +448,7 @@ def test_tprime_direct_against_quadruple_loop():
                 for j in range(table.h):
                     if i != j:
                         acc = 0.0 + 0.0j
-                        for s, t, m in T.pairs.tolist():
+                        for s, t, m in T.tolist():
                             acc += m * chi[i, s] * np.conj(chi[j, t])
                         want = max(want, abs(acc))
             assert abs(gc.tprime_check(T, table).direct_max - want) <= 1e-12
@@ -543,6 +568,40 @@ def test_general_bound_inapplicable_paths():
     part = gc.HardnessPartition.from_easy([0], 2)
     rep = gc.general_bound(bad, fv, T_Z2, part, 0.0)
     assert not rep.applicable
+
+
+def test_group_bounds_refuse_bad_epsilon_and_table_order():
+    T_Z4 = gc.characters_abelian(Z4)
+    z4 = gc.GroupMapMatrix(np.add.outer(np.arange(4), np.arange(4)) % 4, Z4)
+    z2 = gc.GroupMapMatrix.from_sign_matrix(mx.PATTERN_CORE_4)
+    fv = np.array([1.0, -1.0, 1.0, -1.0])
+    part4 = gc.HardnessPartition.from_easy([0], 4)
+    part2 = gc.HardnessPartition.from_easy([0], 2)
+    assert gc.general_bound(z4, fv, T_Z4, part4, 0.0).main_term == 0.0
+    # a negative epsilon inflated the main term; it is refused first
+    for eps in (-1.0, -5.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            gc.general_bound(z4, fv, T_Z4, part4, eps)
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            gc.general_bound(z4, fv, T_Z2, part2, eps)
+    # a Z2 table on a Z4 map raised IndexError, a Z4 table on a Z2 map
+    # reported "orthogonality fails"
+    with pytest.raises(ValueError, match="order 2, but the group map has "
+                                         "order 4"):
+        gc.general_bound(z4, fv, T_Z2, part2, 0.0)
+    with pytest.raises(ValueError, match="order 4, but the group map has "
+                                         "order 2"):
+        gc.general_bound(z2, fv[:2], T_Z4, part4, 0.0)
+    with pytest.raises(ValueError, match="block 1's character table has "
+                                         "order 2, .* order 4"):
+        gc.block_group_bound([z4], fv, [T_Z2])
+    with pytest.raises(ValueError, match="block 1's character table has "
+                                         "order 4, .* order 2"):
+        gc.block_group_bound([z2], fv[:2], [T_Z4])
+    # checked for every block before any block's structure
+    irregular = gc.GroupMapMatrix(np.zeros((2, 2), dtype=int), Z2)
+    with pytest.raises(ValueError, match="block 2's character table"):
+        gc.block_group_bound([irregular, z4], np.ones(8), [T_Z2, T_Z2])
 
 
 def test_product_approx_degree_matches_boolean():

@@ -1,13 +1,14 @@
 """Approximate polynomial degree via LP, and the dual witness that certifies it.
 
-One LP does both sides.  For each candidate degree d, `chebyshev` solves the
-dual form of the best sup-norm approximation of f by polynomials of degree
-at most d: its solution is a point function v with unit l1 mass, zero
-correlation with every character of degree at most d, and correlation with
-f equal to that best error, and its row duals are the approximant.  The v
-at the last degree whose error exceeds epsilon is the witness that
-deg_epsilon(f) is larger.  All inner products here are plain
-sums over the 2^n points.
+One LP does both sides.  For each candidate degree d below deg(f),
+`chebyshev` solves the dual form of the best sup-norm approximation of f by
+polynomials of degree at most d: its solution is a point function v with
+unit l1 mass, zero correlation with every character of degree at most d,
+and correlation with f equal to that best error, and its row duals are the
+approximant.  The v at the last degree whose error exceeds epsilon is the
+witness that deg_epsilon(f) is larger.  From deg(f) up no LP is needed: the
+transform approximates f without error.  Inner products are plain sums over
+the 2^n points.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BoolFunction, FourierSpectrum, RealPointFunction, wht
+from .boolfn import (BoolFunction, FourierSpectrum, RealPointFunction, degree,
+                     wht)
 from .simplex import OPTIMAL, SimplexError, solve_lp
 
 ORTHOGONALITY_SLACK = 1e-8
@@ -79,11 +81,11 @@ def chebyshev(fvals, basis) -> tuple[float, np.ndarray, np.ndarray]:
     Solves the LP dual of min_c max_x |f(x) - sum_k c_k basis_k(x)|, which
     has one row per basis function plus one:  maximize <f, v> over
     v = p - q with p, q >= 0, basis @ v = 0 and sum (p + q) <= 1.  Returns
-    (error, c, v): the error is the optimum, c is minus the row duals of the
-    equality rows (the LP's dual feasibility is |f - c @ basis| <= error at
-    every point), and v certifies the error: basis @ v = 0, v @ f = error
-    and sum_x |v(x)| <= 1.  A tableau past MAX_TABLE_BYTES raises
-    ResourceLimitError from solve_lp.
+    (error, c, v): the error is the optimum (+0.0 when it is zero), c is
+    minus the row duals of the equality rows (the LP's dual feasibility is
+    |f - c @ basis| <= error at every point), and v certifies the error:
+    basis @ v = 0, v @ f = error and sum_x |v(x)| <= 1.  A tableau past
+    MAX_TABLE_BYTES raises ResourceLimitError from solve_lp.
     """
     f = np.asarray(fvals, dtype=float)
     if not np.isfinite(f).all():
@@ -96,7 +98,7 @@ def chebyshev(fvals, basis) -> tuple[float, np.ndarray, np.ndarray]:
     if res.status != OPTIMAL:
         raise SimplexError(f"Chebyshev LP over {k} basis functions "
                            f"returned {res.status}")
-    return -res.objective, -res.y[1:], res.x[:N] - res.x[N:]
+    return -res.objective + 0.0, -res.y[1:], res.x[:N] - res.x[N:]
 
 
 def _fit(f: BoolFunction, d: int) -> tuple[float, FourierSpectrum, np.ndarray]:
@@ -122,41 +124,38 @@ def best_approximation(f: BoolFunction, d: int) -> tuple[float, FourierSpectrum]
 
 
 def error_profile(f: BoolFunction) -> list[float]:
-    """Best achievable sup-norm error at every degree 0..n."""
-    return [best_approximation(f, d)[0] for d in range(f.n + 1)]
+    """Best achievable sup-norm error at every degree 0..n: an LP below
+    deg(f), and from there 0.0, which the transform attains."""
+    top = degree(f)
+    return [best_approximation(f, d)[0] for d in range(top)] + \
+        [0.0] * (f.n + 1 - top)
 
 
 def approx_degree(f: BoolFunction, epsilon: float) -> ApproxDegreeResult:
     """Smallest d whose degree-<=d Chebyshev LP is feasible at error epsilon.
 
-    The witness is the LP dual at degree d-1, whose error exceeds epsilon;
-    for d = 0 it is the point mass f(0) e_0, which no character below degree
-    0 constrains.  epsilon = 0 takes the exact path: the transform itself is
-    the (unique) errorless approximant at the exact degree, and only the
-    degree d-1 LP is solved.
+    Only degrees below deg(f) take an LP: at deg(f) the transform itself is
+    an errorless approximant, returned with lp_status "exact".  Below
+    deg(f) the best error is at least 2^(1-n), so epsilon = 0 solves only
+    the degree deg(f)-1 LP.  The witness is the LP dual at degree d-1,
+    whose error exceeds epsilon; for d = 0 it is the point mass f(0) e_0,
+    which no character below degree 0 constrains.
     """
     if not 0 <= epsilon < 1:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
+    top = degree(f)
     v = np.zeros(2 ** f.n)
     v[0] = f.table[0]
-    if epsilon == 0:
-        from .boolfn import degree as exact_degree
-
-        d = exact_degree(f)
-        if d > 0:
-            v = _fit(f, d - 1)[2]
-        return ApproxDegreeResult(d=d, approximant=wht(f), max_error=0.0,
-                                  lp_status="exact",
-                                  witness=_witness(f, d, epsilon, v))
-    for d in range(f.n + 1):
+    for d in range(0 if epsilon else max(top - 1, 0), top):
         err, approximant, dual = _fit(f, d)
         if err <= epsilon + _FEAS_TOL:
             return ApproxDegreeResult(d=d, approximant=approximant,
                                       max_error=err, lp_status="optimal",
                                       witness=_witness(f, d, epsilon, v))
         v = dual
-    raise SimplexError(
-        "no feasible degree found; the full-degree LP should always be exact")
+    return ApproxDegreeResult(d=top, approximant=wht(f), max_error=0.0,
+                              lp_status="exact",
+                              witness=_witness(f, top, epsilon, v))
 
 
 def dual_polynomial(f: BoolFunction, epsilon: float) -> DualWitness:

@@ -198,6 +198,9 @@ def _cmd_group_check(opts) -> tuple:
             f"--values must supply {gmap.order} numbers, got {len(vals)}")
     if not external_table:
         table = gc.characters_abelian(gmap.group)
+    if vals is not None:
+        with _blaming("--values"):
+            gc.check_class_function(vals, table)
     with _blaming("--table"):   # a table file may lack the trivial row
         easy = opts["easy"] if opts["easy"] is not None else \
             [table.trivial_index()]

@@ -27,7 +27,6 @@ from .bounds import BoundReport, OMITTED_CONSTANT_WARNING
 from .boolfn import BoolFunction
 from .errors import MAX_TABLE_BYTES, ResourceLimitError
 from .matrices import SignMatrix, balance_check, block_mask, spectrum
-from .simplex import SimplexError
 
 MAX_GROUP_ORDER = 2 ** 14
 _SUM_TOL = 1e-8  # zero tests scale with multiset size
@@ -80,9 +79,10 @@ class AbelianGroupSpec:
 
 
 def _integer_array(values, what: str) -> np.ndarray:
-    """values as an int64 array; ValueError unless every entry is an integer."""
+    """values as an int64 array; ValueError unless every entry is an integer
+    (an empty list, which numpy reads as float, has no entry to refuse)."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
+    if arr.dtype.kind not in "iu" and arr.size:
         raise ValueError(f"{what} entries must be integers")
     return arr.astype(np.int64)
 
@@ -334,9 +334,12 @@ class GroupMapMatrix:
 def pair_counts(pairs) -> np.ndarray:
     """The pair multiset of an array-like of (s, t) rows, such as
     {(g(x,y), g(x',y)) : y}: a read-only k x 3 int64 array of sorted
-    (s, t, multiplicity) rows, with no (s, t) twice."""
-    st, m = np.unique(np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
-                      axis=0, return_counts=True)
+    (s, t, multiplicity) rows, with no (s, t) twice.  Entries must be
+    non-negative integers (element indices)."""
+    st = _integer_array(pairs, "pair").reshape(-1, 2)
+    if (st < 0).any():
+        raise ValueError("pair entries must be non-negative element indices")
+    st, m = np.unique(st, axis=0, return_counts=True)
     out = np.column_stack([st, m])
     out.setflags(write=False)
     return out
@@ -448,7 +451,11 @@ def g_invariant(T: np.ndarray, G: AbelianGroupSpec) -> bool:
     """
     s, t, m = T.T
     key = s * G.order + t
-    moved = G.shifts[:, s] * G.order + G.shifts[:, t]
+    try:
+        moved = G.shifts[:, s] * G.order + G.shifts[:, t]
+    except IndexError:
+        raise ValueError(f"pair entries must be element indices below "
+                         f"{G.order}") from None
     at = np.searchsorted(key, moved).clip(max=len(key) - 1)
     return bool((key[at] == moved).all() and (m[at] == m).all())
 
@@ -640,6 +647,27 @@ def dual_h(fvals, table: CharacterTable, easy) -> DualClassFunction:
 # ---------------------------------------------------------------------------
 # bound evaluators
 
+def check_class_function(fvals, table: CharacterTable) -> np.ndarray:
+    """fvals as floats; ValueError unless they are one finite value per
+    element of table's group, constant on each conjugacy class."""
+    fv = np.asarray(fvals, dtype=float)
+    if fv.shape != (table.order,):
+        raise ValueError(f"f must have one value per group element "
+                         f"({table.order})")
+    if not np.isfinite(fv).all():
+        raise ValueError("class-function values must be finite")
+    lead = np.empty(table.h, dtype=np.int64)    # each class's first element
+    lead[table.class_of[::-1]] = np.arange(table.order)[::-1]
+    lead = lead[table.class_of]
+    off = np.flatnonzero(fv != fv[lead])
+    if off.size:
+        e = off[0]
+        raise ValueError(f"values are not a class function: elements "
+                         f"{lead[e]} and {e} share class "
+                         f"{table.class_of[e]} but differ")
+    return fv
+
+
 def _check_table_order(gmap: GroupMapMatrix, table: CharacterTable,
                        what: str = "character table") -> None:
     if table.order != gmap.order:
@@ -668,9 +696,7 @@ def general_bound(gmap: GroupMapMatrix, fvals, table: CharacterTable,
         report.warnings.append(
             f"easy characters {unpaired} have conjugates outside the easy "
             "set; delta covers only its conjugation-closed part")
-    fv = np.asarray(fvals, dtype=float)
-    if not np.isfinite(fv).all():
-        raise ValueError("class-function values must be finite")
+    fv = check_class_function(fvals, table)
     reg = regularity_check(gmap)
     if not reg.regular:
         report.applicable = False
@@ -716,8 +742,8 @@ def general_bound(gmap: GroupMapMatrix, fvals, table: CharacterTable,
 
 
 def _product_characters(tables):
-    """Every product character, as (number of non-identity components, value
-    row over the product group).
+    """The number of non-identity components of every product character,
+    and the product's CharacterTable, whose rows are those characters.
 
     The first group is the least significant factor of the element index,
     as in CharacterTable.product.
@@ -726,26 +752,24 @@ def _product_characters(tables):
     for t in reversed(tables):
         nonid = np.add.outer(nonid,
                              np.arange(t.h) != t.trivial_index()).ravel()
-    return nonid, CharacterTable.product(tables).table
+    return nonid, CharacterTable.product(tables)
 
 
 def product_approx_degree(fvals, tables, epsilon: float) -> int:
     """Smallest d for which characters with at most d non-identity components
-    approximate f within epsilon in sup norm."""
+    approximate f, a class function of the product group, within epsilon in
+    sup norm.  All characters span every real class function, so d = t, the
+    number of blocks, needs no LP."""
     if not 0 <= epsilon < 1:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     tables = list(tables)
-    fv = np.asarray(fvals, dtype=float)
-    total = math.prod(t.order for t in tables)
-    if fv.shape != (total,):
-        raise ValueError(f"f must have one value per product element ({total})")
-    nonid, rows = _product_characters(tables)
-    for d in range(len(tables) + 1):
-        basis = _real_span_basis(rows, np.flatnonzero(nonid <= d))
+    nonid, product = _product_characters(tables)
+    fv = check_class_function(fvals, product)
+    for d in range(len(tables)):
+        basis = _real_span_basis(product.table, np.flatnonzero(nonid <= d))
         if chebyshev(fv, basis)[0] <= epsilon + 1e-9:
             return d
-    raise SimplexError("full character set failed to represent f; "
-                       "this should be impossible")
+    return len(tables)
 
 
 def block_group_bound(gmaps, fvals, tables) -> BoundReport:

@@ -236,3 +236,82 @@ def test_masks_up_to_degree_against_popcount():
         for d in range(-1, n + 2):
             want = [T for T in range(2 ** n) if bin(T).count("1") <= d]
             assert _masks_up_to_degree(n, d).tolist() == want, (n, d)
+
+
+def _count_lps(monkeypatch):
+    """Patch approx.solve_lp to count its calls; returns the count list."""
+    import commbound.approx
+
+    calls = []
+    solve = commbound.approx.solve_lp
+    monkeypatch.setattr(commbound.approx, "solve_lp",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    return calls
+
+
+def _reference_sweep(f, epsilon):
+    """(d, witness table) from an LP at every degree 0..n, the full-degree
+    LP included: the sweep before it stopped at deg(f)."""
+    from commbound.approx import _FEAS_TOL, _fit
+
+    v = np.zeros(2 ** f.n)
+    v[0] = f.table[0]
+    for d in range(f.n + 1):
+        err, _, dual = _fit(f, d)
+        if err <= epsilon + _FEAS_TOL:
+            return d, v
+        v = dual
+    raise AssertionError("the full-degree LP is always exact")
+
+
+def test_chebyshev_zero_optimum_is_a_positive_zero():
+    import math
+
+    err = chebyshev(AND2.table, _character_matrix(2, range(4)))[0]
+    assert err == 0.0 and math.copysign(1.0, err) == 1.0
+
+
+def test_parity_sweep_stops_at_the_exact_degree(monkeypatch):
+    import math
+
+    calls = _count_lps(monkeypatch)
+    for n in range(1, 7):
+        calls.clear()
+        r = approx_degree(builtin_function("PARITY", n), 1.0 / 3.0)
+        assert (r.d, len(calls), r.lp_status) == (n, n, "exact")
+        assert math.copysign(1.0, r.max_error) == 1.0 and r.max_error == 0.0
+
+
+def test_epsilon_zero_solves_one_lp(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    for f in [builtin_function("AND", 4), builtin_function("MAJ", 3),
+              BoolFunction(3, [1] * 8), BoolFunction(3, [-1] * 8)]:
+        calls.clear()
+        r = approx_degree(f, 0.0)
+        assert r.lp_status == "exact" and r.max_error == 0.0
+        assert len(calls) == min(r.d, 1)
+
+
+def test_sweep_matches_a_full_reference_sweep():
+    for f in all_functions(3):
+        for eps in (0.0, 1.0 / 3.0, 0.6):
+            r = approx_degree(f, eps)
+            d, v = _reference_sweep(f, eps)
+            assert r.d == r.witness.d == d, (f.table, eps)
+            assert np.array_equal(r.witness.v.table, v), (f.table, eps)
+
+
+def test_error_profile_is_exact_from_the_degree_up():
+    import math
+
+    from commbound.boolfn import degree
+
+    for f in [AND2, builtin_function("MAJ", 3), builtin_function("OR", 4),
+              BoolFunction(2, [1, -1, 1, -1]), BoolFunction(2, [1] * 4)]:
+        top = degree(f)
+        profile = error_profile(f)
+        assert len(profile) == f.n + 1
+        for d in range(top):
+            assert profile[d] == best_approximation(f, d)[0]
+        for e in profile[top:]:
+            assert e == 0.0 and math.copysign(1.0, e) == 1.0

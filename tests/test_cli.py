@@ -10,7 +10,7 @@ from commbound import cli
 from commbound.bounds import BoundReport
 from commbound.cli import (EXIT_INAPPLICABLE, EXIT_OK, EXIT_RESOURCE,
                            EXIT_USAGE, main)
-from commbound.groupcomp import GroupMapMatrix
+from commbound.groupcomp import AbelianGroupSpec, GroupMapMatrix
 
 
 @pytest.fixture()
@@ -418,6 +418,50 @@ def test_non_finite_inputs_exit_2(capsys, tmp_path):
         assert err.count("\n") == 1, argv
 
 
+def test_group_check_refuses_values_that_are_not_a_class_function(
+        capsys, tmp_path):
+    # S3's multiplication table as a map file over Z6 (one index per
+    # element); the --table supplies S3's characters.  f differs on the
+    # transpositions 1 and 2
+    perms = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
+    mult = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms]
+            for p in perms]
+    gmap = tmp_path / "s3.gmap"
+    gmap.write_text(GroupMapMatrix(mult, AbelianGroupSpec([6])).to_text())
+    table = tmp_path / "s3.json"
+    table.write_text('{"h": 3, "order": 6, "table": ['
+                     + ", ".join(f"[{v}, 0]" for v in
+                                 [1] * 6 + [1, -1, -1, -1, 1, 1]
+                                 + [2, 0, 0, 0, -1, -1])
+                     + '], "class_of": [0, 1, 1, 1, 2, 2], '
+                     '"degrees": [1, 1, 2]}')
+    values = tmp_path / "values.txt"
+    argv = ["group-check", "--gmap", str(gmap), "--table", str(table),
+            "--values", str(values)]
+    values.write_text("1 -1 1 1 1 1\n")
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == ("error: --values: values are not a class function: "
+                   "elements 1 and 2 share class 1 but differ\n")
+    values.write_text("1 -1 -1 -1 1 1\n")
+    code, report = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert report["report"]["bound"]["applicable"] is True
+
+
+def test_group_check_zero_distance_is_a_positive_zero(capsys, tmp_path):
+    gmap = tmp_path / "gmap.txt"
+    gmap.write_text("group 2\n0,1\n1,0\n")
+    values = tmp_path / "values.txt"
+    values.write_text("1 1\n")
+    code = main(["group-check", "--gmap", str(gmap), "--values", str(values)])
+    out = capsys.readouterr().out
+    assert code == EXIT_INAPPLICABLE
+    assert '"delta": 0.0' in out and "-0" not in out
+    assert "delta - 2 eps = 0 is not positive" in out
+
+
 def test_group_check_easy_indices_exit_2(capsys, tmp_path):
     gmap = tmp_path / "gmap.txt"
     gmap.write_text(GroupMapMatrix.from_sign_blocks([XOR_2]).to_text())
@@ -478,19 +522,26 @@ def test_solver_failure_exits_3(capsys, monkeypatch):
 
 
 def test_dual_solves_one_lp_per_degree(capsys, monkeypatch):
-    # degrees 0..d are each solved once, and the witness is the degree d-1
-    # dual, so --dual adds no LP
+    # degrees 0..d are each solved once below deg(f), where the transform
+    # is exact without an LP, and the witness is the degree d-1 dual, so
+    # --dual adds no LP: MAJ:5 stops at d = deg = 5 after 5 LPs, AND:5 at
+    # d = 3 < deg = 5 after 4
     import commbound.approx
+    from commbound.boolfn import degree, load_function
 
     calls = []
     solve = commbound.approx.solve_lp
     monkeypatch.setattr(commbound.approx, "solve_lp",
                         lambda *a, **k: calls.append(1) or solve(*a, **k))
-    code, report = run_cli(capsys, "approx-degree", "--function", "MAJ:5",
-                           "--epsilon", "0.333", "--dual")
-    assert code == EXIT_OK
-    assert report["report"]["dual"]["all_checks_pass"] is True
-    assert len(calls) == report["report"]["d"] + 1
+    for spec, d_want, lps in (("MAJ:5", 5, 5), ("AND:5", 3, 4)):
+        calls.clear()
+        code, report = run_cli(capsys, "approx-degree", "--function", spec,
+                               "--epsilon", "0.333", "--dual")
+        assert code == EXIT_OK
+        assert report["report"]["dual"]["all_checks_pass"] is True
+        d = report["report"]["d"]
+        assert (d, len(calls)) == (d_want, lps)
+        assert len(calls) == min(d + 1, degree(load_function(spec)))
 
 
 def test_search_balanced_command(capsys):

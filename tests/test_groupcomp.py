@@ -299,6 +299,18 @@ def test_pair_counts_against_counter_oracle():
     assert gc.pair_counts([]).shape == (0, 3)
 
 
+def test_pair_counts_and_g_invariant_refuse_non_elements():
+    # floats were truncated and -1 read as |G| - 1 by the shift lookup
+    for pairs in ([(1.5, 2.0)], [(1.0, 2.0)], [(-1, -1), (0, 0), (1, 1)]):
+        with pytest.raises(ValueError, match="pair entries"):
+            gc.pair_counts(pairs)
+    # an entry past the group raised IndexError from the shift lookup
+    for T in (gc.pair_counts([(5, 5)]), gc.pair_counts([(0, 1), (3, 0)])):
+        with pytest.raises(ValueError, match="below 3"):
+            gc.g_invariant(T, Z3)
+    assert gc.g_invariant(gc.pair_counts([(0, 0), (1, 1), (2, 2)]), Z3)
+
+
 def test_invariance_examples():
     diag = pair_set({(s, s): 1 for s in range(3)})
     assert gc.g_invariant(diag, Z3)
@@ -624,9 +636,52 @@ def test_product_characters_against_per_combination():
                 row = np.kron(row, t.table[c])
             nonid = sum(c != tr for c, tr in zip(combo, trivial))
             want.append((nonid, row.tobytes()))
-        nonid, rows = gc._product_characters(tables)
-        assert sorted(zip(nonid.tolist(), (r.tobytes() for r in rows))) == \
+        nonid, product = gc._product_characters(tables)
+        assert sorted(zip(nonid.tolist(),
+                          (r.tobytes() for r in product.table))) == \
             sorted(want)
+
+
+def test_product_approx_degree_skips_the_full_character_lp(monkeypatch):
+    # every character together spans every class function, so d = t needs
+    # no LP: 3-bit parity over three Z2 tables takes the LPs at d = 0, 1, 2
+    calls = []
+    solve = gc.chebyshev
+    monkeypatch.setattr(gc, "chebyshev",
+                        lambda *a: calls.append(1) or solve(*a))
+    fv = gc.class_function_from_bool(builtin_function("PARITY", 3))
+    assert gc.product_approx_degree(fv, [T_Z2] * 3, 1.0 / 3.0) == 3
+    assert len(calls) == 3
+
+
+def test_s3_values_must_be_a_class_function():
+    mult, table = _s3()
+    gm = gc.GroupMapMatrix(mult, order=6)
+    # not constant on the transpositions 1, 2, 3
+    f = np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+    part = gc.HardnessPartition.from_easy([0], 3)
+    with pytest.raises(ValueError, match="not a class function: elements 1 "
+                                         "and 2 share class 1"):
+        gc.general_bound(gm, f, table, part, 0.0)
+    for call in (lambda: gc.product_approx_degree(np.kron(f, np.ones(6)),
+                                                  [table] * 2, 1 / 3),
+                 lambda: gc.block_group_bound([gm, gm], np.kron(f, np.ones(6)),
+                                              [table] * 2)):
+        with pytest.raises(ValueError, match="not a class function"):
+            call()
+    with pytest.raises(ValueError, match="one value per group element"):
+        gc.general_bound(gm, f[:5], table, part, 0.0)
+    # the sign character is a class function
+    sign = table.table[1].real
+    assert gc.general_bound(gm, sign, table, part, 0.0).applicable
+    assert gc.product_approx_degree(np.kron(sign, sign), [table] * 2,
+                                    1 / 3) == 2
+
+
+def test_zero_distance_is_a_positive_zero():
+    T_Z4 = gc.characters_abelian(Z4)
+    delta = gc.distance_to_easy(np.ones(4), T_Z4, [0])
+    assert delta == 0.0 and math.copysign(1.0, delta) == 1.0
 
 
 def test_product_approx_degree_constant():

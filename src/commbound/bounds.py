@@ -3,9 +3,10 @@ lower-bound main terms for composed functions.
 
 Discrepancy is computed exactly by enumerating row subsets (the column side
 has a closed form for fixed rows), their column sums taken from 0/1 matrix
-products.  The dual factorization norm is never
-computed directly; a certified enclosure [disc, K_G * disc] from
-Grothendieck's inequality replaces it, with K_G over-approximated by 1.7823.
+products.  The dual factorization norm gamma2* is never computed directly:
+disc (the 0/1 norm) <= ||A*P||_{inf->1} <= gamma2* <= K_G ||A*P||_{inf->1}
+<= 4 K_G disc by Grothendieck, K_G over-approximated by 1.7823, and
+gamma2* <= sqrt(mn) ||A*P|| by Cauchy-Schwarz enclose it.
 Every theorem evaluator reports a main term only: unquantified additive
 constants are excluded and flagged in the warnings list.
 """
@@ -40,10 +41,17 @@ class BoundReport:
     """Evaluated lower-bound main term with intermediates and warnings."""
 
     theorem: str
-    applicable: bool
-    main_term: float | None
+    applicable: bool = True
+    main_term: float | None = None
     intermediates: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
+    warnings: list = field(
+        default_factory=lambda: [OMITTED_CONSTANT_WARNING])
+
+    def refuse(self, warning: str) -> "BoundReport":
+        """Mark the theorem inapplicable for the reason warning gives."""
+        self.applicable = False
+        self.warnings.append(warning)
+        return self
 
 
 @dataclass(frozen=True)
@@ -125,9 +133,12 @@ def shaltiel_verify(A: SignMatrix, cap: int = DEFAULT_ENUMERATION_CAP) -> Shalti
 
 def gamma2_star_interval(A: SignMatrix, P: DistributionMatrix,
                          cap: int = DEFAULT_ENUMERATION_CAP) -> tuple:
-    """Certified enclosure [disc, K_G*disc] of the dual factorization norm of A*P."""
+    """Enclosure [disc, min(4 K_G disc, sqrt(mn) ||A*P||)] of the dual
+    factorization norm of A*P, derived in the module docstring."""
     disc = discrepancy(A, P, cap)
-    return (disc, GROTHENDIECK_UPPER * disc)
+    norm = spectrum(A.entries * P.weights).spectral_norm
+    return (disc, min(4.0 * GROTHENDIECK_UPPER * disc,
+                      math.sqrt(A.size) * norm))
 
 
 def verify_spectral_disc(A: SignMatrix, cert: SpectralDiscCert) -> SpectralDiscReport:
@@ -190,13 +201,9 @@ def sherstov_bound(f: BoolFunction, g: SignMatrix,
     deg_eps0(f) * log2(sqrt(size(M_g)) / ||M_g||)."""
     if not 0 < epsilon0 < 1:
         raise ValueError(f"epsilon0 must lie in (0, 1), got {epsilon0}")
-    report = BoundReport(theorem="sherstov", applicable=True, main_term=None,
-                         warnings=[OMITTED_CONSTANT_WARNING])
-    bal = balance_check(g)
-    if not bal.strongly_balanced:
-        report.applicable = False
-        report.warnings.append("inner matrix is not strongly balanced")
-        return report
+    report = BoundReport(theorem="sherstov")
+    if not balance_check(g).strongly_balanced:
+        return report.refuse("inner matrix is not strongly balanced")
     d = approx_degree(f, epsilon0).d
     sp = spectrum(g)
     ratio = math.sqrt(g.size) / sp.spectral_norm
@@ -221,13 +228,9 @@ def disc_bound(f: BoolFunction, g: SignMatrix,
                cap: int = DEFAULT_ENUMERATION_CAP) -> BoundReport:
     """Discrepancy form of the composition bound:
     (1/3) deg_{1/3}(f) (log2(1/disc_U(M_g)) - 7)."""
-    report = BoundReport(theorem="disc", applicable=True, main_term=None,
-                         warnings=[OMITTED_CONSTANT_WARNING])
-    bal = balance_check(g)
-    if not bal.strongly_balanced:
-        report.applicable = False
-        report.warnings.append("inner matrix is not strongly balanced")
-        return report
+    report = BoundReport(theorem="disc")
+    if not balance_check(g).strongly_balanced:
+        return report.refuse("inner matrix is not strongly balanced")
     d = approx_degree(f, 1.0 / 3.0).d
     disc = uniform_discrepancy(g, cap)
     inner = math.log2(1.0 / disc) - 7.0
@@ -249,14 +252,13 @@ def shizhu_bound(f: BoolFunction, g: SignMatrix, mu: DistributionMatrix,
 
     Requires mu balanced with respect to g.  The condition
     gamma2*(M_g * mu) <= d/(2 e n) is tested conservatively against the
-    upper end of the Grothendieck enclosure; when it fails the measured gap
-    is reported and the bound is marked inapplicable.
+    upper end of gamma2_star_interval; when it fails the measured gap is
+    reported and the bound is marked inapplicable.
     """
     if not 0 < epsilon0 < 1:
         raise ValueError(f"epsilon0 must lie in (0, 1), got {epsilon0}")
     mu.check_balanced(g)
-    report = BoundReport(theorem="shizhu", applicable=True, main_term=None,
-                         warnings=[OMITTED_CONSTANT_WARNING])
+    report = BoundReport(theorem="shizhu")
     d = approx_degree(f, epsilon0).d
     n = f.n
     low, high = gamma2_star_interval(g, mu, cap)
@@ -269,11 +271,9 @@ def shizhu_bound(f: BoolFunction, g: SignMatrix, mu: DistributionMatrix,
         "threshold": threshold,
         "gap": high - threshold,
     }
-    if high <= threshold:
-        report.main_term = float(d)
-    else:
-        report.applicable = False
-        report.warnings.append(
+    if high > threshold:
+        return report.refuse(
             f"condition fails: certified gamma2* upper bound {high:.6g} "
             f"exceeds d/(2en) = {threshold:.6g}")
+    report.main_term = float(d)
     return report

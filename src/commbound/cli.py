@@ -179,8 +179,8 @@ def _cmd_lower_bound(opts) -> tuple:
         if opts["mu"] is None:
             raise UsageError("--mu is required for --theorem shizhu")
         with _blaming("--mu"):
-            opts["mu"].check_balanced(g)
-        rep = bd.shizhu_bound(f, g, opts["mu"], eps0, cap=opts["enum_cap"])
+            rep = bd.shizhu_bound(f, g, opts["mu"], eps0,
+                                  cap=opts["enum_cap"])
     vacuous = rep.main_term is not None and rep.main_term <= 0
     rank_one = rep.intermediates.get("inner_rank") == 1
     code = EXIT_OK if rep.applicable and not vacuous and not rank_one \
@@ -191,8 +191,9 @@ def _cmd_lower_bound(opts) -> tuple:
 def _cmd_group_check(opts) -> tuple:
     gmap, table, vals = opts["gmap"], opts["table"], opts["values"]
     external_table = table is not None
-    if external_table and table.order != gmap.order:
-        raise UsageError("--table order does not match the group map")
+    if external_table:
+        with _blaming("--table"):
+            gc.check_table_order(gmap, table)
     if vals is not None and len(vals) != gmap.order:
         raise UsageError(
             f"--values must supply {gmap.order} numbers, got {len(vals)}")
@@ -204,10 +205,8 @@ def _cmd_group_check(opts) -> tuple:
     with _blaming("--table"):   # a table file may lack the trivial row
         easy = opts["easy"] if opts["easy"] is not None else \
             [table.trivial_index()]
-    if not set(easy) <= set(range(table.h)) or len(set(easy)) < len(easy):
-        raise UsageError(f"--easy must list distinct character indices in "
-                         f"[0, {table.h}), got {opts['easy']}")
-    partition = gc.HardnessPartition.from_easy(easy, table.h)
+    with _blaming("--easy"):
+        partition = gc.HardnessPartition.from_easy(easy, table.h)
     hard = sorted(partition.hard)
     reg = gc.regularity_check(gmap)
     orth = gc.orthogonality_general(gmap, table, hard)

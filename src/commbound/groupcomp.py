@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import chebyshev
-from .bounds import BoundReport, OMITTED_CONSTANT_WARNING
+from .bounds import BoundReport
 from .boolfn import BoolFunction
 from .errors import MAX_TABLE_BYTES, ResourceLimitError
 from .matrices import SignMatrix, balance_check, block_mask, spectrum
@@ -92,8 +92,9 @@ class CharacterTable:
 
     Rows must satisfy the orthogonality relation
     sum_g chi_i(g) conj(chi_j(g)) = |G| [i == j] and the entry bound
-    |chi_i(g)| <= degrees[i].  For Abelian groups there are |G| rows, all of
-    degree one, and classes are singletons.
+    |chi_i(g)| <= degrees[i]; class_of must name h classes, and every
+    character must be constant on each.  For Abelian groups there are |G|
+    rows, all of degree one, and classes are singletons.
     """
 
     __slots__ = ("h", "order", "table", "class_of", "degrees")
@@ -107,6 +108,8 @@ class CharacterTable:
         cls = _integer_array(class_of, "class_of")
         if cls.shape != (order,) or cls.min() < 0 or cls.max() >= h:
             raise ValueError("class_of must map each element to a class index")
+        if np.bincount(cls, minlength=h).min() == 0:
+            raise ValueError("class_of must use all h class indices")
         degs = _integer_array(degrees, "degrees")
         if degs.shape != (h,) or (degs < 1).any():
             raise ValueError("degrees must be positive, one per character")
@@ -118,6 +121,8 @@ class CharacterTable:
         over = np.flatnonzero(np.abs(arr).max(axis=1) > np.array(degs) + 1e-12)
         if over.size:
             raise ValueError(f"character {over[0]} exceeds its degree bound")
+        if np.abs(arr - arr[:, _class_leads(cls, h)]).max() > 1e-9:
+            raise ValueError("characters must be constant on each class")
         arr = arr.copy()
         arr.setflags(write=False)
         self.h = h
@@ -200,6 +205,13 @@ class CharacterTable:
             "class_of": [int(c) for c in self.class_of],
             "degrees": list(self.degrees),
         })
+
+
+def _class_leads(class_of: np.ndarray, h: int) -> np.ndarray:
+    """The first element of each element's class, over all elements."""
+    lead = np.empty(h, dtype=np.int64)
+    lead[class_of[::-1]] = np.arange(len(class_of))[::-1]
+    return lead[class_of]
 
 
 def _cyclic_characters(m: int) -> np.ndarray:
@@ -358,10 +370,14 @@ class HardnessPartition:
 
     @classmethod
     def from_easy(cls, easy, h: int):
-        easy = frozenset(easy)
-        if any(i < 0 or i >= h for i in easy):
-            raise ValueError("easy indices out of range")
-        return cls(easy=easy, hard=frozenset(range(h)) - easy)
+        """Easy characters as listed, the rest of range(h) hard; ValueError
+        unless the listed indices are distinct and in [0, h)."""
+        easy = list(easy)
+        unique = frozenset(easy)
+        if len(unique) < len(easy) or any(not 0 <= i < h for i in unique):
+            raise ValueError(f"easy indices must be distinct and in "
+                             f"[0, {h}), got {easy}")
+        return cls(easy=unique, hard=frozenset(range(h)) - unique)
 
 
 @dataclass(frozen=True)
@@ -475,12 +491,11 @@ def _off_diagonal_max(E: np.ndarray) -> float:
 
 
 def orthogonality_sums(T: np.ndarray, table: CharacterTable) -> float:
-    """max over i != j of |sum over T of chi_i(s) conj(chi_j(t))|, through
-    the count matrix M[s, t] = multiplicity of (s, t) in T."""
-    M = np.zeros((table.order, table.order))
+    """max over i != j of |sum over T of chi_i(s) conj(chi_j(t))|, summed
+    directly over T's rows as one h x k by k x h product."""
     s, t, m = T.T
-    np.add.at(M, (s, t), m)
-    return _off_diagonal_max(table.table @ M @ table.table.conj().T)
+    return _off_diagonal_max(
+        (table.table[:, s] * m) @ table.table[:, t].conj().T)
 
 
 def _lines_uniform(E: np.ndarray, order: int) -> bool:
@@ -557,11 +572,9 @@ def tprime_check(T: np.ndarray, table: CharacterTable) -> TPrimeReport:
     matrix, and measures off-diagonal mass.  The two verdicts must agree.
     """
     h = table.h
-    # direct sums over the raw multiset, one h x k by k x h product
-    s, t, m = T.T
-    direct = _off_diagonal_max(
-        (table.table[:, s] * m) @ table.table[:, t].conj().T)
+    direct = orthogonality_sums(T, table)
     # class-averaged matrix conjugated by the table
+    s, t, m = T.T
     cls = table.class_of
     sizes = np.bincount(cls, minlength=h)[cls]
     class_sum = np.zeros((h, h))    # total mass per class pair
@@ -656,9 +669,7 @@ def check_class_function(fvals, table: CharacterTable) -> np.ndarray:
                          f"({table.order})")
     if not np.isfinite(fv).all():
         raise ValueError("class-function values must be finite")
-    lead = np.empty(table.h, dtype=np.int64)    # each class's first element
-    lead[table.class_of[::-1]] = np.arange(table.order)[::-1]
-    lead = lead[table.class_of]
+    lead = _class_leads(table.class_of, table.h)
     off = np.flatnonzero(fv != fv[lead])
     if off.size:
         e = off[0]
@@ -668,8 +679,9 @@ def check_class_function(fvals, table: CharacterTable) -> np.ndarray:
     return fv
 
 
-def _check_table_order(gmap: GroupMapMatrix, table: CharacterTable,
-                       what: str = "character table") -> None:
+def check_table_order(gmap: GroupMapMatrix, table: CharacterTable,
+                      what: str = "character table") -> None:
+    """ValueError unless table is of the group map's order."""
     if table.order != gmap.order:
         raise ValueError(f"{what} has order {table.order}, but the group "
                          f"map has order {gmap.order}")
@@ -685,9 +697,8 @@ def general_bound(gmap: GroupMapMatrix, fvals, table: CharacterTable,
     """
     if not 0 <= epsilon < 1:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
-    _check_table_order(gmap, table)
-    report = BoundReport(theorem="general-group", applicable=True,
-                         main_term=None, warnings=[OMITTED_CONSTANT_WARNING])
+    check_table_order(gmap, table)
+    report = BoundReport(theorem="general-group")
     easy = sorted(partition.easy)
     unpaired = [int(a) for a, b in zip(easy, _conjugates(table.table, easy))
                 if b not in partition.easy]
@@ -699,28 +710,19 @@ def general_bound(gmap: GroupMapMatrix, fvals, table: CharacterTable,
     fv = check_class_function(fvals, table)
     reg = regularity_check(gmap)
     if not reg.regular:
-        report.applicable = False
-        report.warnings.append(f"regularity fails: {reg.reason}")
-        return report
+        return report.refuse(f"regularity fails: {reg.reason}")
     orth = orthogonality_general(gmap, table, partition.hard)
     if not orth.passed:
-        report.applicable = False
-        report.warnings.append(
+        return report.refuse(
             f"orthogonality fails: max violations {orth.max_row_violation:.3g} "
             f"(rows), {orth.max_col_violation:.3g} (cols)")
-        return report
     if not partition.hard:
-        report.applicable = False
-        report.warnings.append("hard set is empty, no denominator")
-        return report
+        return report.refuse("hard set is empty, no denominator")
     delta = distance_to_easy(fv, table, partition.easy)
     margin = delta - 2.0 * epsilon
     if margin <= 0:
-        report.applicable = False
         report.intermediates = {"delta": delta, "epsilon": epsilon}
-        report.warnings.append(
-            f"delta - 2 eps = {margin:.6g} is not positive")
-        return report
+        return report.refuse(f"delta - 2 eps = {margin:.6g} is not positive")
     MN = gmap.entries.size
     denom = 0.0
     per_char = {}
@@ -785,31 +787,26 @@ def block_group_bound(gmaps, fvals, tables) -> BoundReport:
     if len(gmaps) != len(tables):
         raise ValueError("need one character table per block")
     for i, (gm, tb) in enumerate(zip(gmaps, tables)):
-        _check_table_order(gm, tb, f"block {i + 1}'s character table")
+        check_table_order(gm, tb, f"block {i + 1}'s character table")
     t = len(gmaps)
     norm_evals = sum(tb.h - 1 for tb in tables)
     if norm_evals > 4096:
         raise ResourceLimitError(
             f"block bound needs {norm_evals} character-norm evaluations "
             "(cap 4096)")
-    report = BoundReport(theorem="block-group", applicable=True,
-                         main_term=None, warnings=[OMITTED_CONSTANT_WARNING])
+    report = BoundReport(theorem="block-group")
     for i, (gm, tb) in enumerate(zip(gmaps, tables)):
         reg = regularity_check(gm)
         orth = orthogonality_general(gm, tb, range(tb.h))
         if not (reg.regular and orth.passed):
-            report.applicable = False
-            report.warnings.append(
+            return report.refuse(
                 f"block {i + 1} fails its structural condition "
                 f"(regular={reg.regular}, orthogonal={orth.passed})")
-            return report
     d = product_approx_degree(fvals, tables, 1.0 / 3.0)
     report.intermediates["d"] = d
     if d >= t:
-        report.applicable = False
-        report.warnings.append(
+        return report.refuse(
             f"no subset larger than d={d} exists among {t} blocks")
-        return report
     best_term = []
     best_char = []
     for gm, tb in zip(gmaps, tables):

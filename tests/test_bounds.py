@@ -136,11 +136,36 @@ def test_shaltiel_examples_and_corpus():
 
 
 def test_gamma2_star_interval():
-    lo, hi = bd.gamma2_star_interval(mx.HADAMARD_2, U(2, 2))
-    assert (lo, hi) == pytest.approx((0.5, 0.89115))
-    lo, hi = bd.gamma2_star_interval(mx.all_ones(2, 2), U(2, 2))
-    assert (lo, hi) == pytest.approx((1.0, 1.7823))
-    assert lo <= hi
+    # the spectral end sqrt(mn) ||A*P|| is the smaller one on both
+    for A, want in ((mx.HADAMARD_2, (0.5, 0.707107)),
+                    (mx.all_ones(2, 2), (1.0, 1.0))):
+        lo, hi = bd.gamma2_star_interval(A, U(2, 2))
+        assert (lo, hi) == pytest.approx(want)
+        assert bd.uniform_discrepancy(A) <= lo <= hi
+
+
+def brute_force_pm1_norm(W):
+    """Independent oracle: max over +-1 row vectors x of sum_y |(x W)_y|,
+    the +-1 norm, itself a lower bound on gamma2*."""
+    m = W.shape[0]
+    x = 1 - 2 * ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1)
+    return float(np.abs(x @ W).sum(axis=1).max())
+
+
+def test_gamma2_star_high_encloses_the_pm1_norm():
+    rng = np.random.default_rng(59)
+    cases = [(A, U(A.rows, A.cols)) for A in
+             (mx.XOR_2, mx.HADAMARD_2, CORE4, CORE6)]
+    for m in (1, 3, 5, 8, 12):
+        n = int(rng.integers(1, 13))
+        A = mx.SignMatrix(rng.choice((-1, 1), size=(m, n)))
+        w = rng.random((m, n))
+        cases += [(A, U(m, n)), (A, bd.DistributionMatrix(w / w.sum()))]
+    for A, P in cases:
+        W = A.entries * P.weights
+        lo, hi = bd.gamma2_star_interval(A, P)
+        assert lo <= brute_force_pm1_norm(W) <= hi + 1e-12
+        assert hi <= math.sqrt(A.size) * np.linalg.norm(W, 2) + 1e-12
 
 
 def test_spectral_disc_certificate():
@@ -247,12 +272,13 @@ def test_disc_bound_values():
 
 
 def test_shizhu_bound_small_instance():
-    # frozen pipeline values: disc_U(XOR2) = 1/4, enclosure top 0.445575,
-    # threshold d/(2 e n) = 2/(4e) ~ 0.1839: condition fails, inapplicable
+    # frozen pipeline values: disc_U(XOR2) = 1/4, enclosure top
+    # min(4 K_G / 4, 2 * 1/2) = 1, threshold d/(2 e n) = 2/(4e) ~ 0.1839:
+    # condition fails, inapplicable
     f = builtin_function("PARITY", 2)
     rep = bd.shizhu_bound(f, mx.XOR_2, U(2, 2), 1.0 / 3.0)
     assert not rep.applicable
-    assert rep.intermediates["gamma2_star_high"] == pytest.approx(0.445575)
+    assert rep.intermediates["gamma2_star_high"] == pytest.approx(1.0)
     assert rep.intermediates["threshold"] == pytest.approx(2 / (4 * math.e))
     assert rep.intermediates["gap"] > 0
 

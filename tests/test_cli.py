@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from commbound import CORE_FREE_6, PATTERN_CORE_4, XOR_2, SignMatrix
+from commbound import CORE_FREE_6, PATTERN_CORE_4, XOR_2, SignMatrix, tensor
 from commbound import cli
 from commbound.bounds import BoundReport
 from commbound.cli import (EXIT_INAPPLICABLE, EXIT_OK, EXIT_RESOURCE,
@@ -155,6 +155,24 @@ def test_lower_bound_shizhu(capsys, tmp_path):
     assert report["report"]["intermediates"]["gap"] > 0
 
 
+def test_lower_bound_shizhu_refuses_a_tensor_inner(capsys, tmp_path):
+    # g = corefree6 (x) core4 under the uniform mu: x = x6 (x) x4 and
+    # y = sign(x^T (g*mu)) reach 2/9, above d/(2en) = 1/(2e), so gamma2*
+    # fails the condition; its upper end is sqrt(mn) ||g*mu|| = 1/sqrt(6)
+    inner = tmp_path / "g.txt"
+    inner.write_text(tensor(CORE_FREE_6, PATTERN_CORE_4).to_text())
+    mu = tmp_path / "mu.txt"
+    mu.write_text("24 24\n" + (" ".join([repr(1 / 576)] * 24) + "\n") * 24)
+    code, report = run_cli(capsys, "lower-bound", "--theorem", "shizhu",
+                           "--function", "PARITY:3", "--inner", str(inner),
+                           "--mu", str(mu))
+    assert code == EXIT_INAPPLICABLE
+    body = report["report"]
+    assert body["main_term"] is None
+    assert body["intermediates"]["gamma2_star_high"] == \
+        pytest.approx(1 / np.sqrt(6))
+
+
 def test_usage_errors(capsys, monkeypatch, tmp_path, core4_file):
     code, _ = run_cli(capsys, "approx-degree", "--function", "PARITY:2",
                       "--epsilon", "1.5")
@@ -276,11 +294,21 @@ def test_refusals_after_the_read_name_the_flag(capsys, tmp_path):
     skewed_mu.write_text("2 2\n1 0\n0 0\n")
     gmap = tmp_path / "gmap.txt"
     gmap.write_text(GroupMapMatrix.from_sign_blocks([XOR_2]).to_text())
+    gmap4 = tmp_path / "gmap4.txt"
+    gmap4.write_text(GroupMapMatrix.from_sign_blocks([XOR_2] * 2).to_text())
     # rows (1, -1) and (i, i): orthogonal, within degree 1, neither trivial
     table = tmp_path / "table.json"
     table.write_text('{"h": 2, "order": 2, "table": [[1, 0], [-1, 0], '
                      '[0, 1], [0, 1]], "class_of": [0, 1], '
                      '"degrees": [1, 1]}')
+    # S3's rows with e grouped with the transposition (01): the sign
+    # character is 1 and -1 on that class
+    s3_rows = [1] * 6 + [1, -1, -1, -1, 1, 1] + [2, 0, 0, 0, -1, -1]
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text('{"h": 3, "order": 6, "table": ['
+                     + ", ".join(f"[{v}, 0]" for v in s3_rows)
+                     + '], "class_of": [0, 0, 1, 1, 2, 2], '
+                     '"degrees": [1, 1, 2]}')
     shizhu = ["lower-bound", "--theorem", "shizhu", "--function", "PARITY:1"]
     compose = ["compose", "--function", "AND:2", "--inner", "h2"]
     cases = [
@@ -290,6 +318,15 @@ def test_refusals_after_the_read_name_the_flag(capsys, tmp_path):
          shizhu + ["--inner", "h2", "--mu", str(skewed_mu)]),
         ("--table: table has no trivial character row",
          ["group-check", "--gmap", str(gmap), "--table", str(table)]),
+        ("--table: character table has order 2, but the group map has "
+         "order 4\n",
+         ["group-check", "--gmap", str(gmap4), "--table", str(table)]),
+        ("--table: character table JSON: characters must be constant on "
+         "each class\n",
+         ["group-check", "--gmap", str(gmap), "--table", str(mixed)]),
+        ("--easy: easy indices must be distinct and in [0, 4), got "
+         "[0, 0]\n",
+         ["group-check", "--gmap", str(gmap4), "--easy", "0,0"]),
         ("--inner: inner matrix must be strongly balanced",
          compose + ["--verify-rank"]),
         ("--inner: witness construction without mu requires",
@@ -456,10 +493,11 @@ def test_group_check_zero_distance_is_a_positive_zero(capsys, tmp_path):
     values = tmp_path / "values.txt"
     values.write_text("1 1\n")
     code = main(["group-check", "--gmap", str(gmap), "--values", str(values)])
-    out = capsys.readouterr().out
+    # the report only: the echoed file names may contain "-0"
+    body = json.dumps(json.loads(capsys.readouterr().out)["report"])
     assert code == EXIT_INAPPLICABLE
-    assert '"delta": 0.0' in out and "-0" not in out
-    assert "delta - 2 eps = 0 is not positive" in out
+    assert '"delta": 0.0' in body and "-0" not in body
+    assert "delta - 2 eps = 0 is not positive" in body
 
 
 def test_group_check_easy_indices_exit_2(capsys, tmp_path):

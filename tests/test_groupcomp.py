@@ -123,6 +123,15 @@ def test_character_table_validation():
     for degrees, first in (([1, 1], 0), ([2, 1], 1)):
         with pytest.raises(ValueError, match=f"character {first} exceeds"):
             gc.CharacterTable(2, 2, [[r2, 0], [0, r2]], [0, 1], degrees)
+    with pytest.raises(ValueError, match="use all h class indices"):
+        gc.CharacterTable(2, 2, [[1, 1], [1, -1]], [0, 0], [1, 1])
+    # S3's rows with e grouped with the transposition (01), on which the
+    # sign character is 1 and -1
+    with pytest.raises(ValueError, match="constant on each class"):
+        gc.CharacterTable(3, 6, [[1, 1, 1, 1, 1, 1],
+                                 [1, -1, -1, -1, 1, 1],
+                                 [2, 0, 0, 0, -1, -1]],
+                          [0, 0, 1, 1, 2, 2], [1, 1, 2])
 
 
 def _kron_loop_characters(moduli):
@@ -437,9 +446,11 @@ def test_tprime_routes_agree():
     diag = pair_set({(s, s): 1 for s in range(3)})
     rep = gc.tprime_check(diag, T_Z3)
     assert rep.direct_ok and rep.conjugated_ok and rep.agree
+    assert rep.direct_max == gc.orthogonality_sums(diag, T_Z3)
     bad = pair_set({(0, 0): 1, (0, 1): 1})
     rep = gc.tprime_check(bad, T_Z3)
     assert not rep.direct_ok and not rep.conjugated_ok and rep.agree
+    assert rep.direct_max == gc.orthogonality_sums(bad, T_Z3)
 
 
 def test_tprime_direct_against_quadruple_loop():
@@ -580,6 +591,17 @@ def test_general_bound_inapplicable_paths():
     part = gc.HardnessPartition.from_easy([0], 2)
     rep = gc.general_bound(bad, fv, T_Z2, part, 0.0)
     assert not rep.applicable
+
+
+def test_hardness_partition_refuses_repeated_or_outside_indices():
+    # a repeated index was merged without a word
+    for easy in ([0, 0], [4], [-1], [1, 2, 1]):
+        with pytest.raises(ValueError) as exc:
+            gc.HardnessPartition.from_easy(easy, 4)
+        assert str(exc.value) == \
+            f"easy indices must be distinct and in [0, 4), got {easy}"
+    part = gc.HardnessPartition.from_easy([2, 0], 4)
+    assert (part.easy, part.hard) == ({0, 2}, {1, 3})
 
 
 def test_group_bounds_refuse_bad_epsilon_and_table_order():

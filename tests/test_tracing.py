@@ -30,19 +30,35 @@ def test_traced_functions_exist():
         assert callable(getattr(module, fn, None)), f"commbound.{mod}.{fn}"
 
 
-def test_counters_read_the_traced_results(capsys, tmp_path):
-    gmap = tmp_path / "gmap.txt"
-    gmap.write_text(GroupMapMatrix.from_sign_blocks([XOR_2]).to_text())
+def traced_counts(*argvs):
+    """The tracer's counters after running each argv through cli.main."""
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
-        assert cli.main(["group-check", "--gmap", str(gmap)]) == 0
-        assert cli.main(["compose", "--function", "AND:2", "--inner",
-                         "core4", "--verify-rank", "--witness"]) == 0
+        for argv in argvs:
+            assert cli.main(argv) == 0, argv
     finally:
         tracer.uninstall()
-    capsys.readouterr()
+    return tracer.counts
+
+
+def test_counters_read_the_traced_results(capsys, tmp_path):
+    gmap = tmp_path / "gmap.txt"
+    gmap.write_text(GroupMapMatrix.from_sign_blocks([XOR_2]).to_text())
+    counts = traced_counts(["group-check", "--gmap", str(gmap)],
+                           ["compose", "--function", "AND:2", "--inner",
+                            "core4", "--verify-rank", "--witness"])
     # a 2 x 2 map has four row pairs and four column pairs
-    assert tracer.counts["groupcomp.multisets"] == 8
-    assert tracer.counts["groupcomp.g_invariant.calls"] > 0
-    assert tracer.counts["composer.cells"] > 0
+    assert counts["groupcomp.multisets"] == 8
+    assert counts["groupcomp.g_invariant.calls"] > 0
+    assert counts["composer.cells"] > 0
+    # the counters that bind arguments by name: M, A, and c, A_ub, A_eq
+    counts = traced_counts(["analyze-matrix", "--input", "core4"],
+                           ["approx-degree", "--function", "AND:2",
+                            "--epsilon", "0.3"])
+    capsys.readouterr()
+    # core4 is 4 x 4, and its discrepancy sums 2^4 - 1 row subsets
+    assert counts["matrices.spectrum.cells"] == 16
+    assert counts["matrices.exact_rank.cells"] == 16
+    assert counts["bounds.discrepancy.subsets"] == 15
+    assert counts["simplex.tableau_cells"] > 0

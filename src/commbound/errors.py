@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the byte budget they guard."""
 
-# one dense table: a complex |G| x |G| character table (|G| <= 4096) or an
-# LP tableau
+# one dense table: a complex |G| x |G| character table (|G| <= 4096), an LP
+# tableau, or the int64 keys of one family of pair multisets
 MAX_TABLE_BYTES = 2 ** 28
 
 

@@ -359,8 +359,26 @@ def pair_counts(pairs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairFamilies:
-    row_pairs: dict   # (x, x') -> pair multiset over y, as pair_counts
-    col_pairs: dict   # (y, y') -> pair multiset over x
+    """The row-pair and column-pair multisets of a map, one array per family.
+
+    Each family is a read-only k x 4 int64 array of (line pair, s, t,
+    multiplicity) rows sorted with no (line pair, s, t) twice; line pair
+    x * X + x' labels the pair (x, x') of the X rows (or columns).
+    row_pairs and col_pairs map each (x, x') to its slice in pair_counts
+    form, built on first access.
+    """
+
+    row_family: np.ndarray
+    col_family: np.ndarray
+    shape: tuple      # (rows, cols) of the map
+
+    @functools.cached_property
+    def row_pairs(self) -> dict:
+        return _line_pair_slices(self.row_family, self.shape[0])
+
+    @functools.cached_property
+    def col_pairs(self) -> dict:
+        return _line_pair_slices(self.col_family, self.shape[1])
 
 
 @dataclass(frozen=True)
@@ -429,10 +447,10 @@ class DualClassFunction:
         return self.hard_support_ok and self.l1_ok and self.correlation_ok
 
 
-def _line_pair_multisets(E: np.ndarray, order: int) -> dict:
-    """Pair multiset {(E[x, y], E[x', y]) : y} for every ordered row pair
-    (x, x'), counted in one pass over the keys (x, x', E[x, y], E[x', y]);
-    each is a read-only slice of one (s, t, multiplicity) array.
+def _line_pair_multisets(E: np.ndarray, order: int) -> np.ndarray:
+    """The family of pair multisets {(E[x, y], E[x', y]) : y} over every
+    ordered row pair (x, x'), as PairFamilies holds it, counted in one pass
+    over the keys (x, x', E[x, y], E[x', y]).
 
     The keys are sorted rather than binned: a bincount would need X^2 |G|^2
     cells, 2 GiB for a 128 x 128 map over Z_128.
@@ -441,37 +459,64 @@ def _line_pair_multisets(E: np.ndarray, order: int) -> dict:
     pair = np.arange(X * X).reshape(X, X, 1)
     key = (pair * order + E[:, None, :]) * order + E[None, :, :]
     keys, counts = np.unique(key, return_counts=True)
-    bounds = np.searchsorted(keys,
-                             np.arange(X * X + 1) * order * order).tolist()
-    rows = np.column_stack([keys // order % order, keys % order, counts])
-    rows.setflags(write=False)
+    family = np.column_stack([keys // (order * order), keys // order % order,
+                              keys % order, counts])
+    family.setflags(write=False)
+    return family
+
+
+def _line_pair_slices(family: np.ndarray, X: int) -> dict:
+    """(x, x') -> the (s, t, multiplicity) rows of line pair x * X + x'."""
+    bounds = np.searchsorted(family[:, 0], np.arange(X * X + 1)).tolist()
     lines = itertools.product(range(X), repeat=2)
-    return {ij: rows[lo:hi] for ij, lo, hi in zip(lines, bounds, bounds[1:])}
+    return {ij: family[lo:hi, 1:]
+            for ij, lo, hi in zip(lines, bounds, bounds[1:])}
 
 
 def pair_multisets(gmap: GroupMapMatrix) -> PairFamilies:
-    """All row-pair multisets S^{x,x'} and column-pair multisets T^{y,y'}."""
+    """All row-pair multisets S^{x,x'} and column-pair multisets T^{y,y'}.
+
+    ResourceLimitError, before anything is allocated, when a family's
+    X^2 Y (or X Y^2) int64 keys would pass MAX_TABLE_BYTES.
+    """
     E = gmap.entries
-    return PairFamilies(row_pairs=_line_pair_multisets(E, gmap.order),
-                        col_pairs=_line_pair_multisets(E.T, gmap.order))
+    X, Y = E.shape
+    need = np.dtype(np.int64).itemsize * max(X * X * Y, X * Y * Y)
+    if need > MAX_TABLE_BYTES:
+        raise ResourceLimitError(
+            f"pair multisets of a {X}x{Y} map need {need} bytes "
+            f"(cap {MAX_TABLE_BYTES})")
+    return PairFamilies(row_family=_line_pair_multisets(E, gmap.order),
+                        col_family=_line_pair_multisets(E.T, gmap.order),
+                        shape=(X, Y))
 
 
 def g_invariant(T: np.ndarray, G: AbelianGroupSpec) -> bool:
     """Exact check that (s,s)T = T as multisets for every s in G.
 
-    The shifts that fix T form a subgroup, so it is enough to test one
-    generator e_j per cyclic factor: every shifted pair must be a pair of
-    T with the same multiplicity.  T's (s, t, multiplicity) rows are sorted
-    with distinct (s, t), as pair_counts and pair_multisets build them, so a
-    binary search finds each shifted pair.
+    T is one pair multiset, k x 3 (s, t, multiplicity) rows as pair_counts
+    builds them, or a family of them, k x 4 (label, s, t, multiplicity)
+    rows as PairFamilies holds them.  The shift leaves the label alone, so
+    a family is fixed exactly when each of its members is.  The shifts that
+    fix T form a subgroup, so it is enough to test one generator e_j per
+    cyclic factor: every shifted key must be a key of T with the same
+    multiplicity, found by binary search.  ValueError unless the (label, s,
+    t) keys strictly increase and s, t are elements of G.
     """
-    s, t, m = T.T
-    key = s * G.order + t
-    try:
-        moved = G.shifts[:, s] * G.order + G.shifts[:, t]
-    except IndexError:
-        raise ValueError(f"pair entries must be element indices below "
-                         f"{G.order}") from None
+    if T.ndim != 2 or T.shape[1] not in (3, 4) or T.dtype.kind not in "iu":
+        raise ValueError("pair multiset rows must be integer (s, t, "
+                         "multiplicity) or (label, s, t, multiplicity)")
+    st = T[:, -3:-1]
+    if st.size and (st.min() < 0 or st.max() >= G.order):
+        raise ValueError(f"pair entries must be non-negative element indices "
+                         f"below {G.order}")
+    s, t, m = T[:, -3:].T
+    label = T[:, 0] * G.order * G.order if T.shape[1] == 4 else 0
+    key = label + s * G.order + t
+    if (np.diff(key) <= 0).any():
+        raise ValueError("pair multiset rows must be sorted with no "
+                         "(label, s, t) key twice")
+    moved = label + G.shifts[:, s] * G.order + G.shifts[:, t]
     at = np.searchsorted(key, moved).clip(max=len(key) - 1)
     return bool((key[at] == moved).all() and (m[at] == m).all())
 
@@ -480,8 +525,8 @@ def all_pairs_invariant(gmap: GroupMapMatrix) -> bool:
     """Is every row-pair and column-pair multiset of an Abelian map fixed
     by every diagonal shift (s, s)?"""
     fam = pair_multisets(gmap)
-    return all(g_invariant(T, gmap.group) for T in
-               itertools.chain(fam.row_pairs.values(), fam.col_pairs.values()))
+    return g_invariant(fam.row_family, gmap.group) and \
+        g_invariant(fam.col_family, gmap.group)
 
 
 def _off_diagonal_max(E: np.ndarray) -> float:

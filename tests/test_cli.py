@@ -536,12 +536,16 @@ def test_arity_cap_exits_3_before_building_the_table(capsys, tmp_path):
 
 def test_group_check_character_table_cap_exits_3(capsys, tmp_path):
     gmap = tmp_path / "gmap.txt"
-    gmap.write_text("group " + ",".join(["2"] * 13) + "\n" +
-                    ":".join(["0"] * 13) + "\n")
-    code = main(["group-check", "--gmap", str(gmap)])
-    out, err = capsys.readouterr()
-    assert (code, out) == (EXIT_RESOURCE, "")
-    assert err.startswith("resource limit:") and err.count("\n") == 1
+    # a character table of order 2^13, then the pair multisets of a
+    # 330 x 330 map
+    for text in ("group " + ",".join(["2"] * 13) + "\n" +
+                 ":".join(["0"] * 13) + "\n",
+                 "group 2\n" + (",".join("01" * 165) + "\n") * 330):
+        gmap.write_text(text)
+        code = main(["group-check", "--gmap", str(gmap)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err.startswith("resource limit:") and err.count("\n") == 1
 
 
 def test_solver_failure_exits_3(capsys, monkeypatch):

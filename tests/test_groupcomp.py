@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -318,6 +319,78 @@ def test_pair_counts_and_g_invariant_refuse_non_elements():
         with pytest.raises(ValueError, match="below 3"):
             gc.g_invariant(T, Z3)
     assert gc.g_invariant(gc.pair_counts([(0, 0), (1, 1), (2, 2)]), Z3)
+    # a hand-built -1 was read as |G| - 1 by the shift lookup
+    with pytest.raises(ValueError, match="below 3"):
+        gc.g_invariant(np.array([[-1, -1, 1], [0, 0, 1], [1, 1, 1]]), Z3)
+
+
+def test_g_invariant_refuses_keys_that_do_not_increase():
+    # both were answered False although the multisets are invariant
+    unsorted = np.array([[1, 1, 1], [0, 0, 1], [2, 2, 1]])
+    repeated = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 2], [2, 2, 2]])
+    for T in (unsorted, repeated):
+        with pytest.raises(ValueError, match="sorted"):
+            gc.g_invariant(T, Z3)
+        pairs = np.repeat(T[:, :2], T[:, 2], axis=0)
+        assert gc.g_invariant(gc.pair_counts(pairs), Z3)
+    # a family's keys lead with the line-pair label
+    family = np.array([[1, 0, 0, 1], [0, 1, 1, 1]])
+    with pytest.raises(ValueError, match="sorted"):
+        gc.g_invariant(family, Z3)
+    for T in (np.zeros((2, 2), dtype=np.int64), np.zeros(3, dtype=np.int64),
+              np.ones((1, 3))):
+        with pytest.raises(ValueError, match="rows must be"):
+            gc.g_invariant(T, Z3)
+
+
+def test_family_check_keeps_the_line_pair():
+    # T^{0,0} = {(0,0)}, T^{1,1} = {(1,1)}, T^{0,1} = {(0,1)} and
+    # T^{1,0} = {(1,0)}: their union is invariant, no member is
+    gm = gc.GroupMapMatrix([[0], [1]], Z2)
+    fam = gc.pair_multisets(gm)
+    assert gc.g_invariant(gc.pair_counts(fam.row_family[:, 1:3]), Z2)
+    assert not any(gc.g_invariant(T, Z2) for T in fam.row_pairs.values())
+    assert not gc.g_invariant(fam.row_family, Z2)
+    assert not gc.all_pairs_invariant(gm)
+
+
+def _permuted_addition(rng, G):
+    p, q = rng.permutation(G.order), rng.permutation(G.order)
+    return gc.GroupMapMatrix([[G.add(a, b) for b in q] for a in p], G)
+
+
+def test_family_check_against_per_pair_loop_on_flipped_maps():
+    rng = np.random.default_rng(11)
+    maps = [_permuted_addition(rng, gc.AbelianGroupSpec(m))
+            for m in ([3, 3], [4, 2], [2, 2, 2])]
+    maps += [gc.GroupMapMatrix.from_sign_blocks(blocks) for blocks in
+             ([mx.PATTERN_CORE_4] * 2, [mx.CORE_FREE_6, mx.PATTERN_CORE_4])]
+    for gm in maps:
+        G = gm.group
+        for trial in range(4):
+            E = gm.entries.copy()
+            if trial:
+                x, y = rng.integers(E.shape[0]), rng.integers(E.shape[1])
+                E[x, y] = (E[x, y] + rng.integers(1, G.order)) % G.order
+            flipped = gc.GroupMapMatrix(E, G)
+            fam = gc.pair_multisets(flipped)
+            per_pair = all(gc.g_invariant(T, G) for T in
+                           [*fam.row_pairs.values(), *fam.col_pairs.values()])
+            assert gc.all_pairs_invariant(flipped) == per_pair
+            assert per_pair == (trial == 0), (G, trial)
+
+
+def test_pair_multisets_cap_fires_before_allocating():
+    # 8 * 330^3 bytes of keys pass the 256 MiB cap; 256 x 256 stays under
+    gm = gc.GroupMapMatrix(np.indices((330, 330)).sum(axis=0) % 2, Z2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="need 287496000 bytes"):
+            gc.all_pairs_invariant(gm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_invariance_examples():

@@ -253,12 +253,16 @@ def shizhu_bound(f: BoolFunction, g: SignMatrix, mu: DistributionMatrix,
     Requires mu balanced with respect to g.  The condition
     gamma2*(M_g * mu) <= d/(2 e n) is tested conservatively against the
     upper end of gamma2_star_interval; when it fails the measured gap is
-    reported and the bound is marked inapplicable.
+    reported and the bound is marked inapplicable, as it is for an outer
+    function of no inputs.
     """
     if not 0 < epsilon0 < 1:
         raise ValueError(f"epsilon0 must lie in (0, 1), got {epsilon0}")
     mu.check_balanced(g)
     report = BoundReport(theorem="shizhu")
+    if f.n == 0:
+        return report.refuse(
+            "outer function has no inputs: the threshold d/(2en) is undefined")
     d = approx_degree(f, epsilon0).d
     n = f.n
     low, high = gamma2_star_interval(g, mu, cap)

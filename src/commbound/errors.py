@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the byte budget they guard."""
 
 # one dense table: a complex |G| x |G| character table (|G| <= 4096), an LP
-# tableau, or the int64 keys of one family of pair multisets
+# tableau, the int64 keys of one family of pair multisets, or the balanced
+# rows search_strongly_balanced tries, counted as int64 entries
 MAX_TABLE_BYTES = 2 ** 28
 
 

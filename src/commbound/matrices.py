@@ -7,6 +7,9 @@ pattern containment up to row/column permutations, and a canonical
 enumerator for strongly balanced matrices.  Containment and the
 enumerator's forbidden-pattern check share one matcher that encodes every
 submatrix as an integer and looks chunks of them up in sorted targets.
+Canonical forms and the enumerator keep one integer code per column and
+walk their search trees on explicit stacks, so any height runs; the
+enumerator refuses widths whose balanced rows would pass MAX_TABLE_BYTES.
 
 Conventions: for canonical forms and search order, +1 sorts before -1.
 """
@@ -15,10 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import MAX_TABLE_BYTES, ResourceLimitError
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -447,72 +453,77 @@ def block_mask(blocks) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # canonical forms under row/column permutations
 
-def _refine(partition, row_bits):
-    """Minimal arrangement of one row given an ordered column partition.
+def _depth_first(children, root, depth: int):
+    """The nodes depth levels below root, depth first, on an explicit stack
+    of children(node) iterators, so no depth meets the recursion limit.  A
+    child is made only once its elder siblings' subtrees are walked."""
+    stack = [iter([root])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif len(stack) <= depth:
+            stack.append(children(node))
+        else:
+            yield node
 
-    Within each block the columns are free to permute, so the smallest word
-    puts the +1 (bit 0) columns first; the partition refines accordingly.
-    """
-    row_word = []
-    new_partition = []
-    for block in partition:
-        zeros = [c for c in block if row_bits[c] == 0]
-        ones = [c for c in block if row_bits[c] == 1]
-        row_word.extend([0] * len(zeros))
-        row_word.extend([1] * len(ones))
-        if zeros:
-            new_partition.append(zeros)
-        if ones:
-            new_partition.append(ones)
-    return row_word, new_partition
+
+def _signs(ints, width: int) -> np.ndarray:
+    """One +-1 row per int, bit 1 for -1, the first of width bits the most
+    significant: a canonical word's rows, or the columns of column codes."""
+    return np.array([[1 - 2 * (v >> width - 1 - j & 1) for j in range(width)]
+                     for v in ints])
+
+
+def _row_word(codes) -> int:
+    """The last bits of the sorted codes, the first most significant."""
+    word = 0
+    for code in sorted(codes):
+        word = word << 1 | code & 1
+    return word
 
 
 def _minimal_word(arr: np.ndarray, stop_early: bool = False):
     """Lexicographically minimal row-major word over all row/column permutations.
 
-    Returns (word, smaller_than_identity).  Branch-and-bound over row choices
-    with an ordered column partition; a branch is cut as soon as its prefix
-    exceeds the matching prefix of the best complete word so far.  Equal
-    rows open equal subtrees, so each level tries one row of each kind.  With
-    stop_early the search stops once any word beats the identity arrangement,
-    which is all a canonicality test needs.
+    Returns (word, smaller_than_identity), the word a tuple of per-row ints.
+    Placed rows order the columns by their codes (first row most
+    significant), so placing a row extends each code to 2 * code + bit.
+    Each level tries each distinct unused row in ascending order of its
+    word, so the first descent is greedy, and cuts a branch and all later
+    ones once its word exceeds the best complete word's.  With stop_early
+    the search stops once any word beats the identity arrangement, which is
+    all a canonicality test needs.
     """
     m, n = arr.shape
-    bits = [tuple(0 if v == 1 else 1 for v in row) for row in arr]
-    best = [b for row in bits for b in row]  # identity arrangement
+    bits = tuple(map(tuple, (arr == -1).astype(int).tolist()))
+    best = tuple(int("".join(map(str, row)), 2) for row in bits)  # identity
     found_smaller = False
 
-    def rec(used: int, partition, prefix):
-        nonlocal best, found_smaller
-        if stop_early and found_smaller:
-            return
-        if len(prefix) == m * n:
-            if prefix < best:
-                best = list(prefix)
-                found_smaller = True
-            return
-        tried = set()
-        for r in range(m):
-            if used & (1 << r) or bits[r] in tried:
-                continue
-            tried.add(bits[r])
-            row_word, refined = _refine(partition, bits[r])
-            cand = prefix + row_word
-            if cand > best[:len(cand)]:
-                continue
-            rec(used | (1 << r), refined, cand)
-            if stop_early and found_smaller:
+    def children(node):
+        word, left, codes = node
+        twice = [2 * c for c in codes]
+        options = []
+        for row in set(left):
+            new = tuple(map(operator.add, twice, row))
+            options.append((_row_word(new), row, new))
+        for w, row, new in sorted(options):
+            if word + (w,) > best[:len(word) + 1]:
                 return
+            i = left.index(row)
+            yield word + (w,), left[:i] + left[i + 1:], new
 
-    rec(0, [list(range(n))], [])
-    return tuple(best), found_smaller
+    for word, _, _ in _depth_first(children, ((), bits, (0,) * n), m):
+        if word < best:
+            best, found_smaller = word, True
+            if stop_early:
+                break
+    return best, found_smaller
 
 
 def canonical_form(M: SignMatrix) -> SignMatrix:
     """Lexicographically minimal representative of M under row/column permutations."""
-    word, _ = _minimal_word(M.entries)
-    flat = np.array([1 if b == 0 else -1 for b in word], dtype=np.int64)
-    return SignMatrix(flat.reshape(M.rows, M.cols))
+    return SignMatrix(_signs(_minimal_word(M.entries)[0], M.cols))
 
 
 def is_canonical(M: SignMatrix) -> bool:
@@ -613,14 +624,17 @@ def contains_pattern(M: SignMatrix, P: SignMatrix,
 # strongly balanced search
 
 def _balanced_rows(cols: int) -> list[tuple[int, ...]]:
-    """All +-1 rows of even length summing to zero, ordered with +1 first.
-
-    Words with +1 first sort in the reverse order of their +-1 tuples, so
-    the rows come in descending tuple order.
-    """
-    return sorted((tuple(-1 if c in minus else 1 for c in range(cols))
-                   for minus in itertools.combinations(range(cols), cols // 2)),
-                  reverse=True)
+    """All 0/1 rows (1 for -1) of even length with as many ones as zeros,
+    in ascending order, which is +1 first.  ResourceLimitError, before any
+    row is built, when C(cols, cols/2) rows of cols int64 entries would
+    pass MAX_TABLE_BYTES."""
+    need = math.comb(cols, cols // 2) * cols * 8
+    if need > MAX_TABLE_BYTES:
+        raise ResourceLimitError(
+            f"{cols} columns need {need} bytes of balanced rows "
+            f"(cap {MAX_TABLE_BYTES})")
+    return sorted(tuple(int(c in minus) for c in range(cols))
+                  for minus in itertools.combinations(range(cols), cols // 2))
 
 
 def search_strongly_balanced(rows: int, cols: int, min_rank: int | None = None,
@@ -650,47 +664,33 @@ def search_strongly_balanced(rows: int, cols: int, min_rank: int | None = None,
     find_forbidden = None if forbidden is None else \
         _submatrix_matcher(forbidden, True, cols)
 
-    picked: list[tuple[int, ...]] = []
-    col_sums = np.zeros(cols, dtype=np.int64)
-
-    def partial_contains_forbidden() -> bool:
+    def contains_forbidden(depth, codes) -> bool:
         # only submatrices through the newest row can be new
-        if find_forbidden is None or len(picked) < forbidden.rows:
+        if find_forbidden is None or depth < forbidden.rows:
             return False
-        last = len(picked) - 1
-        heads = itertools.combinations(range(last), forbidden.rows - 1)
-        return find_forbidden(np.array(picked),
-                              (h + (last,) for h in heads)) is not None
+        heads = itertools.combinations(range(depth - 1), forbidden.rows - 1)
+        return find_forbidden(_signs(codes, depth).T,
+                              (h + (depth - 1,) for h in heads)) is not None
 
-    def columns_sorted_ok() -> bool:
-        # canonical matrices have non-decreasing column words, so
-        # non-increasing +-1 columns; prune a decided prefix that is not
-        columns = list(zip(*picked))
-        return all(a >= b for a, b in zip(columns, columns[1:]))
+    def children(node):
+        # the canonical first row is the sorted balanced row, row words
+        # never decrease, and canonical columns have non-decreasing codes; a
+        # column of k ones in the placed rows sums to depth - 2k, which must
+        # still reach zero in the rows left (its parity always matches, as
+        # rows is even)
+        placed, start, codes = node
+        depth = placed + 1
+        twice = [2 * c for c in codes]
+        for i in range(start, len(candidates) if depth > 1 else 1):
+            new = tuple(map(operator.add, twice, candidates[i]))
+            if list(new) == sorted(new) and \
+                    all(abs(depth - 2 * c.bit_count()) <= rows - depth
+                        for c in new) and \
+                    not contains_forbidden(depth, new):
+                yield depth, i, new
 
-    def dfs():
-        depth = len(picked)
-        if depth == rows:
-            M = SignMatrix(np.array(picked, dtype=np.int64))
-            if (min_rank is None or exact_rank(M) >= min_rank) \
-                    and is_canonical(M):
-                yield M
-            return
-        remaining = rows - depth - 1
-        # the canonical first row is the sorted balanced row, and row words
-        # never decrease, so each row comes at or after the one before
-        for row in (candidates[candidates.index(picked[-1]):] if picked
-                    else candidates[:1]):
-            # a column sum beyond the rows left can no longer reach zero;
-            # its parity always matches, as rows is even
-            new_sums = col_sums + row
-            if (np.abs(new_sums) > remaining).any():
-                continue
-            picked.append(row)
-            col_sums[:] = new_sums
-            if columns_sorted_ok() and not partial_contains_forbidden():
-                yield from dfs()
-            picked.pop()
-            col_sums[:] = new_sums - row
-
-    yield from itertools.islice(dfs(), limit)
+    leaves = (SignMatrix(_signs(codes, rows).T) for _, _, codes in
+              _depth_first(children, (0, 0, (0,) * cols), rows))
+    yield from itertools.islice(
+        (M for M in leaves if is_canonical(M) and
+         (min_rank is None or exact_rank(M) >= min_rank)), limit)

@@ -303,6 +303,13 @@ def test_shizhu_degenerate_degree_zero():
     assert not rep.applicable
 
 
+def test_shizhu_refuses_an_outer_function_of_no_inputs():
+    # n = 0 leaves the threshold d/(2en) undefined
+    rep = bd.shizhu_bound(BoolFunction(0, [1]), mx.XOR_2, U(2, 2), 1.0 / 3.0)
+    assert not rep.applicable and rep.main_term is None
+    assert any("no inputs" in w for w in rep.warnings)
+
+
 def test_shizhu_requires_balanced_mu():
     f = builtin_function("PARITY", 2)
     with pytest.raises(ValueError):

@@ -155,6 +155,20 @@ def test_lower_bound_shizhu(capsys, tmp_path):
     assert report["report"]["intermediates"]["gap"] > 0
 
 
+def test_lower_bound_shizhu_outer_function_of_no_inputs(capsys, tmp_path):
+    f = tmp_path / "f.txt"
+    f.write_text("n=0\n1\n")
+    mu = tmp_path / "mu.txt"
+    mu.write_text("2 2\n0.25 0.25\n0.25 0.25\n")
+    code = main(["lower-bound", "--theorem", "shizhu", "--function", str(f),
+                 "--inner", "xor2", "--mu", str(mu)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (EXIT_INAPPLICABLE, "")
+    body = json.loads(out)["report"]
+    assert not body["applicable"] and body["main_term"] is None
+    assert "no inputs" in body["warnings"][-1]
+
+
 def test_lower_bound_shizhu_refuses_a_tensor_inner(capsys, tmp_path):
     # g = corefree6 (x) core4 under the uniform mu: x = x6 (x) x4 and
     # y = sign(x^T (g*mu)) reach 2/9, above d/(2en) = 1/(2e), so gamma2*
@@ -600,6 +614,25 @@ def test_search_balanced_tall_repeated_rows(capsys):
                            "--cols", "2")
     assert code == EXIT_OK
     assert report["report"]["count"] == 1
+
+
+def test_search_balanced_past_the_recursion_limit(capsys):
+    # 600 rows: the search and its canonicality test both run on explicit
+    # stacks, so no depth reaches Python's recursion limit
+    code, report = run_cli(capsys, "search-balanced", "--rows", "600",
+                           "--cols", "2")
+    assert code == EXIT_OK
+    assert report["report"]["matrices"][0]["matrix"] == \
+        [[1, -1]] * 300 + [[-1, 1]] * 300
+
+
+def test_search_balanced_wide_rows_exit_3(capsys):
+    code = main(["search-balanced", "--rows", "2", "--cols", "24",
+                 "--limit", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err.startswith("resource limit: 24 columns need") and \
+        err.count("\n") == 1
 
 
 def test_search_balanced_core_free(capsys, core4_file):

@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from commbound import matrices as mx
+from commbound.errors import ResourceLimitError
 
 
 def test_sign_matrix_validation():
@@ -421,10 +423,18 @@ def test_canonical_form_tall_repeated_rows_against_brute_force():
             assert tuple((got == -1).ravel()) == want, E
             ident = tuple((E == -1).astype(int).ravel())
             assert mx.is_canonical(mx.SignMatrix(E)) == (ident == want), E
-    # six copies each of two rows: one branch per distinct row, not per row
-    M = mx.SignMatrix(np.kron(np.ones((6, 1), dtype=int), mx.XOR_2.entries))
+    # 32 copies each of two rows: one branch per distinct row, not per row
+    M = mx.SignMatrix(np.kron(np.ones((32, 1), dtype=int), mx.XOR_2.entries))
     assert mx.canonical_form(M).entries.tolist() == \
-        [[1, -1]] * 6 + [[-1, 1]] * 6
+        [[1, -1]] * 32 + [[-1, 1]] * 32
+
+
+def test_canonical_form_past_the_recursion_limit():
+    # 1,100 rows, more than Python's default recursion limit of 1,000
+    M = mx.SignMatrix(np.kron(np.ones((550, 1), dtype=int), mx.XOR_2.entries))
+    C = mx.canonical_form(M)
+    assert C.entries.tolist() == [[1, -1]] * 550 + [[-1, 1]] * 550
+    assert not mx.is_canonical(M) and mx.is_canonical(C)
 
 
 # --- strongly balanced search ---------------------------------------------
@@ -514,6 +524,67 @@ def test_search_6x6_core_free_frozen():
          [-1, 1, -1, -1, 1, 1], [-1, -1, 1, 1, 1, -1], [-1, -1, 1, 1, -1, 1]],
     ]
     assert mx.canonical_form(mx.CORE_FREE_6).entries.tolist() == found[1]
+
+
+def test_search_full_outputs_frozen():
+    # the full ordered outputs of search(6, 6) (all 7 classes) and of the
+    # first five 6x8 classes of rank at least 4, frozen from the enumerator
+    # that kept an ordered column partition per node
+    P, N = 1, -1
+    cases = {
+        (6, 6, None, None): [
+            [[P, P, P, N, N, N], [P, P, P, N, N, N], [P, P, P, N, N, N],
+             [N, N, N, P, P, P], [N, N, N, P, P, P], [N, N, N, P, P, P]],
+            [[P, P, P, N, N, N], [P, P, P, N, N, N], [P, P, N, P, N, N],
+             [N, N, P, N, P, P], [N, N, N, P, P, P], [N, N, N, P, P, P]],
+            [[P, P, P, N, N, N], [P, P, P, N, N, N], [P, N, N, P, P, N],
+             [N, P, N, P, N, P], [N, N, P, N, P, P], [N, N, N, P, P, P]],
+            [[P, P, P, N, N, N], [P, P, N, P, N, N], [P, P, N, N, P, N],
+             [N, N, P, P, N, P], [N, N, P, N, P, P], [N, N, N, P, P, P]],
+            [[P, P, P, N, N, N], [P, P, N, P, N, N], [P, N, P, N, P, N],
+             [N, P, N, P, N, P], [N, N, P, N, P, P], [N, N, N, P, P, P]],
+            [[P, P, P, N, N, N], [P, P, N, P, N, N], [P, N, P, N, P, N],
+             [N, P, N, N, P, P], [N, N, P, P, N, P], [N, N, N, P, P, P]],
+            [[P, P, P, N, N, N], [P, P, N, P, N, N], [P, N, N, N, P, P],
+             [N, P, N, N, P, P], [N, N, P, P, P, N], [N, N, P, P, N, P]],
+        ],
+        (6, 8, 4, 5): [
+            [[P, P, P, P, N, N, N, N], [P, P, P, P, N, N, N, N],
+             [P, N, N, N, P, P, P, N], [N, P, N, N, P, P, N, P],
+             [N, N, P, N, P, N, P, P], [N, N, N, P, N, P, P, P]],
+            [[P, P, P, P, N, N, N, N], [P, P, P, N, P, N, N, N],
+             [P, P, N, P, N, P, N, N], [N, N, P, N, N, P, P, P],
+             [N, N, N, P, P, N, P, P], [N, N, N, N, P, P, P, P]],
+            [[P, P, P, P, N, N, N, N], [P, P, P, N, P, N, N, N],
+             [P, P, N, N, N, P, P, N], [N, N, P, P, N, P, N, P],
+             [N, N, N, P, P, N, P, P], [N, N, N, N, P, P, P, P]],
+            [[P, P, P, P, N, N, N, N], [P, P, P, N, P, N, N, N],
+             [P, P, N, N, N, P, P, N], [N, N, P, N, N, P, P, P],
+             [N, N, N, P, P, P, N, P], [N, N, N, P, P, N, P, P]],
+            [[P, P, P, P, N, N, N, N], [P, P, P, N, P, N, N, N],
+             [P, N, N, P, N, P, P, N], [N, P, N, P, N, P, N, P],
+             [N, N, P, N, P, N, P, P], [N, N, N, N, P, P, P, P]],
+        ],
+    }
+    for (rows, cols, min_rank, limit), want in cases.items():
+        found = mx.search_strongly_balanced(rows, cols, min_rank=min_rank,
+                                            limit=limit)
+        assert [M.entries.tolist() for M in found] == want, (rows, cols)
+
+
+def test_search_refuses_wide_rows_before_allocating():
+    # C(30, 15) = 155,117,520 balanced rows of 30 int64 entries would need
+    # 37 GB; 24 columns (519 MB) are the first refused
+    tracemalloc.start()
+    try:
+        for cols in (30, 24):
+            with pytest.raises(ResourceLimitError,
+                               match=f"{cols} columns need"):
+                list(mx.search_strongly_balanced(2, cols, limit=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_search_respects_limit():

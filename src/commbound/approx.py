@@ -19,7 +19,7 @@ import numpy as np
 
 from .boolfn import (BoolFunction, FourierSpectrum, RealPointFunction, degree,
                      wht)
-from .simplex import OPTIMAL, SimplexError, solve_lp
+from .simplex import OPTIMAL, SimplexError, check_tableau, solve_lp
 
 ORTHOGONALITY_SLACK = 1e-8
 L1_SLACK = 1e-9
@@ -102,8 +102,11 @@ def chebyshev(fvals, basis) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def _fit(f: BoolFunction, d: int) -> tuple[float, FourierSpectrum, np.ndarray]:
-    """Chebyshev LP over the characters of degree <= d, with its dual."""
+    """Chebyshev LP over the characters of degree <= d, with its dual.
+
+    An LP past MAX_TABLE_BYTES is refused before its basis is built."""
     masks = _masks_up_to_degree(f.n, d)
+    check_tableau(len(masks) + 1, 2 * 2 ** f.n, 1)
     err, raw, v = chebyshev(f.table, _character_matrix(f.n, masks))
     coeffs = np.zeros(2 ** f.n)
     coeffs[masks] = raw

@@ -87,6 +87,17 @@ def _leaving_row(a: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> int:
     return int(rows[np.argmin(basis[rows])])
 
 
+def check_tableau(m: int, nvars: int, n_ub: int) -> None:
+    """ResourceLimitError when the tableau of m rows over nvars variables,
+    n_ub of the rows inequalities, would pass MAX_TABLE_BYTES."""
+    total = nvars + n_ub + m
+    need = (m + 1) * (total + 1) * 8
+    if need > MAX_TABLE_BYTES:
+        raise ResourceLimitError(
+            f"simplex tableau of {m} rows and {total} columns needs {need} "
+            f"bytes (cap {MAX_TABLE_BYTES})")
+
+
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
     """Minimize c.x over x >= 0 with the given inequality/equality rows.
 
@@ -95,44 +106,27 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
     """
     c = np.asarray(c, dtype=float)
     nvars = c.shape[0]
-    rows = []
-    rhs = []
-    n_ub = 0
-    if A_ub is not None:
-        A_ub = np.asarray(A_ub, dtype=float)
-        b_ub = np.asarray(b_ub, dtype=float)
-        n_ub = A_ub.shape[0]
-        rows.append(A_ub)
-        rhs.append(b_ub)
-    if A_eq is not None:
-        A_eq = np.asarray(A_eq, dtype=float)
-        b_eq = np.asarray(b_eq, dtype=float)
-        rows.append(A_eq)
-        rhs.append(b_eq)
-    if rows:
-        A = np.vstack(rows)
-        b = np.concatenate(rhs)
-    else:
-        A = np.zeros((0, nvars))
-        b = np.zeros(0)
-    m = A.shape[0]
+    n_ub = 0 if A_ub is None else len(A_ub)
+    m = n_ub + (0 if A_eq is None else len(A_eq))
+    check_tableau(m, nvars, n_ub)
 
     # columns: structural, one slack per inequality row, one artificial per
-    # row, then the rhs; every row is normalized to b >= 0
+    # row, then the rhs; the constraint rows are written in place and every
+    # row is normalized to b >= 0
     n_struct = nvars + n_ub
     total = n_struct + m
-    need = (m + 1) * (total + 1) * 8
-    if need > MAX_TABLE_BYTES:
-        raise ResourceLimitError(
-            f"simplex tableau of {m} rows and {total} columns needs {need} "
-            f"bytes (cap {MAX_TABLE_BYTES})")
-    sign = np.where(b < 0, -1.0, 1.0)
-    b_norm = b * sign
     tab = np.zeros((m + 1, total + 1))
-    tab[:m, :nvars] = A * sign[:, None]
+    if A_ub is not None:
+        tab[:n_ub, :nvars] = A_ub
+        tab[:n_ub, -1] = b_ub
+    if A_eq is not None:
+        tab[n_ub:m, :nvars] = A_eq
+        tab[n_ub:m, -1] = b_eq
+    sign = np.where(tab[:m, -1] < 0, -1.0, 1.0)
+    tab[:m, :nvars] *= sign[:, None]
+    tab[:m, -1] = b_norm = tab[:m, -1] * sign
     tab[np.arange(n_ub), nvars + np.arange(n_ub)] = sign[:n_ub]
     tab[np.arange(m), n_struct + np.arange(m)] = 1.0
-    tab[:m, -1] = b_norm
     basis = np.arange(n_struct, total)
     max_iter = 200 * (m + total + 10)
 

@@ -135,6 +135,25 @@ def test_chebyshev_tableau_cap():
         chebyshev([1.0], np.ones((6000, 1)))
 
 
+def test_zero_epsilon_refused_before_the_basis_is_built():
+    import tracemalloc
+
+    from commbound.errors import ResourceLimitError
+
+    # epsilon = 0 goes straight to degree 11, whose 4095 x 4096 character
+    # basis alone is 134 MB; the 4096 x 12289 tableau is refused first
+    f = builtin_function("AND", 12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="simplex tableau of "
+                           "4096 rows and 12289 columns needs 402817040 "):
+            approx_degree(f, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_maj7_at_one_third():
     # the desk-scale ceiling: degree 5, with a verified degree-4 dual
     f = builtin_function("MAJ", 7)

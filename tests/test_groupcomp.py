@@ -586,6 +586,84 @@ def test_orthogonality_general_constant_column_fails():
     assert not rep.passed
 
 
+def _pairwise_orthogonality(gmap, table, hard):
+    """Worst row and column sums over each pair of distinct hard characters,
+    one pair at a time, and the number of pairs."""
+    mats = {i: table.table[i][gmap.entries] for i in hard}
+    worst_row = worst_col = 0.0
+    pairs = list(itertools.combinations(sorted(hard), 2))
+    for a, b in pairs:
+        A, B = mats[a], mats[b]
+        worst_row = max(worst_row, float(np.abs(A @ B.conj().T).max()))
+        worst_col = max(worst_col, float(np.abs(A.T @ B.conj()).max()))
+    return worst_row, worst_col, len(pairs)
+
+
+def test_orthogonality_general_against_pairwise_loop():
+    rng = np.random.default_rng(19)
+    verdicts = set()
+    for moduli in ([3], [4, 2], [2, 2, 2]):
+        G = gc.AbelianGroupSpec(moduli)
+        table = gc.characters_abelian(G)
+        base = _permuted_addition(rng, G)
+        E = base.entries.copy()
+        E[rng.integers(E.shape[0]), rng.integers(E.shape[1])] += 1
+        maps = [base, gc.GroupMapMatrix(E % G.order, G),
+                gc.GroupMapMatrix(rng.integers(G.order, size=(6, 4)), G)]
+        for gm in maps:
+            for size in range(G.order + 1):
+                hard = rng.choice(G.order, size=size, replace=False).tolist()
+                rep = gc.orthogonality_general(gm, table, hard)
+                row, col, pairs = _pairwise_orthogonality(gm, table, hard)
+                assert rep.pairs_checked == pairs
+                assert rep.max_row_violation == pytest.approx(row, abs=1e-12)
+                assert rep.max_col_violation == pytest.approx(col, abs=1e-12)
+                assert rep.passed == (row <= rep.row_threshold and
+                                      col <= rep.col_threshold)
+                verdicts.add(rep.passed)
+    assert verdicts == {True, False}
+
+
+def test_general_bound_norms_against_spectrum():
+    rng = np.random.default_rng(23)
+    for moduli in ([3], [4, 2], [2, 2, 2]):
+        G = gc.AbelianGroupSpec(moduli)
+        table = gc.characters_abelian(G)
+        gm = _permuted_addition(rng, G)
+        fv = np.ones(G.order)
+        fv[rng.integers(G.order)] = -1.0
+        part = gc.HardnessPartition.from_easy([table.trivial_index()],
+                                              G.order)
+        rep = gc.general_bound(gm, fv, table, part, 0.0)
+        assert rep.applicable, moduli
+        per_char = rep.intermediates["per_character"]
+        assert sorted(per_char) == sorted(part.hard)
+        for i, entry in per_char.items():
+            norm = mx.spectrum(table.table[i][gm.entries]).spectral_norm
+            assert entry["spectral_norm"] == pytest.approx(norm, rel=1e-12)
+            assert entry["max_value"] == np.abs(table.table[i]).max()
+
+
+def test_block_group_bound_ties_pick_the_lowest_character():
+    # every non-trivial character of Z2 x Z2 has norm 4 on the XOR table;
+    # moving the trivial row to index t leaves the lowest other index
+    xor = gc.GroupMapMatrix(np.bitwise_xor.outer(np.arange(4), np.arange(4)),
+                            Z22)
+    norms = {mx.spectrum(T_Z22.table[c][xor.entries]).spectral_norm
+             for c in range(4)}
+    assert norms == {4.0}
+    for t in range(4):
+        order = [1, 2, 3]
+        order.insert(t, 0)
+        table = gc.CharacterTable(4, 4, T_Z22.table[order], range(4),
+                                  [1] * 4)
+        assert table.trivial_index() == t
+        rep = gc.block_group_bound([xor, xor], np.ones(16), [table, table])
+        assert rep.applicable
+        assert rep.intermediates["per_block_best_character"] == \
+            [1 if t == 0 else 0] * 2
+
+
 def test_distance_to_easy():
     and2 = builtin_function("AND", 2)
     fv = gc.class_function_from_bool(and2)

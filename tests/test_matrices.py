@@ -587,6 +587,13 @@ def test_search_refuses_wide_rows_before_allocating():
     assert peak < 2 ** 20
 
 
+def test_balanced_rows_against_sorted_brute_force():
+    for cols in range(0, 11, 2):
+        brute = sorted(itertools.product((0, 1), repeat=cols))
+        want = [row for row in brute if 2 * sum(row) == cols]
+        assert mx._balanced_rows(cols) == want, cols
+
+
 def test_search_respects_limit():
     found = list(mx.search_strongly_balanced(4, 4, limit=1))
     assert len(found) == 1

@@ -250,11 +250,11 @@ def shizhu_bound(f: BoolFunction, g: SignMatrix, mu: DistributionMatrix,
                  epsilon0: float, cap: int = DEFAULT_ENUMERATION_CAP) -> BoundReport:
     """Degree main term under the dual-norm smallness condition.
 
-    Requires mu balanced with respect to g.  The condition
-    gamma2*(M_g * mu) <= d/(2 e n) is tested conservatively against the
-    upper end of gamma2_star_interval; when it fails the measured gap is
-    reported and the bound is marked inapplicable, as it is for an outer
-    function of no inputs.
+    Requires mu balanced with respect to g.  The bound is inapplicable, with
+    the gap reported, unless the upper end of gamma2_star_interval is at most
+    d/(2en); below 30 rows or columns, so always within the default cap, it
+    is not: gamma2*(M_g * mu) >= 1/sqrt(min(m, n)) > 1/(2e) >= d/(2en).  An
+    outer function of no inputs is inapplicable too.
     """
     if not 0 < epsilon0 < 1:
         raise ValueError(f"epsilon0 must lie in (0, 1), got {epsilon0}")

@@ -7,9 +7,9 @@ pattern containment up to row/column permutations, and a canonical
 enumerator for strongly balanced matrices.  Containment and the
 enumerator's forbidden-pattern check share one matcher that encodes every
 submatrix as an integer and looks chunks of them up in sorted targets.
-Canonical forms and the enumerator keep one integer code per column and
-walk their search trees on explicit stacks, so any height runs; the
-enumerator refuses widths whose balanced rows would pass MAX_TABLE_BYTES.
+Canonical forms keep a code per column, the enumerator its rows' codes, column
+sums and a tie mask; both walk their trees on explicit stacks, so any height
+runs, and the enumerator refuses widths past MAX_TABLE_BYTES of balanced rows.
 
 Conventions: for canonical forms and search order, +1 sorts before -1.
 """
@@ -470,7 +470,7 @@ def _depth_first(children, root, depth: int):
 
 def _signs(ints, width: int) -> np.ndarray:
     """One +-1 row per int, bit 1 for -1, the first of width bits the most
-    significant: a canonical word's rows, or the columns of column codes."""
+    significant: a canonical word's rows, or the enumerator's packed rows."""
     return np.array([[1 - 2 * (v >> width - 1 - j & 1) for j in range(width)]
                      for v in ints])
 
@@ -623,24 +623,17 @@ def contains_pattern(M: SignMatrix, P: SignMatrix,
 # ---------------------------------------------------------------------------
 # strongly balanced search
 
-def _balanced_rows(cols: int) -> list[tuple[int, ...]]:
-    """All 0/1 rows (1 for -1) of even length with as many ones as zeros,
-    in ascending order, which is +1 first and the lexicographic order of
-    the +1 positions, so no sort is needed.  ResourceLimitError, before any
-    row is built, when C(cols, cols/2) rows of cols int64 entries would
-    pass MAX_TABLE_BYTES."""
+def _balanced_rows(cols: int) -> list[int]:
+    """Ascending codes, as _signs reads them, of the +-1 rows of even length
+    cols summing to zero.  ResourceLimitError, before anything is built, when
+    C(cols, cols/2) rows of cols int64 entries would pass MAX_TABLE_BYTES."""
     need = math.comb(cols, cols // 2) * cols * 8
     if need > MAX_TABLE_BYTES:
         raise ResourceLimitError(
             f"{cols} columns need {need} bytes of balanced rows "
             f"(cap {MAX_TABLE_BYTES})")
-    out = []
-    for plus in itertools.combinations(range(cols), cols // 2):
-        row = [1] * cols
-        for c in plus:
-            row[c] = 0
-        out.append(tuple(row))
-    return out
+    v = np.arange(1 << cols)
+    return v[np.bitwise_count(v) == cols // 2].tolist()
 
 
 def search_strongly_balanced(rows: int, cols: int, min_rank: int | None = None,
@@ -667,36 +660,43 @@ def search_strongly_balanced(rows: int, cols: int, min_rank: int | None = None,
         return
 
     candidates = _balanced_rows(cols)
-    find_forbidden = None if forbidden is None else \
-        _submatrix_matcher(forbidden, True, cols)
+    bits = [1 << cols - 1 - j for j in range(cols)]
+    find = forbidden and _submatrix_matcher(forbidden, True, cols)
 
-    def contains_forbidden(depth, codes) -> bool:
+    def grid(placed) -> np.ndarray:
+        # placed is a 1 bit followed by each placed row's code
+        return _signs([placed], placed.bit_length() - 1).reshape(-1, cols)
+
+    def contains_forbidden(placed) -> bool:
         # only submatrices through the newest row can be new
-        if find_forbidden is None or depth < forbidden.rows:
-            return False
+        depth = placed.bit_length() // cols
         heads = itertools.combinations(range(depth - 1), forbidden.rows - 1)
-        return find_forbidden(_signs(codes, depth).T,
-                              (h + (depth - 1,) for h in heads)) is not None
+        return find(grid(placed),
+                    (h + (depth - 1,) for h in heads)) is not None
 
     def children(node):
-        # the canonical first row is the sorted balanced row, row words
-        # never decrease, and canonical columns have non-decreasing codes; a
-        # column of k ones in the placed rows sums to depth - 2k, which must
-        # still reach zero in the rows left (its parity always matches, as
-        # rows is even)
-        placed, start, codes = node
-        depth = placed + 1
-        twice = [2 * c for c in codes]
-        for i in range(start, len(candidates) if depth > 1 else 1):
-            new = tuple(map(operator.add, twice, candidates[i]))
-            if list(new) == sorted(new) and \
-                    all(abs(depth - 2 * c.bit_count()) <= rows - depth
-                        for c in new) and \
-                    not contains_forbidden(depth, new):
-                yield depth, i, new
+        # the first row is the smallest code and codes never decrease.  Columns
+        # summing above the rows left after this one take -1, below minus them
+        # +1, and tied neighbours (ties bit at the right one) never read -1 +1
+        start, placed, sums, ties = node
+        left = rows - placed.bit_length() // cols - 1
+        must = never = 0
+        for b, s in zip(bits, sums):
+            if s > left:
+                must |= b
+            elif s < -left:
+                never |= b
+        for i in range(start, len(candidates) if placed > 1 else 1):
+            c = candidates[i]
+            if c & must == must and not c & never and \
+                    not c >> 1 & ~c & ties and \
+                    not (find and contains_forbidden(placed << cols | c)):
+                yield (i, placed << cols | c,
+                       [s - 1 if c & b else s + 1 for b, s in zip(bits, sums)],
+                       ties & ~(c >> 1 ^ c))
 
-    leaves = (SignMatrix(_signs(codes, rows).T) for _, _, codes in
-              _depth_first(children, (0, 0, (0,) * cols), rows))
+    leaves = (SignMatrix(grid(placed)) for _, placed, _, _ in
+              _depth_first(children, (0, 1, [0] * cols, bits[0] - 1), rows))
     yield from itertools.islice(
         (M for M in leaves if is_canonical(M) and
          (min_rank is None or exact_rank(M) >= min_rank)), limit)

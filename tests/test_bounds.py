@@ -168,6 +168,27 @@ def test_gamma2_star_high_encloses_the_pm1_norm():
         assert hi <= math.sqrt(A.size) * np.linalg.norm(W, 2) + 1e-12
 
 
+def test_gamma2_star_high_is_at_least_the_duality_floor():
+    # for any A and P, <A, A*P> = 1 and duality with gamma2 give
+    # gamma2*(A*P) >= 1/gamma2(A) >= 1/sqrt(min(m, n)); an upper end below
+    # this floor is unsound, as K_G * disc was
+    rng = np.random.default_rng(61)
+    cases = [(mx.tensor(CORE6, CORE4), U(24, 24))]
+    for _ in range(40):
+        m, n = (int(k) for k in rng.integers(1, 9, size=2))
+        A = mx.SignMatrix(rng.choice((-1, 1), size=(m, n)))
+        w = rng.random((m, n)) ** 4
+        cases += [(A, U(m, n)), (A, bd.DistributionMatrix(w / w.sum()))]
+    for A, P in cases:
+        floor = 1 / math.sqrt(min(A.rows, A.cols))
+        assert bd.gamma2_star_interval(A, P)[1] >= floor - 1e-12, A.entries
+    # so shizhu's threshold d/(2en) <= 1/(2e) stays below the floor up to
+    # 29 rows and columns, past the enumeration cap of 24 rows
+    assert 1 / (2 * math.e) < 1 / math.sqrt(29)
+    assert 1 / (2 * math.e) >= 1 / math.sqrt(30)
+    assert bd.DEFAULT_ENUMERATION_CAP < 29
+
+
 def test_spectral_disc_certificate():
     cert = bd.SpectralDiscCert((0, 1), (0, 1), U(2, 2), r=1.0)
     rep = bd.verify_spectral_disc(mx.XOR_2, cert)
@@ -269,6 +290,9 @@ def test_disc_bound_values():
     assert any("vacuous" in w for w in rep.warnings)
     rep = bd.disc_bound(BoolFunction(2, [1, 1, 1, 1]), CORE4)
     assert rep.main_term == pytest.approx(0.0)
+    rep = bd.disc_bound(builtin_function("AND", 2), mx.HADAMARD_2)
+    assert not rep.applicable and rep.main_term is None
+    assert rep.warnings[-1] == "inner matrix is not strongly balanced"
 
 
 def test_shizhu_bound_small_instance():

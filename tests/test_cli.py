@@ -187,6 +187,15 @@ def test_lower_bound_shizhu_refuses_a_tensor_inner(capsys, tmp_path):
         pytest.approx(1 / np.sqrt(6))
 
 
+def test_lower_bound_disc_refuses_an_unbalanced_inner(capsys):
+    code, report = run_cli(capsys, "lower-bound", "--theorem", "disc",
+                           "--function", "AND:2", "--inner", "h2")
+    assert code == EXIT_INAPPLICABLE
+    body = report["report"]
+    assert body["applicable"] is False and body["main_term"] is None
+    assert "inner matrix is not strongly balanced" in body["warnings"]
+
+
 def test_usage_errors(capsys, monkeypatch, tmp_path, core4_file):
     code, _ = run_cli(capsys, "approx-degree", "--function", "PARITY:2",
                       "--epsilon", "1.5")

@@ -890,6 +890,27 @@ def test_block_group_bound_boundary_inapplicable():
     assert not rep.applicable
 
 
+def test_block_group_bound_refusals(monkeypatch):
+    xor = gc.GroupMapMatrix.from_sign_matrix(mx.XOR_2)
+    with pytest.raises(ValueError, match="one character table per block"):
+        gc.block_group_bound([xor, xor], np.ones(4), [T_Z2])
+    # 4,097 Z2 blocks need one norm each, past the cap of 4,096, and are
+    # refused before any block's SVD
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD before the refusal")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    with pytest.raises(ResourceLimitError, match="4097 character-norm"):
+        gc.block_group_bound([xor] * 4097, np.ones(2), [T_Z2] * 4097)
+    monkeypatch.undo()
+    # constant rows: regular, but the block fails orthogonality
+    flat = gc.GroupMapMatrix(np.array([[0, 0], [1, 1]]), Z2)
+    rep = gc.block_group_bound([flat], np.array([1.0, -1.0]), [T_Z2])
+    assert not rep.applicable and rep.main_term is None
+    assert rep.warnings[-1] == ("block 1 fails its structural condition "
+                                "(regular=True, orthogonal=False)")
+
+
 def test_block_group_bound_z3_latin_square():
     # regular map from the Z3 addition table
     latin = np.array([[(x + y) % 3 for y in range(3)] for x in range(3)])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -572,6 +573,100 @@ def test_search_full_outputs_frozen():
         assert [M.entries.tolist() for M in found] == want, (rows, cols)
 
 
+def reference_search(rows, cols, min_rank=None, forbidden=None, limit=None):
+    """Independent oracle: the enumerator that kept one integer code per
+    column.  Each candidate extends every code to 2 * code + bit, and a
+    prefix survives while the codes are sorted, every column of k ones
+    among depth rows can still reach sum zero (|depth - 2k| <= rows left)
+    and the newest row completes no forbidden submatrix."""
+    candidates = [row for row in itertools.product((0, 1), repeat=cols)
+                  if 2 * sum(row) == cols]
+    find = None if forbidden is None else \
+        mx._submatrix_matcher(forbidden, True, cols)
+
+    def contains_forbidden(depth, codes):
+        if find is None or depth < forbidden.rows:
+            return False
+        heads = itertools.combinations(range(depth - 1), forbidden.rows - 1)
+        return find(mx._signs(codes, depth).T,
+                    (h + (depth - 1,) for h in heads)) is not None
+
+    def children(node):
+        placed, start, codes = node
+        depth = placed + 1
+        twice = [2 * c for c in codes]
+        for i in range(start, len(candidates) if depth > 1 else 1):
+            new = tuple(map(operator.add, twice, candidates[i]))
+            if list(new) == sorted(new) and \
+                    all(abs(depth - 2 * c.bit_count()) <= rows - depth
+                        for c in new) and \
+                    not contains_forbidden(depth, new):
+                yield depth, i, new
+
+    leaves = (mx.SignMatrix(mx._signs(codes, rows).T) for _, _, codes in
+              mx._depth_first(children, (0, 0, (0,) * cols), rows))
+    return list(itertools.islice(
+        (M for M in leaves if mx.is_canonical(M) and
+         (min_rank is None or mx.exact_rank(M) >= min_rank)), limit))
+
+
+def walk_counted(monkeypatch, search, *args, **kw):
+    """search's output and the number of prefixes its own tree visits: the
+    first _depth_first call, made before any leaf's canonicity test."""
+    count = []
+    depth_first = mx._depth_first
+
+    def counted(children, root, depth):
+        if count:
+            return depth_first(children, root, depth)
+        count.append(0)
+
+        def kids(node):
+            for child in children(node):
+                count[0] += 1
+                yield child
+        return depth_first(kids, root, depth)
+
+    with monkeypatch.context() as m:
+        m.setattr(mx, "_depth_first", counted)
+        return list(search(*args, **kw)), count[0]
+
+
+def test_search_against_the_column_code_enumerator(monkeypatch):
+    # every even shape up to 48 cells, plain, with a rank floor and with a
+    # forbidden pattern: the same matrices in the same order, and the same
+    # prefixes, as the sum and tie masks prune exactly where the sorted
+    # codes and reachable sums did
+    shapes = [(r, c) for r in (2, 4, 6, 8) for c in (2, 4, 6, 8)
+              if r * c <= 48]
+    for rows, cols in shapes:
+        for kw in ({}, {"min_rank": 2}, {"forbidden": mx.PATTERN_CORE_4}):
+            want = walk_counted(monkeypatch, reference_search, rows, cols,
+                                **kw)
+            assert walk_counted(monkeypatch, mx.search_strongly_balanced,
+                                rows, cols, **kw) == want, (rows, cols, kw)
+
+
+def test_search_wide_outputs_frozen():
+    # ordered outputs frozen from the column-code enumerator; with two rows
+    # the only second row is the complement of the first
+    def signs(*rows):
+        return [[1 if ch == "P" else -1 for ch in row] for row in rows]
+    a, b = "P" * 8 + "N" * 8, "N" * 8 + "P" * 8
+    cases = {
+        (4, 16, 3): [
+            signs(a, a, b, b),
+            signs(a, "P" * 7 + "NP" + "N" * 7, "N" * 7 + "PN" + "P" * 7, b),
+            signs(a, "P" * 6 + "NNPP" + "N" * 6, "N" * 6 + "PPNN" + "P" * 6,
+                  b),
+        ],
+        (2, 22, 1): [signs("P" * 11 + "N" * 11, "N" * 11 + "P" * 11)],
+    }
+    for (rows, cols, limit), want in cases.items():
+        found = mx.search_strongly_balanced(rows, cols, limit=limit)
+        assert [M.entries.tolist() for M in found] == want, (rows, cols)
+
+
 def test_search_refuses_wide_rows_before_allocating():
     # C(30, 15) = 155,117,520 balanced rows of 30 int64 entries would need
     # 37 GB; 24 columns (519 MB) are the first refused
@@ -588,10 +683,15 @@ def test_search_refuses_wide_rows_before_allocating():
 
 
 def test_balanced_rows_against_sorted_brute_force():
+    # codes are Python ints, bit 1 for -1 and the first column most
+    # significant; width 0 has the one empty row
     for cols in range(0, 11, 2):
         brute = sorted(itertools.product((0, 1), repeat=cols))
         want = [row for row in brute if 2 * sum(row) == cols]
-        assert mx._balanced_rows(cols) == want, cols
+        codes = mx._balanced_rows(cols)
+        assert all(type(c) is int for c in codes)
+        assert [tuple(c >> cols - 1 - j & 1 for j in range(cols))
+                for c in codes] == want, cols
 
 
 def test_search_respects_limit():

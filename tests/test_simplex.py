@@ -169,3 +169,28 @@ def test_stall_shift_engages(monkeypatch):
         _check_against_highs(*lp)
     assert len(shifts) >= 30
     test_degenerate_cycling_guard()
+
+
+def test_artificials_left_basic_after_phase_one_are_driven_out(monkeypatch):
+    # phase 1 ends with two artificials basic at zero on rows that still
+    # have structural entries; each is pivoted out before phase 2, and those
+    # two pivots are not counted as iterations
+    import commbound.simplex as sx
+
+    pivots = []
+    pivot = sx._pivot
+
+    def counted(tab, row, col):
+        pivots.append((row, col))
+        pivot(tab, row, col)
+
+    monkeypatch.setattr(sx, "_pivot", counted)
+    lp = (np.array([-3.0, -3.0, -1.0, 1.0]),
+          np.array([[1.0, -1.0, 1.0, 0.0], [0.0, 0.0, -2.0, -1.0]]),
+          np.array([1.0, 1.0]),
+          np.array([[1.0, 2.0, -1.0, 2.0], [1.0, 0.0, -1.0, 1.0]]),
+          np.array([-1.0, -1.0]))
+    res = solve_lp(*lp)
+    assert res.status == OPTIMAL and res.objective == pytest.approx(-1.0)
+    assert len(pivots) - res.iterations == 2
+    _check_against_highs(*lp)

@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-# largest arity accepted from a builtin spec or a truth table: 2^16 points,
-# whose degree-2 Chebyshev LP still fits MAX_TABLE_BYTES
+# largest arity accepted from a builtin spec or a truth table: 2^16 points.
+# A non-symmetric table's degree-2 Chebyshev LP over them still fits
+# MAX_TABLE_BYTES; a symmetric one's LP runs on its n+1 levels instead
 MAX_ARITY = 16
 
 

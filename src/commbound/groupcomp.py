@@ -27,9 +27,12 @@ from .bounds import BoundReport
 from .boolfn import BoolFunction
 from .errors import MAX_TABLE_BYTES, ResourceLimitError
 from .matrices import SignMatrix, balance_check, block_mask
+from .simplex import check_tableau
 
 MAX_GROUP_ORDER = 2 ** 14
 _SUM_TOL = 1e-8  # zero tests scale with multiset size
+# entries per block of rows that _conjugates gathers at once
+_BLOCK_ENTRIES = 2 ** 18
 
 
 class AbelianGroupSpec:
@@ -641,10 +644,27 @@ def tprime_check(T: np.ndarray, table: CharacterTable) -> TPrimeReport:
 def _conjugates(rows: np.ndarray, members) -> np.ndarray:
     """Row index of conj(chi_a) for each a in members.
 
-    chi_b is the conjugate of chi_a exactly when sum_g chi_a(g) chi_b(g)
-    reaches |G|, so argmax over every row finds it.
+    The fixed real weight w(g) = sin(g + 1) keys every row by rows @ w,
+    and conj(chi_a) by the conjugate of chi_a's key, so the nearest key
+    names the partner.  Each match is confirmed: chi_b is the conjugate of
+    chi_a exactly when sum_g chi_a(g) chi_b(g) reaches |G| in modulus, and
+    a row whose nearest key fails that takes the argmax of the sum over
+    every row.  Members are taken in blocks, so no |members| x |G| array
+    is built.
     """
-    return np.abs(rows[list(members)] @ rows.T).argmax(axis=1)
+    partner = np.array(members, dtype=np.int64)
+    h, order = rows.shape
+    keys = rows @ np.sin(np.arange(1.0, order + 1.0))
+    step = max(1, _BLOCK_ENTRIES // max(h, order))
+    for i in range(0, partner.size, step):
+        block = partner[i:i + step]     # members, overwritten in place
+        chi = rows[block]
+        near = np.abs(keys - keys[block, None].conj()).argmin(axis=1)
+        missed = np.abs((chi * rows[near]).sum(axis=1)) < order / 2
+        if missed.any():
+            near[missed] = np.abs(chi[missed] @ rows.T).argmax(axis=1)
+        block[:] = near
+    return partner
 
 
 def _real_span_basis(rows: np.ndarray, members) -> np.ndarray:
@@ -652,17 +672,19 @@ def _real_span_basis(rows: np.ndarray, members) -> np.ndarray:
 
     A real f in the span of a set of characters lies in the span of the
     set's conjugation-closed part, so in the real span of Re chi and Im chi
-    over that part.
+    over that part.  A Chebyshev LP over the basis whose tableau would pass
+    MAX_TABLE_BYTES is refused before the basis is built.
     """
     members = [int(a) for a in members]
     partner = _conjugates(rows, members)
     inside = set(members)
-    basis = []
+    basis = []      # views of rows until np.array copies them
     for a, b in zip(members, partner):
         if b == a:
             basis.append(rows[a].real)
         elif a < b and b in inside:
             basis += [rows[a].real, rows[a].imag]
+    check_tableau(len(basis) + 1, 2 * rows.shape[1], 1)
     return np.array(basis).reshape(-1, rows.shape[1])
 
 

@@ -138,11 +138,17 @@ def test_chebyshev_tableau_cap():
 def test_zero_epsilon_refused_before_the_basis_is_built():
     import tracemalloc
 
+    from commbound.boolfn import degree
     from commbound.errors import ResourceLimitError
 
-    # epsilon = 0 goes straight to degree 11, whose 4095 x 4096 character
-    # basis alone is 134 MB; the 4096 x 12289 tableau is refused first
-    f = builtin_function("AND", 12)
+    # AND:12 flipped also at the point x_1 = x_2 = -1: not symmetric, so no
+    # level LP, and still of degree 12.  epsilon = 0 goes straight to
+    # degree 11, whose 4095 x 4096 character basis alone is 134 MB; the
+    # 4096 x 12289 tableau is refused first
+    table = builtin_function("AND", 12).table.copy()
+    table[0b11] = -1
+    f = BoolFunction(12, table)
+    assert degree(f) == 12
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="simplex tableau of "
@@ -334,3 +340,106 @@ def test_error_profile_is_exact_from_the_degree_up():
             assert profile[d] == best_approximation(f, d)[0]
         for e in profile[top:]:
             assert e == 0.0 and math.copysign(1.0, e) == 1.0
+
+
+def _full_errors(f):
+    """Best error at every degree below deg(f), from the Chebyshev LP over
+    all 2^n points and the characters of degree <= d."""
+    from commbound.boolfn import degree
+
+    fv = f.table.astype(float)
+    return [chebyshev(fv, _character_matrix(
+        f.n, _masks_up_to_degree(f.n, d)))[0] for d in range(degree(f))]
+
+
+def _builtins(top):
+    return [builtin_function(name, n)
+            for name in ("AND", "OR", "PARITY", "MAJ")
+            for n in range(1, top + 1) if name != "MAJ" or n % 2]
+
+
+def test_level_lp_matches_the_full_lp():
+    from commbound.approx import _FEAS_TOL
+    from commbound.boolfn import iwht
+
+    for f in _builtins(7):
+        errors = _full_errors(f)
+        assert error_profile(f)[:len(errors)] == pytest.approx(errors,
+                                                               abs=1e-9)
+        for eps in (0.0, 0.01, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.9):
+            d = next((d for d, e in enumerate(errors)
+                      if e <= eps + _FEAS_TOL), len(errors))
+            r = approx_degree(f, eps)
+            assert r.d == d, (f.table, eps)
+            assert r.max_error == pytest.approx(
+                errors[d] if d < len(errors) else 0.0, abs=1e-9)
+            assert verify_dual(r.witness, f).ok, (f.table, eps)
+            # the approximant lives on degrees <= d and meets its error
+            high = np.bitwise_count(np.arange(2 ** f.n)) > d
+            assert not r.approximant.as_array()[high].any()
+            assert np.abs(iwht(r.approximant).table - f.table).max() <= \
+                r.max_error + 1e-9
+
+
+def _lp_widths(monkeypatch):
+    """Patch approx.solve_lp to record the variable count of each LP."""
+    import commbound.approx
+
+    widths = []
+    solve = commbound.approx.solve_lp
+    monkeypatch.setattr(commbound.approx, "solve_lp",
+                        lambda c, *a, **k: widths.append(len(c))
+                        or solve(c, *a, **k))
+    return widths
+
+
+def test_level_path_is_taken_exactly_for_symmetric_tables(monkeypatch):
+    widths = _lp_widths(monkeypatch)
+    for f in all_functions(3):
+        symmetric = all(len({int(f(x)) for x in range(8)
+                             if bin(x).count("1") == k}) == 1
+                        for k in range(4))
+        widths.clear()
+        approx_degree(f, 0.01)
+        best_approximation(f, 1)
+        # p and q over the n+1 levels, or over the 2^n points
+        assert widths and set(widths) == {8 if symmetric else 16}, f.table
+
+
+def test_symmetric_truth_table_file_takes_the_level_path(monkeypatch,
+                                                         tmp_path):
+    from commbound.boolfn import format_truth_table, load_function
+
+    path = tmp_path / "maj7.txt"
+    path.write_text(format_truth_table(builtin_function("MAJ", 7)))
+    widths = _lp_widths(monkeypatch)
+    f = load_function(str(path))
+    r = approx_degree(f, 1.0 / 3.0)
+    assert r.d == 5 and set(widths) == {16}
+    assert verify_dual(r.witness, f).ok
+
+
+def test_lifted_witness_verifies_at_sixteen_bits():
+    for f in [builtin_function("AND", 16), builtin_function("MAJ", 15),
+              builtin_function("PARITY", 16)]:
+        for eps in (0.0, 1.0 / 3.0):
+            r = approx_degree(f, eps)
+            check = verify_dual(r.witness, f)
+            assert check.ok, (f.n, eps, check)
+            assert check.l1 == pytest.approx(1.0, abs=1e-12)
+    assert approx_degree(builtin_function("AND", 16), 1.0 / 3.0).d == 5
+
+
+def test_verify_dual_transform_matches_the_character_matrix():
+    from commbound.approx import DualWitness
+
+    rng = np.random.default_rng(7)
+    for n in range(9):
+        f = BoolFunction(n, [1] * 2 ** n)
+        v = rng.standard_normal(2 ** n)
+        for d in range(n + 2):
+            w = DualWitness(v=RealPointFunction(n, v), d=d, epsilon=0.5,
+                            correlation=0.0, l1=0.0)
+            chi = _character_matrix(n, _masks_up_to_degree(n, d - 1))
+            want = float(np.abs(chi @ v).max(initial=0.0))
+            assert abs(verify_dual(w, f).orthogonality_max - want) <= 1e-12

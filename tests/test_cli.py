@@ -97,6 +97,22 @@ def test_approx_degree_command(capsys):
     assert body["dual"]["correlation"] == pytest.approx(1.0)
 
 
+def test_symmetric_outer_functions_run_on_levels(capsys):
+    # the LP over all 2^10 points takes tens of seconds, the one over the
+    # 11 levels milliseconds
+    code, report = run_cli(capsys, "lower-bound", "--theorem", "sherstov",
+                           "--function", "AND:10", "--inner", "core4")
+    assert code == EXIT_OK
+    assert report["report"]["intermediates"]["d"] == 4
+    # the degree-15 witness of AND:16, lifted from 17 levels to 2^16 points
+    code, report = run_cli(capsys, "approx-degree", "--function", "AND:16",
+                           "--epsilon", "0", "--dual")
+    assert code == EXIT_OK
+    body = report["report"]
+    assert body["d"] == 16 and body["dual"]["all_checks_pass"] is True
+    assert len(body["dual"]["witness_table"]) == 2 ** 16
+
+
 def test_compose_command(capsys, core4_file):
     code, report = run_cli(capsys, "compose", "--function", "AND:2",
                            "--inner", core4_file, "--verify-rank", "--witness")

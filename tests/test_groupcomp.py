@@ -1131,3 +1131,38 @@ def test_distance_to_easy_against_complex_span_oracle():
             assert dh.ok, (moduli, closed)
             assert dh.l1 == pytest.approx(2.0, abs=1e-12)
             assert dh.correlation == pytest.approx(2.0 * dh.delta, abs=1e-9)
+
+
+def test_conjugates_against_the_argmax_oracle(monkeypatch):
+    # Z3 with chi_2 negated: no row keys as conj(chi_1), so chi_1 takes the
+    # fallback argmax, which finds the row on conj(chi_1)'s complex line
+    flipped = T_Z3.table * np.array([[1], [1], [-1]])
+    tables = [gc.characters_abelian(gc.AbelianGroupSpec(m)).table
+              for m in ([4], [3, 2], [5, 3], [2] * 8, [4, 4, 3])]
+    tables += [_s3()[1].table,
+               gc.CharacterTable(3, 3, flipped, range(3), [1] * 3).table]
+    for block in (gc._BLOCK_ENTRIES, 16):
+        monkeypatch.setattr(gc, "_BLOCK_ENTRIES", block)
+        for rows in tables:
+            # the whole h x h product the keys replace
+            want = np.abs(rows @ rows.T).argmax(axis=1)
+            got = gc._conjugates(rows, range(len(rows)))
+            assert np.array_equal(got, want), (rows.shape, block)
+            assert gc._conjugates(rows, [len(rows) - 1, 0]).tolist() == \
+                [want[-1], want[0]]
+
+
+def test_span_lp_refused_before_its_basis_is_built():
+    # Z2^12 with every character easy: 4097 rows over 2 * 4096 + 1 + 4097
+    # columns.  The 256 MiB table is built before the trace starts; the
+    # whole 4096 x 4096 conjugate product alone would be as large again
+    table = gc.characters_abelian(gc.AbelianGroupSpec([2] * 12))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="simplex tableau of "
+                           "4097 rows and 12290 columns needs 402948144 "):
+            gc.distance_to_easy(np.ones(4096), table, range(4096))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20

@@ -1,9 +1,10 @@
 """Complexity-measure evaluators: discrepancy, dual-norm enclosures, and the
 lower-bound main terms for composed functions.
 
-Discrepancy is computed exactly by enumerating row subsets (the column side
-has a closed form for fixed rows), their column sums taken from 0/1 matrix
-products.  The dual factorization norm gamma2* is never computed directly:
+Discrepancy is computed exactly by enumerating the subsets of the shorter
+side (the other side has a closed form for a fixed subset), their sums
+taken from 0/1 matrix products.  The dual factorization norm gamma2* is
+never computed directly:
 disc (the 0/1 norm) <= ||A*P||_{inf->1} <= gamma2* <= K_G ||A*P||_{inf->1}
 <= 4 K_G disc by Grothendieck, K_G over-approximated by 1.7823, and
 gamma2* <= sqrt(mn) ||A*P|| by Cauchy-Schwarz enclose it.
@@ -92,22 +93,27 @@ class ApproxNormBound:
 
 def discrepancy(A: SignMatrix, P: DistributionMatrix,
                 cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    """Exact discrepancy max_{x,y in {0,1}} |x (A*P) y| by row-subset enumeration.
+    """Exact discrepancy max_{x,y in {0,1}} |x (A*P) y| by enumerating the
+    subsets of the shorter side.
 
-    For a fixed row subset the optimal column subset takes either all positive
-    or all negative column sums, so only the 2^rows row subsets are
+    disc(A, P) = disc(A^T, P^T), so a tall A*P is transposed first.  For a
+    fixed row subset the optimal column subset takes either all positive or
+    all negative column sums, so only the 2^rows row subsets are
     enumerated.  The column sums of every subset of the first min(rows, 12)
     rows come from one 0/1 matrix product; each subset of the remaining rows
     adds its column sums to that block as an offset.
     """
     if (A.rows, A.cols) != (P.rows, P.cols):
         raise ValueError("matrix and distribution dimensions must match")
-    m = A.rows
+    W = A.entries * P.weights
+    if A.cols < A.rows:
+        W = W.T
+    m = W.shape[0]
     if m > cap:
         raise ResourceLimitError(
-            f"discrepancy enumeration needs 2^{m} row subsets (cap 2^{cap}); "
-            "fall back to the bound disc <= ||A||/sqrt(size(A))")
-    W = A.entries * P.weights
+            f"discrepancy enumeration needs 2^{m} subsets of the shorter "
+            f"side (cap 2^{cap}); fall back to the bound "
+            "disc <= ||A||/sqrt(size(A))")
     low = min(m, _LOW_ROWS)
     subsets = (np.arange(2 ** low)[:, None] >> np.arange(low)) & 1
     block = subsets @ W[:low]

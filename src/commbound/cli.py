@@ -35,7 +35,6 @@ from .approx import approx_degree, dual_polynomial, verify_dual
 from .boolfn import load_function
 from .errors import ResourceLimitError
 from .simplex import SimplexError
-from .suites import ALL_SUITES, run_suites
 
 SCHEMA_VERSION = 1
 
@@ -99,7 +98,7 @@ def _cmd_analyze_matrix(opts) -> tuple:
         payload["core4_free_up_to_permutation"] = free
         payload["core4_free_ordered"] = \
             free or not mx.contains_pattern(M, core, "ordered").found
-    if M.rows <= opts["enum_cap"]:
+    if min(M.rows, M.cols) <= opts["enum_cap"]:
         payload["disc_uniform"] = bd.uniform_discrepancy(M, opts["enum_cap"])
     return payload, EXIT_OK
 
@@ -260,16 +259,6 @@ def _cmd_search_balanced(opts) -> tuple:
     return payload, EXIT_OK
 
 
-def _cmd_verify_suite(opts) -> tuple:
-    results = run_suites(opts["suites"] or None, seed=opts["seed"])
-    payload = {
-        "seed": opts["seed"],
-        "suites": [dataclasses.asdict(r) for r in results],
-        "all_passed": all(r.passed for r in results),
-    }
-    return payload, EXIT_OK if payload["all_passed"] else EXIT_INAPPLICABLE
-
-
 _HANDLERS = {
     "analyze-matrix": _cmd_analyze_matrix,
     "approx-degree": _cmd_approx_degree,
@@ -277,7 +266,6 @@ _HANDLERS = {
     "lower-bound": _cmd_lower_bound,
     "group-check": _cmd_group_check,
     "search-balanced": _cmd_search_balanced,
-    "verify-suite": _cmd_verify_suite,
 }
 
 
@@ -314,14 +302,6 @@ def _easy_indices(flag, text):
     except ValueError:
         raise UsageError(f"{flag} must be a comma-separated list of "
                          "integers") from None
-
-
-def _suite_names(flag, text):
-    names = [s.strip() for s in text.split(",") if s.strip()]
-    for s in names:
-        if s not in ALL_SUITES:
-            raise UsageError(f"{flag}: unknown suite {s!r}")
-    return names
 
 
 @functools.cache
@@ -403,12 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbidden", default=None,
                    help="forbidden pattern file or builtin name")
     typed(p, "--limit", _COUNT, default=None)
-    add_common(p)
-
-    p = sub.add_parser("verify-suite", help="run the property suites")
-    typed(p, "--seed", _COUNT, default=0)
-    typed(p, "--suites", _suite_names, default=None,
-          help=f"comma-separated subset of {sorted(ALL_SUITES)}")
     add_common(p)
     return parser
 

@@ -155,10 +155,14 @@ def build_witness(w: DualWitness, g: SignMatrix, mu=None,
     With a probability matrix mu balanced against g (sum mu*g = 0):
         B[x,y] = 2^n * v(g(...)) * prod_i mu(x^i, y^i).
     Either way ||B||_1 = 1 and <M_{f o g^n}, B> equals the witness correlation.
+    A residual delta = |sum mu*g|, which check_balanced admits up to 1e-9,
+    puts each block's +1 and -1 masses at (1 +- delta)/2, so ||B||_1 may
+    then lie anywhere in [(1 - delta)^n, (1 + delta)^n].
     """
     n = w.v.n
     _check_cap(g.rows ** n, g.cols ** n, memory_cap)
 
+    slack = 1e-9
     if mu is None:
         if not balance_check(g).strongly_balanced:
             raise ValueError("witness construction without mu requires a "
@@ -172,11 +176,13 @@ def build_witness(w: DualWitness, g: SignMatrix, mu=None,
         weights = mu.weights
         scale = 2.0 ** n
         factor = functools.reduce(np.kron, [weights] * n, np.ones((1, 1)))
+        delta = abs(float((weights * g.entries).sum()))
+        slack += (1.0 + delta) ** n - 1.0
 
     B = scale * w.v.table[block_mask([g] * n)] * factor
 
     l1 = float(np.abs(B).sum())
-    if abs(l1 - 1.0) > 1e-9:
+    if abs(l1 - 1.0) > slack:
         raise RuntimeError(
             f"witness l1 mass {l1} differs from 1; balance preconditions "
             "should have forced it")

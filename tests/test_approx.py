@@ -256,6 +256,14 @@ def test_weak_duality_all_n2():
             assert w.correlation == pytest.approx(profile[w.d - 1], abs=1e-7)
 
 
+def test_degree_monotone_in_epsilon():
+    grid = (0.01, 0.1, 1.0 / 3.0, 0.5, 0.9)
+    for n in (1, 2, 3):
+        for f in all_functions(n):
+            degs = [approx_degree(f, eps).d for eps in grid]
+            assert degs == sorted(degs, reverse=True), f.table
+
+
 def test_masks_up_to_degree_against_popcount():
     for n in range(0, 11):
         for d in range(-1, n + 2):

@@ -66,6 +66,9 @@ def test_transform_round_trip():
         f = bf.RealPointFunction(n, rng.normal(size=2 ** n))
         back = bf.iwht(bf.wht(f))
         assert np.abs(back.table - f.table).max() <= 1e-12
+        coeffs = rng.normal(size=2 ** n)
+        s = bf.wht(bf.iwht(bf.FourierSpectrum(n=n, coeffs=tuple(coeffs))))
+        assert np.abs(np.array(s.coeffs) - coeffs).max() <= 1e-12
 
 
 def test_parseval():

@@ -93,7 +93,7 @@ def all_subsets(k):
 
 def test_disc_matches_all_subset_pairs():
     """Non-uniform P against |x (A*P) y| over every row and column subset
-    pair at once.  13 and 14 rows run more than one block of row subsets;
+    pair at once.  The 13- and 14-row shapes are enumerated transposed;
     their last rows carry most of the mass, so the optimum needs them."""
     rng = np.random.default_rng(47)
     for m, n in [(1, 3), (4, 1), (7, 6), (10, 5), (10, 9), (13, 4), (14, 5)]:
@@ -107,10 +107,45 @@ def test_disc_matches_all_subset_pairs():
             expect, rel=0, abs=A.size * np.finfo(float).eps)
 
 
+def test_disc_past_one_block_of_subsets():
+    """Both sides above 12 run more than one block of row subsets, and the
+    last rows carry most of the mass.  The oracle enumerates the column
+    subsets instead, each with its best row subset in closed form."""
+    rng = np.random.default_rng(53)
+    for m, n in [(13, 13), (14, 13), (14, 14)]:
+        A = mx.SignMatrix(rng.choice((-1, 1), size=(m, n)))
+        w = rng.random((m, n))
+        w[12:] *= 50
+        P = bd.DistributionMatrix(w / w.sum())
+        sums = A.entries * P.weights @ all_subsets(n).T
+        expect = max(np.clip(sums, 0, None).sum(axis=0).max(),
+                     -np.clip(sums, None, 0).sum(axis=0).min())
+        assert bd.discrepancy(A, P) == pytest.approx(
+            expect, rel=0, abs=A.size * np.finfo(float).eps)
+
+
+def test_disc_enumerates_the_shorter_side():
+    # disc(A, P) = disc(A^T, P^T): a tall input is enumerated transposed
+    rng = np.random.default_rng(59)
+    for _ in range(40):
+        m = int(rng.integers(9, 21))
+        n = int(rng.integers(1, 7))
+        A = mx.SignMatrix(rng.choice((-1, 1), size=(m, n)))
+        w = rng.random((m, n))
+        P = bd.DistributionMatrix(w / w.sum())
+        At = mx.SignMatrix(A.entries.T)
+        Pt = bd.DistributionMatrix(P.weights.T)
+        assert bd.discrepancy(A, P) == pytest.approx(
+            bd.discrepancy(At, Pt), rel=1e-12, abs=1e-15)
+    # 2^2 subsets of 26 x 2, far below the cap of 2^24
+    tall = mx.SignMatrix(np.tile([[1, -1], [-1, 1]], (13, 1)))
+    assert bd.uniform_discrepancy(tall) == pytest.approx(0.25)
+
+
 def test_disc_enumeration_cap():
-    big = mx.all_ones(25, 2)
-    with pytest.raises(ResourceLimitError):
-        bd.discrepancy(big, U(25, 2))
+    big = mx.all_ones(25, 25)
+    with pytest.raises(ResourceLimitError, match="2\\^25 subsets"):
+        bd.discrepancy(big, U(25, 25))
 
 
 def test_disc_spectral_upper_bound_corpus():
@@ -238,7 +273,8 @@ def test_approx_trace_lower_vacuous_at_eps_one():
 
 def test_chain_inequality():
     eps0 = 1.0 / 3.0
-    for f in (builtin_function("PARITY", 2), builtin_function("AND", 2)):
+    for name in ("PARITY", "AND", "OR"):
+        f = builtin_function(name, 2)
         w = dual_polynomial(f, eps0)
         for g in (CORE4, CORE6):
             W = cp.build_witness(w, g)

@@ -203,6 +203,20 @@ def test_lower_bound_shizhu_refuses_a_tensor_inner(capsys, tmp_path):
         pytest.approx(1 / np.sqrt(6))
 
 
+def test_disc_enumerates_the_shorter_side(capsys, tmp_path):
+    # 26 x 2 is enumerated over its 2^2 column subsets, not 2^26 row ones
+    tall = tmp_path / "tall.txt"
+    tall.write_text(SignMatrix(np.tile([[1, -1], [-1, 1]], (13, 1)))
+                    .to_text())
+    code, report = run_cli(capsys, "lower-bound", "--theorem", "disc",
+                           "--function", "AND:2", "--inner", str(tall))
+    assert code == EXIT_INAPPLICABLE    # vacuous: disc_U = 1/4 > 2^-7
+    assert report["report"]["intermediates"]["disc_u"] == 0.25
+    code, report = run_cli(capsys, "analyze-matrix", "--input", str(tall))
+    assert code == EXIT_OK
+    assert report["report"]["disc_uniform"] == 0.25
+
+
 def test_lower_bound_disc_refuses_an_unbalanced_inner(capsys):
     code, report = run_cli(capsys, "lower-bound", "--theorem", "disc",
                            "--function", "AND:2", "--inner", "h2")
@@ -218,8 +232,6 @@ def test_usage_errors(capsys, monkeypatch, tmp_path, core4_file):
     assert code == EXIT_USAGE
     code, _ = run_cli(capsys, "lower-bound", "--theorem", "sherstov",
                       "--function", "PARITY:2", "--inner", "/nope/missing.txt")
-    assert code == EXIT_USAGE
-    code, _ = run_cli(capsys, "verify-suite", "--suites", "nonsense")
     assert code == EXIT_USAGE
     gmap = tmp_path / "gmap.txt"
     gmap.write_text(GroupMapMatrix.from_sign_blocks([XOR_2]).to_text())
@@ -238,8 +250,8 @@ def test_usage_errors(capsys, monkeypatch, tmp_path, core4_file):
 
     for command in cli._HANDLERS:
         monkeypatch.setitem(cli._HANDLERS, command, unreachable)
-    # negative counts and caps, malformed or out-of-range numbers, unknown
-    # suites and missing files are refused up front with one line
+    # negative counts and caps, malformed or out-of-range numbers and
+    # missing files are refused up front with one line
     for argv in (["search-balanced", "--rows", "4", "--cols", "4",
                   "--limit", "-1"],
                  ["search-balanced", "--rows", "4", "--cols", "4",
@@ -253,7 +265,6 @@ def test_usage_errors(capsys, monkeypatch, tmp_path, core4_file):
                  ["analyze-matrix", "--input", "core4", "--tolerance", "0"],
                  ["analyze-matrix", "--input", "core4", "--tolerance", "nan"],
                  ["analyze-matrix", "--input", "core4", "--tolerance", "1"],
-                 ["verify-suite", "--seed", "-5"],
                  ["search-balanced", "--rows", "4", "--cols", "4",
                   "--limit", "x"],
                  ["search-balanced", "--rows", "x", "--cols", "4"],
@@ -261,7 +272,6 @@ def test_usage_errors(capsys, monkeypatch, tmp_path, core4_file):
                  ["search-balanced", "--rows", "0", "--cols", "4"],
                  ["search-balanced", "--rows", "4", "--cols", "-2"],
                  group + ["--easy", "1,a"],
-                 ["verify-suite", "--suites", "boolfn,nonsense"],
                  ["group-check", "--gmap", missing],
                  group + ["--values", missing],
                  group + ["--table", missing],
@@ -684,11 +694,13 @@ def test_group_check_command(capsys, tmp_path):
     assert body["bound"]["main_term"] == pytest.approx(0.5)
 
 
-def test_verify_suite_command(capsys):
-    code, report = run_cli(capsys, "verify-suite", "--suites", "boolfn")
-    assert code == EXIT_OK
-    assert report["report"]["all_passed"] is True
-    assert report["report"]["suites"][0]["checks"] > 0
+def test_verify_suite_is_not_a_command(capsys):
+    # the property checks live in the tests; the CLI has no such command
+    assert "verify-suite" not in cli._HANDLERS
+    code = main(["verify-suite"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "invalid choice: 'verify-suite'" in err
 
 
 def test_reports_are_deterministic(capsys, core4_file):

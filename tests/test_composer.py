@@ -183,14 +183,18 @@ def test_orthogonality_matches_pairwise_oracle_balanced_4x4():
             rep = cp.verify_orthogonality(g, n)
             assert rep.orthogonal
             assert rep == _pairwise_orthogonality(g, n)
+        assert cp.verify_orthogonality(g, 3).orthogonal
 
 
 def test_orthogonality_matches_pairwise_oracle_named():
     for g in (CORE4, CORE6, mx.XOR_2, mx.HADAMARD_2, mx.all_ones(2, 3),
               WIDE, TALL):
         for n in (0, 1, 2, 3):
-            assert cp.verify_orthogonality(g, n) == \
-                _pairwise_orthogonality(g, n), (g, n)
+            rep = cp.verify_orthogonality(g, n)
+            assert rep == _pairwise_orthogonality(g, n), (g, n)
+            # from one block on, orthogonal exactly when strongly balanced
+            assert rep.orthogonal == \
+                (n == 0 or mx.balance_check(g).strongly_balanced), (g, n)
 
 
 def test_orthogonality_builds_no_matrix(monkeypatch):
@@ -278,6 +282,18 @@ def test_witness_with_uniform_mu():
     assert np.allclose(W.B, W0.B)
 
 
+def test_witness_accepts_every_mu_that_check_balanced_admits():
+    # sum mu*g = 9e-10 passes check_balanced; ||B||_1 then moves by about
+    # n * 9e-10, past a fixed 1e-9 for the four-bit duals
+    d = 9e-10
+    mu = np.array([[1 + d, 1 - d], [1 - d, 1 + d]]) / 4
+    mx.DistributionMatrix(mu).check_balanced(mx.XOR_2)
+    for name, n in (("AND", 4), ("OR", 4), ("AND", 3), ("MAJ", 5)):
+        w = dual_polynomial(builtin_function(name, n), 1.0 / 3.0)
+        W = cp.build_witness(w, mx.XOR_2, mu=mu)
+        assert abs(W.l1 - 1.0) <= (1 + d) ** n - 1 + 1e-12, (name, n)
+
+
 def test_witness_rejects_unbalanced_mu():
     w = dual_polynomial(builtin_function("PARITY", 1), 1.0 / 3.0)
     mu = np.array([[0.7, 0.1], [0.1, 0.1]])
@@ -292,9 +308,14 @@ def test_witness_rejects_unbalanced_mu():
 
 
 def test_witness_bound_across_functions():
-    for f in list(all_functions(2))[:8]:
+    # every outer function of two bits, over both 4x4 balanced classes
+    inners = [*mx.search_strongly_balanced(4, 4), CORE4, CORE6]
+    for f in all_functions(2):
         w = dual_polynomial(f, 1.0 / 3.0)
-        for g in (CORE4, CORE6):
+        for g in inners:
             W = cp.build_witness(w, g)
             assert W.spectral_norm <= cp.witness_spectral_bound(w, g) + 1e-8
             assert abs(W.l1 - 1.0) <= 1e-9
+            M = cp.compose_block(f, g).matrix
+            assert abs(float((M.entries * W.B).sum()) - W.correlation) \
+                <= 1e-10

@@ -40,9 +40,33 @@ def test_exact_rank_examples():
 
 def test_exact_rank_vs_floating_rank():
     rng = np.random.default_rng(7)
-    for _ in range(100):
+    for _ in range(200):
         A = rng.choice((-1, 1), size=(rng.integers(1, 9), rng.integers(1, 9)))
-        assert mx.exact_rank(mx.SignMatrix(A)) == np.linalg.matrix_rank(A)
+        rank = mx.exact_rank(mx.SignMatrix(A))
+        assert rank == np.linalg.matrix_rank(A)
+        assert rank == mx.spectrum(A, 1e-9).numeric_rank
+
+
+def test_orthogonal_pairs_add_ranks_and_trace_norms():
+    # disjoint row and column supports make A B^T and A^T B vanish: ranks
+    # and trace norms add, and the spectral norm is the larger one
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        m = int(rng.integers(2, 7))
+        n = int(rng.integers(2, 7))
+        r_split = int(rng.integers(1, m))
+        c_split = int(rng.integers(1, n))
+        A = np.zeros((m, n), dtype=np.int64)
+        B = np.zeros((m, n), dtype=np.int64)
+        A[:r_split, :c_split] = rng.choice((-1, 1), size=(r_split, c_split))
+        B[r_split:, c_split:] = rng.choice((-1, 1),
+                                           size=(m - r_split, n - c_split))
+        assert not (A @ B.T).any() and not (A.T @ B).any()
+        assert mx.exact_rank(A + B) == mx.exact_rank(A) + mx.exact_rank(B)
+        sa, sb, sab = (mx.spectrum(x) for x in (A, B, A + B))
+        assert abs(sab.trace_norm - sa.trace_norm - sb.trace_norm) <= 1e-8
+        assert abs(sab.spectral_norm
+                   - max(sa.spectral_norm, sb.spectral_norm)) <= 1e-8
 
 
 def _bareiss_rank(arr) -> int:
@@ -237,6 +261,22 @@ def test_frobenius_identity_for_sign_matrices():
 
 # --- balance --------------------------------------------------------------
 
+def test_strong_balance_is_vanishing_products_with_all_ones():
+    # over all 4x4 sign matrices at once: E[b, i, j] = -1 iff bit 4i + j of b
+    J = np.ones((4, 4), dtype=np.int64)
+    E = (1 - 2 * (np.arange(2 ** 16)[:, None] >> np.arange(16) & 1)
+         ).reshape(-1, 4, 4)
+    flag = ((E.sum(axis=1) == 0).all(axis=1)
+            & (E.sum(axis=2) == 0).all(axis=1))
+    product_flag = (~(E @ J).any(axis=(1, 2))
+                    & ~(E.transpose(0, 2, 1) @ J).any(axis=(1, 2)))
+    assert (flag == product_flag).all() and flag.sum() == 90
+    # balance_check on every balanced matrix and on a stride of the rest
+    for b in [*np.flatnonzero(flag), *range(0, 2 ** 16, 64)]:
+        assert mx.balance_check(mx.SignMatrix(E[b])).strongly_balanced == \
+            flag[b], b
+
+
 def test_balance_examples():
     assert mx.balance_check(mx.PATTERN_CORE_4).strongly_balanced
     assert mx.balance_check(mx.CORE_FREE_6).strongly_balanced
@@ -260,13 +300,16 @@ def test_tensor_and_entrywise():
 
 def test_tensor_rank_multiplicative():
     rng = np.random.default_rng(5)
-    for _ in range(40):
+    for _ in range(50):
         A = mx.SignMatrix(rng.choice((-1, 1), size=(rng.integers(1, 5),
                                                     rng.integers(1, 5))))
         B = mx.SignMatrix(rng.choice((-1, 1), size=(rng.integers(1, 5),
                                                     rng.integers(1, 5))))
         assert mx.exact_rank(mx.tensor(A, B)) == \
             mx.exact_rank(A) * mx.exact_rank(B)
+    A, B, C = (mx.SignMatrix(rng.choice((-1, 1), size=(2, 3)))
+               for _ in range(3))
+    assert mx.tensor(mx.tensor(A, B), C) == mx.tensor(A, mx.tensor(B, C))
 
 
 # --- containment ----------------------------------------------------------

@@ -29,7 +29,8 @@ from .matrices import (DistributionMatrix, SignMatrix, balance_check,
 #: Documented upper bound on Grothendieck's constant (1.78...).
 GROTHENDIECK_UPPER = 1.7823
 
-DEFAULT_ENUMERATION_CAP = 24
+#: Most subsets of the shorter side discrepancy enumerates: 2^24.
+ENUMERATION_CAP = 24
 
 OMITTED_CONSTANT_WARNING = "additive O(1) constant omitted from main_term"
 
@@ -91,8 +92,7 @@ class ApproxNormBound:
     applicable: bool
 
 
-def discrepancy(A: SignMatrix, P: DistributionMatrix,
-                cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def discrepancy(A: SignMatrix, P: DistributionMatrix) -> float:
     """Exact discrepancy max_{x,y in {0,1}} |x (A*P) y| by enumerating the
     subsets of the shorter side.
 
@@ -109,10 +109,10 @@ def discrepancy(A: SignMatrix, P: DistributionMatrix,
     if A.cols < A.rows:
         W = W.T
     m = W.shape[0]
-    if m > cap:
+    if m > ENUMERATION_CAP:
         raise ResourceLimitError(
             f"discrepancy enumeration needs 2^{m} subsets of the shorter "
-            f"side (cap 2^{cap}); fall back to the bound "
+            f"side (cap 2^{ENUMERATION_CAP}); fall back to the bound "
             "disc <= ||A||/sqrt(size(A))")
     low = min(m, _LOW_ROWS)
     subsets = (np.arange(2 ** low)[:, None] >> np.arange(low)) & 1
@@ -125,23 +125,22 @@ def discrepancy(A: SignMatrix, P: DistributionMatrix,
     return float(best)
 
 
-def uniform_discrepancy(A: SignMatrix, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    return discrepancy(A, DistributionMatrix.uniform(A.rows, A.cols), cap)
+def uniform_discrepancy(A: SignMatrix) -> float:
+    return discrepancy(A, DistributionMatrix.uniform(A.rows, A.cols))
 
 
-def shaltiel_verify(A: SignMatrix, cap: int = DEFAULT_ENUMERATION_CAP) -> ShaltielReport:
+def shaltiel_verify(A: SignMatrix) -> ShaltielReport:
     """Check (1/108)(||A||/sqrt(size))^3 <= disc_U(A), with 1e-9 slack."""
     ratio = spectrum(A).spectral_norm / math.sqrt(A.size)
     lhs = ratio ** 3 / 108.0
-    disc = uniform_discrepancy(A, cap)
+    disc = uniform_discrepancy(A)
     return ShaltielReport(lhs=lhs, disc=disc, ok=lhs <= disc + 1e-9)
 
 
-def gamma2_star_interval(A: SignMatrix, P: DistributionMatrix,
-                         cap: int = DEFAULT_ENUMERATION_CAP) -> tuple:
+def gamma2_star_interval(A: SignMatrix, P: DistributionMatrix) -> tuple:
     """Enclosure [disc, min(4 K_G disc, sqrt(mn) ||A*P||)] of the dual
     factorization norm of A*P, derived in the module docstring."""
-    disc = discrepancy(A, P, cap)
+    disc = discrepancy(A, P)
     norm = spectrum(A.entries * P.weights).spectral_norm
     return (disc, min(4.0 * GROTHENDIECK_UPPER * disc,
                       math.sqrt(A.size) * norm))
@@ -230,17 +229,16 @@ def sherstov_bound(f: BoolFunction, g: SignMatrix,
     return report
 
 
-def disc_bound(f: BoolFunction, g: SignMatrix,
-               cap: int = DEFAULT_ENUMERATION_CAP) -> BoundReport:
+def disc_bound(f: BoolFunction, g: SignMatrix) -> BoundReport:
     """Discrepancy form of the composition bound:
     (1/3) deg_{1/3}(f) (log2(1/disc_U(M_g)) - 7)."""
     report = BoundReport(theorem="disc")
     if not balance_check(g).strongly_balanced:
         return report.refuse("inner matrix is not strongly balanced")
     d = approx_degree(f, 1.0 / 3.0).d
-    disc = uniform_discrepancy(g, cap)
+    disc = uniform_discrepancy(g)
     inner = math.log2(1.0 / disc) - 7.0
-    report.main_term = d * inner / 3.0
+    report.main_term = d * inner / 3.0 + 0.0  # 0.0, not -0.0, at d = 0
     report.intermediates = {
         "d": d,
         "disc_u": disc,
@@ -253,14 +251,15 @@ def disc_bound(f: BoolFunction, g: SignMatrix,
 
 
 def shizhu_bound(f: BoolFunction, g: SignMatrix, mu: DistributionMatrix,
-                 epsilon0: float, cap: int = DEFAULT_ENUMERATION_CAP) -> BoundReport:
+                 epsilon0: float) -> BoundReport:
     """Degree main term under the dual-norm smallness condition.
 
     Requires mu balanced with respect to g.  The bound is inapplicable, with
     the gap reported, unless the upper end of gamma2_star_interval is at most
-    d/(2en); below 30 rows or columns, so always within the default cap, it
-    is not: gamma2*(M_g * mu) >= 1/sqrt(min(m, n)) > 1/(2e) >= d/(2en).  An
-    outer function of no inputs is inapplicable too.
+    d/(2en).  It is refused before the enumeration when the duality floor
+    1/sqrt(min(m, n)) <= 1/gamma2(M_g) <= gamma2*(M_g * mu), for every mu,
+    exceeds d/(2en), as below 30 rows or columns.  An outer function of no
+    inputs is inapplicable too.
     """
     if not 0 < epsilon0 < 1:
         raise ValueError(f"epsilon0 must lie in (0, 1), got {epsilon0}")
@@ -271,16 +270,20 @@ def shizhu_bound(f: BoolFunction, g: SignMatrix, mu: DistributionMatrix,
             "outer function has no inputs: the threshold d/(2en) is undefined")
     d = approx_degree(f, epsilon0).d
     n = f.n
-    low, high = gamma2_star_interval(g, mu, cap)
     threshold = d / (2.0 * math.e * n)
-    report.intermediates = {
-        "d": d,
-        "n": n,
-        "gamma2_star_low": low,
-        "gamma2_star_high": high,
-        "threshold": threshold,
-        "gap": high - threshold,
-    }
+    floor = 1.0 / math.sqrt(min(g.rows, g.cols))
+    report.intermediates = {"d": d, "n": n, "threshold": threshold,
+                            "gamma2_star_floor": floor,
+                            "gap": floor - threshold}
+    if floor > threshold:
+        need = (f"needs at least {math.ceil(threshold ** -2)} rows and "
+                "columns" if d else "cannot hold at degree 0")
+        return report.refuse(
+            f"condition fails for every mu: gamma2* >= 1/sqrt(min(m, n)) = "
+            f"{floor:.6g} exceeds d/(2en) = {threshold:.6g}; it {need}")
+    low, high = gamma2_star_interval(g, mu)
+    report.intermediates.update(gamma2_star_low=low, gamma2_star_high=high,
+                                gap=high - threshold)
     if high > threshold:
         return report.refuse(
             f"condition fails: certified gamma2* upper bound {high:.6g} "

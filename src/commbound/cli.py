@@ -98,8 +98,8 @@ def _cmd_analyze_matrix(opts) -> tuple:
         payload["core4_free_up_to_permutation"] = free
         payload["core4_free_ordered"] = \
             free or not mx.contains_pattern(M, core, "ordered").found
-    if min(M.rows, M.cols) <= opts["enum_cap"]:
-        payload["disc_uniform"] = bd.uniform_discrepancy(M, opts["enum_cap"])
+    if min(M.rows, M.cols) <= bd.ENUMERATION_CAP:
+        payload["disc_uniform"] = bd.uniform_discrepancy(M)
     return payload, EXIT_OK
 
 
@@ -134,7 +134,7 @@ def _cmd_approx_degree(opts) -> tuple:
 
 def _cmd_compose(opts) -> tuple:
     f, g = opts["function"], opts["inner"]
-    comp = cp.compose_block(f, g, memory_cap=opts["memory_cap"])
+    comp = cp.compose_block(f, g)
     payload = {
         "outer_arity": f.n,
         "blocks": f.n,
@@ -154,7 +154,7 @@ def _cmd_compose(opts) -> tuple:
         eps = opts["epsilon"]
         w = dual_polynomial(f, eps)
         with _blaming("--inner"):
-            W = cp.build_witness(w, g, memory_cap=opts["memory_cap"])
+            W = cp.build_witness(w, g)
         payload["witness"] = {
             "epsilon": eps,
             "d": w.d,
@@ -173,13 +173,12 @@ def _cmd_lower_bound(opts) -> tuple:
     if theorem == "sherstov":
         rep = bd.sherstov_bound(f, g, eps0)
     elif theorem == "disc":
-        rep = bd.disc_bound(f, g, cap=opts["enum_cap"])
+        rep = bd.disc_bound(f, g)
     else:  # shizhu, the last of the choices argparse allows
         if opts["mu"] is None:
             raise UsageError("--mu is required for --theorem shizhu")
         with _blaming("--mu"):
-            rep = bd.shizhu_bound(f, g, opts["mu"], eps0,
-                                  cap=opts["enum_cap"])
+            rep = bd.shizhu_bound(f, g, opts["mu"], eps0)
     vacuous = rep.main_term is not None and rep.main_term <= 0
     rank_one = rep.intermediates.get("inner_rank") == 1
     code = EXIT_OK if rep.applicable and not vacuous and not rank_one \
@@ -327,7 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                               "pattern-core freeness")
     p.add_argument("--input", required=True,
                    help="sign-matrix file or builtin name")
-    typed(p, "--enum-cap", _COUNT, default=bd.DEFAULT_ENUMERATION_CAP)
     typed(p, "--tolerance", _TOLERANCE, default=1e-9,
           help="numeric-rank cutoff relative to the largest singular value, in "
                "(0,1) (default 1e-9)")
@@ -348,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-rank", action="store_true")
     p.add_argument("--witness", action="store_true")
     typed(p, "--epsilon", _EPSILON, default=1.0 / 3.0)
-    typed(p, "--memory-cap", _COUNT, default=cp.DEFAULT_MEMORY_CAP)
     add_common(p)
 
     p = sub.add_parser("lower-bound", help="evaluate a lower-bound main term")
@@ -359,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", default=None,
                    help="distribution file (required for shizhu)")
     typed(p, "--epsilon0", _EPSILON0, default=1.0 / 3.0)
-    typed(p, "--enum-cap", _COUNT, default=bd.DEFAULT_ENUMERATION_CAP)
     add_common(p)
 
     p = sub.add_parser("group-check", help="regularity, invariance, and "

@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the byte budget they guard."""
 
-# one dense table: a complex |G| x |G| character table (|G| <= 4096), an LP
-# tableau, the int64 keys of one family of pair multisets, or the balanced
-# rows search_strongly_balanced tries, counted as int64 entries
+# the dense arrays one call may hold: a complex character table (|G| <= 4096),
+# the character stacks over a group map, an LP tableau, the int64 keys of one
+# family of pair multisets, the balanced rows of a search, or a composition
 MAX_TABLE_BYTES = 2 ** 28
 
 
@@ -11,8 +11,12 @@ class CommboundError(Exception):
 
 
 class ResourceLimitError(CommboundError):
-    """A configured cap (memory, enumeration size) would be exceeded.
+    """A fixed limit (the byte budget, an enumeration size) would be passed;
+    the message names the size needed."""
 
-    The message names the required size so callers can decide whether to
-    raise the cap or fall back to a cheaper bound.
-    """
+
+def check_bytes(need: int, subject: str) -> None:
+    """Refuse need bytes past MAX_TABLE_BYTES; subject ends in its verb."""
+    if need > MAX_TABLE_BYTES:
+        raise ResourceLimitError(
+            f"{subject} {need} bytes (cap {MAX_TABLE_BYTES})")

@@ -25,7 +25,7 @@ import numpy as np
 from .approx import chebyshev
 from .bounds import BoundReport
 from .boolfn import BoolFunction
-from .errors import MAX_TABLE_BYTES, ResourceLimitError
+from .errors import ResourceLimitError, check_bytes
 from .matrices import SignMatrix, balance_check, block_mask
 from .simplex import check_tableau
 
@@ -237,11 +237,8 @@ def characters_abelian(G: AbelianGroupSpec) -> CharacterTable:
     Z_2^t tables are exactly +-1.
     """
     order = G.order
-    need = order * order * np.dtype(complex).itemsize
-    if need > MAX_TABLE_BYTES:
-        raise ResourceLimitError(
-            f"character table of order {order} needs {need} bytes "
-            f"(cap {MAX_TABLE_BYTES})")
+    check_bytes(order * order * np.dtype(complex).itemsize,
+                f"character table of order {order} needs")
     return CharacterTable.product(
         CharacterTable._trusted(_cyclic_characters(m), np.arange(m), [1] * m)
         for m in G.moduli)
@@ -484,11 +481,8 @@ def pair_multisets(gmap: GroupMapMatrix) -> PairFamilies:
     """
     E = gmap.entries
     X, Y = E.shape
-    need = np.dtype(np.int64).itemsize * max(X * X * Y, X * Y * Y)
-    if need > MAX_TABLE_BYTES:
-        raise ResourceLimitError(
-            f"pair multisets of a {X}x{Y} map need {need} bytes "
-            f"(cap {MAX_TABLE_BYTES})")
+    check_bytes(np.dtype(np.int64).itemsize * max(X * X * Y, X * Y * Y),
+                f"pair multisets of a {X}x{Y} map need")
     return PairFamilies(row_family=_line_pair_multisets(E, gmap.order),
                         col_family=_line_pair_multisets(E.T, gmap.order),
                         shape=(X, Y))
@@ -594,9 +588,14 @@ def orthogonality_general(gmap: GroupMapMatrix, table: CharacterTable,
     sums sum_y psi_i(g(x,y)) conj(psi_j(g(x',y))) (and the column analogue)
     must vanish; thresholds are 1e-8 * |Y| and 1e-8 * |X|.  Character i is
     checked against every later one at once, in two batched products.
+    ResourceLimitError first when the k x X x Y stack, its conjugate and one
+    batched product with its moduli would pass MAX_TABLE_BYTES.
     """
-    S = table.table[sorted(hard)][:, gmap.entries]
-    k, X, Y = S.shape
+    hard = sorted(hard)
+    k, (X, Y) = len(hard), gmap.entries.shape
+    check_bytes(8 * k * (4 * X * Y + 3 * max(X, Y) ** 2),
+                f"{k} character stacks over a {X}x{Y} map need")
+    S = table.table[hard][:, gmap.entries]
     conj = S.conj()
     conj_t = conj.transpose(0, 2, 1)
     worst_row = worst_col = 0.0

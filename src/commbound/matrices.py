@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_TABLE_BYTES, ResourceLimitError
+from .errors import check_bytes
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -627,11 +627,8 @@ def _balanced_rows(cols: int) -> list[int]:
     """Ascending codes, as _signs reads them, of the +-1 rows of even length
     cols summing to zero.  ResourceLimitError, before anything is built, when
     C(cols, cols/2) rows of cols int64 entries would pass MAX_TABLE_BYTES."""
-    need = math.comb(cols, cols // 2) * cols * 8
-    if need > MAX_TABLE_BYTES:
-        raise ResourceLimitError(
-            f"{cols} columns need {need} bytes of balanced rows "
-            f"(cap {MAX_TABLE_BYTES})")
+    check_bytes(math.comb(cols, cols // 2) * cols * 8,
+                f"{cols} columns need, as balanced rows,")
     v = np.arange(1 << cols)
     return v[np.bitwise_count(v) == cols // 2].tolist()
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_TABLE_BYTES, CommboundError, ResourceLimitError
+from .errors import CommboundError, check_bytes
 
 FEASIBILITY_TOL = 1e-9
 # a run of degenerate pivots longer than _STALL_ROWS times the row count
@@ -91,11 +91,8 @@ def check_tableau(m: int, nvars: int, n_ub: int) -> None:
     """ResourceLimitError when the tableau of m rows over nvars variables,
     n_ub of the rows inequalities, would pass MAX_TABLE_BYTES."""
     total = nvars + n_ub + m
-    need = (m + 1) * (total + 1) * 8
-    if need > MAX_TABLE_BYTES:
-        raise ResourceLimitError(
-            f"simplex tableau of {m} rows and {total} columns needs {need} "
-            f"bytes (cap {MAX_TABLE_BYTES})")
+    check_bytes((m + 1) * (total + 1) * 8,
+                f"simplex tableau of {m} rows and {total} columns needs")
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:

@@ -17,6 +17,10 @@ CORE6 = mx.CORE_FREE_6
 U = bd.DistributionMatrix.uniform
 
 
+def _no_enumeration(*args):
+    raise AssertionError("discrepancy enumerated")
+
+
 def brute_force_disc(A, P):
     """Independent oracle: enumerate both subset sides."""
     W = A.entries * P.weights
@@ -221,7 +225,7 @@ def test_gamma2_star_high_is_at_least_the_duality_floor():
     # 29 rows and columns, past the enumeration cap of 24 rows
     assert 1 / (2 * math.e) < 1 / math.sqrt(29)
     assert 1 / (2 * math.e) >= 1 / math.sqrt(30)
-    assert bd.DEFAULT_ENUMERATION_CAP < 29
+    assert bd.ENUMERATION_CAP < 29
 
 
 def test_spectral_disc_certificate():
@@ -324,43 +328,53 @@ def test_disc_bound_values():
     # disc_U = 1/8, log2(8) - 7 = -4: vacuous, reported as-is with a warning
     assert rep.main_term == pytest.approx(2 * (3 - 7) / 3)
     assert any("vacuous" in w for w in rep.warnings)
-    rep = bd.disc_bound(BoolFunction(2, [1, 1, 1, 1]), CORE4)
-    assert rep.main_term == pytest.approx(0.0)
+    # degree 0 times a negative log term is 0.0, never -0.0
+    for const in (BoolFunction(2, [1, 1, 1, 1]), BoolFunction(0, [1])):
+        rep = bd.disc_bound(const, CORE4)
+        assert rep.main_term == 0.0 and math.copysign(1, rep.main_term) == 1
     rep = bd.disc_bound(builtin_function("AND", 2), mx.HADAMARD_2)
     assert not rep.applicable and rep.main_term is None
     assert rep.warnings[-1] == "inner matrix is not strongly balanced"
 
 
-def test_shizhu_bound_small_instance():
-    # frozen pipeline values: disc_U(XOR2) = 1/4, enclosure top
-    # min(4 K_G / 4, 2 * 1/2) = 1, threshold d/(2 e n) = 2/(4e) ~ 0.1839:
-    # condition fails, inapplicable
+def test_shizhu_bound_small_instance(monkeypatch):
+    # frozen pipeline values: the duality floor 1/sqrt(2) exceeds the
+    # threshold d/(2 e n) = 2/(4e) ~ 0.1839 for every mu, so the condition
+    # fails before any subset is enumerated; it needs (2e)^2 ~ 29.6 lines
+    monkeypatch.setattr(bd, "discrepancy", _no_enumeration)
     f = builtin_function("PARITY", 2)
     rep = bd.shizhu_bound(f, mx.XOR_2, U(2, 2), 1.0 / 3.0)
     assert not rep.applicable
-    assert rep.intermediates["gamma2_star_high"] == pytest.approx(1.0)
+    assert rep.intermediates["gamma2_star_floor"] == pytest.approx(2 ** -0.5)
     assert rep.intermediates["threshold"] == pytest.approx(2 / (4 * math.e))
-    assert rep.intermediates["gap"] > 0
+    assert rep.intermediates["gap"] == pytest.approx(
+        2 ** -0.5 - 2 / (4 * math.e))
+    assert "gamma2_star_high" not in rep.intermediates
+    assert rep.warnings[-1].endswith("needs at least 30 rows and columns")
 
 
-def test_shizhu_bound_passing_instance():
-    # a fabricated map with disc low enough for the condition to pass:
-    # mu concentrated on a balanced 2x2 submatrix scaled down
-    f = builtin_function("PARITY", 4)
-    g = mx.tensor(mx.XOR_2, mx.XOR_2)  # 4x4, rank 1
-    # uniform mu: disc_U(XOR tensor XOR) = 1/4... condition still fails;
-    # verify the report stays consistent rather than forcing a pass
-    rep = bd.shizhu_bound(f, g, U(4, 4), 1.0 / 3.0)
-    assert rep.applicable == (rep.intermediates["gamma2_star_high"]
-                              <= rep.intermediates["threshold"])
-    if rep.applicable:
-        assert rep.main_term == rep.intermediates["d"]
+def test_shizhu_bound_passing_instance(monkeypatch):
+    # the condition can pass only from 30 rows and columns on, where the
+    # enumeration behind gamma2_star_interval is refused; below, the floor
+    # refuses first and the report stays consistent with it
+    f = builtin_function("PARITY", 1)
+    g = mx.SignMatrix(np.tile(mx.XOR_2.entries, (15, 15)))  # 30 x 30
+    with pytest.raises(ResourceLimitError, match="2\\^30 subsets"):
+        bd.shizhu_bound(f, g, U(30, 30), 1.0 / 3.0)
+    monkeypatch.setattr(bd, "discrepancy", _no_enumeration)
+    for side in (4, 28):
+        g = mx.SignMatrix(np.tile(mx.XOR_2.entries, (side // 2, side // 2)))
+        rep = bd.shizhu_bound(f, g, U(side, side), 1.0 / 3.0)
+        assert rep.applicable == (rep.intermediates["gamma2_star_floor"]
+                                  <= rep.intermediates["threshold"])
+        assert not rep.applicable and rep.main_term is None
 
 
 def test_shizhu_degenerate_degree_zero():
     const = BoolFunction(2, [1, 1, 1, 1])
     rep = bd.shizhu_bound(const, mx.XOR_2, U(2, 2), 1.0 / 3.0)
     assert not rep.applicable
+    assert rep.warnings[-1].endswith("cannot hold at degree 0")
 
 
 def test_shizhu_refuses_an_outer_function_of_no_inputs():

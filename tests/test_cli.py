@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from commbound import CORE_FREE_6, PATTERN_CORE_4, XOR_2, SignMatrix, tensor
+from commbound import bounds as bd
 from commbound import cli
 from commbound.bounds import BoundReport
 from commbound.cli import (EXIT_INAPPLICABLE, EXIT_OK, EXIT_RESOURCE,
@@ -185,22 +186,35 @@ def test_lower_bound_shizhu_outer_function_of_no_inputs(capsys, tmp_path):
     assert "no inputs" in body["warnings"][-1]
 
 
-def test_lower_bound_shizhu_refuses_a_tensor_inner(capsys, tmp_path):
-    # g = corefree6 (x) core4 under the uniform mu: x = x6 (x) x4 and
-    # y = sign(x^T (g*mu)) reach 2/9, above d/(2en) = 1/(2e), so gamma2*
-    # fails the condition; its upper end is sqrt(mn) ||g*mu|| = 1/sqrt(6)
-    inner = tmp_path / "g.txt"
-    inner.write_text(tensor(CORE_FREE_6, PATTERN_CORE_4).to_text())
-    mu = tmp_path / "mu.txt"
-    mu.write_text("24 24\n" + (" ".join([repr(1 / 576)] * 24) + "\n") * 24)
-    code, report = run_cli(capsys, "lower-bound", "--theorem", "shizhu",
-                           "--function", "PARITY:3", "--inner", str(inner),
-                           "--mu", str(mu))
-    assert code == EXIT_INAPPLICABLE
-    body = report["report"]
-    assert body["main_term"] is None
-    assert body["intermediates"]["gamma2_star_high"] == \
-        pytest.approx(1 / np.sqrt(6))
+def test_lower_bound_shizhu_refuses_a_tensor_inner(capsys, monkeypatch,
+                                                   tmp_path):
+    # g = corefree6 (x) core4 under the uniform mu: gamma2* is at least the
+    # duality floor 1/sqrt(24), above d/(2en) = 1/(2e), for every mu, so
+    # the condition fails before any subset is enumerated.  A 26 x 26 inner,
+    # past the enumeration cap of 2^24 subsets, is refused the same way
+    def no_enumeration(*args):
+        raise AssertionError("discrepancy enumerated")
+
+    monkeypatch.setattr(bd, "discrepancy", no_enumeration)
+    tiles = SignMatrix(np.tile(XOR_2.entries, (13, 13)))
+    for g in (tensor(CORE_FREE_6, PATTERN_CORE_4), tiles):
+        side = g.rows
+        inner = tmp_path / "g.txt"
+        inner.write_text(g.to_text())
+        mu = tmp_path / "mu.txt"
+        mu.write_text(f"{side} {side}\n" +
+                      (" ".join([repr(side ** -2)] * side) + "\n") * side)
+        code, report = run_cli(capsys, "lower-bound", "--theorem", "shizhu",
+                               "--function", "PARITY:3", "--inner",
+                               str(inner), "--mu", str(mu))
+        assert code == EXIT_INAPPLICABLE
+        body = report["report"]
+        assert body["main_term"] is None
+        assert body["intermediates"]["gamma2_star_floor"] == \
+            pytest.approx(side ** -0.5)
+        assert "gamma2_star_high" not in body["intermediates"]
+        assert body["warnings"][-1].endswith(
+            "needs at least 30 rows and columns")
 
 
 def test_disc_enumerates_the_shorter_side(capsys, tmp_path):
@@ -250,15 +264,12 @@ def test_usage_errors(capsys, monkeypatch, tmp_path, core4_file):
 
     for command in cli._HANDLERS:
         monkeypatch.setitem(cli._HANDLERS, command, unreachable)
-    # negative counts and caps, malformed or out-of-range numbers and
+    # negative counts, malformed or out-of-range numbers and
     # missing files are refused up front with one line
     for argv in (["search-balanced", "--rows", "4", "--cols", "4",
                   "--limit", "-1"],
                  ["search-balanced", "--rows", "4", "--cols", "4",
                   "--min-rank", "-2"],
-                 ["analyze-matrix", "--input", "core4", "--enum-cap", "-1"],
-                 ["compose", "--function", "AND:2", "--inner", "core4",
-                  "--memory-cap", "-5"],
                  ["approx-degree", "--function", "AND:2", "--epsilon", "abc"],
                  ["lower-bound", "--theorem", "sherstov", "--function",
                   "AND:2", "--inner", "core4", "--epsilon0", "0"],
@@ -419,10 +430,16 @@ def test_unknown_flag_exits_2(capsys):
                  ["compose", "--function", "AND:2", "--inner", "core4",
                   "--blocks", "2"],
                  ["approx-degree", "--function", "AND:2", "--epsilon", "0.3",
-                  "--tolerance", "1e-9"]):
+                  "--tolerance", "1e-9"],
+                 # the retired cap flags: every limit is fixed
+                 ["analyze-matrix", "--input", "core4", "--enum-cap", "30"],
+                 ["lower-bound", "--theorem", "disc", "--function", "AND:2",
+                  "--inner", "core4", "--enum-cap", "30"],
+                 ["compose", "--function", "AND:2", "--inner", "core4",
+                  "--memory-cap", "100"]):
         code = main(argv)
-        capsys.readouterr()
-        assert code == EXIT_USAGE, argv
+        out, _ = capsys.readouterr()
+        assert (code, out) == (EXIT_USAGE, ""), argv
 
 
 def test_malformed_input_files_exit_2(capsys, tmp_path):
@@ -563,9 +580,12 @@ def test_group_check_easy_indices_exit_2(capsys, tmp_path):
 
 
 def test_resource_cap_exits_3(capsys):
-    code, _ = run_cli(capsys, "compose", "--function", "PARITY:3",
-                      "--inner", "corefree6", "--memory-cap", "100")
-    assert code == EXIT_RESOURCE
+    # 8192 x 8192 composed entries pass the 256 MiB budget by themselves
+    code = main(["compose", "--function", "PARITY:13", "--inner", "xor2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err.startswith("resource limit: composed matrix of 8192x8192") \
+        and err.count("\n") == 1
 
 
 def test_arity_cap_exits_3_before_building_the_table(capsys, tmp_path):
@@ -585,11 +605,15 @@ def test_arity_cap_exits_3_before_building_the_table(capsys, tmp_path):
 
 def test_group_check_character_table_cap_exits_3(capsys, tmp_path):
     gmap = tmp_path / "gmap.txt"
-    # a character table of order 2^13, then the pair multisets of a
-    # 330 x 330 map
+    # a character table of order 2^13, the pair multisets of a 330 x 330
+    # map, then the character stacks of Z2^11 on a 64 x 32 map
+    elements = [":".join(str(a >> b & 1) for b in range(11))
+                for a in range(2 ** 11)]
     for text in ("group " + ",".join(["2"] * 13) + "\n" +
                  ":".join(["0"] * 13) + "\n",
-                 "group 2\n" + (",".join("01" * 165) + "\n") * 330):
+                 "group 2\n" + (",".join("01" * 165) + "\n") * 330,
+                 "group " + ",".join(["2"] * 11) + "\n" +
+                 "".join(",".join(elements[r::64]) + "\n" for r in range(64))):
         gmap.write_text(text)
         code = main(["group-check", "--gmap", str(gmap)])
         out, err = capsys.readouterr()

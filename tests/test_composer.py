@@ -1,5 +1,7 @@
 """Composition, orthogonality of composed characters, rank formula, witnesses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,9 +144,46 @@ def test_compose_block_matches_fourier_oracle(monkeypatch):
         assert cp.compose_block(f, g).matrix == M, (f.table, g)
 
 
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_compose_memory_cap():
-    with pytest.raises(ResourceLimitError):
-        cp.compose_block(builtin_function("PARITY", 3), CORE6, memory_cap=1000)
+    # 4096 x 4096 composed entries at ENTRY_BYTES each pass the 256 MiB
+    # budget and are refused before the block mask is built; 2048 x 2048
+    # stay within it
+    parity = builtin_function("PARITY", 12)
+    w = dual_polynomial(parity, 1 / 3)
+
+    def refused(call):
+        with pytest.raises(ResourceLimitError,
+                           match="composed matrix of 4096x4096 entries"):
+            call()
+
+    for call in (lambda: cp.compose_block(parity, mx.XOR_2),
+                 lambda: cp.char_compose(1, mx.XOR_2, 12),
+                 lambda: cp.build_witness(w, mx.XOR_2)):
+        assert _traced_peak(lambda: refused(call)) < 2 ** 20
+    cp._check_size(mx.XOR_2, 11)
+
+
+def test_entry_bytes_bound_the_traced_peak():
+    # at 2^20 composed entries each path holds at most ENTRY_BYTES per entry
+    # at its peak: the block mask, the values, SignMatrix's validated copy
+    # or the mu weights, and temporaries
+    f = builtin_function("AND", 10)
+    w = dual_polynomial(f, 1 / 3)
+    mu = np.full((2, 2), 0.25)
+    for call in (lambda: cp.compose_block(f, mx.XOR_2),
+                 lambda: cp.char_compose(2 ** 10 - 1, mx.XOR_2, 10),
+                 lambda: cp.build_witness(w, mx.XOR_2),
+                 lambda: cp.build_witness(w, mx.XOR_2, mu)):
+        assert _traced_peak(call) <= cp.ENTRY_BYTES * 2 ** 20
 
 
 def test_orthogonality_reports():

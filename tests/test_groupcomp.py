@@ -382,6 +382,39 @@ def test_family_check_against_per_pair_loop_on_flipped_maps():
             assert per_pair == (trial == 0), (G, trial)
 
 
+def test_character_stacks_refused_before_they_are_built(monkeypatch):
+    # each element once: Z2^11 on 64 x 32 needs 2047 complex 64 x 32
+    # stacks, their conjugates and a 2046 x 64 x 64 product (335 MB); Z2^10
+    # on 32 x 32 (59 MB) is admitted
+    from commbound import errors
+
+    class Admitted(Exception):
+        pass
+
+    def admit(need, subject):
+        errors.check_bytes(need, subject)
+        raise Admitted
+
+    cases = []
+    for t, shape in ((11, (64, 32)), (10, (32, 32))):
+        G = gc.AbelianGroupSpec([2] * t)
+        cases.append((gc.GroupMapMatrix(np.arange(2 ** t).reshape(shape), G),
+                      gc.characters_abelian(G)))
+    (big, big_table), (small, small_table) = cases
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="2047 character stacks "
+                           "over a 64x32 map need 335380480 bytes"):
+            gc.orthogonality_general(big, big_table, range(1, 2 ** 11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    monkeypatch.setattr(gc, "check_bytes", admit)
+    with pytest.raises(Admitted):
+        gc.orthogonality_general(small, small_table, range(1, 2 ** 10))
+
+
 def test_pair_multisets_cap_fires_before_allocating():
     # 8 * 330^3 bytes of keys pass the 256 MiB cap; 256 x 256 stays under
     gm = gc.GroupMapMatrix(np.indices((330, 330)).sum(axis=0) % 2, Z2)

@@ -52,3 +52,22 @@ def test_cli_examples_run(capsys, monkeypatch, tmp_path):
         assert code in (cli.EXIT_OK, cli.EXIT_INAPPLICABLE), (line, err)
         report = json.loads(out)   # exactly one JSON document
         assert report["schema"] == 1, line
+
+
+def test_cli_flag_list_matches_the_parser():
+    import argparse
+
+    from commbound import cli
+
+    text = README.read_text()
+    cli_section = text[text.index("## CLI"):text.index("## Limits")]
+    documented = {m[1]: set(re.findall(r"`(--[a-z0-9-]+)`", m[2]))
+                  for m in re.finditer(r"^- `([a-z-]+)`: (.*?)(?=^- |\Z)",
+                                       cli_section, re.S | re.M)}
+    (sub,) = [a for a in cli._build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    parsed = {name: {flag for action in p._actions
+                     for flag in action.option_strings
+                     if flag.startswith("--") and flag != "--help"}
+              for name, p in sub.choices.items()}
+    assert documented == parsed

@@ -200,9 +200,8 @@ def _cmd_group_check(opts) -> tuple:
     if vals is not None:
         with _blaming("--values"):
             gc.check_class_function(vals, table)
-    with _blaming("--table"):   # a table file may lack the trivial row
-        easy = opts["easy"] if opts["easy"] is not None else \
-            [table.trivial_index()]
+    easy = opts["easy"] if opts["easy"] is not None else \
+        [table.trivial_index()]
     with _blaming("--easy"):
         partition = gc.HardnessPartition.from_easy(easy, table.h)
     hard = sorted(partition.hard)

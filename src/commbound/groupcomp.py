@@ -31,8 +31,6 @@ from .simplex import check_tableau
 
 MAX_GROUP_ORDER = 2 ** 14
 _SUM_TOL = 1e-8  # zero tests scale with multiset size
-# entries per block of rows that _conjugates gathers at once
-_BLOCK_ENTRIES = 2 ** 18
 
 
 class AbelianGroupSpec:
@@ -97,10 +95,13 @@ class CharacterTable:
     sum_g chi_i(g) conj(chi_j(g)) = |G| [i == j] and the entry bound
     |chi_i(g)| <= degrees[i]; class_of must name h classes, and every
     character must be constant on each.  For Abelian groups there are |G|
-    rows, all of degree one, and classes are singletons.
+    rows, all of degree one, and classes are singletons.  Every table
+    records its trivial row (trivial_index) and conjugate[a], the row of
+    conj(chi_a); a table without either is refused.
     """
 
-    __slots__ = ("h", "order", "table", "class_of", "degrees")
+    __slots__ = ("h", "order", "table", "class_of", "degrees", "conjugate",
+                 "_trivial")
 
     def __init__(self, h: int, order: int, table, class_of, degrees):
         arr = np.asarray(table, dtype=complex)
@@ -126,13 +127,28 @@ class CharacterTable:
             raise ValueError(f"character {over[0]} exceeds its degree bound")
         if np.abs(arr - arr[:, _class_leads(cls, h)]).max() > 1e-9:
             raise ValueError("characters must be constant on each class")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self.h = h
-        self.order = order
-        self.table = arr
-        self.class_of = cls
-        self.degrees = degs
+        # rows have norm sqrt|G|, so by Cauchy-Schwarz only the all-ones row
+        # sums to |G|, and only conj(chi_a) has sum_g chi_a(g) chi_b(g) = |G|
+        trivial = int(np.abs(arr.sum(axis=1) - order).argmin())
+        if np.abs(arr[trivial] - 1.0).max() > 1e-9:
+            raise ValueError("table has no trivial character row")
+        pair = arr @ arr.T
+        conj = pair.real.argmax(axis=1)
+        off = np.flatnonzero(np.abs(pair[np.arange(h), conj] - order)
+                             > 1e-9 * order)
+        if off.size:
+            raise ValueError(f"table is not closed under conjugation: no row "
+                             f"is conj(chi_{off[0]})")
+        self._record(arr.copy(), cls, degs, trivial, conj)
+
+    def _record(self, table: np.ndarray, class_of, degrees, trivial: int,
+                conjugate: np.ndarray) -> None:
+        table.setflags(write=False)
+        conjugate.setflags(write=False)
+        self.h, self.order = table.shape
+        self.table, self.class_of = table, class_of
+        self.degrees = tuple(degrees)
+        self._trivial, self.conjugate = trivial, conjugate
 
     @classmethod
     def product(cls, tables) -> "CharacterTable":
@@ -142,35 +158,37 @@ class CharacterTable:
         Rows are Kronecker products of factor rows, orthogonal and within
         their degrees because the factors' rows are: (A (x) B)(A (x) B)^H =
         AA^H (x) BB^H, so the constructor's checks are skipped.  Classes are
-        the mixed radix of the factors' classes, and degrees multiply.
+        the mixed radix of the factors' classes, and degrees multiply; so
+        are the trivial row and each row's conjugate.
         """
         tables = list(tables)[::-1]
+
+        def radix(parts):
+            return functools.reduce(
+                lambda acc, tp: np.add.outer(acc * tp[0].h, tp[1]).ravel(),
+                zip(tables, parts), np.zeros(1, dtype=np.int64))
+
         return cls._trusted(
             functools.reduce(np.kron, [t.table for t in tables],
                              np.ones((1, 1), dtype=complex)),
-            functools.reduce(
-                lambda acc, t: np.add.outer(acc * t.h, t.class_of).ravel(),
-                tables, np.zeros(1, dtype=np.int64)),
+            radix(t.class_of for t in tables),
             functools.reduce(np.kron, [t.degrees for t in tables],
-                             np.ones(1, dtype=np.int64)).tolist())
+                             np.ones(1, dtype=np.int64)).tolist(),
+            int(radix([t.trivial_index()] for t in tables)[0]),
+            radix(t.conjugate for t in tables))
 
     @classmethod
-    def _trusted(cls, table: np.ndarray, class_of, degrees) -> "CharacterTable":
+    def _trusted(cls, table: np.ndarray, class_of, degrees, trivial: int,
+                 conjugate: np.ndarray) -> "CharacterTable":
         """Wrap a complex table whose rows are orthogonal and within their
-        degrees by construction, skipping the constructor's checks."""
+        degrees by construction, with its trivial row and conjugates,
+        skipping the constructor's checks."""
         out = object.__new__(cls)
-        table.setflags(write=False)
-        out.table = table
-        out.h, out.order = table.shape
-        out.class_of = class_of
-        out.degrees = tuple(degrees)
+        out._record(table, class_of, degrees, trivial, conjugate)
         return out
 
     def trivial_index(self) -> int:
-        rows = np.flatnonzero(np.abs(self.table - 1.0).max(axis=1) <= 1e-9)
-        if not rows.size:
-            raise ValueError("table has no trivial character row")
-        return int(rows[0])
+        return self._trivial
 
     @classmethod
     def from_json(cls, text: str) -> "CharacterTable":
@@ -240,7 +258,8 @@ def characters_abelian(G: AbelianGroupSpec) -> CharacterTable:
     check_bytes(order * order * np.dtype(complex).itemsize,
                 f"character table of order {order} needs")
     return CharacterTable.product(
-        CharacterTable._trusted(_cyclic_characters(m), np.arange(m), [1] * m)
+        CharacterTable._trusted(_cyclic_characters(m), np.arange(m), [1] * m,
+                                0, -np.arange(m) % m)
         for m in G.moduli)
 
 
@@ -640,34 +659,9 @@ def tprime_check(T: np.ndarray, table: CharacterTable) -> TPrimeReport:
 # ---------------------------------------------------------------------------
 # distance to the easy span and its dual
 
-def _conjugates(rows: np.ndarray, members) -> np.ndarray:
-    """Row index of conj(chi_a) for each a in members.
-
-    The fixed real weight w(g) = sin(g + 1) keys every row by rows @ w,
-    and conj(chi_a) by the conjugate of chi_a's key, so the nearest key
-    names the partner.  Each match is confirmed: chi_b is the conjugate of
-    chi_a exactly when sum_g chi_a(g) chi_b(g) reaches |G| in modulus, and
-    a row whose nearest key fails that takes the argmax of the sum over
-    every row.  Members are taken in blocks, so no |members| x |G| array
-    is built.
-    """
-    partner = np.array(members, dtype=np.int64)
-    h, order = rows.shape
-    keys = rows @ np.sin(np.arange(1.0, order + 1.0))
-    step = max(1, _BLOCK_ENTRIES // max(h, order))
-    for i in range(0, partner.size, step):
-        block = partner[i:i + step]     # members, overwritten in place
-        chi = rows[block]
-        near = np.abs(keys - keys[block, None].conj()).argmin(axis=1)
-        missed = np.abs((chi * rows[near]).sum(axis=1)) < order / 2
-        if missed.any():
-            near[missed] = np.abs(chi[missed] @ rows.T).argmax(axis=1)
-        block[:] = near
-    return partner
-
-
-def _real_span_basis(rows: np.ndarray, members) -> np.ndarray:
-    """Real basis of the real functions in the span of rows[members].
+def _real_span_basis(table: CharacterTable, members) -> np.ndarray:
+    """Real basis of the real functions in the span of the characters
+    in members.
 
     A real f in the span of a set of characters lies in the span of the
     set's conjugation-closed part, so in the real span of Re chi and Im chi
@@ -675,10 +669,10 @@ def _real_span_basis(rows: np.ndarray, members) -> np.ndarray:
     MAX_TABLE_BYTES is refused before the basis is built.
     """
     members = [int(a) for a in members]
-    partner = _conjugates(rows, members)
     inside = set(members)
+    rows = table.table
     basis = []      # views of rows until np.array copies them
-    for a, b in zip(members, partner):
+    for a, b in zip(members, table.conjugate[members].tolist()):
         if b == a:
             basis.append(rows[a].real)
         elif a < b and b in inside:
@@ -691,7 +685,7 @@ def _easy_span_lp(fv: np.ndarray, table: CharacterTable, easy):
     """Chebyshev LP from a real f to the span of the easy characters."""
     if fv.shape != (table.order,):
         raise ValueError("f must assign one real value per group element")
-    return chebyshev(fv, _real_span_basis(table.table, sorted(easy)))
+    return chebyshev(fv, _real_span_basis(table, sorted(easy)))
 
 
 def distance_to_easy(fvals, table: CharacterTable, easy) -> float:
@@ -711,8 +705,8 @@ def dual_h(fvals, table: CharacterTable, easy) -> DualClassFunction:
     easy = sorted(easy)
     delta, _, v = _easy_span_lp(fv, table, easy)
     h = 2.0 * v
-    coeffs = table.table @ h / table.order  # h is real, so conj(h) = h
-    easy_max = float(np.abs(coeffs[easy]).max()) if easy else 0.0
+    coeffs = table.table[easy] @ h / table.order  # h is real: conj(h) = h
+    easy_max = float(np.abs(coeffs).max()) if easy else 0.0
     l1 = float(np.abs(h).sum())
     corr = float(abs(fv @ h))
     return DualClassFunction(
@@ -753,6 +747,12 @@ def check_table_order(gmap: GroupMapMatrix, table: CharacterTable,
                          f"map has order {gmap.order}")
 
 
+def _spectral_norms(table: CharacterTable, chars, gmap: GroupMapMatrix):
+    """The spectral norm ||[chi(g(x, y))]|| of each chi in chars, a list."""
+    return np.linalg.svd(table.table[chars][:, gmap.entries],
+                         compute_uv=False)[:, 0].tolist()
+
+
 def general_bound(gmap: GroupMapMatrix, fvals, table: CharacterTable,
                   partition: HardnessPartition, epsilon: float) -> BoundReport:
     """Main term log2(sqrt(MN) (delta - 2 eps) / max_hard(max|psi| * ||[psi(g)]||)).
@@ -766,8 +766,8 @@ def general_bound(gmap: GroupMapMatrix, fvals, table: CharacterTable,
     check_table_order(gmap, table)
     report = BoundReport(theorem="general-group")
     easy = sorted(partition.easy)
-    unpaired = [int(a) for a, b in zip(easy, _conjugates(table.table, easy))
-                if b not in partition.easy]
+    unpaired = [int(a) for a in easy
+                if table.conjugate[a] not in partition.easy]
     if unpaired:
         # a real approximant cannot use chi without conj(chi)
         report.warnings.append(
@@ -791,8 +791,7 @@ def general_bound(gmap: GroupMapMatrix, fvals, table: CharacterTable,
         return report.refuse(f"delta - 2 eps = {margin:.6g} is not positive")
     MN = gmap.entries.size
     hard = sorted(partition.hard)
-    norms = np.linalg.svd(table.table[hard][:, gmap.entries],
-                          compute_uv=False)[:, 0].tolist()
+    norms = _spectral_norms(table, hard, gmap)
     peaks = np.abs(table.table[hard]).max(axis=1).tolist()
     per_char = {i: {"spectral_norm": norm, "max_value": peak}
                 for i, norm, peak in zip(hard, norms, peaks)}
@@ -833,7 +832,7 @@ def product_approx_degree(fvals, tables, epsilon: float) -> int:
     nonid, product = _product_characters(tables)
     fv = check_class_function(fvals, product)
     for d in range(len(tables)):
-        basis = _real_span_basis(product.table, np.flatnonzero(nonid <= d))
+        basis = _real_span_basis(product, np.flatnonzero(nonid <= d))
         if chebyshev(fv, basis)[0] <= epsilon + 1e-9:
             return d
     return len(tables)
@@ -876,8 +875,7 @@ def block_group_bound(gmaps, fvals, tables) -> BoundReport:
     best_char = []
     for gm, tb in zip(gmaps, tables):
         chars = np.delete(np.arange(tb.h), tb.trivial_index())
-        norms = np.linalg.svd(tb.table[chars][:, gm.entries],
-                              compute_uv=False)[:, 0].tolist()
+        norms = _spectral_norms(tb, chars, gm)
         terms = [math.log2(math.sqrt(gm.entries.size) / (tb.degrees[c] * norm))
                  for c, norm in zip(chars, norms)]
         c_best = int(np.argmin(terms))

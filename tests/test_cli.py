@@ -11,7 +11,8 @@ from commbound import cli
 from commbound.bounds import BoundReport
 from commbound.cli import (EXIT_INAPPLICABLE, EXIT_OK, EXIT_RESOURCE,
                            EXIT_USAGE, main)
-from commbound.groupcomp import AbelianGroupSpec, GroupMapMatrix
+from commbound.groupcomp import (AbelianGroupSpec, GroupMapMatrix,
+                                 characters_abelian)
 
 
 @pytest.fixture()
@@ -356,11 +357,13 @@ def test_refusals_after_the_read_name_the_flag(capsys, tmp_path):
     gmap.write_text(GroupMapMatrix.from_sign_blocks([XOR_2]).to_text())
     gmap4 = tmp_path / "gmap4.txt"
     gmap4.write_text(GroupMapMatrix.from_sign_blocks([XOR_2] * 2).to_text())
-    # rows (1, -1) and (i, i): orthogonal, within degree 1, neither trivial
     table = tmp_path / "table.json"
-    table.write_text('{"h": 2, "order": 2, "table": [[1, 0], [-1, 0], '
-                     '[0, 1], [0, 1]], "class_of": [0, 1], '
-                     '"degrees": [1, 1]}')
+    table.write_text(characters_abelian(AbelianGroupSpec([2])).to_json())
+    # rows (1, -1) and (i, i): orthogonal, within degree 1, neither trivial
+    no_trivial = tmp_path / "no_trivial.json"
+    no_trivial.write_text('{"h": 2, "order": 2, "table": [[1, 0], [-1, 0], '
+                          '[0, 1], [0, 1]], "class_of": [0, 1], '
+                          '"degrees": [1, 1]}')
     # S3's rows with e grouped with the transposition (01): the sign
     # character is 1 and -1 on that class
     s3_rows = [1] * 6 + [1, -1, -1, -1, 1, 1] + [2, 0, 0, 0, -1, -1]
@@ -376,8 +379,9 @@ def test_refusals_after_the_read_name_the_flag(capsys, tmp_path):
          shizhu + ["--inner", "xor2", "--mu", str(small_mu)]),
         ("--mu: mu must be balanced",
          shizhu + ["--inner", "h2", "--mu", str(skewed_mu)]),
-        ("--table: table has no trivial character row",
-         ["group-check", "--gmap", str(gmap), "--table", str(table)]),
+        ("--table: character table JSON: table has no trivial character "
+         "row\n",
+         ["group-check", "--gmap", str(gmap), "--table", str(no_trivial)]),
         ("--table: character table has order 2, but the group map has "
          "order 4\n",
          ["group-check", "--gmap", str(gmap4), "--table", str(table)]),

@@ -91,6 +91,8 @@ def test_cyclic_tables_match_checked_constructor():
                                                     want.degrees)
         assert np.array_equal(got.table, want.table)
         assert np.array_equal(got.class_of, want.class_of)
+        assert got.trivial_index() == want.trivial_index() == 0
+        assert np.array_equal(got.conjugate, want.conjugate)
         assert not got.table.flags.writeable
 
 
@@ -1186,23 +1188,52 @@ def test_distance_to_easy_against_complex_span_oracle():
             assert dh.correlation == pytest.approx(2.0 * dh.delta, abs=1e-9)
 
 
-def test_conjugates_against_the_argmax_oracle(monkeypatch):
-    # Z3 with chi_2 negated: no row keys as conj(chi_1), so chi_1 takes the
-    # fallback argmax, which finds the row on conj(chi_1)'s complex line
-    flipped = T_Z3.table * np.array([[1], [1], [-1]])
-    tables = [gc.characters_abelian(gc.AbelianGroupSpec(m)).table
+def _checked_cyclic(m):
+    return gc.CharacterTable(m, m, gc._cyclic_characters(m), range(m),
+                             [1] * m)
+
+
+def test_conjugate_against_the_argmax_oracle():
+    # conj(chi_a) is the row b where |sum_g chi_a(g) chi_b(g)| peaks
+    _, s3 = _s3()
+    tables = [gc.characters_abelian(gc.AbelianGroupSpec(m))
               for m in ([4], [3, 2], [5, 3], [2] * 8, [4, 4, 3])]
-    tables += [_s3()[1].table,
-               gc.CharacterTable(3, 3, flipped, range(3), [1] * 3).table]
-    for block in (gc._BLOCK_ENTRIES, 16):
-        monkeypatch.setattr(gc, "_BLOCK_ENTRIES", block)
-        for rows in tables:
-            # the whole h x h product the keys replace
-            want = np.abs(rows @ rows.T).argmax(axis=1)
-            got = gc._conjugates(rows, range(len(rows)))
-            assert np.array_equal(got, want), (rows.shape, block)
-            assert gc._conjugates(rows, [len(rows) - 1, 0]).tolist() == \
-                [want[-1], want[0]]
+    tables += [s3, gc.CharacterTable.product(
+        [s3, _checked_cyclic(4), _checked_cyclic(3)])]
+    for table in tables:
+        rows = table.table
+        want = np.abs(rows @ rows.T).argmax(axis=1)
+        assert np.array_equal(table.conjugate, want), rows.shape
+        assert not table.conjugate.flags.writeable
+        assert np.abs(rows[table.conjugate] - rows.conj()).max() <= 1e-12
+        assert np.array_equal(rows[table.trivial_index()],
+                              np.ones(table.order))
+
+
+def test_character_table_refuses_missing_trivial_row_or_conjugate():
+    # Z3 with chi_2 negated: orthogonal, but conj(chi_1) = -chi_2 is no row
+    flipped = T_Z3.table * np.array([[1], [1], [-1]])
+    with pytest.raises(ValueError, match=r"^table is not closed under "
+                       r"conjugation: no row is conj\(chi_1\)$"):
+        gc.CharacterTable(3, 3, flipped, range(3), [1] * 3)
+    with pytest.raises(ValueError,
+                       match="^table has no trivial character row$"):
+        gc.CharacterTable(2, 2, [[-1, -1], [1, -1]], [0, 1], [1, 1])
+
+
+def test_trivial_lookup_builds_no_table_copy():
+    # the trivial row is recorded when the table is built, so the lookup
+    # holds no copy of the 256 MiB table
+    table = gc.characters_abelian(gc.AbelianGroupSpec([2] * 12))
+    tracemalloc.start()
+    try:
+        trivial = table.trivial_index()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trivial == 0 and peak < 2 ** 20
+    # every element of Z2^12 is its own negative
+    assert np.array_equal(table.conjugate, np.arange(4096))
 
 
 def test_span_lp_refused_before_its_basis_is_built():

@@ -159,9 +159,14 @@ class CharacterTable:
         their degrees because the factors' rows are: (A (x) B)(A (x) B)^H =
         AA^H (x) BB^H, so the constructor's checks are skipped.  Classes are
         the mixed radix of the factors' classes, and degrees multiply; so
-        are the trivial row and each row's conjugate.
+        are the trivial row and each row's conjugate.  A table past
+        MAX_TABLE_BYTES is refused before the fold allocates it.
         """
         tables = list(tables)[::-1]
+        order = math.prod(t.order for t in tables)
+        check_bytes(math.prod(t.h for t in tables) * order
+                    * np.dtype(complex).itemsize,
+                    f"character table of order {order} needs")
 
         def radix(parts):
             return functools.reduce(
@@ -254,6 +259,8 @@ def characters_abelian(G: AbelianGroupSpec) -> CharacterTable:
     constructor's O(m^3) Gram check.  They are exact at quarter turns, so
     Z_2^t tables are exactly +-1.
     """
+    # product checks the same bytes, but only after the factors are built,
+    # and one cyclic factor of order m takes 24 m^2 bytes to build
     order = G.order
     check_bytes(order * order * np.dtype(complex).itemsize,
                 f"character table of order {order} needs")

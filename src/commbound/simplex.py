@@ -1,4 +1,4 @@
-"""Dense two-phase simplex: Dantzig pricing, Harris ratio test, rank-1 pivots.
+"""Dense simplex: Dantzig pricing, Harris ratio test, rank-1 pivots.
 
 Solves  min c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0,
 and returns the row duals y with it: c - A^T y >= 0, y <= 0 on the
@@ -6,6 +6,14 @@ inequality rows, and b.y equals the optimum (A and b stack the _ub rows
 over the _eq rows).  Problem sizes here are small (a few hundred rows at
 most), so a plain dense tableau is adequate and keeps the package
 dependency-free.
+
+Rows are normalized to b >= 0.  A _ub row that keeps its sign starts with
+its slack basic, every other row on an artificial; both columns are e_i,
+so the artificial columns hold the basis inverse throughout.  If the basic
+artificials all start at zero (the Chebyshev LP has b_eq = 0, b_ub = 1),
+phase 1 is skipped, else it minimizes their sum.  Each artificial still
+basic is then driven out on its largest structural entry, unpriced, and
+phase 2 minimizes c.x.
 
 Every step is a whole-array operation.  The entering column is the most
 negative reduced cost (Dantzig).  The leaving row comes from Harris's
@@ -63,7 +71,7 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
     pivot_row = tab[row] / tab[row, col]
     column = tab[:, col].copy()
     column[row] = 0.0
-    tab -= np.outer(column, pivot_row)
+    tab -= column[:, None] * pivot_row
     tab[row] = pivot_row
 
 
@@ -75,16 +83,16 @@ def _shift_rhs(tab: np.ndarray, size: float, seed: int) -> None:
 
 def _leaving_row(a: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> int:
     """Harris two-pass ratio test on column a; -1 if no row bounds the step."""
-    rows = np.flatnonzero(a > FEASIBILITY_TOL)
+    rows = (a > FEASIBILITY_TOL).nonzero()[0]
     if rows.size == 0:
         return -1
     a = a[rows]
-    r = np.maximum(rhs[rows], 0.0)
+    r = rhs[rows].clip(0.0)
     theta = ((r + FEASIBILITY_TOL) / a).min()
     within = r <= theta * a
     rows, a = rows[within], a[within]
     rows = rows[a == a.max()]
-    return int(rows[np.argmin(basis[rows])])
+    return int(rows[basis[rows].argmin()])
 
 
 def check_tableau(m: int, nvars: int, n_ub: int) -> None:
@@ -125,6 +133,8 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
     tab[np.arange(n_ub), nvars + np.arange(n_ub)] = sign[:n_ub]
     tab[np.arange(m), n_struct + np.arange(m)] = 1.0
     basis = np.arange(n_struct, total)
+    slack = (sign[:n_ub] > 0).nonzero()[0]
+    basis[slack] = nvars + slack
     max_iter = 200 * (m + total + 10)
 
     iterations = 0
@@ -167,7 +177,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
         stall = 0
         shifted = False
         while True:
-            enter = int(np.argmin(tab[-1, :n_struct]))
+            enter = int(tab[-1, :n_struct].argmin())
             if tab[-1, enter] >= -FEASIBILITY_TOL:
                 if not shifted:
                     return OPTIMAL
@@ -184,10 +194,11 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
                 continue
             step(leave, enter)
 
-    # ---- phase 1: minimize the sum of artificials
+    # ---- phase 1: minimize the sum of artificials; when they all start at
+    # zero the start is already optimal and the cost row stays zero
     cost = np.zeros(total + 1)
     cost[n_struct:total] = 1.0
-    status = run_phase(cost)
+    status = run_phase(cost) if b_norm[basis >= n_struct].any() else OPTIMAL
     # the phase-1 objective is -tab[-1,-1] and can never be negative
     if status != OPTIMAL or tab[-1, -1] > 1e-7:
         raise SimplexError("phase-1 simplex ended in an inconsistent state")

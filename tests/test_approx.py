@@ -7,7 +7,7 @@ from commbound.approx import (_character_matrix, _masks_up_to_degree,
                               approx_degree, best_approximation, chebyshev,
                               dual_polynomial, error_profile, verify_dual)
 from commbound.boolfn import (BoolFunction, RealPointFunction, all_functions,
-                              builtin_function)
+                              builtin_function, degree)
 
 AND2 = builtin_function("AND", 2)
 
@@ -86,12 +86,17 @@ def _highs_chebyshev(fv, B):
 
 def test_chebyshev_certificates_against_highs():
     # AND:8 and OR:8 are the degenerate LPs on which a smallest-index
-    # (Bland) simplex cycled in floating point
-    cases = [(f, f.n) for f in all_functions(3)] + [
+    # (Bland) simplex cycled in floating point; the seeded 5- and 6-bit
+    # tables are not symmetric, so their LPs run over every character
+    rng = np.random.default_rng(3)
+    tables = [BoolFunction(n, rng.choice([-1, 1], size=2 ** n))
+              for n in (5, 5, 5, 6, 6)]
+    cases = [(f, f.n) for f in [*all_functions(3), *tables]] + [
         (builtin_function("MAJ", 5), 5), (builtin_function("PARITY", 5), 5),
         (builtin_function("AND", 8), 4), (builtin_function("OR", 8), 4)]
     for f, top in cases:
         fv = f.table.astype(float)
+        highs = []
         for d in range(top + 1):
             B = _character_matrix(f.n, _masks_up_to_degree(f.n, d))
             err, coeffs, v = chebyshev(fv, B)
@@ -104,7 +109,18 @@ def test_chebyshev_certificates_against_highs():
             assert np.abs(B @ v).max() <= 1e-9
             assert abs(v @ fv - err) <= 1e-9
             assert np.abs(fv - coeffs @ B).max() <= err + 1e-9
-            assert err == pytest.approx(_highs_chebyshev(fv, B), abs=1e-9)
+            highs.append(_highs_chebyshev(fv, B))
+            assert err == pytest.approx(highs[-1], abs=1e-9)
+        if not any(f is t for t in tables):
+            continue
+        # approx_degree's d is the first degree HiGHS finds within epsilon
+        # (deg(f) at the latest), and its witness passes verify_dual
+        for eps in (0.1, 1.0 / 3.0, 0.5):
+            want = next(d for d in range(top + 1)
+                        if d == degree(f) or highs[d] <= eps + 1e-9)
+            r = approx_degree(f, eps)
+            assert r.d == want, (f.table, eps)
+            assert verify_dual(r.witness, f).ok, (f.table, eps)
 
 
 def test_chebyshev_solves_the_k_plus_1_row_dual(monkeypatch):

@@ -114,6 +114,42 @@ def test_characters_abelian_table_cap():
         gc.characters_abelian(gc.AbelianGroupSpec((2,) * 13))
 
 
+def test_product_table_refused_before_the_fold(monkeypatch):
+    # four Z3 tables make an 81 x 81 complex table of 104976 bytes; under a
+    # cap one byte lower product refuses before np.kron allocates, and so
+    # does product_approx_degree, which on sixteen Z2 blocks used to die in
+    # numpy's MemoryError
+    from commbound import errors
+
+    def no_kron(*args):
+        raise AssertionError("the Kronecker fold ran")
+
+    kron = np.kron
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 81 * 81 * 16 - 1)
+    monkeypatch.setattr(np, "kron", no_kron)
+    match = "character table of order 81 needs 104976 bytes"
+    with pytest.raises(ResourceLimitError, match=match):
+        gc.CharacterTable.product([T_Z3] * 4)
+    with pytest.raises(ResourceLimitError, match=match):
+        gc.product_approx_degree(np.ones(81), [T_Z3] * 4, 1.0 / 3.0)
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 81 * 81 * 16)
+    monkeypatch.setattr(np, "kron", kron)
+    assert gc.CharacterTable.product([T_Z3] * 4).table.shape == (81, 81)
+
+
+def test_cyclic_factor_refused_before_it_is_built(monkeypatch):
+    # one cyclic factor is built before product can check the table
+    from commbound import errors
+
+    def no_cyclic(m):
+        raise AssertionError("the cyclic table was built")
+
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 81 * 81 * 16 - 1)
+    monkeypatch.setattr(gc, "_cyclic_characters", no_cyclic)
+    with pytest.raises(ResourceLimitError, match="order 81 needs 104976"):
+        gc.characters_abelian(gc.AbelianGroupSpec([81]))
+
+
 def test_character_table_validation():
     with pytest.raises(ValueError):
         gc.CharacterTable(2, 2, [[1, 1], [1, 1]], [0, 1], [1, 1])  # not orthogonal

@@ -194,3 +194,52 @@ def test_artificials_left_basic_after_phase_one_are_driven_out(monkeypatch):
     assert res.status == OPTIMAL and res.objective == pytest.approx(-1.0)
     assert len(pivots) - res.iterations == 2
     _check_against_highs(*lp)
+
+
+def test_chebyshev_shape_starts_at_the_phase_one_optimum(monkeypatch):
+    # with b_eq = 0 and b_ub >= 0 every row starts on its slack or on an
+    # artificial at zero, so no priced phase-1 step runs: the artificials of
+    # the rank(E) independent equality rows are driven out first, unpriced
+    # and uncounted, and every later pivot is a counted phase-2 step
+    import commbound.simplex as sx
+
+    events = []
+    pivot, leaving_row = sx._pivot, sx._leaving_row
+
+    def counted_pivot(tab, row, col):
+        events.append("pivot")
+        pivot(tab, row, col)
+
+    def counted_leaving_row(a, rhs, basis):
+        events.append("ratio test")
+        return leaving_row(a, rhs, basis)
+
+    monkeypatch.setattr(sx, "_pivot", counted_pivot)
+    monkeypatch.setattr(sx, "_leaving_row", counted_leaving_row)
+    for lp in _degenerate_l1_lps(np.random.default_rng(13), 100):
+        events.clear()
+        res = solve_lp(*lp)
+        assert res.status == OPTIMAL
+        rank = np.linalg.matrix_rank(lp[3])
+        assert events[:rank] == ["pivot"] * rank
+        assert events.count("pivot") - res.iterations == rank
+
+
+def test_mixed_sign_inequality_rows_against_highs():
+    # rows with b_ub >= 0 start on their slacks, the rest on artificials
+    # that phase 1 drives to zero; status, optimum, x and the row duals
+    # match HiGHS
+    rng = np.random.default_rng(14)
+    optimal = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        m_ub = int(rng.integers(2, 6))
+        m_eq = int(rng.integers(1, 4))
+        signs = rng.permutation(np.resize([1.0, -1.0], m_ub))
+        b_ub = signs * np.abs(rng.normal(size=m_ub)).round(3)
+        lp = (rng.normal(size=n).round(3), rng.normal(size=(m_ub, n)).round(3),
+              b_ub, rng.normal(size=(m_eq, n)).round(3),
+              rng.normal(size=m_eq).round(3))
+        _check_against_highs(*lp)
+        optimal += solve_lp(*lp).status == OPTIMAL
+    assert optimal >= 30

@@ -17,20 +17,19 @@ from .bounds import (BoundReport, DistributionMatrix, SpectralDiscCert,
                      gamma2_star_interval, shaltiel_verify, sherstov_bound,
                      shizhu_bound, uniform_discrepancy, verify_spectral_disc)
 from .composer import (Composition, WitnessMatrix, build_witness,
-                       char_compose, compose_block, verify_orthogonality,
-                       verify_rank_theorem, witness_spectral_bound)
+                       char_compose, compose_block, verify_rank_theorem,
+                       witness_spectral_bound)
 from .errors import CommboundError, ResourceLimitError
 from .groupcomp import (AbelianGroupSpec, CharacterTable, GroupMapMatrix,
                         HardnessPartition, all_pairs_invariant,
                         block_group_bound, characters_abelian,
-                        class_function_from_bool, degeneration_check,
-                        distance_to_easy, dual_h, g_invariant, general_bound,
-                        orthogonality_general, orthogonality_sums,
-                        pair_counts, pair_multisets, product_approx_degree,
-                        regularity_check, tprime_check)
+                        degeneration_check, distance_to_easy, dual_h,
+                        g_invariant, general_bound, orthogonality_general,
+                        orthogonality_sums, pair_counts, pair_multisets,
+                        product_approx_degree, regularity_check, tprime_check)
 from .matrices import (BalanceReport, ContainmentResult,
                        CORE_FREE_6, HADAMARD_2, PATTERN_CORE_4, SignMatrix,
                        SpectrumReport, XOR_2, all_ones, balance_check,
                        builtin_matrix, canonical_form, contains_pattern,
-                       entrywise, exact_rank, is_canonical, spectrum,
+                       exact_rank, is_canonical, spectrum,
                        search_strongly_balanced, tensor)

@@ -59,7 +59,8 @@ def _blaming(flag: str):
 
 
 def _round_floats(obj):
-    """12 significant digits, applied recursively; keeps reports diffable."""
+    """The JSON form of a result: a dataclass by its fields, an array as a
+    list, each float to 12 significant digits, so reports stay diffable."""
     if isinstance(obj, float):
         if math.isfinite(obj):
             return float(f"{obj:.12g}")
@@ -76,6 +77,9 @@ def _round_floats(obj):
         return sorted(obj)
     if isinstance(obj, np.ndarray):
         return _round_floats(obj.tolist())
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _round_floats(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     return obj
 
 
@@ -87,9 +91,9 @@ def _cmd_analyze_matrix(opts) -> tuple:
     payload = {
         "rows": M.rows,
         "cols": M.cols,
-        "balance": dataclasses.asdict(mx.balance_check(M)),
+        "balance": mx.balance_check(M),
         "exact_rank": mx.exact_rank(M),
-        "spectrum": dataclasses.asdict(mx.spectrum(M, opts["tolerance"])),
+        "spectrum": mx.spectrum(M, opts["tolerance"]),
     }
     core = mx.PATTERN_CORE_4
     if M.rows >= core.rows and M.cols >= core.cols:
@@ -118,7 +122,7 @@ def _cmd_approx_degree(opts) -> tuple:
         w = result.witness
         check = verify_dual(w, f)
         payload["dual"] = {
-            "witness_table": list(w.v.table),
+            "witness_table": w.v.table,
             "d": w.d,
             "correlation": w.correlation,
             "l1": w.l1,
@@ -183,7 +187,7 @@ def _cmd_lower_bound(opts) -> tuple:
     rank_one = rep.intermediates.get("inner_rank") == 1
     code = EXIT_OK if rep.applicable and not vacuous and not rank_one \
         else EXIT_INAPPLICABLE
-    return dataclasses.asdict(rep), code
+    return rep, code
 
 
 def _cmd_group_check(opts) -> tuple:
@@ -214,7 +218,7 @@ def _cmd_group_check(opts) -> tuple:
         "regularity": {
             "regular": reg.regular,
             "copies": reg.copies,
-            "counts": list(reg.counts),
+            "counts": reg.counts,
             "diagonal_invariant": reg.diagonal_invariant,
         },
         "easy": sorted(partition.easy),
@@ -232,7 +236,7 @@ def _cmd_group_check(opts) -> tuple:
     code = EXIT_OK
     if vals is not None:
         rep = gc.general_bound(gmap, vals, table, partition, opts["epsilon"])
-        payload["bound"] = dataclasses.asdict(rep)
+        payload["bound"] = rep
         if not rep.applicable:
             code = EXIT_INAPPLICABLE
     return payload, code
@@ -246,7 +250,7 @@ def _cmd_search_balanced(opts) -> tuple:
                                          limit=opts["limit"]):
         found.append({
             "rank": mx.exact_rank(M),
-            "matrix": [[int(v) for v in row] for row in M.entries],
+            "matrix": M.entries,
         })
     payload = {
         "rows": opts["rows"],

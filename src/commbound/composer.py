@@ -14,7 +14,6 @@ block i corresponds to bit i-1 of subset/point masks.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +47,6 @@ class WitnessMatrix:
     l1: float
     correlation: float
     spectral_norm: float
-
-
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    n: int
-    pairs_checked: int
-    max_violation: int
-    orthogonal: bool
 
 
 @dataclass(frozen=True)
@@ -98,29 +89,6 @@ def compose_block(f: BoolFunction, g: SignMatrix) -> Composition:
     _check_size(g, n)
     entries = f.table[block_mask([g] * n)]
     return Composition(f=f, g=g, n=n, matrix=SignMatrix(entries))
-
-
-def verify_orthogonality(g: SignMatrix, n: int) -> OrthogonalityReport:
-    """Exact check that distinct composed characters are orthogonal, read
-    off the row and column sums of g.
-
-    For masks S != T, M_T M_S^T is a Kronecker product with one factor per
-    block: M_g M_g^T or J J^T where the masks agree, whose largest entry is
-    cols, and M_g J^T or J M_g^T where they differ, whose entries are row
-    sums.  As |row sum| <= cols, pairs differing in one block give the
-    largest entry, cols^(n-1) * max|row sum|; M_T^T M_S gives
-    rows^(n-1) * max|col sum| the same way.  Reports the C(2^n, 2) pairs and
-    the larger of the two (zero iff orthogonal: g strongly balanced, n >= 1).
-    """
-    if n < 0:
-        raise ValueError(f"block count must be non-negative, got {n}")
-    worst = 0
-    if n >= 1:
-        bal = balance_check(g)
-        worst = max(g.cols ** (n - 1) * max(map(abs, bal.row_sums)),
-                    g.rows ** (n - 1) * max(map(abs, bal.col_sums)))
-    return OrthogonalityReport(n=n, pairs_checked=math.comb(2 ** n, 2),
-                               max_violation=worst, orthogonal=worst == 0)
 
 
 def verify_rank_theorem(comp: Composition) -> RankTheoremReport:

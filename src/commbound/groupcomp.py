@@ -24,9 +24,8 @@ import numpy as np
 
 from .approx import chebyshev
 from .bounds import BoundReport
-from .boolfn import BoolFunction
 from .errors import ResourceLimitError, check_bytes
-from .matrices import SignMatrix, balance_check, block_mask
+from .matrices import balance_check, block_mask
 from .simplex import check_tableau
 
 MAX_GROUP_ORDER = 2 ** 14
@@ -61,16 +60,6 @@ class AbelianGroupSpec:
     def index(self, element) -> int:
         return int(np.ravel_multi_index(tuple(element), self.moduli,
                                         order="F"))
-
-    def add(self, i: int, j: int) -> int:
-        digits = np.unravel_index([i, j], self.moduli, order="F")
-        return int(np.ravel_multi_index(np.sum(digits, axis=1), self.moduli,
-                                        mode="wrap", order="F"))
-
-    def negate(self, i: int) -> int:
-        digits = np.unravel_index(i, self.moduli, order="F")
-        return int(np.ravel_multi_index(np.negative(digits), self.moduli,
-                                        mode="wrap", order="F"))
 
     def __eq__(self, other):
         return isinstance(other, AbelianGroupSpec) and self.moduli == other.moduli
@@ -299,11 +288,6 @@ class GroupMapMatrix:
     @property
     def cols(self) -> int:
         return self.entries.shape[1]
-
-    @classmethod
-    def from_sign_matrix(cls, M: SignMatrix) -> "GroupMapMatrix":
-        """Encode a sign matrix over Z_2 with +1 -> 0 and -1 -> 1."""
-        return cls((M.entries == -1).astype(np.int64), AbelianGroupSpec((2,)))
 
     @classmethod
     def from_sign_blocks(cls, blocks) -> "GroupMapMatrix":
@@ -922,8 +906,3 @@ def degeneration_check(blocks) -> DegenerationReport:
         all_blocks_strongly_balanced=balanced,
         equivalent=invariant == balanced,
     )
-
-
-def class_function_from_bool(f: BoolFunction) -> np.ndarray:
-    """Values of f as a class function on Z_2^n (the indexings coincide)."""
-    return f.table.astype(float)

@@ -2,11 +2,11 @@
 
 Sign matrices (entries in {-1,+1}) represent two-party Boolean functions.
 This module provides exact rank over the rationals, singular spectra from
-LAPACK's SVD, balance predicates, tensor/entrywise products,
-pattern containment up to row/column permutations, and a canonical
-enumerator for strongly balanced matrices.  Containment and the
-enumerator's forbidden-pattern check share one matcher that encodes every
-submatrix as an integer and looks chunks of them up in sorted targets.
+LAPACK's SVD, balance predicates, Kronecker products, pattern containment
+up to row/column permutations, and a canonical enumerator for strongly
+balanced matrices.  Containment and the enumerator's forbidden-pattern
+check share one matcher that encodes every submatrix as an integer and
+looks chunks of them up in sorted targets.
 Canonical forms keep a code per column, the enumerator its rows' codes, column
 sums and a tie mask; both walk their trees on explicit stacks, so any height
 runs, and the enumerator refuses widths past MAX_TABLE_BYTES of balanced rows.
@@ -380,15 +380,15 @@ def exact_rank(M) -> int:
 def spectrum(M, tolerance: float = DEFAULT_TOLERANCE) -> SpectrumReport:
     """Singular spectrum from one LAPACK SVD.
 
-    Accepts a SignMatrix or a real/complex array.  Singular
-    values within LAPACK's backward-error bound sigma_1 * max(m, n) * eps are
-    set to exactly zero.  The numeric rank counts singular values above
-    tolerance * sigma_1, so the tolerance must lie in (0, 1).
+    Accepts a SignMatrix or a real or complex array; real input takes the
+    real SVD.  Singular values within LAPACK's backward-error bound
+    sigma_1 * max(m, n) * eps are set to exactly zero.  The numeric rank
+    counts singular values above tolerance * sigma_1, so the tolerance must
+    lie in (0, 1).
     """
     if not 0 < tolerance < 1:
         raise ValueError("tolerance must lie in (0, 1)")
-    arr = M.entries if isinstance(M, SignMatrix) else M
-    arr = np.asarray(arr, dtype=complex)
+    arr = np.asarray(M.entries if isinstance(M, SignMatrix) else M)
     sigma = np.linalg.svd(arr, compute_uv=False)
     s1 = float(sigma[0]) if sigma.size else 0.0
     sigma[sigma <= s1 * max(arr.shape) * np.finfo(float).eps] = 0.0
@@ -425,14 +425,6 @@ def balance_check(M: SignMatrix) -> BalanceReport:
 def tensor(A: SignMatrix, B: SignMatrix) -> SignMatrix:
     """Kronecker product; A is the most significant factor."""
     return SignMatrix(np.kron(A.entries, B.entries))
-
-
-def entrywise(A: SignMatrix, B: SignMatrix) -> SignMatrix:
-    if A.entries.shape != B.entries.shape:
-        raise ValueError(
-            f"entrywise product needs equal dimensions, got "
-            f"{A.rows}x{A.cols} and {B.rows}x{B.cols}")
-    return SignMatrix(A.entries * B.entries)
 
 
 def block_mask(blocks) -> np.ndarray:

@@ -24,12 +24,13 @@ degenerate rows (rhs near 0) from steering the choice, which is what makes
 smallest-index rules cycle in floating point.  A pivot is one in-place
 rank-1 update of the tableau.
 
-Harris carries no anti-cycling proof.  A long run of degenerate pivots
-(the Chebyshev LP of AND:10 at degree 4 stalls at one vertex) shifts every
-basic value up by a small random amount, which separates the tied ratios;
-at the shifted optimum the true rhs is restored from the basis inverse and
-any negative basic value is pivoted out by dual simplex steps.  The
-iteration cap stays as the backstop.
+Harris carries no anti-cycling proof, so a long run of degenerate pivots
+shifts every basic value up by a small random amount, which separates the
+tied ratios; at the shifted optimum the true rhs is restored from the basis
+inverse and any negative basic value is pivoted out by dual simplex steps.
+The shift is the backstop for the full LPs, those of functions that are not
+symmetric (a symmetric function solves on its Hamming levels, see approx),
+and the iteration cap stays behind it.
 Feasibility tolerance is 1e-9 throughout.
 """
 
@@ -44,8 +45,8 @@ from .errors import CommboundError, check_bytes
 FEASIBILITY_TOL = 1e-9
 # a run of degenerate pivots longer than _STALL_ROWS times the row count
 # shifts the rhs by 100 to 200 times the tolerance, so that the ratio test
-# sees distinct ratios; the longest run in a solve that converges is about
-# 1.6 times the row count on the Chebyshev LPs up to 9 bits
+# sees distinct ratios; the longest run measured in a solve that converges
+# is about 1.6 times the row count, on full Chebyshev LPs up to 9 bits
 _STALL_ROWS = 3
 
 OPTIMAL = "optimal"

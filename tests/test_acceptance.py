@@ -26,6 +26,12 @@ def _report(num: int, ok: bool, label: str) -> None:
     assert ok, f"criterion {num} failed: {label}"
 
 
+def _add(G, i, j):
+    """Index of the sum of elements i and j of the Abelian group G."""
+    return G.index(tuple((a + b) % m for a, b, m in
+                         zip(G.element(i), G.element(j), G.moduli)))
+
+
 def _all_strongly_balanced_4x4():
     out = []
     for bits in range(2 ** 16):
@@ -162,7 +168,7 @@ def test_criterion_7_invariance_suites():
             closed = Counter()
             for s in range(G.order):
                 for (a, b), m in cnt.items():
-                    closed[(G.add(s, a), G.add(s, b))] += m
+                    closed[(_add(G, s, a), _add(G, s, b))] += m
             cnt = closed
         T = gc.pair_counts(list(cnt.elements()))
         inv = gc.g_invariant(T, G)
@@ -193,7 +199,7 @@ def test_criterion_8_abelian_degeneration():
         tb = gc.characters_abelian(gc.AbelianGroupSpec([2] * n))
         part = gc.HardnessPartition.from_easy(
             [T for T in range(2 ** n) if bin(T).count("1") < n], 2 ** n)
-        rep = gc.general_bound(gm, gc.class_function_from_bool(par), tb,
+        rep = gc.general_bound(gm, par.table.astype(float), tb,
                                part, 0.0)
         sh = bd.sherstov_bound(par, CORE4, 1.0 / 3.0)
         if not (rep.applicable and abs(rep.main_term - sh.main_term) <= 1e-8):
@@ -205,7 +211,7 @@ def test_criterion_8_abelian_degeneration():
     for n in (1, 2, 3):
         for f in all_functions(n):
             d_prod = gc.product_approx_degree(
-                gc.class_function_from_bool(f), [z2_table] * n, 1.0 / 3.0)
+                f.table.astype(float), [z2_table] * n, 1.0 / 3.0)
             checked += 1
             if d_prod != approx_degree(f, 1.0 / 3.0).d:
                 deg_fail += 1

@@ -1,5 +1,6 @@
 """Composition, orthogonality of composed characters, rank formula, witnesses."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,8 +21,9 @@ TALL = mx.SignMatrix([[1, -1], [-1, -1], [1, 1]])
 
 
 def _pairwise_orthogonality(g, n):
-    """Reference: the largest entry of M_T M_S^T and M_T^T M_S over all
-    pairs of masks, from the dense composed characters."""
+    """(pairs, worst): the number of pairs of distinct masks and the largest
+    entry of M_T M_S^T and M_T^T M_S over them, from the dense composed
+    characters."""
     mats = [cp.char_compose(T, g, n).entries for T in range(2 ** n)]
     worst = 0
     pairs = 0
@@ -31,8 +33,16 @@ def _pairwise_orthogonality(g, n):
             right = np.abs(mats[T].T @ mats[S]).max()
             worst = max(worst, int(left), int(right))
             pairs += 1
-    return cp.OrthogonalityReport(n=n, pairs_checked=pairs,
-                                  max_violation=worst, orthogonal=worst == 0)
+    return pairs, worst
+
+
+def _assert_orthogonality_lemma(g, n):
+    """From one block on, distinct composed characters are orthogonal
+    exactly when g is strongly balanced; with no blocks there is no pair."""
+    pairs, worst = _pairwise_orthogonality(g, n)
+    assert pairs == math.comb(2 ** n, 2), (g, n)
+    strongly = mx.balance_check(g).strongly_balanced
+    assert (worst == 0) == (n == 0 or strongly), (g, n, worst)
 
 
 def _fourier_composition(f, g):
@@ -187,17 +197,12 @@ def test_entry_bytes_bound_the_traced_peak():
 
 
 def test_orthogonality_reports():
-    assert cp.verify_orthogonality(CORE4, 2).orthogonal
-    assert cp.verify_orthogonality(mx.XOR_2, 1).orthogonal
-    rep = cp.verify_orthogonality(mx.all_ones(2, 2), 1)
-    assert (rep.pairs_checked, rep.max_violation, rep.orthogonal) == \
-        (1, 2, False)
+    assert _pairwise_orthogonality(CORE4, 2) == (6, 0)
+    assert _pairwise_orthogonality(mx.XOR_2, 1) == (1, 0)
+    # J J^T has entries 2 = cols, the row sums of J
+    assert _pairwise_orthogonality(mx.all_ones(2, 2), 1) == (1, 2)
     # no blocks, no pairs
-    assert cp.verify_orthogonality(mx.all_ones(2, 3), 0) == \
-        cp.OrthogonalityReport(n=0, pairs_checked=0, max_violation=0,
-                               orthogonal=True)
-    with pytest.raises(ValueError):
-        cp.verify_orthogonality(CORE4, -1)
+    assert _pairwise_orthogonality(mx.all_ones(2, 3), 0) == (0, 0)
 
 
 def test_orthogonality_matches_pairwise_oracle_small():
@@ -207,8 +212,7 @@ def test_orthogonality_matches_pairwise_oracle_small():
             for entries in _all_sign_matrices(rows, cols):
                 g = mx.SignMatrix(entries)
                 for n in (0, 1, 2):
-                    assert cp.verify_orthogonality(g, n) == \
-                        _pairwise_orthogonality(g, n), (entries, n)
+                    _assert_orthogonality_lemma(g, n)
 
 
 def test_orthogonality_matches_pairwise_oracle_balanced_4x4():
@@ -218,33 +222,16 @@ def test_orthogonality_matches_pairwise_oracle_balanced_4x4():
     assert len(balanced) == 90
     for entries in balanced:
         g = mx.SignMatrix(entries)
+        assert mx.balance_check(g).strongly_balanced
         for n in (1, 2):
-            rep = cp.verify_orthogonality(g, n)
-            assert rep.orthogonal
-            assert rep == _pairwise_orthogonality(g, n)
-        assert cp.verify_orthogonality(g, 3).orthogonal
+            _assert_orthogonality_lemma(g, n)
 
 
 def test_orthogonality_matches_pairwise_oracle_named():
     for g in (CORE4, CORE6, mx.XOR_2, mx.HADAMARD_2, mx.all_ones(2, 3),
               WIDE, TALL):
         for n in (0, 1, 2, 3):
-            rep = cp.verify_orthogonality(g, n)
-            assert rep == _pairwise_orthogonality(g, n), (g, n)
-            # from one block on, orthogonal exactly when strongly balanced
-            assert rep.orthogonal == \
-                (n == 0 or mx.balance_check(g).strongly_balanced), (g, n)
-
-
-def test_orthogonality_builds_no_matrix(monkeypatch):
-    monkeypatch.setattr(cp, "char_compose", _raise)
-    rep = cp.verify_orthogonality(CORE6, 4)
-    assert (rep.pairs_checked, rep.max_violation, rep.orthogonal) == \
-        (120, 0, True)
-    # the closed form stays exact past int64: J_{2x3} at 64 blocks
-    rep = cp.verify_orthogonality(mx.all_ones(2, 3), 64)
-    assert rep.max_violation == 3 ** 64
-    assert rep.pairs_checked == 2 ** 63 * (2 ** 64 - 1)
+            _assert_orthogonality_lemma(g, n)
 
 
 def test_rank_theorem_examples():

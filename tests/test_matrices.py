@@ -292,10 +292,9 @@ def test_balance_examples():
 
 def test_tensor_and_entrywise():
     assert mx.tensor(mx.HADAMARD_2, mx.SignMatrix([[1]])) == mx.HADAMARD_2
-    assert mx.entrywise(mx.PATTERN_CORE_4, mx.PATTERN_CORE_4) == mx.all_ones(4, 4)
+    core = mx.PATTERN_CORE_4.entries
+    assert mx.SignMatrix(core * core) == mx.all_ones(4, 4)
     assert mx.exact_rank(mx.tensor(mx.XOR_2, mx.XOR_2)) == 1
-    with pytest.raises(ValueError):
-        mx.entrywise(mx.XOR_2, mx.all_ones(2, 3))
 
 
 def test_tensor_rank_multiplicative():

@@ -203,7 +203,7 @@ def _cmd_group_check(opts) -> tuple:
         table = gc.characters_abelian(gmap.group)
     if vals is not None:
         with _blaming("--values"):
-            gc.check_class_function(vals, table)
+            vals = gc.check_class_function(vals, table)
     easy = opts["easy"] if opts["easy"] is not None else \
         [table.trivial_index()]
     with _blaming("--easy"):
@@ -227,15 +227,20 @@ def _cmd_group_check(opts) -> tuple:
             "max_row_violation": orth.max_row_violation,
             "max_col_violation": orth.max_col_violation,
             "passed": orth.passed,
+            "route": orth.route,
         },
     }
     if not external_table:
-        # group-invariance of pair multisets is the Abelian characterization;
-        # with a user-supplied table the file's product structure may not match
-        payload["all_pairs_invariant"] = gc.all_pairs_invariant(gmap)
+        # the orthogonality check asked it, unless its pair keys were past
+        # the byte budget, and then asking again raises that refusal; a
+        # user-supplied table's rows need not be the map's characters
+        invariant = orth.all_pairs_invariant
+        payload["all_pairs_invariant"] = gc.all_pairs_invariant(gmap) \
+            if invariant is None else invariant
     code = EXIT_OK
     if vals is not None:
-        rep = gc.general_bound(gmap, vals, table, partition, opts["epsilon"])
+        rep = gc.general_bound(gmap, vals, table, partition, opts["epsilon"],
+                               checked=(reg, orth))
         payload["bound"] = rep
         if not rep.applicable:
             code = EXIT_INAPPLICABLE

@@ -97,7 +97,9 @@ def verify_rank_theorem(comp: Composition) -> RankTheoremReport:
     Both sides are exact integers: the formula uses the exact rank of g, the
     left side the exact rank of the already materialized composition, each
     from matrices.exact_rank (elimination modulo primes below 2^21, stopped
-    by Hadamard's bound).
+    by Hadamard's bound).  M_{f o g^n} = sum_T f_hat(T) M_T with rank(M_T) =
+    rk(g)^|T|, so by subadditivity the formula bounds the composed rank for
+    every g, and the first prime whose rank reaches it settles equality.
     Requires g strongly balanced (the formula does not hold otherwise).
     """
     if not balance_check(comp.g).strongly_balanced:
@@ -106,7 +108,7 @@ def verify_rank_theorem(comp: Composition) -> RankTheoremReport:
     rank_g = exact_rank(comp.g)
     support = np.flatnonzero(character_sums(comp.f))
     formula = sum(rank_g ** int(k) for k in np.bitwise_count(support))
-    actual = exact_rank(comp.matrix)
+    actual = exact_rank(comp.matrix, at_most=formula)
     return RankTheoremReport(formula_rank=formula, composed_rank=actual,
                              equal=formula == actual, inner_rank=rank_g,
                              support=tuple(support.tolist()))

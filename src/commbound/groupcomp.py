@@ -35,7 +35,7 @@ _SUM_TOL = 1e-8  # zero tests scale with multiset size
 class AbelianGroupSpec:
     """Direct product of cyclic groups Z_m1 x ... x Z_mk."""
 
-    __slots__ = ("moduli", "order", "shifts")
+    __slots__ = ("moduli", "order")
 
     def __init__(self, moduli):
         mods = tuple(int(m) for m in moduli)
@@ -46,12 +46,6 @@ class AbelianGroupSpec:
             raise ValueError(f"group order {order} exceeds cap {MAX_GROUP_ORDER}")
         self.moduli = mods
         self.order = order
-        # shifts[j, a] is the index of a + e_j, e_j generating factor j
-        digits = np.array(np.unravel_index(np.arange(order), mods, order="F"))
-        steps = np.eye(len(mods), dtype=np.int64)[:, :, None]
-        self.shifts = np.ravel_multi_index(
-            np.swapaxes(digits + steps, 0, 1), mods, mode="wrap", order="F")
-        self.shifts.setflags(write=False)
 
     def element(self, index: int) -> tuple:
         return tuple(np.array(np.unravel_index(index, self.moduli,
@@ -86,11 +80,14 @@ class CharacterTable:
     character must be constant on each.  For Abelian groups there are |G|
     rows, all of degree one, and classes are singletons.  Every table
     records its trivial row (trivial_index) and conjugate[a], the row of
-    conj(chi_a); a table without either is refused.
+    conj(chi_a); a table without either is refused.  group is the
+    AbelianGroupSpec whose characters characters_abelian computed as this
+    table, and None for every other table: rows read from a file or given
+    to the constructor need not be the characters of a map's group.
     """
 
     __slots__ = ("h", "order", "table", "class_of", "degrees", "conjugate",
-                 "_trivial")
+                 "_trivial", "group")
 
     def __init__(self, h: int, order: int, table, class_of, degrees):
         arr = np.asarray(table, dtype=complex)
@@ -138,6 +135,7 @@ class CharacterTable:
         self.table, self.class_of = table, class_of
         self.degrees = tuple(degrees)
         self._trivial, self.conjugate = trivial, conjugate
+        self.group = None
 
     @classmethod
     def product(cls, tables) -> "CharacterTable":
@@ -253,10 +251,12 @@ def characters_abelian(G: AbelianGroupSpec) -> CharacterTable:
     order = G.order
     check_bytes(order * order * np.dtype(complex).itemsize,
                 f"character table of order {order} needs")
-    return CharacterTable.product(
+    table = CharacterTable.product(
         CharacterTable._trusted(_cyclic_characters(m), np.arange(m), [1] * m,
                                 0, -np.arange(m) % m)
         for m in G.moduli)
+    table.group = G
+    return table
 
 
 class GroupMapMatrix:
@@ -420,12 +420,22 @@ class RegularityReport:
 
 @dataclass(frozen=True)
 class GroupOrthogonalityReport:
+    """all_pairs_invariant is the map's invariance where it was asked (the
+    table was computed for the map's group and the pair keys fit the byte
+    budget), else None."""
+
     max_row_violation: float
     max_col_violation: float
     row_threshold: float
     col_threshold: float
     passed: bool
     pairs_checked: int
+    all_pairs_invariant: bool | None
+
+    @property
+    def route(self) -> str:
+        """"invariance" when invariance decided the check, else "dense"."""
+        return "invariance" if self.all_pairs_invariant else "dense"
 
 
 @dataclass(frozen=True)
@@ -498,34 +508,51 @@ def pair_multisets(gmap: GroupMapMatrix) -> PairFamilies:
                         shape=(X, Y))
 
 
+def _differences(G: AbelianGroupSpec, s: np.ndarray,
+                 t: np.ndarray) -> np.ndarray:
+    """The index of t - s in G for arrays of element indices s and t."""
+    if set(G.moduli) == {2}:
+        return s ^ t    # in Z_2^k the index bits are the components
+    d = np.zeros_like(t)
+    stride = 1
+    for m in G.moduli:
+        d += (t // stride - s // stride) % m * stride
+        stride *= m
+    return d
+
+
 def g_invariant(T: np.ndarray, G: AbelianGroupSpec) -> bool:
-    """Exact check that (s,s)T = T as multisets for every s in G.
+    """Exact check that (u,u)T = T as multisets for every u in G.
 
     T is one pair multiset, k x 3 (s, t, multiplicity) rows as pair_counts
     builds them, or a family of them, k x 4 (label, s, t, multiplicity)
-    rows as PairFamilies holds them.  The shift leaves the label alone, so
-    a family is fixed exactly when each of its members is.  The shifts that
-    fix T form a subgroup, so it is enough to test one generator e_j per
-    cyclic factor: every shifted key must be a key of T with the same
-    multiplicity, found by binary search.  ValueError unless the (label, s,
-    t) keys strictly increase and s, t are elements of G.
+    rows as PairFamilies holds them.  The shift (u, u) keeps the label and
+    the difference t - s and moves s through all of G, so T is fixed exactly
+    when, grouped by (label, t - s), every group has |G| rows, one per s,
+    all of one multiplicity.  One sort of the (label, t - s, multiplicity)
+    keys forms the groups, so a family is checked as a whole.  ValueError
+    unless the (label, s, t) keys strictly increase and s, t are elements
+    of G.
     """
     if T.ndim != 2 or T.shape[1] not in (3, 4) or T.dtype.kind not in "iu":
         raise ValueError("pair multiset rows must be integer (s, t, "
                          "multiplicity) or (label, s, t, multiplicity)")
-    st = T[:, -3:-1]
-    if st.size and (st.min() < 0 or st.max() >= G.order):
+    s, t, m = T[:, -3:].T.copy()
+    if s.size and (min(s.min(), t.min()) < 0 or
+                   max(s.max(), t.max()) >= G.order):
         raise ValueError(f"pair entries must be non-negative element indices "
                          f"below {G.order}")
-    s, t, m = T[:, -3:].T
-    label = T[:, 0] * G.order * G.order if T.shape[1] == 4 else 0
-    key = label + s * G.order + t
-    if (np.diff(key) <= 0).any():
+    label = T[:, 0] * G.order if T.shape[1] == 4 else 0
+    if (np.diff((label + s) * G.order + t) <= 0).any():
         raise ValueError("pair multiset rows must be sorted with no "
                          "(label, s, t) key twice")
-    moved = label + G.shifts[:, s] * G.order + G.shifts[:, t]
-    at = np.searchsorted(key, moved).clip(max=len(key) - 1)
-    return bool((key[at] == moved).all() and (m[at] == m).all())
+    # distinct (label, s, t) keys give each (label, t - s, multiplicity) at
+    # most |G| rows, so T is fixed exactly when the sorted keys come in runs
+    # of |G| equal ones
+    orbit = label + _differences(G, s, t)
+    runs = np.sort(orbit * (int(m.max(initial=0)) + 1) + m)
+    return len(runs) % G.order == 0 and \
+        bool((runs.reshape(-1, G.order) == runs[::G.order, None]).all())
 
 
 def all_pairs_invariant(gmap: GroupMapMatrix) -> bool:
@@ -590,35 +617,59 @@ def regularity_check(gmap: GroupMapMatrix) -> RegularityReport:
                             diagonal_invariant=diag, reason=reason)
 
 
+def _invariance(gmap: GroupMapMatrix, table: CharacterTable) -> bool | None:
+    """all_pairs_invariant(gmap) when table is the one characters_abelian
+    computed for gmap's group and the pair keys fit the byte budget, else
+    None: a wide map over few hard characters may still fit the stacks."""
+    if table.group is None or table.group != gmap.group:
+        return None
+    try:
+        return all_pairs_invariant(gmap)
+    except ResourceLimitError:
+        return None
+
+
 def orthogonality_general(gmap: GroupMapMatrix, table: CharacterTable,
                           hard) -> GroupOrthogonalityReport:
-    """Direct-summation check of the cross-character orthogonality condition.
+    """Check of the cross-character orthogonality condition.
 
     For all pairs of rows, columns, and distinct hard characters i, j the
     sums sum_y psi_i(g(x,y)) conj(psi_j(g(x',y))) (and the column analogue)
-    must vanish; thresholds are 1e-8 * |Y| and 1e-8 * |X|.  Character i is
-    checked against every later one at once, in two batched products.
+    must vanish; thresholds are 1e-8 * |Y| and 1e-8 * |X|.
+
+    When table was computed for the map's group, all_pairs_invariant is
+    asked first, if its pair keys fit the byte budget.  If every pair
+    multiset is fixed by every diagonal shift (u, u), each sum equals
+    itself times chi_i(u) conj(chi_j(u)), which is not 1 for some u when
+    i != j; so every sum is exactly 0 and the report passes with violations
+    0.0 (route "invariance").  Otherwise, and for any other table, the sums
+    are computed (route "dense"): character i against every later one at
+    once, in two batched products.
     ResourceLimitError first when the k x X x Y stack, its conjugate and one
     batched product with its moduli would pass MAX_TABLE_BYTES.
     """
     hard = sorted(hard)
     k, (X, Y) = len(hard), gmap.entries.shape
-    check_bytes(8 * k * (4 * X * Y + 3 * max(X, Y) ** 2),
-                f"{k} character stacks over a {X}x{Y} map need")
-    S = table.table[hard][:, gmap.entries]
-    conj = S.conj()
-    conj_t = conj.transpose(0, 2, 1)
+    invariant = _invariance(gmap, table)
     worst_row = worst_col = 0.0
-    for i in range(k - 1):
-        worst_row = max(worst_row, float(np.abs(S[i] @ conj_t[i + 1:]).max()))
-        worst_col = max(worst_col, float(np.abs(S[i].T @ conj[i + 1:]).max()))
+    if not invariant:
+        check_bytes(8 * k * (4 * X * Y + 3 * max(X, Y) ** 2),
+                    f"{k} character stacks over a {X}x{Y} map need")
+        S = table.table[hard][:, gmap.entries]
+        conj = S.conj()
+        conj_t = conj.transpose(0, 2, 1)
+        for i in range(k - 1):
+            worst_row = max(worst_row,
+                            float(np.abs(S[i] @ conj_t[i + 1:]).max()))
+            worst_col = max(worst_col,
+                            float(np.abs(S[i].T @ conj[i + 1:]).max()))
     row_thr = _SUM_TOL * Y
     col_thr = _SUM_TOL * X
     return GroupOrthogonalityReport(
         max_row_violation=worst_row, max_col_violation=worst_col,
         row_threshold=row_thr, col_threshold=col_thr,
         passed=worst_row <= row_thr and worst_col <= col_thr,
-        pairs_checked=math.comb(k, 2))
+        pairs_checked=math.comb(k, 2), all_pairs_invariant=invariant)
 
 
 def tprime_check(T: np.ndarray, table: CharacterTable) -> TPrimeReport:
@@ -739,18 +790,31 @@ def check_table_order(gmap: GroupMapMatrix, table: CharacterTable,
 
 
 def _spectral_norms(table: CharacterTable, chars, gmap: GroupMapMatrix):
-    """The spectral norm ||[chi(g(x, y))]|| of each chi in chars, a list."""
-    return np.linalg.svd(table.table[chars][:, gmap.entries],
-                         compute_uv=False)[:, 0].tolist()
+    """The spectral norm ||[chi(g(x, y))]|| of each chi in chars, a list.
+    ResourceLimitError first when the k x X x Y complex stack of the
+    character matrices would pass MAX_TABLE_BYTES.  A stack with no
+    imaginary part, as every one over Z_2^t, takes the faster real SVD."""
+    X, Y = gmap.entries.shape
+    check_bytes(np.dtype(complex).itemsize * len(chars) * X * Y,
+                f"{len(chars)} character matrices over a {X}x{Y} map need")
+    stack = table.table[chars][:, gmap.entries]
+    if not stack.imag.any():
+        stack = stack.real
+    return np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
 
 
 def general_bound(gmap: GroupMapMatrix, fvals, table: CharacterTable,
-                  partition: HardnessPartition, epsilon: float) -> BoundReport:
+                  partition: HardnessPartition, epsilon: float, *,
+                  checked: tuple | None = None) -> BoundReport:
     """Main term log2(sqrt(MN) (delta - 2 eps) / max_hard(max|psi| * ||[psi(g)]||)).
 
-    Preconditions checked here: regularity of the map, orthogonality of the
-    hard characters, a non-empty hard set, and delta > 2 eps.  An epsilon
-    outside [0, 1) or a table of another order is a ValueError.
+    Preconditions checked here: values that are a class function,
+    regularity of the map, orthogonality of the hard characters, a
+    non-empty hard set, and delta > 2 eps.  An epsilon outside [0, 1) or a
+    table of another order is a ValueError.  A caller that has already run
+    check_class_function(fvals, table), regularity_check(gmap) and
+    orthogonality_general(gmap, table, partition.hard) passes the two
+    reports as checked, and none of the three runs again.
     """
     if not 0 <= epsilon < 1:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
@@ -764,11 +828,16 @@ def general_bound(gmap: GroupMapMatrix, fvals, table: CharacterTable,
         report.warnings.append(
             f"easy characters {unpaired} have conjugates outside the easy "
             "set; delta covers only its conjugation-closed part")
-    fv = check_class_function(fvals, table)
-    reg = regularity_check(gmap)
+    if checked is None:
+        fv = check_class_function(fvals, table)
+        reg = regularity_check(gmap)
+        orth = orthogonality_general(gmap, table, partition.hard) \
+            if reg.regular else None
+    else:
+        fv = np.asarray(fvals, dtype=float)
+        reg, orth = checked
     if not reg.regular:
         return report.refuse(f"regularity fails: {reg.reason}")
-    orth = orthogonality_general(gmap, table, partition.hard)
     if not orth.passed:
         return report.refuse(
             f"orthogonality fails: max violations {orth.max_row_violation:.3g} "
@@ -852,11 +921,15 @@ def block_group_bound(gmaps, fvals, tables) -> BoundReport:
     report = BoundReport(theorem="block-group")
     for i, (gm, tb) in enumerate(zip(gmaps, tables)):
         reg = regularity_check(gm)
-        orth = orthogonality_general(gm, tb, range(tb.h))
-        if not (reg.regular and orth.passed):
+        # with every character hard, invariance decides orthogonality both
+        # ways: the pair multisets' transforms vanish off the diagonal
+        orthogonal = _invariance(gm, tb)
+        if orthogonal is None:
+            orthogonal = orthogonality_general(gm, tb, range(tb.h)).passed
+        if not (reg.regular and orthogonal):
             return report.refuse(
                 f"block {i + 1} fails its structural condition "
-                f"(regular={reg.regular}, orthogonal={orth.passed})")
+                f"(regular={reg.regular}, orthogonal={orthogonal})")
     d = product_approx_degree(fvals, tables, 1.0 / 3.0)
     report.intermediates["d"] = d
     if d >= t:

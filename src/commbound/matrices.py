@@ -341,7 +341,7 @@ def _rank_mod(A: np.ndarray, p: int) -> int:
     return rank
 
 
-def exact_rank(M) -> int:
+def exact_rank(M, at_most: int | None = None) -> int:
     """Rank over the rationals, by elimination modulo several primes.
 
     Accepts a SignMatrix or any 2-D array-like of integers, including
@@ -356,6 +356,8 @@ def exact_rank(M) -> int:
     r = min(m, n) or P^2 > ((r+1) a^2)^(r+1); the answer is exact, never a
     floating-point or probabilistic rank decision.  One prime settles every
     full-rank matrix and every +-1 matrix with at most 11 rows or columns.
+    A caller that knows at_most >= the rank stops at the first prime whose
+    rank reaches it, as that prime's rank is also at most the rank.
     """
     A = _integer_matrix(M)
     full = min(A.shape)
@@ -365,12 +367,13 @@ def exact_rank(M) -> int:
         raise ValueError("exact_rank: 2^21 or more rows and columns "
                          "overflow int64 elimination")
     a = max(int(A.max()), -int(A.min()))
+    top = full if at_most is None else min(full, at_most)
     rank, product = 0, 1
     for i in itertools.count():
         p = _prime(i)
         rank = max(rank, _rank_mod((A % p).astype(np.int64, copy=False), p))
         product *= p
-        if rank == full or product ** 2 > ((rank + 1) * a * a) ** (rank + 1):
+        if rank == top or product ** 2 > ((rank + 1) * a * a) ** (rank + 1):
             return rank
 
 

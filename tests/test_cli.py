@@ -11,6 +11,7 @@ from commbound import cli
 from commbound.bounds import BoundReport
 from commbound.cli import (EXIT_INAPPLICABLE, EXIT_OK, EXIT_RESOURCE,
                            EXIT_USAGE, main)
+from commbound.errors import ResourceLimitError
 from commbound.groupcomp import (AbelianGroupSpec, GroupMapMatrix,
                                  characters_abelian)
 
@@ -720,6 +721,99 @@ def test_group_check_command(capsys, tmp_path):
     assert body["all_pairs_invariant"] is True
     assert body["orthogonality"]["passed"] is True
     assert body["bound"]["main_term"] == pytest.approx(0.5)
+
+
+def _xor_map_files(tmp_path, t):
+    """The XOR map of Z2^t on 2^t x 2^t, which is invariant, and values."""
+    x = np.arange(2 ** t)
+    gm = GroupMapMatrix(x[:, None] ^ x[None, :], AbelianGroupSpec([2] * t))
+    gmap, values = tmp_path / "xor.gmap", tmp_path / "xor.vals"
+    gmap.write_text(gm.to_text())
+    values.write_text(" ".join(str(v) for v in
+                               np.linspace(-1.0, 1.0, 2 ** t)) + "\n")
+    return str(gmap), str(values)
+
+
+def test_group_check_evaluates_each_condition_once(capsys, monkeypatch,
+                                                   tmp_path):
+    from commbound import groupcomp as gc
+
+    calls = []
+    for name in ("check_class_function", "regularity_check",
+                 "all_pairs_invariant", "check_bytes"):
+        def counted(*args, _name=name, _fn=getattr(gc, name)):
+            calls.append((_name, args[-1] if _name == "check_bytes" else ""))
+            return _fn(*args)
+        monkeypatch.setattr(gc, name, counted)
+    gmap, values = _xor_map_files(tmp_path, 3)
+    code, report = run_cli(capsys, "group-check", "--gmap", gmap,
+                           "--values", values)
+    assert code == EXIT_OK
+    names = [name for name, _ in calls]
+    for name in ("check_class_function", "regularity_check",
+                 "all_pairs_invariant"):
+        assert names.count(name) == 1, name
+    assert not any("character stacks" in subject for _, subject in calls)
+    body = report["report"]
+    assert body["all_pairs_invariant"] is True
+    assert body["orthogonality"] == {"max_row_violation": 0.0,
+                                     "max_col_violation": 0.0,
+                                     "passed": True, "route": "invariance"}
+    assert body["bound"]["applicable"] is True
+
+
+def test_group_check_table_file_takes_the_dense_route(capsys, tmp_path):
+    gmap, values = _xor_map_files(tmp_path, 2)
+    table = tmp_path / "table.json"
+    table.write_text(characters_abelian(AbelianGroupSpec([2, 2])).to_json())
+    routes = {}
+    for extra in ([], ["--table", str(table)]):
+        code, report = run_cli(capsys, "group-check", "--gmap", gmap,
+                               "--values", values, *extra)
+        body = report["report"]
+        assert code == EXIT_OK and body["orthogonality"]["passed"] is True
+        routes[bool(extra)] = (body["orthogonality"]["route"],
+                               "all_pairs_invariant" in body)
+    assert routes == {False: ("invariance", True), True: ("dense", False)}
+
+
+def test_spectral_norm_stack_refused_before_it_is_built(capsys, monkeypatch,
+                                                        tmp_path):
+    import tracemalloc
+
+    from commbound import errors
+    from commbound import groupcomp as gc
+
+    # the XOR map of Z2^6 passes orthogonality by invariance, whose 2 MiB of
+    # pair-multiset keys the budget admits; its 63 complex 64 x 64
+    # character matrices (4,128,768 bytes) it does not
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 2 ** 21)
+    gmap, values = _xor_map_files(tmp_path, 6)
+    code = main(["group-check", "--gmap", gmap, "--values", values])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err == ("resource limit: 63 character matrices over a 64x64 map "
+                   f"need 4128768 bytes (cap {2 ** 21})\n")
+    # the refusal comes before the stack: with the structural checks done,
+    # the bound allocates next to nothing before it is refused
+    gm = gc.GroupMapMatrix.from_text(open(gmap).read())
+    table = gc.characters_abelian(gm.group)
+    part = gc.HardnessPartition.from_easy([0], 64)
+    fv = np.linspace(-1.0, 1.0, 64)
+    checked = (gc.regularity_check(gm),
+               gc.orthogonality_general(gm, table, part.hard))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="63 character matrices"):
+            gc.general_bound(gm, fv, table, part, 0.0, checked=checked)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # the same map within the budget gets its bound
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 2 ** 23)
+    assert gc.general_bound(gm, fv, table, part, 0.0,
+                            checked=checked).applicable
 
 
 def test_verify_suite_is_not_a_command(capsys):

@@ -258,6 +258,39 @@ def test_rank_theorem_reuses_the_composition(monkeypatch):
     assert (rep.formula_rank, rep.composed_rank) == (27, 27)
 
 
+def test_rank_theorem_takes_one_prime_per_matrix(monkeypatch):
+    shapes = []
+    rank_mod = mx._rank_mod
+    monkeypatch.setattr(mx, "_rank_mod", lambda A, p: shapes.append(A.shape)
+                        or rank_mod(A, p))
+    for name, n, g in (("AND", 3, CORE4), ("PARITY", 2, CORE6),
+                       ("MAJ", 3, CORE4), ("AND", 2, CORE6)):
+        shapes.clear()
+        comp = cp.compose_block(builtin_function(name, n), g)
+        rep = cp.verify_rank_theorem(comp)
+        assert shapes == [g.entries.shape, comp.matrix.entries.shape], name
+        assert rep.equal and rep.composed_rank == mx.exact_rank(comp.matrix)
+
+
+def test_rank_theorem_falls_back_when_the_first_prime_falls_short(
+        monkeypatch):
+    # a first prime that finds one rank too few cannot settle the formula,
+    # so the later primes of the full exact_rank decide
+    comp = cp.compose_block(builtin_function("AND", 3), CORE4)
+    primes = []
+    rank_mod = mx._rank_mod
+
+    def short_first(A, p):
+        primes.append(p)
+        r = rank_mod(A, p)
+        return r - 1 if A.shape == (64, 64) and len(primes) == 2 else r
+
+    monkeypatch.setattr(mx, "_rank_mod", short_first)
+    rep = cp.verify_rank_theorem(comp)
+    assert (rep.formula_rank, rep.composed_rank, rep.equal) == (27, 27, True)
+    assert len(primes) == 3 and primes[1] != primes[2]
+
+
 def test_rank_theorem_requires_strong_balance():
     with pytest.raises(ValueError):
         cp.verify_rank_theorem(

@@ -42,8 +42,10 @@ def test_group_indexing_round_trip():
         G.index((0, 0, 0))
     assert _oracle_negate(m, G.index((1, 0, 1))) == G.index((2, 0, 1))
     gens = [G.index((1, 0, 0)), G.index((0, 1, 0)), G.index((0, 0, 1))]
-    assert G.shifts.tolist() == [[_oracle_add(m, a, e) for a in range(G.order)]
-                                 for e in gens]
+    every = np.arange(G.order)
+    for e in gens:
+        moved = np.array([_oracle_add(m, a, e) for a in range(G.order)])
+        assert (gc._differences(G, every, moved) == e).all()
 
 
 def test_characters_z3():
@@ -423,6 +425,14 @@ def test_family_check_against_per_pair_loop_on_flipped_maps():
             assert per_pair == (trial == 0), (G, trial)
 
 
+def _not_computed(table):
+    """The same rows in a table not marked as computed for a group, so
+    orthogonality_general takes the dense route."""
+    return gc.CharacterTable._trusted(table.table, table.class_of,
+                                      table.degrees, table.trivial_index(),
+                                      table.conjugate)
+
+
 def test_character_stacks_refused_before_they_are_built(monkeypatch):
     # each element once: Z2^11 on 64 x 32 needs 2047 complex 64 x 32
     # stacks, their conjugates and a 2046 x 64 x 64 product (335 MB); Z2^10
@@ -442,6 +452,11 @@ def test_character_stacks_refused_before_they_are_built(monkeypatch):
         cases.append((gc.GroupMapMatrix(np.arange(2 ** t).reshape(shape), G),
                       gc.characters_abelian(G)))
     (big, big_table), (small, small_table) = cases
+    # the computed table asks invariance first, which these maps fail
+    with pytest.raises(ResourceLimitError, match="2047 character stacks"):
+        gc.orthogonality_general(big, big_table, range(1, 2 ** 11))
+    # a table not computed for the map goes straight to the stacks
+    big_table, small_table = map(_not_computed, (big_table, small_table))
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="2047 character stacks "
@@ -467,6 +482,22 @@ def test_pair_multisets_cap_fires_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_pair_keys_past_the_budget_fall_back_to_the_stacks():
+    # one hard character of Z2 on 330 x 330: the pair keys are refused, but
+    # the dense route needs one 330 x 330 stack and no product
+    gm = gc.GroupMapMatrix(np.indices((330, 330)).sum(axis=0) % 2, Z2)
+    rep = gc.orthogonality_general(gm, T_Z2, [1])
+    assert (rep.route, rep.all_pairs_invariant, rep.passed) == \
+        ("dense", None, True)
+    part = gc.HardnessPartition.from_easy([0], 2)
+    assert gc.general_bound(gm, [1.0, -1.0], T_Z2, part, 0.0).applicable
+    # the block passes its structural condition by the stacks, as with a
+    # table not computed for it, and is refused only for its degree
+    for table in (T_Z2, _not_computed(T_Z2)):
+        assert gc.block_group_bound([gm], [1.0, -1.0], [table]).warnings[-1] \
+            == "no subset larger than d=1 exists among 1 blocks"
 
 
 def test_invariance_examples():
@@ -535,6 +566,31 @@ def test_g_invariant_against_shift_oracle():
             closed[next(iter(closed))] += 1
             assert not gc.g_invariant(pair_set(closed), G)
     assert invariant_seen >= 200
+
+
+def test_g_invariant_full_runs_with_unequal_multiplicities():
+    # each (t - s) run has its |G| rows, but one run mixes multiplicities
+    for G in (Z3, Z22, gc.AbelianGroupSpec([2, 3])):
+        n = G.order
+        diag = Counter({(s, s): 1 for s in range(n)})
+        shifted = Counter({(s, _oracle_add(G.moduli, s, 1)): 2
+                           for s in range(n)})
+        assert gc.g_invariant(pair_set(diag + shifted), G)
+        uneven = diag + shifted
+        uneven[(0, 0)] += 1
+        assert not gc.g_invariant(pair_set(uneven), G)
+        # the same in a family: two labels, only the second uneven
+        fam = np.array([[label, s, t, m] for label, cnt in
+                        enumerate((diag + shifted, uneven))
+                        for (s, t), m in sorted(cnt.items())])
+        assert not gc.g_invariant(fam, G)
+        assert gc.g_invariant(fam[fam[:, 0] == 0], G)
+
+
+def test_g_invariant_empty_multisets_are_invariant():
+    for G in (Z2, Z3, Z22):
+        assert gc.g_invariant(np.zeros((0, 3), dtype=np.int64), G)
+        assert gc.g_invariant(np.zeros((0, 4), dtype=np.int64), G)
 
 
 def test_pair_multisets_against_counter_oracle():
@@ -718,6 +774,103 @@ def test_orthogonality_general_against_pairwise_loop():
                                       col <= rep.col_threshold)
                 verdicts.add(rep.passed)
     assert verdicts == {True, False}
+
+
+INVARIANCE_GROUPS = ([2], [3], [4], [2, 2], [2, 3], [2, 2, 2])
+
+
+def _seeded_maps(rng, G):
+    """Invariant maps (permuted addition tables, with rows and columns
+    repeated in random order) and maps that are not (one entry moved, and
+    uniform random entries)."""
+    base = _permuted_addition(rng, G)
+    rows = rng.permutation(np.repeat(np.arange(G.order), 2))
+    blown = gc.GroupMapMatrix(base.entries[rows][:, rng.permutation(G.order)],
+                              G)
+    moved = base.entries.copy()
+    moved[rng.integers(G.order), rng.integers(G.order)] += 1
+    return [base, blown, gc.GroupMapMatrix(moved % G.order, G),
+            gc.GroupMapMatrix(rng.integers(G.order, size=(G.order, 6)), G)]
+
+
+def test_invariance_route_implies_a_dense_pass():
+    rng = np.random.default_rng(29)
+    routes = Counter()
+    for moduli in INVARIANCE_GROUPS:
+        G = gc.AbelianGroupSpec(moduli)
+        table = gc.characters_abelian(G)
+        for gm in _seeded_maps(rng, G):
+            invariant = gc.all_pairs_invariant(gm)
+            for size in range(G.order + 1):
+                hard = rng.choice(G.order, size=size, replace=False).tolist()
+                rep = gc.orthogonality_general(gm, table, hard)
+                row, col, _ = _pairwise_orthogonality(gm, table, hard)
+                assert rep.all_pairs_invariant == invariant
+                routes[rep.route] += 1
+                if rep.route == "invariance":
+                    assert invariant and rep.passed
+                    assert rep.max_row_violation == rep.max_col_violation == 0.0
+                    assert row <= rep.row_threshold and \
+                        col <= rep.col_threshold, (moduli, hard)
+                else:
+                    assert not invariant
+                    assert rep.max_row_violation == pytest.approx(row, abs=1e-12)
+                    assert rep.max_col_violation == pytest.approx(col, abs=1e-12)
+    assert routes["invariance"] >= 50 and routes["dense"] >= 50
+
+
+def test_invariance_equals_orthogonality_with_every_character_hard():
+    rng = np.random.default_rng(31)
+    verdicts = Counter()
+    for moduli in INVARIANCE_GROUPS:
+        G = gc.AbelianGroupSpec(moduli)
+        table = gc.characters_abelian(G)
+        for gm in _seeded_maps(rng, G):
+            row, col, _ = _pairwise_orthogonality(gm, table, range(G.order))
+            dense = row <= 1e-8 * gm.cols and col <= 1e-8 * gm.rows
+            assert gc.all_pairs_invariant(gm) == dense, (moduli, gm.entries)
+            verdicts[dense] += 1
+            # the block bound decides the block by invariance alone, and
+            # agrees with the dense route of a table not computed for it
+            fv = np.ones(G.order)
+            fv[1] = -1.0
+            by_invariance = gc.block_group_bound([gm], fv, [table])
+            by_stack = gc.block_group_bound([gm], fv, [_not_computed(table)])
+            assert by_invariance.warnings == by_stack.warnings
+            assert by_invariance.main_term == by_stack.main_term
+    assert verdicts[True] >= 6 and verdicts[False] >= 6
+
+
+def test_block_group_bound_builds_no_stack_for_computed_tables(monkeypatch):
+    subjects = []
+    check = gc.check_bytes
+    monkeypatch.setattr(gc, "check_bytes", lambda need, subject:
+                        subjects.append(subject) or check(need, subject))
+    gm = gc.GroupMapMatrix.from_sign_blocks([mx.PATTERN_CORE_4])
+    flat = gc.GroupMapMatrix(np.array([[0, 0], [1, 1]]), Z2)
+    assert gc.block_group_bound([gm, gm], np.array([1.0, -1.0, 1.0, -1.0]),
+                                [T_Z2, T_Z2]).applicable
+    assert not gc.block_group_bound([flat], np.array([1.0, -1.0]),
+                                    [T_Z2]).applicable
+    assert not any("character stacks" in s for s in subjects)
+
+
+def test_only_the_computed_table_takes_the_invariance_route():
+    G = gc.AbelianGroupSpec([4, 2])
+    gm = _permuted_addition(np.random.default_rng(37), G)
+    computed = gc.characters_abelian(G)
+    assert computed.group == G
+    rep = gc.orthogonality_general(gm, computed, range(1, 8))
+    assert (rep.route, rep.all_pairs_invariant) == ("invariance", True)
+    # equal rows read from a file, built by hand, or computed for another
+    # group of the same order are not known to be the map's characters
+    others = [gc.CharacterTable.from_json(computed.to_json()),
+              gc.CharacterTable(8, 8, computed.table, range(8), [1] * 8),
+              gc.characters_abelian(gc.AbelianGroupSpec([8]))]
+    for table in others:
+        rep = gc.orthogonality_general(gm, table, range(1, 8))
+        assert rep.route == "dense" and rep.all_pairs_invariant is None
+    assert others[0].group is None and others[1].group is None
 
 
 def test_general_bound_norms_against_spectrum():
@@ -1126,11 +1279,11 @@ def _oracle_negate(moduli, i):
         (-a) % m for a, m in zip(_oracle_element(moduli, i), moduli)))
 
 
-def _oracle_shifts(moduli):
-    idx = np.arange(math.prod(moduli))
-    m = np.array(moduli)[:, None]
-    stride = np.cumprod((1,) + tuple(moduli[:-1]))[:, None]
-    return idx + stride - m * stride * (idx // stride % m == m - 1)
+def _oracle_differences(moduli):
+    """t - s for every pair of element indices, s major."""
+    n = math.prod(moduli)
+    return [_oracle_add(moduli, t, _oracle_negate(moduli, s))
+            for s in range(n) for t in range(n)]
 
 
 def _oracle_from_text(text):
@@ -1156,7 +1309,9 @@ ORACLE_GROUPS = [(2,) * t for t in range(1, 7)] + [
 def test_group_encoding_against_scalar_oracle():
     for moduli in ORACLE_GROUPS:
         G = gc.AbelianGroupSpec(moduli)
-        assert np.array_equal(G.shifts, _oracle_shifts(moduli)), moduli
+        s, t = np.divmod(np.arange(G.order ** 2), G.order)
+        assert gc._differences(G, s, t).tolist() == \
+            _oracle_differences(moduli), moduli
         for i in range(G.order):
             e = _oracle_element(moduli, i)
             assert G.element(i) == e and G.index(e) == i, (moduli, i)

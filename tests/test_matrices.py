@@ -170,6 +170,19 @@ def test_exact_rank_primes(monkeypatch):
     assert all(sympy.isprime(p) and p < 2 ** 21 for p in used)
 
 
+
+def test_exact_rank_stops_at_a_known_upper_bound(monkeypatch):
+    used = []
+    prime = mx._prime
+    monkeypatch.setattr(mx, "_prime", lambda i: used.append(i) or prime(i))
+    H = _signed_hadamard_256(14)
+    H[7] = H[100]
+    # the first prime already reaches the bound 255, so it settles the rank
+    assert mx.exact_rank(H, at_most=255) == 255 and used == [0]
+    # a bound above the rank settles nothing, and every prime is taken
+    used.clear()
+    assert mx.exact_rank(H, at_most=256) == 255 and len(used) > 10
+
 def test_exact_rank_input_checks():
     assert mx.exact_rank(np.zeros((0, 3))) == 0
     assert mx.exact_rank(np.zeros((3, 0), dtype=np.int64)) == 0

@@ -33,7 +33,7 @@ class BoolFunction:
         arr = np.asarray(table, dtype=np.int64)
         if n < 0 or arr.shape != (2 ** n,):
             raise ValueError(f"table must have length 2^{n}")
-        if not np.isin(arr, (-1, 1)).all():
+        if not (np.abs(arr) == 1).all():
             raise ValueError("Boolean function values must be -1 or +1")
         arr = arr.copy()
         arr.setflags(write=False)

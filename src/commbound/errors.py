@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the byte budget they guard."""
 
-# the dense arrays one call may hold: a complex character table (|G| <= 4096),
+# the dense arrays one call may hold: a character table (|G| <= 4096),
 # the character stacks over a group map, an LP tableau, the int64 keys of one
 # family of pair multisets, the balanced rows of a search, or a composition
 MAX_TABLE_BYTES = 2 ** 28

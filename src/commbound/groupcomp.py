@@ -84,6 +84,9 @@ class CharacterTable:
     AbelianGroupSpec whose characters characters_abelian computed as this
     table, and None for every other table: rows read from a file or given
     to the constructor need not be the characters of a map's group.
+    The table is float64 when none of its values has an imaginary part
+    (every Z_2^t table, every product of real tables, a real table read
+    from a file), else complex128.
     """
 
     __slots__ = ("h", "order", "table", "class_of", "degrees", "conjugate",
@@ -129,6 +132,12 @@ class CharacterTable:
 
     def _record(self, table: np.ndarray, class_of, degrees, trivial: int,
                 conjugate: np.ndarray) -> None:
+        # a real row is its own conjugate, so a table with any other
+        # conjugation is complex without a scan of its values
+        if table.dtype.kind == "c" and \
+                (conjugate == np.arange(len(conjugate))).all() and \
+                not table.imag.any():
+            table = table.real.copy()
         table.setflags(write=False)
         conjugate.setflags(write=False)
         self.h, self.order = table.shape
@@ -146,13 +155,14 @@ class CharacterTable:
         their degrees because the factors' rows are: (A (x) B)(A (x) B)^H =
         AA^H (x) BB^H, so the constructor's checks are skipped.  Classes are
         the mixed radix of the factors' classes, and degrees multiply; so
-        are the trivial row and each row's conjugate.  A table past
-        MAX_TABLE_BYTES is refused before the fold allocates it.
+        are the trivial row and each row's conjugate.  The fold starts from
+        a real 1 x 1 one, so the product of real tables is built real.  A
+        table past MAX_TABLE_BYTES is refused before the fold allocates it.
         """
         tables = list(tables)[::-1]
         order = math.prod(t.order for t in tables)
-        check_bytes(math.prod(t.h for t in tables) * order
-                    * np.dtype(complex).itemsize,
+        dtype = np.result_type(float, *(t.table.dtype for t in tables))
+        check_bytes(math.prod(t.h for t in tables) * order * dtype.itemsize,
                     f"character table of order {order} needs")
 
         def radix(parts):
@@ -162,7 +172,7 @@ class CharacterTable:
 
         return cls._trusted(
             functools.reduce(np.kron, [t.table for t in tables],
-                             np.ones((1, 1), dtype=complex)),
+                             np.ones((1, 1))),
             radix(t.class_of for t in tables),
             functools.reduce(np.kron, [t.degrees for t in tables],
                              np.ones(1, dtype=np.int64)).tolist(),
@@ -172,7 +182,7 @@ class CharacterTable:
     @classmethod
     def _trusted(cls, table: np.ndarray, class_of, degrees, trivial: int,
                  conjugate: np.ndarray) -> "CharacterTable":
-        """Wrap a complex table whose rows are orthogonal and within their
+        """Wrap a table whose rows are orthogonal and within their
         degrees by construction, with its trivial row and conjugates,
         skipping the constructor's checks."""
         out = object.__new__(cls)
@@ -244,12 +254,14 @@ def characters_abelian(G: AbelianGroupSpec) -> CharacterTable:
     as in the element indexing.  The cyclic tables are DFT matrices, whose
     rows are orthogonal and of modulus one by construction, so they skip the
     constructor's O(m^3) Gram check.  They are exact at quarter turns, so
-    Z_2^t tables are exactly +-1.
+    Z_2^t tables are exactly +-1, and stored as float64: 8 bytes per entry
+    where every other group takes 16.
     """
     # product checks the same bytes, but only after the factors are built,
     # and one cyclic factor of order m takes 24 m^2 bytes to build
     order = G.order
-    check_bytes(order * order * np.dtype(complex).itemsize,
+    real = set(G.moduli) == {2}
+    check_bytes(order * order * np.dtype(float if real else complex).itemsize,
                 f"character table of order {order} needs")
     table = CharacterTable.product(
         CharacterTable._trusted(_cyclic_characters(m), np.arange(m), [1] * m,
@@ -645,18 +657,21 @@ def orthogonality_general(gmap: GroupMapMatrix, table: CharacterTable,
     0.0 (route "invariance").  Otherwise, and for any other table, the sums
     are computed (route "dense"): character i against every later one at
     once, in two batched products.
-    ResourceLimitError first when the k x X x Y stack, its conjugate and one
-    batched product with its moduli would pass MAX_TABLE_BYTES.
+    ResourceLimitError first when the k x X x Y stack, its conjugate (a
+    real stack is its own) and one batched product with its moduli would
+    pass MAX_TABLE_BYTES.
     """
     hard = sorted(hard)
     k, (X, Y) = len(hard), gmap.entries.shape
     invariant = _invariance(gmap, table)
     worst_row = worst_col = 0.0
     if not invariant:
-        check_bytes(8 * k * (4 * X * Y + 3 * max(X, Y) ** 2),
+        size = table.table.itemsize
+        copies = 2 if table.table.dtype.kind == "c" else 1
+        check_bytes(k * (copies * size * X * Y + (size + 8) * max(X, Y) ** 2),
                     f"{k} character stacks over a {X}x{Y} map need")
         S = table.table[hard][:, gmap.entries]
-        conj = S.conj()
+        conj = S.conj() if copies == 2 else S
         conj_t = conj.transpose(0, 2, 1)
         for i in range(k - 1):
             worst_row = max(worst_row,
@@ -791,14 +806,15 @@ def check_table_order(gmap: GroupMapMatrix, table: CharacterTable,
 
 def _spectral_norms(table: CharacterTable, chars, gmap: GroupMapMatrix):
     """The spectral norm ||[chi(g(x, y))]|| of each chi in chars, a list.
-    ResourceLimitError first when the k x X x Y complex stack of the
-    character matrices would pass MAX_TABLE_BYTES.  A stack with no
-    imaginary part, as every one over Z_2^t, takes the faster real SVD."""
+    ResourceLimitError first when the k x X x Y stack of the character
+    matrices, of the table's dtype, would pass MAX_TABLE_BYTES.  A real
+    stack, as every one over Z_2^t or of real characters of a complex
+    table, takes the faster real SVD."""
     X, Y = gmap.entries.shape
-    check_bytes(np.dtype(complex).itemsize * len(chars) * X * Y,
+    check_bytes(table.table.itemsize * len(chars) * X * Y,
                 f"{len(chars)} character matrices over a {X}x{Y} map need")
     stack = table.table[chars][:, gmap.entries]
-    if not stack.imag.any():
+    if stack.dtype.kind == "c" and not stack.imag.any():
         stack = stack.real
     return np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
 

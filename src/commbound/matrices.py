@@ -43,7 +43,7 @@ class SignMatrix:
         arr = np.asarray(entries, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("sign matrix must be 2-dimensional and non-empty")
-        if not np.isin(arr, (-1, 1)).all():
+        if not (np.abs(arr) == 1).all():
             raise ValueError("sign matrix entries must be -1 or +1")
         arr = arr.copy()
         arr.setflags(write=False)

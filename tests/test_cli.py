@@ -611,14 +611,16 @@ def test_arity_cap_exits_3_before_building_the_table(capsys, tmp_path):
 def test_group_check_character_table_cap_exits_3(capsys, tmp_path):
     gmap = tmp_path / "gmap.txt"
     # a character table of order 2^13, the pair multisets of a 330 x 330
-    # map, then the character stacks of Z2^11 on a 64 x 32 map
+    # map, then the character stacks of Z2^11 on a 128 x 32 map that holds
+    # each element twice (the real stacks of a 64 x 32 map fit the budget)
     elements = [":".join(str(a >> b & 1) for b in range(11))
-                for a in range(2 ** 11)]
+                for a in range(2 ** 11)] * 2
     for text in ("group " + ",".join(["2"] * 13) + "\n" +
                  ":".join(["0"] * 13) + "\n",
                  "group 2\n" + (",".join("01" * 165) + "\n") * 330,
                  "group " + ",".join(["2"] * 11) + "\n" +
-                 "".join(",".join(elements[r::64]) + "\n" for r in range(64))):
+                 "".join(",".join(elements[r::128]) + "\n"
+                         for r in range(128))):
         gmap.write_text(text)
         code = main(["group-check", "--gmap", str(gmap)])
         out, err = capsys.readouterr()
@@ -723,14 +725,18 @@ def test_group_check_command(capsys, tmp_path):
     assert body["bound"]["main_term"] == pytest.approx(0.5)
 
 
-def _xor_map_files(tmp_path, t):
-    """The XOR map of Z2^t on 2^t x 2^t, which is invariant, and values."""
-    x = np.arange(2 ** t)
-    gm = GroupMapMatrix(x[:, None] ^ x[None, :], AbelianGroupSpec([2] * t))
-    gmap, values = tmp_path / "xor.gmap", tmp_path / "xor.vals"
+def _addition_map_files(tmp_path, moduli):
+    """The addition map x + y of G = Z_m1 x ... on |G| x |G|, which is
+    invariant (on Z2^t it is XOR), and values."""
+    G = AbelianGroupSpec(moduli)
+    digits = np.unravel_index(np.arange(G.order), G.moduli, order="F")
+    gm = GroupMapMatrix(np.ravel_multi_index(
+        [d[:, None] + d[None, :] for d in digits], G.moduli, mode="wrap",
+        order="F"), G)
+    gmap, values = tmp_path / "add.gmap", tmp_path / "add.vals"
     gmap.write_text(gm.to_text())
     values.write_text(" ".join(str(v) for v in
-                               np.linspace(-1.0, 1.0, 2 ** t)) + "\n")
+                               np.linspace(-1.0, 1.0, G.order)) + "\n")
     return str(gmap), str(values)
 
 
@@ -745,7 +751,7 @@ def test_group_check_evaluates_each_condition_once(capsys, monkeypatch,
             calls.append((_name, args[-1] if _name == "check_bytes" else ""))
             return _fn(*args)
         monkeypatch.setattr(gc, name, counted)
-    gmap, values = _xor_map_files(tmp_path, 3)
+    gmap, values = _addition_map_files(tmp_path, [2] * 3)
     code, report = run_cli(capsys, "group-check", "--gmap", gmap,
                            "--values", values)
     assert code == EXIT_OK
@@ -763,7 +769,7 @@ def test_group_check_evaluates_each_condition_once(capsys, monkeypatch,
 
 
 def test_group_check_table_file_takes_the_dense_route(capsys, tmp_path):
-    gmap, values = _xor_map_files(tmp_path, 2)
+    gmap, values = _addition_map_files(tmp_path, [2] * 2)
     table = tmp_path / "table.json"
     table.write_text(characters_abelian(AbelianGroupSpec([2, 2])).to_json())
     routes = {}
@@ -784,11 +790,12 @@ def test_spectral_norm_stack_refused_before_it_is_built(capsys, monkeypatch,
     from commbound import errors
     from commbound import groupcomp as gc
 
-    # the XOR map of Z2^6 passes orthogonality by invariance, whose 2 MiB of
-    # pair-multiset keys the budget admits; its 63 complex 64 x 64
-    # character matrices (4,128,768 bytes) it does not
+    # the addition map of Z4^3 passes orthogonality by invariance, whose
+    # 2 MiB of pair-multiset keys the budget admits; its 63 complex 64 x 64
+    # character matrices (4,128,768 bytes) it does not.  (Over Z2^6 the
+    # matrices are real and smaller than the keys.)
     monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 2 ** 21)
-    gmap, values = _xor_map_files(tmp_path, 6)
+    gmap, values = _addition_map_files(tmp_path, [4] * 3)
     code = main(["group-check", "--gmap", gmap, "--values", values])
     out, err = capsys.readouterr()
     assert (code, out) == (EXIT_RESOURCE, "")

@@ -56,9 +56,10 @@ def test_characters_z3():
 
 
 def test_characters_z2n_match_boolean_characters():
-    # the Kronecker product of exact +-1 tables is exact
+    # the Kronecker product of exact +-1 tables is exact, and held real
     for t in (1, 2, 3, 5):
         table = gc.characters_abelian(gc.AbelianGroupSpec([2] * t)).table
+        assert table.dtype == np.float64
         for T in range(2 ** t):
             for x in range(2 ** t):
                 assert table[T, x] == character_eval(T, x)
@@ -192,10 +193,14 @@ def test_characters_abelian_against_kron_loop():
     # the fold multiplies the same factors in the other association; Z2
     # factors multiply by +-1 exactly and two other factors meet in a single
     # product either way, so the values are equal while at most two factors
-    # are not Z2 (only the sign of some zero imaginary parts may differ)
-    for moduli in ((2,) * 9, (2, 5), (7,), (4, 2), (3, 4, 2), (2, 5, 2, 3)):
+    # are not Z2 (only the sign of some zero imaginary parts may differ).
+    # Only the Z2^t tables, with no imaginary part, are held real
+    for moduli in ((2,) * 9, (3,), (4,), (2, 3), (2, 5), (7,), (4, 2),
+                   (3, 4, 2), (2, 5, 2, 3)):
         G = gc.AbelianGroupSpec(moduli)
         table = gc.characters_abelian(G)
+        assert table.table.dtype == (np.float64 if set(moduli) == {2}
+                                     else np.complex128), moduli
         assert np.array_equal(table.table, _kron_loop_characters(moduli))
         assert np.array_equal(table.class_of, np.arange(G.order))
         assert table.degrees == (1,) * G.order
@@ -299,6 +304,119 @@ def test_character_table_json_round_trip():
     again = gc.CharacterTable.from_json(T_Z3.to_json())
     assert np.allclose(again.table, T_Z3.table)
     assert again.degrees == T_Z3.degrees
+    # a table with no imaginary part is read as float64 and written back
+    # byte for byte
+    for table in (_s3()[1], gc.characters_abelian(gc.AbelianGroupSpec([2]
+                                                                      * 3))):
+        text = table.to_json()
+        again = gc.CharacterTable.from_json(text)
+        assert again.table.dtype == np.float64
+        assert np.array_equal(again.table, table.table)
+        assert again.to_json() == text
+
+
+def _complex_cast(table):
+    """table with its rows held as complex128, the reference for a real
+    table.  Built past _record, which would store them real again."""
+    out = object.__new__(gc.CharacterTable)
+    for name in gc.CharacterTable.__slots__:
+        setattr(out, name, getattr(table, name))
+    out.table = table.table.astype(complex)
+    return out
+
+
+def test_products_of_real_tables_are_real():
+    _, s3 = _s3()
+    assert s3.table.dtype == np.float64
+    for factors in ([T_Z2, T_Z2], [s3, T_Z2], [T_Z22, s3], []):
+        product = gc.CharacterTable.product(factors)
+        assert product.table.dtype == np.float64
+        complex_rows = gc.CharacterTable.product(map(_complex_cast, factors))
+        assert np.array_equal(product.table, complex_rows.table)
+    for factors in ([T_Z2, T_Z3], [T_Z3, s3]):
+        assert gc.CharacterTable.product(factors).table.dtype == \
+            np.complex128
+
+
+def test_real_tables_agree_with_their_complex_cast():
+    # the dense orthogonality route and the spectral norms give the values
+    # the complex128 rows give, on a map no shift fixes
+    G = gc.AbelianGroupSpec([2] * 4)
+    table = gc.characters_abelian(G)
+    gm = gc.GroupMapMatrix(np.random.default_rng(5).permutation(
+        np.arange(256) % 16).reshape(16, 16), G)
+    wide = _complex_cast(table)
+    hard = range(1, 16)
+    real, cast = (gc.orthogonality_general(gm, t, hard) for t in (table, wide))
+    assert real.route == cast.route == "dense" and not real.passed
+    assert abs(real.max_row_violation - cast.max_row_violation) <= 1e-12
+    assert abs(real.max_col_violation - cast.max_col_violation) <= 1e-12
+    assert np.abs(np.subtract(gc._spectral_norms(table, list(hard), gm),
+                              gc._spectral_norms(wide, list(hard), gm))
+                  ).max() <= 1e-12
+
+
+def test_byte_needs_follow_the_table_dtype(monkeypatch):
+    needs = []
+    check = gc.check_bytes
+
+    def record(need, subject):
+        # the pair-multiset keys, asked before the dense route, are int64
+        if not subject.startswith("pair multisets"):
+            needs.append(need)
+        check(need, subject)
+
+    monkeypatch.setattr(gc, "check_bytes", record)
+
+    def recorded(call, *args):
+        needs.clear()
+        call(*args)
+        return list(needs)
+
+    X = Y = 8
+    for G, real in ((gc.AbelianGroupSpec([2] * 3), True), (Z3, False)):
+        table = gc.characters_abelian(G)
+        assert (table.table.dtype == np.float64) == real
+        wide = _complex_cast(table)
+        # a map no shift fixes, so the dense route runs
+        gm = gc.GroupMapMatrix(np.arange(X * Y).reshape(X, Y) % G.order, G)
+        hard = list(range(1, G.order))
+        k, n = len(hard), G.order
+        got = [recorded(gc.characters_abelian, G),
+               recorded(gc.CharacterTable.product, [table] * 2),
+               recorded(gc.orthogonality_general, gm, table, hard),
+               recorded(gc._spectral_norms, table, hard, gm)]
+        # the complex figures
+        wide_needs = [[n * n * 16] * 2, [n ** 4 * 16],
+                      [8 * k * (4 * X * Y + 3 * max(X, Y) ** 2)],
+                      [16 * k * X * Y]]
+        assert [recorded(gc.CharacterTable.product, [wide] * 2),
+                recorded(gc.orthogonality_general, gm, wide, hard),
+                recorded(gc._spectral_norms, wide, hard, gm)] == wide_needs[1:]
+        if not real:
+            assert got == wide_needs
+            continue
+        # a real table: half of each figure, and no conjugate copy of the
+        # stack, so on a square map the dense route needs less than half
+        assert got[:2] + got[3:] == [[b // 2 for b in need] for need in
+                                     wide_needs[:2] + wide_needs[3:]]
+        assert got[2] == [k * (8 * X * Y + 16 * max(X, Y) ** 2)]
+        assert got[2][0] < wide_needs[2][0] // 2
+
+
+def test_z2_12_table_is_built_within_the_budget():
+    # the complex fold peaked at 320 MiB, past the 256 MiB budget; the real
+    # 128 MiB table and its 32 MiB factor fit
+    from commbound import errors
+
+    tracemalloc.start()
+    try:
+        table = gc.characters_abelian(gc.AbelianGroupSpec((2,) * 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= errors.MAX_TABLE_BYTES
+    assert table.table.dtype == np.float64
 
 
 def test_pair_multisets_from_xor():
@@ -434,9 +552,9 @@ def _not_computed(table):
 
 
 def test_character_stacks_refused_before_they_are_built(monkeypatch):
-    # each element once: Z2^11 on 64 x 32 needs 2047 complex 64 x 32
-    # stacks, their conjugates and a 2046 x 64 x 64 product (335 MB); Z2^10
-    # on 32 x 32 (59 MB) is admitted
+    # each element twice: Z2^11 on 128 x 32 needs 2047 real 128 x 32
+    # stacks and a 2046 x 128 x 128 product with its moduli (604 MB); Z2^10
+    # on 32 x 32, each element once (25 MB), is admitted
     from commbound import errors
 
     class Admitted(Exception):
@@ -447,10 +565,10 @@ def test_character_stacks_refused_before_they_are_built(monkeypatch):
         raise Admitted
 
     cases = []
-    for t, shape in ((11, (64, 32)), (10, (32, 32))):
+    for t, shape in ((11, (128, 32)), (10, (32, 32))):
         G = gc.AbelianGroupSpec([2] * t)
-        cases.append((gc.GroupMapMatrix(np.arange(2 ** t).reshape(shape), G),
-                      gc.characters_abelian(G)))
+        E = np.arange(math.prod(shape)).reshape(shape) % 2 ** t
+        cases.append((gc.GroupMapMatrix(E, G), gc.characters_abelian(G)))
     (big, big_table), (small, small_table) = cases
     # the computed table asks invariance first, which these maps fail
     with pytest.raises(ResourceLimitError, match="2047 character stacks"):
@@ -460,7 +578,7 @@ def test_character_stacks_refused_before_they_are_built(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="2047 character stacks "
-                           "over a 64x32 map need 335380480 bytes"):
+                           "over a 128x32 map need 603684864 bytes"):
             gc.orthogonality_general(big, big_table, range(1, 2 ** 11))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1417,7 +1535,7 @@ def test_character_table_refuses_missing_trivial_row_or_conjugate():
 
 def test_trivial_lookup_builds_no_table_copy():
     # the trivial row is recorded when the table is built, so the lookup
-    # holds no copy of the 256 MiB table
+    # holds no copy of the 128 MiB table
     table = gc.characters_abelian(gc.AbelianGroupSpec([2] * 12))
     tracemalloc.start()
     try:
@@ -1432,8 +1550,8 @@ def test_trivial_lookup_builds_no_table_copy():
 
 def test_span_lp_refused_before_its_basis_is_built():
     # Z2^12 with every character easy: 4097 rows over 2 * 4096 + 1 + 4097
-    # columns.  The 256 MiB table is built before the trace starts; the
-    # whole 4096 x 4096 conjugate product alone would be as large again
+    # columns.  The 128 MiB table is built before the trace starts; the
+    # whole 4096 x 4096 complex conjugate product alone would be twice that
     table = gc.characters_abelian(gc.AbelianGroupSpec([2] * 12))
     tracemalloc.start()
     try:

@@ -10,18 +10,22 @@ witness that deg_epsilon(f) is larger.  From deg(f) up no LP is needed: the
 transform approximates f without error.  Inner products are plain sums over
 the 2^n points.
 
-A symmetric f (its table constant on every Hamming level, as for every
-builtin, and detected from the table) takes the same LP on its n+1 levels
-(Minsky-Papert symmetrization), over the Chebyshev polynomials T_j(2k/n - 1)
-in the level k.  The level dual psi lifts to the point witness
-v(x) = psi(|x|) / C(n, |x|), which keeps the l1 mass, the correlation and
-the orthogonality to every character of degree <= d, because a character's
-average over a level is a polynomial of its degree in k.  The approximant is
-p(x) = P(|x|) for the fitted level polynomial P, cut above degree d.
+The LP runs on f's types (Minsky-Papert symmetrization by f's own
+symmetries; see _types): it keeps the optimum, since averaging over the
+permutations within f's swap classes keeps an approximant's error and
+degree.  Its basis is the products of Chebyshev polynomials in the class
+counts of total degree <= d, which span the class averages of the
+characters of degree <= d, so the type dual psi lifts to the point witness
+v(x) = psi(t(x)) / |orbit of t(x)| with the same l1 mass, correlation and
+orthogonality.  The approximant is p(x) = P(t(x)) for the fitted type
+polynomial P, cut above degree d.  One class of all n inputs (a symmetric
+f, every builtin) gives the n+1 Hamming levels; n singletons give the 2^n
+points and the characters, each of odd degree negated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,43 +76,52 @@ class DualCheck:
         return self.orthogonality_ok and self.l1_ok and self.correlation_ok
 
 
-def _character_matrix(n: int, masks) -> np.ndarray:
-    """Rows chi_T(x) = (-1)^popcount(T & x) over all 2^n points, T in masks."""
-    v = np.bitwise_and.outer(np.asarray(masks, dtype=np.int64),
-                             np.arange(2 ** n))
-    return 1.0 - 2.0 * (np.bitwise_count(v) & 1)
-
-
 def _popcounts(n: int) -> np.ndarray:
     """|T| for every mask T = 0..2^n-1 (the Hamming level of every point)."""
     return np.bitwise_count(np.arange(2 ** n))
 
 
-def _masks_up_to_degree(n: int, d: int) -> np.ndarray:
-    """Every T with |T| <= d, in ascending order."""
-    return np.flatnonzero(_popcounts(n) <= d)
+def _types(f: BoolFunction) -> tuple:
+    """f's swap classes and its types, (F, t, k, tables).
+
+    Inputs i and j share a class when swapping x_i and x_j leaves f's table
+    unchanged, an equivalence ((i k) = (i j)(j k)(i j)), so each input is
+    tested against one member of every class before it.  A type counts the
+    -1 inputs k_b in each class B_b; types and basis multi-indices s share
+    one mixed radix, class 0 least significant.  F is f on the types, t the
+    type of every point, k[b] the k_b of every type, and tables[b][s] is
+    T_s(2 k_b / |B_b| - 1) at every type.
+    """
+    table = f.table.reshape((2,) * f.n)     # input i on axis -1 - i
+    classes: list[list[int]] = []
+    for i in range(f.n):
+        for c in classes:
+            if (table == table.swapaxes(-1 - i, -1 - c[0])).all():
+                c.append(i)
+                break
+        else:
+            classes.append([i])
+    base = [len(c) + 1 for c in classes]
+    radix = np.array([math.prod(base[:b]) for b in range(len(base) + 1)])
+    k = np.arange(radix[-1]) // radix[:-1, None] % np.array(base)[:, None]
+    masks = np.array([sum(1 << i for i in c) for c in classes], np.int64)
+    t = radix[:-1] @ np.bitwise_count(masks[:, None] & np.arange(2 ** f.n))
+    F = np.zeros(radix[-1])
+    F[t] = f.table
+    return F, t, k, [_chebyshev_table(len(c))[:, kb]
+                     for c, kb in zip(classes, k)]
 
 
-def _levels(f: BoolFunction) -> np.ndarray | None:
-    """f's values on the Hamming levels 0..n when its table is constant on
-    every level, else None; None at arity 0 too, where the level grid
-    2k/n - 1 is undefined."""
-    k = _popcounts(f.n)
-    F = np.zeros(f.n + 1)
-    F[k] = f.table
-    return F if f.n and np.array_equal(F[k], f.table) else None
+@functools.cache
+def _chebyshev_table(m: int) -> np.ndarray:
+    """T_s(2k/m - 1) by s and k = 0..m, read-only: the Chebyshev
+    polynomials on the counts of a class of m inputs."""
+    # imported here, so that only the LP pays numpy.polynomial's import
+    from numpy.polynomial.chebyshev import chebvander
 
-
-def _level_basis(n: int, d: int) -> np.ndarray:
-    """Chebyshev polynomials T_j(2k/n - 1), j <= min(d, n), on the levels
-    k = 0..n, by the three-term recurrence; they span the polynomials of
-    degree <= d in k and are bounded by 1 on the levels."""
-    t = 2.0 * np.arange(n + 1) / n - 1.0
-    T = np.ones((min(d, n) + 1, n + 1))
-    T[1:2] = t
-    for j in range(2, len(T)):
-        T[j] = 2.0 * t * T[j - 1] - T[j - 2]
-    return T
+    table = chebvander(2 * np.arange(m + 1) / m - 1, m).T
+    table.setflags(write=False)
+    return table
 
 
 def chebyshev(fvals, basis) -> tuple[float, np.ndarray, np.ndarray]:
@@ -137,47 +150,42 @@ def chebyshev(fvals, basis) -> tuple[float, np.ndarray, np.ndarray]:
     return -res.objective + 0.0, -res.y[1:], res.x[:N] - res.x[N:]
 
 
-def _lp(f: BoolFunction, F: np.ndarray | None,
-        d: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """chebyshev at degree d: on the levels F of a symmetric f, else over the
-    characters of degree <= d, an LP past MAX_TABLE_BYTES refused before its
-    basis is built.  The raw (error, c, v) stay on the LP's own domain."""
-    if F is not None:
-        return chebyshev(F, _level_basis(f.n, d))
-    masks = _masks_up_to_degree(f.n, d)
-    check_tableau(len(masks) + 1, 2 * 2 ** f.n, 1)
-    return chebyshev(f.table, _character_matrix(f.n, masks))
+def _lp(types: tuple, d: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """chebyshev at degree d on the types, over the products
+    prod_b T_{s_b}(2 k_b / |B_b| - 1) with sum_b s_b <= d, an LP past
+    MAX_TABLE_BYTES refused before its basis is built.  Returns the error,
+    the approximant P and the dual psi, both on the types."""
+    F, _, k, tables = types
+    rows = (k.sum(0) <= d).nonzero()[0]
+    check_tableau(len(rows) + 1, 2 * len(F), 1)
+    B = np.ones((len(rows), len(F)))
+    for table, kb in zip(tables, k):
+        B *= table[kb[rows]]
+    err, c, psi = chebyshev(F, B)
+    return err, c @ B, psi
 
 
-def _approximant(f: BoolFunction, F: np.ndarray | None, d: int,
-                 c: np.ndarray) -> FourierSpectrum:
-    """The spectrum of _lp's approximant: c on the characters of degree <= d,
-    or on the levels the transform of P(|x|), P = c @ basis, cut above d."""
-    if F is None:
-        coeffs = np.zeros(2 ** f.n)
-        coeffs[_masks_up_to_degree(f.n, d)] = c
-    else:
-        k = _popcounts(f.n)
-        coeffs = _fwht_inplace((c @ _level_basis(f.n, d))[k]) / 2 ** f.n
-        coeffs[k > d] = 0.0
+def _approximant(f: BoolFunction, t: np.ndarray, d: int,
+                 P: np.ndarray) -> FourierSpectrum:
+    """The spectrum of p(x) = P(t(x)), cut above degree d, where only
+    rounding noise is left."""
+    coeffs = _fwht_inplace(P[t]) / 2 ** f.n
+    coeffs[_popcounts(f.n) > d] = 0.0
     return FourierSpectrum(n=f.n, coeffs=tuple(coeffs))
 
 
-def _lift(f: BoolFunction, F: np.ndarray | None, v: np.ndarray) -> np.ndarray:
-    """The point table of _lp's dual: v itself, or v(x) = psi(|x|)/C(n, |x|)
-    for a level dual psi."""
-    if F is None:
-        return v
-    sizes = [math.comb(f.n, k) for k in range(f.n + 1)]
-    return (v / sizes)[_popcounts(f.n)]
+def _lift(t: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The point table v(x) = psi(t(x)) / |orbit of t(x)| of a type dual,
+    the orbit of a type being its points."""
+    return (psi / np.bincount(t, minlength=len(psi)))[t]
 
 
 def _fit(f: BoolFunction, d: int) -> tuple[float, FourierSpectrum, np.ndarray]:
     """Chebyshev LP of degree d, with its approximant and its dual as a
     point table."""
-    F = _levels(f)
-    err, c, v = _lp(f, F, d)
-    return err, _approximant(f, F, d, c), _lift(f, F, v)
+    types = _types(f)
+    err, P, psi = _lp(types, d)
+    return err, _approximant(f, types[1], d, P), _lift(types[1], psi)
 
 
 def _witness(f: BoolFunction, d: int, epsilon: float,
@@ -197,8 +205,8 @@ def error_profile(f: BoolFunction) -> list[float]:
     """Best achievable sup-norm error at every degree 0..n: an LP below
     deg(f), and from there 0.0, which the transform attains."""
     top = degree(f)
-    F = _levels(f)
-    return [_lp(f, F, d)[0] for d in range(top)] + [0.0] * (f.n + 1 - top)
+    types = _types(f)
+    return [_lp(types, d)[0] for d in range(top)] + [0.0] * (f.n + 1 - top)
 
 
 def approx_degree(f: BoolFunction, epsilon: float) -> ApproxDegreeResult:
@@ -214,21 +222,21 @@ def approx_degree(f: BoolFunction, epsilon: float) -> ApproxDegreeResult:
     if not 0 <= epsilon < 1:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     top = degree(f)
-    F = _levels(f)
-    v = np.zeros(2 ** f.n if F is None else f.n + 1)
+    types = _types(f)
+    t = types[1]
+    v = np.zeros(len(types[0]))
     v[0] = f.table[0]
     for d in range(0 if epsilon else max(top - 1, 0), top):
-        err, c, dual = _lp(f, F, d)
+        err, P, dual = _lp(types, d)
         if err <= epsilon + _FEAS_TOL:
             return ApproxDegreeResult(
-                d=d, approximant=_approximant(f, F, d, c), max_error=err,
-                lp_status="optimal",
-                witness=_witness(f, d, epsilon, _lift(f, F, v)))
+                d=d, approximant=_approximant(f, t, d, P), max_error=err,
+                lp_status="optimal", witness=_witness(f, d, epsilon,
+                                                      _lift(t, v)))
         v = dual
     return ApproxDegreeResult(d=top, approximant=wht(f), max_error=0.0,
                               lp_status="exact",
-                              witness=_witness(f, top, epsilon,
-                                               _lift(f, F, v)))
+                              witness=_witness(f, top, epsilon, _lift(t, v)))
 
 
 def dual_polynomial(f: BoolFunction, epsilon: float) -> DualWitness:

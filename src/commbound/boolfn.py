@@ -19,8 +19,8 @@ import numpy as np
 from .errors import ResourceLimitError
 
 # largest arity accepted from a builtin spec or a truth table: 2^16 points.
-# A non-symmetric table's degree-2 Chebyshev LP over them still fits
-# MAX_TABLE_BYTES; a symmetric one's LP runs on its n+1 levels instead
+# The degree-2 Chebyshev LP of a table with no swap symmetry, on all 2^16
+# types, still fits MAX_TABLE_BYTES; symmetries shrink it to fewer types
 MAX_ARITY = 16
 
 

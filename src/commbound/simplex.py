@@ -28,9 +28,9 @@ Harris carries no anti-cycling proof, so a long run of degenerate pivots
 shifts every basic value up by a small random amount, which separates the
 tied ratios; at the shifted optimum the true rhs is restored from the basis
 inverse and any negative basic value is pivoted out by dual simplex steps.
-The shift is the backstop for the full LPs, those of functions that are not
-symmetric (a symmetric function solves on its Hamming levels, see approx),
-and the iteration cap stays behind it.
+The shift is the backstop for the Chebyshev LPs on many types, those of
+functions with few swap symmetries (see approx), and the iteration cap
+stays behind it.
 Feasibility tolerance is 1e-9 throughout.
 """
 
@@ -46,7 +46,8 @@ FEASIBILITY_TOL = 1e-9
 # a run of degenerate pivots longer than _STALL_ROWS times the row count
 # shifts the rhs by 100 to 200 times the tolerance, so that the ratio test
 # sees distinct ratios; the longest run measured in a solve that converges
-# is about 1.6 times the row count, on full Chebyshev LPs up to 9 bits
+# is about 1.6 times the row count, on Chebyshev LPs over all 2^n types of
+# tables of up to 9 bits with no swap symmetry
 _STALL_ROWS = 3
 
 OPTIMAL = "optimal"

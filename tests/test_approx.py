@@ -3,13 +3,27 @@
 import numpy as np
 import pytest
 
-from commbound.approx import (_character_matrix, _masks_up_to_degree,
-                              approx_degree, best_approximation, chebyshev,
-                              dual_polynomial, error_profile, verify_dual)
+from commbound.approx import (_types, approx_degree, best_approximation,
+                              chebyshev, dual_polynomial, error_profile,
+                              verify_dual)
 from commbound.boolfn import (BoolFunction, RealPointFunction, all_functions,
                               builtin_function, degree)
 
 AND2 = builtin_function("AND", 2)
+
+
+# the full LP, over all 2^n points and the characters of degree <= d: the
+# reference for the LP on f's types
+def _character_matrix(n: int, masks) -> np.ndarray:
+    """Rows chi_T(x) = (-1)^popcount(T & x) over all 2^n points, T in masks."""
+    v = np.bitwise_and.outer(np.asarray(masks, dtype=np.int64),
+                             np.arange(2 ** n))
+    return 1.0 - 2.0 * (np.bitwise_count(v) & 1)
+
+
+def _masks_up_to_degree(n: int, d: int) -> np.ndarray:
+    """Every T with |T| <= d, in ascending order."""
+    return np.flatnonzero(np.bitwise_count(np.arange(2 ** n)) <= d)
 
 
 def test_error_profiles_frozen():
@@ -86,8 +100,8 @@ def _highs_chebyshev(fv, B):
 
 def test_chebyshev_certificates_against_highs():
     # AND:8 and OR:8 are the degenerate LPs on which a smallest-index
-    # (Bland) simplex cycled in floating point; the seeded 5- and 6-bit
-    # tables are not symmetric, so their LPs run over every character
+    # (Bland) simplex cycled in floating point; the LPs here run over every
+    # character, and approx_degree's on the seeded tables' types
     rng = np.random.default_rng(3)
     tables = [BoolFunction(n, rng.choice([-1, 1], size=2 ** n))
               for n in (5, 5, 5, 6, 6)]
@@ -154,17 +168,17 @@ def test_chebyshev_tableau_cap():
 def test_zero_epsilon_refused_before_the_basis_is_built():
     import tracemalloc
 
-    from commbound.boolfn import degree
     from commbound.errors import ResourceLimitError
 
-    # AND:12 flipped also at the point x_1 = x_2 = -1: not symmetric, so no
-    # level LP, and still of degree 12.  epsilon = 0 goes straight to
-    # degree 11, whose 4095 x 4096 character basis alone is 134 MB; the
-    # 4096 x 12289 tableau is refused first
+    # AND:12 flipped also at the points 2^k - 1, k = 0..11 (x_1..x_k = -1):
+    # no swap of two inputs keeps the table, so its types are its 2^12
+    # points, and it is still of degree 12.  epsilon = 0 goes straight to
+    # degree 11, whose 4095 x 4096 basis alone is 134 MB; the 4096 x 12289
+    # tableau is refused first
     table = builtin_function("AND", 12).table.copy()
-    table[0b11] = -1
+    table[[2 ** k - 1 for k in range(12)]] *= -1
     f = BoolFunction(12, table)
-    assert degree(f) == 12
+    assert degree(f) == 12 and len(_classes(f)) == 12
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="simplex tableau of "
@@ -174,6 +188,19 @@ def test_zero_epsilon_refused_before_the_basis_is_built():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def test_zero_epsilon_on_two_classes_solves_on_its_types():
+    # AND:12 flipped also at the point x_1 = x_2 = -1: classes {x_1, x_2}
+    # and the ten others, 3 * 11 = 33 types, so its degree-11 LP is small
+    table = builtin_function("AND", 12).table.copy()
+    table[0b11] = -1
+    f = BoolFunction(12, table)
+    assert _classes(f) == [[0, 1], list(range(2, 12))]
+    assert len(_types(f)[0]) == 33
+    r = approx_degree(f, 0.0)
+    assert (r.d, r.lp_status) == (12, "exact")
+    assert verify_dual(r.witness, f).ok
 
 
 def test_maj7_at_one_third():
@@ -417,17 +444,133 @@ def _lp_widths(monkeypatch):
     return widths
 
 
-def test_level_path_is_taken_exactly_for_symmetric_tables(monkeypatch):
+def _oracle_classes(f):
+    """f's swap classes by brute force: the components of the graph whose
+    edges are the transpositions (i j) that leave f's table unchanged,
+    each swap checked point by point."""
+    def swapped(x, i, j):
+        bi, bj = x >> i & 1, x >> j & 1
+        return x ^ ((bi ^ bj) << i) ^ ((bi ^ bj) << j)
+
+    label = list(range(f.n))
+    for i in range(f.n):
+        for j in range(i + 1, f.n):
+            if all(f.table[swapped(x, i, j)] == f.table[x]
+                   for x in range(2 ** f.n)):
+                old, new = label[j], label[i]
+                label = [new if c == old else c for c in label]
+    groups = {}
+    for i, c in enumerate(label):
+        groups.setdefault(c, []).append(i)
+    return sorted(groups.values())
+
+
+def _classes(f):
+    """The swap classes _types found: the inputs i grouped by the type of
+    the point with only x_i = -1, in order of their least input."""
+    t = _types(f)[1]
+    groups = {}
+    for i in range(f.n):
+        groups.setdefault(int(t[1 << i]), []).append(i)
+    return list(groups.values())
+
+
+def test_each_lp_runs_on_the_swap_class_types(monkeypatch):
+    import math
+
     widths = _lp_widths(monkeypatch)
+    seen = set()
     for f in all_functions(3):
-        symmetric = all(len({int(f(x)) for x in range(8)
-                             if bin(x).count("1") == k}) == 1
-                        for k in range(4))
+        classes = _oracle_classes(f)
+        assert _classes(f) == classes, f.table
         widths.clear()
         approx_degree(f, 0.01)
         best_approximation(f, 1)
-        # p and q over the n+1 levels, or over the 2^n points
-        assert widths and set(widths) == {8 if symmetric else 16}, f.table
+        # p and q over the prod_b (|B_b| + 1) types: 8 on the 4 levels of a
+        # symmetric table, 16 on the 8 points of one with no symmetry, 12 on
+        # the 6 types of classes of sizes 2 and 1
+        want = 2 * math.prod(len(c) + 1 for c in classes)
+        assert widths and set(widths) == {want}, f.table
+        symmetric = all(len({int(f(x)) for x in range(8)
+                             if bin(x).count("1") == k}) == 1
+                        for k in range(4))
+        assert (want == 8) == symmetric, f.table
+        seen.add(want)
+    assert seen == {8, 12, 16}
+
+
+def _planted(rng, sizes):
+    """A seeded table that is a random function of the -1 counts in blocks
+    of the given sizes, the inputs dealt to the blocks at random; returns
+    it and the blocks."""
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    cuts = np.cumsum([0, *sizes])
+    blocks = [sorted(perm[a:b].tolist()) for a, b in zip(cuts, cuts[1:])]
+    key = np.zeros(2 ** n, dtype=np.int64)
+    for b in blocks:
+        count = np.bitwise_count(np.arange(2 ** n) & sum(1 << i for i in b))
+        key = key * (len(b) + 1) + count
+    values = rng.choice([-1, 1], size=int(np.prod([m + 1 for m in sizes])))
+    return BoolFunction(n, values[key]), sorted(blocks)
+
+
+def _relabelled(f, perm):
+    """g(x) = f(y) with y_{perm[i]} = x_i: input i of g is input perm[i]
+    of f."""
+    x = np.arange(2 ** f.n)
+    y = sum(((x >> i) & 1) << int(p) for i, p in enumerate(perm))
+    return BoolFunction(f.n, f.table[y])
+
+
+def _check_against_the_full_lp(f, rng):
+    """d and error of the type LP against the full LP at every degree
+    below deg(f) and three epsilons; the witness verifies; the classes
+    agree with the oracle and move with a relabelling of the inputs."""
+    from commbound.approx import _FEAS_TOL
+
+    errors = _full_errors(f)
+    assert error_profile(f)[:len(errors)] == pytest.approx(errors, abs=1e-9)
+    for eps in (0.1, 1.0 / 3.0, 0.5):
+        d = next((d for d, e in enumerate(errors)
+                  if e <= eps + _FEAS_TOL), len(errors))
+        r = approx_degree(f, eps)
+        assert r.d == d, (f.table, eps)
+        assert r.max_error == pytest.approx(
+            errors[d] if d < len(errors) else 0.0, abs=1e-9)
+        assert verify_dual(r.witness, f).ok, (f.table, eps)
+    classes = _classes(f)
+    assert classes == _oracle_classes(f), f.table
+    perm = rng.permutation(f.n)
+    moved = sorted(sorted(int(np.flatnonzero(perm == i)[0]) for i in c)
+                   for c in classes)
+    assert sorted(_classes(_relabelled(f, perm))) == moved, (f.table, perm)
+    return classes
+
+
+def test_type_lp_matches_the_full_lp_on_every_three_bit_function():
+    rng = np.random.default_rng(11)
+    for f in all_functions(3):
+        _check_against_the_full_lp(f, rng)
+
+
+def test_type_lp_matches_the_full_lp_on_planted_classes():
+    rng = np.random.default_rng(5)
+    for sizes in ((2, 1, 1), (2, 2), (3, 2), (2, 2, 1), (3, 2, 1), (4, 2),
+                  (3, 2, 2)):
+        f, blocks = _planted(rng, sizes)
+        assert sorted(_check_against_the_full_lp(f, rng)) == blocks, sizes
+
+
+def test_type_lp_on_maj7_with_one_point_flipped():
+    table = builtin_function("MAJ", 7).table.copy()
+    table[1] *= -1
+    f = BoolFunction(7, table)
+    assert _check_against_the_full_lp(f, np.random.default_rng(2)) == \
+        [[0], list(range(1, 7))]
+    r = approx_degree(f, 1.0 / 3.0)
+    assert r.d == 5 and r.max_error == pytest.approx(0.316770186335,
+                                                      abs=1e-12)
 
 
 def test_symmetric_truth_table_file_takes_the_level_path(monkeypatch,

@@ -116,6 +116,25 @@ def test_symmetric_outer_functions_run_on_levels(capsys):
     assert len(body["dual"]["witness_table"]) == 2 ** 16
 
 
+def test_partially_symmetric_outer_function_runs_on_its_types(capsys,
+                                                               tmp_path):
+    # MAJ:15 flipped at the point x_1 = -1: classes {x_1} and the 14
+    # others, so each LP runs on 2 * 15 types instead of 2^15 points
+    from commbound.boolfn import BoolFunction, builtin_function, \
+        format_truth_table
+
+    table = builtin_function("MAJ", 15).table.copy()
+    table[1] *= -1
+    path = tmp_path / "maj15-flipped.txt"
+    path.write_text(format_truth_table(BoolFunction(15, table)))
+    code, report = run_cli(capsys, "approx-degree", "--function", str(path),
+                           "--epsilon", "0.333", "--dual")
+    assert code == EXIT_OK
+    body = report["report"]
+    assert body["d"] == 11 and body["dual"]["all_checks_pass"] is True
+    assert len(body["dual"]["witness_table"]) == 2 ** 15
+
+
 def test_compose_command(capsys, core4_file):
     code, report = run_cli(capsys, "compose", "--function", "AND:2",
                            "--inner", core4_file, "--verify-rank", "--witness")

@@ -33,7 +33,7 @@ import numpy as np
 
 from .boolfn import (BoolFunction, FourierSpectrum, RealPointFunction,
                      _fwht_inplace, degree, wht)
-from .simplex import OPTIMAL, SimplexError, check_tableau, solve_lp
+from .simplex import check_tableau, solve_lp
 
 ORTHOGONALITY_SLACK = 1e-8
 L1_SLACK = 1e-9
@@ -129,9 +129,10 @@ def chebyshev(fvals, basis) -> tuple[float, np.ndarray, np.ndarray]:
 
     Solves the LP dual of min_c max_x |f(x) - sum_k c_k basis_k(x)|, which
     has one row per basis function plus one:  maximize <f, v> over
-    v = p - q with p, q >= 0, basis @ v = 0 and sum (p + q) <= 1.  Returns
-    (error, c, v): the error is the optimum (+0.0 when it is zero), c is
-    minus the row duals of the equality rows (the LP's dual feasibility is
+    v = p - q with p, q >= 0, basis @ v = 0 and sum (p + q) <= 1, from the
+    feasible origin v = 0; the l1 row keeps it bounded.  Returns (error, c,
+    v): the error is the optimum (+0.0 when it is zero), c is minus the row
+    duals of the equality rows (the LP's dual feasibility is
     |f - c @ basis| <= error at every point), and v certifies the error:
     basis @ v = 0, v @ f = error and sum_x |v(x)| <= 1.  A tableau past
     MAX_TABLE_BYTES raises ResourceLimitError from solve_lp.
@@ -144,9 +145,6 @@ def chebyshev(fvals, basis) -> tuple[float, np.ndarray, np.ndarray]:
     res = solve_lp(np.concatenate([-f, f]),
                    A_ub=np.ones((1, 2 * N)), b_ub=[1.0],
                    A_eq=np.hstack([B, -B]), b_eq=np.zeros(k))
-    if res.status != OPTIMAL:
-        raise SimplexError(f"Chebyshev LP over {k} basis functions "
-                           f"returned {res.status}")
     return -res.objective + 0.0, -res.y[1:], res.x[:N] - res.x[N:]
 
 

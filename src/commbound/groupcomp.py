@@ -155,15 +155,25 @@ class CharacterTable:
         their degrees because the factors' rows are: (A (x) B)(A (x) B)^H =
         AA^H (x) BB^H, so the constructor's checks are skipped.  Classes are
         the mixed radix of the factors' classes, and degrees multiply; so
-        are the trivial row and each row's conjugate.  The fold starts from
-        a real 1 x 1 one, so the product of real tables is built real.  A
-        table past MAX_TABLE_BYTES is refused before the fold allocates it.
+        are the trivial row and each row's conjugate.  The factors multiply
+        in place into one table of ones, most significant first, so the
+        product of real tables is built real and the fold holds no table but
+        the result.  A table past MAX_TABLE_BYTES is refused before the
+        fold allocates it.
         """
         tables = list(tables)[::-1]
         order = math.prod(t.order for t in tables)
+        h = math.prod(t.h for t in tables)
         dtype = np.result_type(float, *(t.table.dtype for t in tables))
-        check_bytes(math.prod(t.h for t in tables) * order * dtype.itemsize,
+        check_bytes(h * order * dtype.itemsize,
                     f"character table of order {order} needs")
+        # one row axis and one column axis per factor, most significant first
+        table = np.ones([t.h for t in tables] + [t.order for t in tables],
+                        dtype)
+        for i, t in enumerate(tables):
+            shape = [1] * table.ndim
+            shape[i], shape[len(tables) + i] = t.table.shape
+            table *= t.table.reshape(shape)
 
         def radix(parts):
             return functools.reduce(
@@ -171,9 +181,7 @@ class CharacterTable:
                 zip(tables, parts), np.zeros(1, dtype=np.int64))
 
         return cls._trusted(
-            functools.reduce(np.kron, [t.table for t in tables],
-                             np.ones((1, 1))),
-            radix(t.class_of for t in tables),
+            table.reshape(h, order), radix(t.class_of for t in tables),
             functools.reduce(np.kron, [t.degrees for t in tables],
                              np.ones(1, dtype=np.int64)).tolist(),
             int(radix([t.trivial_index()] for t in tables)[0]),

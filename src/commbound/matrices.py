@@ -76,9 +76,6 @@ class SignMatrix:
     def __repr__(self):
         return f"SignMatrix({self.rows}x{self.cols})"
 
-    def transpose(self) -> "SignMatrix":
-        return SignMatrix(self.entries.T)
-
     @classmethod
     def from_text(cls, text: str) -> "SignMatrix":
         return parse_sign_matrix(text)

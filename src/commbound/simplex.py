@@ -1,19 +1,20 @@
 """Dense simplex: Dantzig pricing, Harris ratio test, rank-1 pivots.
 
 Solves  min c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0,
-and returns the row duals y with it: c - A^T y >= 0, y <= 0 on the
-inequality rows, and b.y equals the optimum (A and b stack the _ub rows
-over the _eq rows).  Problem sizes here are small (a few hundred rows at
-most), so a plain dense tableau is adequate and keeps the package
-dependency-free.
+with b_ub >= 0 and b_eq = 0, so that the origin is feasible (every LP in
+the package is a Chebyshev LP of this shape: b_ub = 1, b_eq = 0), and
+returns the row duals y with it: c - A^T y >= 0, y <= 0 on the inequality
+rows, and b.y equals the optimum (A and b stack the _ub rows over the _eq
+rows).  Problem sizes here are small (a few hundred rows at most), so a
+plain dense tableau is adequate and keeps the package dependency-free.
 
-Rows are normalized to b >= 0.  A _ub row that keeps its sign starts with
-its slack basic, every other row on an artificial; both columns are e_i,
-so the artificial columns hold the basis inverse throughout.  If the basic
-artificials all start at zero (the Chebyshev LP has b_eq = 0, b_ub = 1),
-phase 1 is skipped, else it minimizes their sum.  Each artificial still
-basic is then driven out on its largest structural entry, unpriced, and
-phase 2 minimizes c.x.
+Each _ub row starts with its slack basic, each _eq row on an artificial at
+zero; both columns are e_i, and every row has an artificial column, so
+those columns hold the basis inverse throughout.  Each artificial is
+driven out on its largest structural entry, unpriced, before the first
+priced step; on a redundant row, with no structural entry left, it stays
+basic at zero.  An entering column that no row bounds makes the LP
+unbounded, which raises SimplexError, as the iteration cap does.
 
 Every step is a whole-array operation.  The entering column is the most
 negative reduced cost (Dantzig).  The leaving row comes from Harris's
@@ -50,22 +51,17 @@ FEASIBILITY_TOL = 1e-9
 # tables of up to 9 bits with no swap symmetry
 _STALL_ROWS = 3
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
 
 class SimplexError(CommboundError):
-    """Solver failure (iteration cap or internal inconsistency)."""
+    """Solver failure (iteration cap, unbounded LP, failed rhs restore)."""
 
 
 @dataclass
 class LPResult:
-    status: str
-    x: np.ndarray | None
-    objective: float | None
+    x: np.ndarray
+    objective: float
     iterations: int
-    y: np.ndarray | None = None
+    y: np.ndarray
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -108,9 +104,14 @@ def check_tableau(m: int, nvars: int, n_ub: int) -> None:
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
     """Minimize c.x over x >= 0 with the given inequality/equality rows.
 
-    Raises ResourceLimitError, before building the tableau, when it would
-    pass MAX_TABLE_BYTES.
+    Raises ValueError unless b_ub >= 0 and b_eq = 0, SimplexError on an
+    unbounded LP, and ResourceLimitError, before building the tableau, when
+    it would pass MAX_TABLE_BYTES.
     """
+    if (b_ub is not None and not (np.asarray(b_ub) >= 0).all()) or \
+            (b_eq is not None and np.any(b_eq)):
+        raise ValueError("solve_lp needs a feasible origin: b_ub >= 0 and "
+                         "b_eq = 0")
     c = np.asarray(c, dtype=float)
     nvars = c.shape[0]
     n_ub = 0 if A_ub is None else len(A_ub)
@@ -118,8 +119,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
     check_tableau(m, nvars, n_ub)
 
     # columns: structural, one slack per inequality row, one artificial per
-    # row, then the rhs; the constraint rows are written in place and every
-    # row is normalized to b >= 0
+    # row, then the rhs; the constraint rows are written in place
     n_struct = nvars + n_ub
     total = n_struct + m
     tab = np.zeros((m + 1, total + 1))
@@ -128,15 +128,10 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
         tab[:n_ub, -1] = b_ub
     if A_eq is not None:
         tab[n_ub:m, :nvars] = A_eq
-        tab[n_ub:m, -1] = b_eq
-    sign = np.where(tab[:m, -1] < 0, -1.0, 1.0)
-    tab[:m, :nvars] *= sign[:, None]
-    tab[:m, -1] = b_norm = tab[:m, -1] * sign
-    tab[np.arange(n_ub), nvars + np.arange(n_ub)] = sign[:n_ub]
+    b = tab[:m, -1].copy()
+    tab[np.arange(n_ub), nvars + np.arange(n_ub)] = 1.0
     tab[np.arange(m), n_struct + np.arange(m)] = 1.0
-    basis = np.arange(n_struct, total)
-    slack = (sign[:n_ub] > 0).nonzero()[0]
-    basis[slack] = nvars + slack
+    basis = np.r_[nvars:n_struct, n_struct + n_ub:total]
     max_iter = 200 * (m + total + 10)
 
     iterations = 0
@@ -155,7 +150,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
         """Put back the true rhs after a shift, x_B = B^-1 b with B^-1 in
         the artificial columns, then pivot out negative basic values by
         dual simplex steps, which keep every reduced cost nonnegative."""
-        tab[:m, -1] = tab[:m, n_struct:total] @ b_norm
+        tab[:m, -1] = tab[:m, n_struct:total] @ b
         while True:
             r = int(np.argmin(tab[:m, -1]))
             if tab[r, -1] >= -FEASIBILITY_TOL:
@@ -168,64 +163,44 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
             step(r, int(cols[np.argmin(tab[-1, cols] / -row[cols])]))
         tab[-1, -1] = -cost[basis] @ tab[:m, -1]
 
-    def run_phase(cost) -> str:
-        """Dantzig/Harris iteration on the objective cost (one entry per
-        tableau column, the rhs last); returns the status.
-
-        A run of more than _STALL_ROWS * m degenerate pivots shifts the rhs
-        (_shift_rhs), and the true rhs is restored at the shifted optimum.
-        """
-        tab[-1] = cost - cost[basis] @ tab[:m]
-        stall = 0
-        shifted = False
-        while True:
-            enter = int(tab[-1, :n_struct].argmin())
-            if tab[-1, enter] >= -FEASIBILITY_TOL:
-                if not shifted:
-                    return OPTIMAL
-                restore_rhs(cost)
-                stall, shifted = 0, False
-                continue
-            leave = _leaving_row(tab[:m, enter], tab[:m, -1], basis)
-            if leave < 0:
-                return UNBOUNDED
-            stall = stall + 1 if tab[leave, -1] <= FEASIBILITY_TOL else 0
-            if stall > _STALL_ROWS * m and not shifted:
-                _shift_rhs(tab, 100 * FEASIBILITY_TOL, seed=iterations)
-                shifted = True
-                continue
-            step(leave, enter)
-
-    # ---- phase 1: minimize the sum of artificials; when they all start at
-    # zero the start is already optimal and the cost row stays zero
-    cost = np.zeros(total + 1)
-    cost[n_struct:total] = 1.0
-    status = run_phase(cost) if b_norm[basis >= n_struct].any() else OPTIMAL
-    # the phase-1 objective is -tab[-1,-1] and can never be negative
-    if status != OPTIMAL or tab[-1, -1] > 1e-7:
-        raise SimplexError("phase-1 simplex ended in an inconsistent state")
-    if -tab[-1, -1] > 1e-7:
-        return LPResult(INFEASIBLE, None, None, iterations)
-
-    # drive leftover artificials out of the basis on their largest
-    # structural entry; an all-zero structural row is redundant, and its
-    # artificial stays basic at value zero and never re-enters
-    for i in np.flatnonzero(basis >= n_struct):
+    # drive the artificials out of the basis on their largest structural
+    # entry; an all-zero structural row is redundant, and its artificial
+    # stays basic at value zero and never re-enters
+    for i in range(n_ub, m):
         j = int(np.argmax(np.abs(tab[i, :n_struct])))
         if abs(tab[i, j]) > FEASIBILITY_TOL:
             _pivot(tab, i, j)
             basis[i] = j
 
-    # ---- phase 2: original objective
+    # Dantzig/Harris iteration on c; a run of more than _STALL_ROWS * m
+    # degenerate pivots shifts the rhs (_shift_rhs), and the true rhs is
+    # restored at the shifted optimum
     cost = np.zeros(total + 1)
     cost[:nvars] = c
-    if run_phase(cost) == UNBOUNDED:
-        return LPResult(UNBOUNDED, None, None, iterations)
+    tab[-1] = cost - cost[basis] @ tab[:m]
+    stall = 0
+    shifted = False
+    while True:
+        enter = int(tab[-1, :n_struct].argmin())
+        if tab[-1, enter] >= -FEASIBILITY_TOL:
+            if not shifted:
+                break
+            restore_rhs(cost)
+            stall, shifted = 0, False
+            continue
+        leave = _leaving_row(tab[:m, enter], tab[:m, -1], basis)
+        if leave < 0:
+            raise SimplexError(f"LP unbounded: no row bounds column {enter}")
+        stall = stall + 1 if tab[leave, -1] <= FEASIBILITY_TOL else 0
+        if stall > _STALL_ROWS * m and not shifted:
+            _shift_rhs(tab, 100 * FEASIBILITY_TOL, seed=iterations)
+            shifted = True
+            continue
+        step(leave, enter)
 
     x = np.zeros(total)
     x[basis] = tab[:m, -1]
-    objective = float(c @ x[:nvars])
-    # an artificial column starts as e_i and has zero phase-2 cost, so its
-    # reduced cost is minus the dual of the (sign-normalized) row i
-    y = -tab[-1, n_struct:total] * sign
-    return LPResult(OPTIMAL, x[:nvars].copy(), objective, iterations, y)
+    # an artificial column starts as e_i and has zero cost, so its reduced
+    # cost is minus the dual of row i
+    return LPResult(x[:nvars].copy(), float(c @ x[:nvars]), iterations,
+                    -tab[-1, n_struct:total])

@@ -1,6 +1,7 @@
 """CLI: dispatch, exit codes, report schema, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -822,7 +823,7 @@ def test_spectral_norm_stack_refused_before_it_is_built(capsys, monkeypatch,
                    f"need 4128768 bytes (cap {2 ** 21})\n")
     # the refusal comes before the stack: with the structural checks done,
     # the bound allocates next to nothing before it is refused
-    gm = gc.GroupMapMatrix.from_text(open(gmap).read())
+    gm = gc.GroupMapMatrix.from_text(Path(gmap).read_text())
     table = gc.characters_abelian(gm.group)
     part = gc.HardnessPartition.from_easy([0], 64)
     fv = np.linspace(-1.0, 1.0, 64)

@@ -121,25 +121,59 @@ def test_characters_abelian_table_cap():
 
 def test_product_table_refused_before_the_fold(monkeypatch):
     # four Z3 tables make an 81 x 81 complex table of 104976 bytes; under a
-    # cap one byte lower product refuses before np.kron allocates, and so
-    # does product_approx_degree, which on sixteen Z2 blocks used to die in
-    # numpy's MemoryError
+    # cap one byte lower product refuses before the fold allocates its table
+    # of ones, and so does product_approx_degree, which on sixteen Z2 blocks
+    # used to die in numpy's MemoryError
     from commbound import errors
 
-    def no_kron(*args):
-        raise AssertionError("the Kronecker fold ran")
+    def no_fold(*args, **kwargs):
+        raise AssertionError("the fold allocated its table")
 
-    kron = np.kron
+    ones, fvals = np.ones, np.ones(81)
     monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 81 * 81 * 16 - 1)
-    monkeypatch.setattr(np, "kron", no_kron)
+    monkeypatch.setattr(np, "ones", no_fold)
     match = "character table of order 81 needs 104976 bytes"
     with pytest.raises(ResourceLimitError, match=match):
         gc.CharacterTable.product([T_Z3] * 4)
     with pytest.raises(ResourceLimitError, match=match):
-        gc.product_approx_degree(np.ones(81), [T_Z3] * 4, 1.0 / 3.0)
+        gc.product_approx_degree(fvals, [T_Z3] * 4, 1.0 / 3.0)
     monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 81 * 81 * 16)
-    monkeypatch.setattr(np, "kron", kron)
+    monkeypatch.setattr(np, "ones", ones)
     assert gc.CharacterTable.product([T_Z3] * 4).table.shape == (81, 81)
+
+
+@pytest.mark.parametrize("moduli", [(3, 5, 2), (4, 2, 2), (2,) * 6])
+def test_product_matches_the_kronecker_fold(moduli):
+    # factors multiplied in place, most significant first, give the table
+    # of np.kron folded from a real 1 x 1 one bit for bit, dtype included
+    factors = [gc.characters_abelian(gc.AbelianGroupSpec((m,)))
+               for m in moduli]
+    kron = np.ones((1, 1))
+    for t in factors[::-1]:
+        kron = np.kron(kron, t.table)
+    table = gc.CharacterTable.product(factors).table
+    assert table.dtype == kron.dtype
+    assert table.tobytes() == kron.tobytes()
+
+
+def test_product_fold_holds_only_its_table(monkeypatch):
+    # under a cap of exactly the table's bytes (Z2^6 x Z4, 256 x 256
+    # complex), the fold's traced peak is the table, one ufunc buffer of
+    # np.getbufsize() entries and the small class and degree arrays; a fold
+    # that holds each partial product beside the next one goes past that
+    from commbound import errors
+
+    nbytes = 256 * 256 * 16
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", nbytes)
+    factors = [T_Z2] * 6 + [gc.characters_abelian(Z4)]
+    tracemalloc.start()
+    try:
+        table = gc.CharacterTable.product(factors).table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == nbytes
+    assert peak <= nbytes + np.getbufsize() * 16 + 2 ** 14
 
 
 def test_cyclic_factor_refused_before_it_is_built(monkeypatch):

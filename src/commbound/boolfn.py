@@ -53,13 +53,6 @@ class BoolFunction:
     def __repr__(self):
         return f"BoolFunction(n={self.n})"
 
-    @classmethod
-    def from_text(cls, text: str) -> "BoolFunction":
-        return parse_truth_table(text)
-
-    def to_text(self) -> str:
-        return format_truth_table(self)
-
 
 class RealPointFunction:
     """Real-valued table on {-1,+1}^n (same mask indexing as BoolFunction)."""
@@ -74,9 +67,6 @@ class RealPointFunction:
         arr.setflags(write=False)
         self.n = n
         self.table = arr
-
-    def __call__(self, mask: int) -> float:
-        return float(self.table[mask])
 
     def __repr__(self):
         return f"RealPointFunction(n={self.n})"

@@ -7,7 +7,10 @@ taken from 0/1 matrix products.  The dual factorization norm gamma2* is
 never computed directly:
 disc (the 0/1 norm) <= ||A*P||_{inf->1} <= gamma2* <= K_G ||A*P||_{inf->1}
 <= 4 K_G disc by Grothendieck, K_G over-approximated by 1.7823, and
-gamma2* <= sqrt(mn) ||A*P|| by Cauchy-Schwarz enclose it.
+gamma2* <= sqrt(mn) ||A*P|| by Cauchy-Schwarz enclose it.  shizhu_bound
+decides on that Cauchy-Schwarz end alone, with ||A*P|| the largest singular
+value LAPACK returns: a rigorous enclosure of it (a Rump-style PSD
+certificate) is not computed yet.
 Every theorem evaluator reports a main term only: unquantified additive
 constants are excluded and flagged in the warnings list.
 """
@@ -137,13 +140,17 @@ def shaltiel_verify(A: SignMatrix) -> ShaltielReport:
     return ShaltielReport(lhs=lhs, disc=disc, ok=lhs <= disc + 1e-9)
 
 
+def _cauchy_schwarz_end(A: SignMatrix, P: DistributionMatrix) -> float:
+    """Upper end sqrt(mn) ||A*P|| of the dual factorization norm of A*P."""
+    return math.sqrt(A.size) * spectrum(A.entries * P.weights).spectral_norm
+
+
 def gamma2_star_interval(A: SignMatrix, P: DistributionMatrix) -> tuple:
     """Enclosure [disc, min(4 K_G disc, sqrt(mn) ||A*P||)] of the dual
     factorization norm of A*P, derived in the module docstring."""
     disc = discrepancy(A, P)
-    norm = spectrum(A.entries * P.weights).spectral_norm
     return (disc, min(4.0 * GROTHENDIECK_UPPER * disc,
-                      math.sqrt(A.size) * norm))
+                      _cauchy_schwarz_end(A, P)))
 
 
 def verify_spectral_disc(A: SignMatrix, cert: SpectralDiscCert) -> SpectralDiscReport:
@@ -254,12 +261,13 @@ def shizhu_bound(f: BoolFunction, g: SignMatrix, mu: DistributionMatrix,
                  epsilon0: float) -> BoundReport:
     """Degree main term under the dual-norm smallness condition.
 
-    Requires mu balanced with respect to g.  The bound is inapplicable, with
-    the gap reported, unless the upper end of gamma2_star_interval is at most
-    d/(2en).  It is refused before the enumeration when the duality floor
-    1/sqrt(min(m, n)) <= 1/gamma2(M_g) <= gamma2*(M_g * mu), for every mu,
-    exceeds d/(2en), as below 30 rows or columns.  An outer function of no
-    inputs is inapplicable too.
+    Requires mu balanced with respect to g.  The condition fails for every
+    mu when the duality floor 1/sqrt(min(m, n)) <= 1/gamma2(M_g) <=
+    gamma2*(M_g * mu) exceeds d/(2en), as below 30 rows or columns.  Past
+    the floor it holds when the Cauchy-Schwarz end sqrt(mn) ||M_g * mu||,
+    one SVD with LAPACK's largest singular value, is at most d/(2en);
+    otherwise it is not established (that end does not refute it) and the
+    gap is reported.  An outer function of no inputs is inapplicable too.
     """
     if not 0 < epsilon0 < 1:
         raise ValueError(f"epsilon0 must lie in (0, 1), got {epsilon0}")
@@ -281,12 +289,11 @@ def shizhu_bound(f: BoolFunction, g: SignMatrix, mu: DistributionMatrix,
         return report.refuse(
             f"condition fails for every mu: gamma2* >= 1/sqrt(min(m, n)) = "
             f"{floor:.6g} exceeds d/(2en) = {threshold:.6g}; it {need}")
-    low, high = gamma2_star_interval(g, mu)
-    report.intermediates.update(gamma2_star_low=low, gamma2_star_high=high,
-                                gap=high - threshold)
+    high = _cauchy_schwarz_end(g, mu)
+    report.intermediates.update(gamma2_star_high=high, gap=high - threshold)
     if high > threshold:
         return report.refuse(
-            f"condition fails: certified gamma2* upper bound {high:.6g} "
-            f"exceeds d/(2en) = {threshold:.6g}")
+            f"condition not established: gamma2* upper bound sqrt(mn) "
+            f"||M_g * mu|| = {high:.6g} exceeds d/(2en) = {threshold:.6g}")
     report.main_term = float(d)
     return report

@@ -33,7 +33,6 @@ ENTRY_BYTES = 40
 class Composition:
     f: BoolFunction
     g: SignMatrix
-    n: int
     matrix: SignMatrix
 
 
@@ -42,8 +41,6 @@ class WitnessMatrix:
     """Real matrix B certifying approximate-norm lower bounds for f o g^n."""
 
     B: np.ndarray
-    source: DualWitness
-    mu: np.ndarray | None
     l1: float
     correlation: float
     spectral_norm: float
@@ -55,7 +52,6 @@ class RankTheoremReport:
     composed_rank: int
     equal: bool
     inner_rank: int
-    support: tuple
 
 
 def _check_size(g: SignMatrix, n: int) -> None:
@@ -85,10 +81,9 @@ def compose_block(f: BoolFunction, g: SignMatrix) -> Composition:
     char_compose's Kronecker order; that depends only on the shape of g and
     n, and the tests check it per shape.
     """
-    n = f.n
-    _check_size(g, n)
-    entries = f.table[block_mask([g] * n)]
-    return Composition(f=f, g=g, n=n, matrix=SignMatrix(entries))
+    _check_size(g, f.n)
+    entries = f.table[block_mask([g] * f.n)]
+    return Composition(f=f, g=g, matrix=SignMatrix(entries))
 
 
 def verify_rank_theorem(comp: Composition) -> RankTheoremReport:
@@ -110,8 +105,7 @@ def verify_rank_theorem(comp: Composition) -> RankTheoremReport:
     formula = sum(rank_g ** int(k) for k in np.bitwise_count(support))
     actual = exact_rank(comp.matrix, at_most=formula)
     return RankTheoremReport(formula_rank=formula, composed_rank=actual,
-                             equal=formula == actual, inner_rank=rank_g,
-                             support=tuple(support.tolist()))
+                             equal=formula == actual, inner_rank=rank_g)
 
 
 def build_witness(w: DualWitness, g: SignMatrix, mu=None) -> WitnessMatrix:
@@ -134,16 +128,14 @@ def build_witness(w: DualWitness, g: SignMatrix, mu=None) -> WitnessMatrix:
         if not balance_check(g).strongly_balanced:
             raise ValueError("witness construction without mu requires a "
                              "strongly balanced inner matrix")
-        weights = None
         scale = (2.0 ** n) / float(g.size) ** n
         factor = 1.0
     else:
         mu = DistributionMatrix(getattr(mu, "weights", mu))
         mu.check_balanced(g)
-        weights = mu.weights
         scale = 2.0 ** n
-        factor = functools.reduce(np.kron, [weights] * n, np.ones((1, 1)))
-        delta = abs(float((weights * g.entries).sum()))
+        factor = functools.reduce(np.kron, [mu.weights] * n, np.ones((1, 1)))
+        delta = abs(float((mu.weights * g.entries).sum()))
         slack += (1.0 + delta) ** n - 1.0
 
     B = scale * w.v.table[block_mask([g] * n)] * factor
@@ -154,7 +146,7 @@ def build_witness(w: DualWitness, g: SignMatrix, mu=None) -> WitnessMatrix:
             f"witness l1 mass {l1} differs from 1; balance preconditions "
             "should have forced it")
     B.setflags(write=False)
-    return WitnessMatrix(B=B, source=w, mu=weights, l1=l1,
+    return WitnessMatrix(B=B, l1=l1,
                          correlation=w.correlation,
                          spectral_norm=spectrum(B).spectral_norm)
 

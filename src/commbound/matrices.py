@@ -76,10 +76,6 @@ class SignMatrix:
     def __repr__(self):
         return f"SignMatrix({self.rows}x{self.cols})"
 
-    @classmethod
-    def from_text(cls, text: str) -> "SignMatrix":
-        return parse_sign_matrix(text)
-
     def to_text(self) -> str:
         return format_sign_matrix(self)
 
@@ -155,10 +151,6 @@ class ContainmentResult:
     found: bool
     row_indices: tuple | None
     col_indices: tuple | None
-    mode: str
-
-    def __bool__(self):
-        return self.found
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +601,7 @@ def contains_pattern(M: SignMatrix, P: SignMatrix,
     find = _submatrix_matcher(P, mode == "up_to_permutation", M.cols)
     rows, cols = find(M.entries, itertools.combinations(range(M.rows), p)) \
         or (None, None)
-    return ContainmentResult(rows is not None, rows, cols, mode)
+    return ContainmentResult(rows is not None, rows, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Discrepancy, norm enclosures, and the lower-bound evaluators."""
 
+import functools
 import math
 
 import numpy as np
@@ -221,8 +222,9 @@ def test_gamma2_star_high_is_at_least_the_duality_floor():
     for A, P in cases:
         floor = 1 / math.sqrt(min(A.rows, A.cols))
         assert bd.gamma2_star_interval(A, P)[1] >= floor - 1e-12, A.entries
-    # so shizhu's threshold d/(2en) <= 1/(2e) stays below the floor up to
-    # 29 rows and columns, past the enumeration cap of 24 rows
+    # so any threshold of at most 1/(2e), as d/(2en) is, stays below the
+    # floor up to 29 rows and columns; from 30 on, both sides are past the
+    # enumeration cap of 24, where disc, and so the lower end, is refused
     assert 1 / (2 * math.e) < 1 / math.sqrt(29)
     assert 1 / (2 * math.e) >= 1 / math.sqrt(30)
     assert bd.ENUMERATION_CAP < 29
@@ -255,10 +257,8 @@ def test_approx_trace_lower_hand_value():
     # B = A/size for the 2x2 Walsh matrix: <A,B> = 1, ||B||_1 = 1,
     # ||B|| = sqrt(2)/4, so the
     # zero-epsilon bound is 4/sqrt(2) = 2 sqrt(2)
-    w = dual_polynomial(builtin_function("PARITY", 1), 1.0 / 3.0)
     A = mx.HADAMARD_2
-    B = cp.WitnessMatrix(B=A.entries / 4.0, source=w, mu=None, l1=1.0,
-                         correlation=1.0,
+    B = cp.WitnessMatrix(B=A.entries / 4.0, l1=1.0, correlation=1.0,
                          spectral_norm=mx.spectrum(A.entries / 4.0).spectral_norm)
     r = bd.approx_trace_lower(A, B, 0.0)
     assert r.trace_lb == pytest.approx(2 * math.sqrt(2), abs=1e-9)
@@ -354,20 +354,42 @@ def test_shizhu_bound_small_instance(monkeypatch):
 
 
 def test_shizhu_bound_passing_instance(monkeypatch):
-    # the condition can pass only from 30 rows and columns on, where the
-    # enumeration behind gamma2_star_interval is refused; below, the floor
-    # refuses first and the report stays consistent with it
-    f = builtin_function("PARITY", 1)
-    g = mx.SignMatrix(np.tile(mx.XOR_2.entries, (15, 15)))  # 30 x 30
-    with pytest.raises(ResourceLimitError, match="2\\^30 subsets"):
-        bd.shizhu_bound(f, g, U(30, 30), 1.0 / 3.0)
+    # the condition can pass only from 30 rows and columns on; below, the
+    # floor refuses first and the report stays consistent with it.  Past
+    # the floor it is decided on sqrt(mn) ||M_g * mu|| without enumerating
     monkeypatch.setattr(bd, "discrepancy", _no_enumeration)
-    for side in (4, 28):
+    f = builtin_function("PARITY", 1)
+    for side in (2, 4, 24, 28):
         g = mx.SignMatrix(np.tile(mx.XOR_2.entries, (side // 2, side // 2)))
         rep = bd.shizhu_bound(f, g, U(side, side), 1.0 / 3.0)
         assert rep.applicable == (rep.intermediates["gamma2_star_floor"]
                                   <= rep.intermediates["threshold"])
         assert not rep.applicable and rep.main_term is None
+        assert "gamma2_star_high" not in rep.intermediates
+    # PARITY:k has degree k, so d/(2en) = 1/(2e) ~ 0.1839 throughout
+    threshold = 1 / (2 * math.e)
+    parity3 = builtin_function("PARITY", 3)
+    tiles = mx.SignMatrix(np.tile(mx.XOR_2.entries, (15, 15)))
+    g32 = functools.reduce(mx.tensor, [mx.HADAMARD_2] * 3, CORE4)
+    # the 30 x 30 tiling has rank 1, so its end is 1.0; core4 (x) h2^(x)3
+    # passes the floor 1/sqrt(32) ~ 0.1768 but its end is 0.25
+    for g, high in ((tiles, 1.0), (g32, 0.25)):
+        rep = bd.shizhu_bound(parity3, g, U(g.rows, g.cols), 1.0 / 3.0)
+        assert not rep.applicable and rep.main_term is None
+        assert rep.intermediates["gamma2_star_floor"] <= threshold
+        assert rep.intermediates["gamma2_star_high"] == pytest.approx(high)
+        assert rep.intermediates["gap"] == pytest.approx(high - threshold)
+        assert rep.warnings[-1].startswith("condition not established")
+    # core4 (x) h2^(x)4 under the uniform mu: the end 2^(-5/2) ~ 0.1768
+    # is below the threshold, so the degree main term applies
+    g = mx.tensor(g32, mx.HADAMARD_2)
+    mu = U(64, 64)
+    rep = bd.shizhu_bound(parity3, g, mu, 1.0 / 3.0)
+    assert rep.applicable and rep.main_term == 3.0
+    high = rep.intermediates["gamma2_star_high"]
+    assert high == pytest.approx(2 ** -2.5, abs=1e-12)
+    assert high == pytest.approx(
+        64 * np.linalg.norm(g.entries * mu.weights, 2), abs=1e-12)
 
 
 def test_shizhu_degenerate_degree_zero():

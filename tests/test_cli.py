@@ -1,12 +1,14 @@
 """CLI: dispatch, exit codes, report schema, determinism."""
 
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from commbound import CORE_FREE_6, PATTERN_CORE_4, XOR_2, SignMatrix, tensor
+from commbound import (CORE_FREE_6, HADAMARD_2, PATTERN_CORE_4, XOR_2,
+                       SignMatrix, tensor)
 from commbound import bounds as bd
 from commbound import cli
 from commbound.bounds import BoundReport
@@ -237,6 +239,25 @@ def test_lower_bound_shizhu_refuses_a_tensor_inner(capsys, monkeypatch,
         assert "gamma2_star_high" not in body["intermediates"]
         assert body["warnings"][-1].endswith(
             "needs at least 30 rows and columns")
+
+
+def test_lower_bound_shizhu_applies_on_core4_times_h2_to_the_fourth(
+        capsys, tmp_path):
+    # g = core4 (x) h2^(x)4 (64 x 64) under the uniform mu: the
+    # Cauchy-Schwarz end ||M_g||/64 = 2^(-5/2) is below d/(2en) = 1/(2e)
+    g = functools.reduce(tensor, [HADAMARD_2] * 4, PATTERN_CORE_4)
+    inner = tmp_path / "g.txt"
+    inner.write_text(g.to_text())
+    mu = tmp_path / "mu.txt"
+    mu.write_text("64 64\n" + (" ".join([repr(64 ** -2)] * 64) + "\n") * 64)
+    code, report = run_cli(capsys, "lower-bound", "--theorem", "shizhu",
+                           "--function", "PARITY:3", "--inner", str(inner),
+                           "--mu", str(mu))
+    assert code == EXIT_OK
+    body = report["report"]
+    assert body["applicable"] and body["main_term"] == 3.0
+    assert body["intermediates"]["gamma2_star_high"] == \
+        pytest.approx(2 ** -2.5, abs=1e-12)
 
 
 def test_disc_enumerates_the_shorter_side(capsys, tmp_path):

@@ -109,7 +109,7 @@ def test_exact_rank_vs_bareiss():
 
 
 def test_exact_rank_vs_sympy():
-    sympy = pytest.importorskip("sympy")
+    import sympy
     rng = np.random.default_rng(12)
     for _ in range(30):
         m, n = rng.integers(1, 16, size=2)
@@ -153,7 +153,7 @@ def test_exact_rank_sign_matrix_with_repeated_row():
 
 
 def test_exact_rank_primes(monkeypatch):
-    sympy = pytest.importorskip("sympy")
+    import sympy
     used = []
     prime = mx._prime
 

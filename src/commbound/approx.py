@@ -1,14 +1,17 @@
 """Approximate polynomial degree via LP, and the dual witness that certifies it.
 
-One LP does both sides.  For each candidate degree d below deg(f),
-`chebyshev` solves the dual form of the best sup-norm approximation of f by
-polynomials of degree at most d: its solution is a point function v with
-unit l1 mass, zero correlation with every character of degree at most d,
-and correlation with f equal to that best error, and its row duals are the
-approximant.  The v at the last degree whose error exceeds epsilon is the
-witness that deg_epsilon(f) is larger.  From deg(f) up no LP is needed: the
-transform approximates f without error.  Inner products are plain sums over
-the 2^n points.
+One LP does both sides.  At a degree d below deg(f), `chebyshev` solves the
+dual form of the best sup-norm approximation of f by polynomials of degree
+at most d: its solution is a point function v with unit l1 mass, zero
+correlation with every character of degree at most d, and correlation with
+f equal to that best error, and its row duals are the approximant.  The v
+at the last degree whose error exceeds epsilon is the witness that
+deg_epsilon(f) is larger.  The errors are nonincreasing in d, so
+approx_degree searches for that degree and solves the LP only at the
+degrees it probes; three degrees are read off the transform instead: 0,
+where a non-constant f has error 1; n-1 of a full-degree f, where only the
+parity is left out; and deg(f) and up, where the transform approximates f
+without error.  Inner products are plain sums over the 2^n points.
 
 The LP runs on f's types (Minsky-Papert symmetrization by f's own
 symmetries; see _types): it keeps the optimum, since averaging over the
@@ -32,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import (BoolFunction, FourierSpectrum, RealPointFunction,
-                     _fwht_inplace, degree, wht)
+                     _fwht_inplace, _sums_degree, character_sums, degree)
+from .errors import ResourceLimitError
 from .simplex import check_tableau, solve_lp
 
 ORTHOGONALITY_SLACK = 1e-8
@@ -207,42 +211,111 @@ def error_profile(f: BoolFunction) -> list[float]:
     return [_lp(types, d)[0] for d in range(top)] + [0.0] * (f.n + 1 - top)
 
 
-def approx_degree(f: BoolFunction, epsilon: float) -> ApproxDegreeResult:
-    """Smallest d whose degree-<=d Chebyshev LP is feasible at error epsilon.
+def _first_fit(lo: int, hi: int, fits) -> int:
+    """Smallest d in (lo, hi] with fits(d), for a fits that is monotone in
+    d, false at lo and true at hi (neither is asked): steps of 1, 2, 4, ...
+    from the last miss until one fits, then bisection of the gap left.
 
-    Only degrees below deg(f) take an LP: at deg(f) the transform itself is
-    an errorless approximant, returned with lp_status "exact".  Below
-    deg(f) the best error is at least 2^(1-n), so epsilon = 0 solves only
-    the degree deg(f)-1 LP.  The witness is the LP dual at degree d-1,
-    whose error exceeds epsilon; for d = 0 it is the point mass f(0) e_0,
-    which no character below degree 0 constrains.
+    A degree whose LP the byte budget refuses (ResourceLimitError) counts
+    as a fit, since every degree above it is refused too.  So the search
+    ends below the first refused degree, or on it, and then raises its
+    refusal: it refuses exactly where a sweep from lo + 1 up would have.
+    """
+    refused = {}
+
+    def probe(d: int) -> bool:
+        try:
+            return fits(d)
+        except ResourceLimitError as err:
+            refused[d] = err
+            return True
+
+    step = 1
+    while lo + step < hi and not probe(lo + step):
+        lo += step
+        step *= 2
+    hi = min(hi, lo + step)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if probe(mid):
+            hi = mid
+        else:
+            lo = mid
+    if hi in refused:
+        raise refused[hi]
+    return hi
+
+
+def approx_degree(f: BoolFunction, epsilon: float) -> ApproxDegreeResult:
+    """Smallest d whose best degree-<=d error is at most epsilon.
+
+    The errors are nonincreasing in d, since the spans are nested, and
+    three of them need no LP.  At deg(f) the transform itself is an
+    errorless approximant, returned with lp_status "exact".  At degree 0
+    the span is the constants, so a non-constant f has error 1.  At degree
+    n-1 of a full-degree f only the parity chi_[n] is left out: with s the
+    integer sum of f chi_[n], the error is |s|/2^n, the approximant is
+    f - s/2^n chi_[n], and the unique optimal dual is sign(s) chi_[n]/2^n.
+    Below deg(f) the best error is at least 2^(1-n), so an epsilon below
+    that (epsilon = 0) takes d = deg(f) at once.  The degrees in between
+    are searched (_first_fit), one Chebyshev LP per degree probed.  The
+    witness is the dual at degree d-1, whose error exceeds epsilon: the
+    parity at n-1, the point mass f(0) e_0 for d = 0 (no character below
+    degree 0 constrains it), and otherwise the LP's, which the search has
+    solved unless d-1 is 0 or nothing was searched.  An LP past the byte
+    budget raises ResourceLimitError only where a sweep from degree 0 up
+    would have solved it: below d, at d-1 for the witness or at d for the
+    approximant.
     """
     if not 0 <= epsilon < 1:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
-    top = degree(f)
+    n = f.n
+    sums = character_sums(f)
+    top = _sums_degree(sums)
+    s = int(sums[-1])
+    parity_err = abs(s) / 2 ** n        # the error at n-1 when top = n
     types = _types(f)
     t = types[1]
-    v = np.zeros(len(types[0]))
-    v[0] = f.table[0]
-    for d in range(0 if epsilon else max(top - 1, 0), top):
-        err, P, dual = _lp(types, d)
-        if err <= epsilon + _FEAS_TOL:
-            return ApproxDegreeResult(
-                d=d, approximant=_approximant(f, t, d, P), max_error=err,
-                lp_status="optimal", witness=_witness(f, d, epsilon,
-                                                      _lift(t, v)))
-        v = dual
-    return ApproxDegreeResult(d=top, approximant=wht(f), max_error=0.0,
-                              lp_status="exact",
-                              witness=_witness(f, top, epsilon, _lift(t, v)))
+    tol = epsilon + _FEAS_TOL
+    lp = functools.cache(functools.partial(_lp, types))
+    if top == 0 or tol < 2.0 ** (1 - n) or parity_err > tol:
+        d = top
+    elif tol >= 1.0:
+        d = 0
+    else:
+        d = _first_fit(0, n - 1 if s else top, lambda d: lp(d)[0] <= tol)
+    if d == 0:
+        v = np.zeros(2 ** n)
+        v[0] = f.table[0]
+    elif d == n:
+        v = math.copysign(2.0 ** -n, s) * (-1.0) ** (_popcounts(n) & 1)
+    else:
+        v = _lift(t, lp(d - 1)[2])
+    witness = _witness(f, d, epsilon, v)
+    coeffs = (sums / 2 ** n).tolist()   # the transform, wht(f)
+    if d == top:
+        return ApproxDegreeResult(
+            d=d, approximant=FourierSpectrum(n=n, coeffs=tuple(coeffs)),
+            max_error=0.0, lp_status="exact", witness=witness)
+    if d == n - 1:
+        coeffs[-1] = 0.0
+        return ApproxDegreeResult(
+            d=d, approximant=FourierSpectrum(n=n, coeffs=tuple(coeffs)),
+            max_error=parity_err, lp_status="optimal", witness=witness)
+    err, P, _ = lp(d)
+    return ApproxDegreeResult(d=d, approximant=_approximant(f, t, d, P),
+                              max_error=err, lp_status="optimal",
+                              witness=witness)
 
 
 def dual_polynomial(f: BoolFunction, epsilon: float) -> DualWitness:
-    """The dual witness that deg_epsilon(f) >= d, from the approx_degree sweep.
+    """The dual witness that deg_epsilon(f) >= d, from approx_degree.
 
     v has unit l1 mass, plain-sum orthogonality to every character below the
     certified degree d, and correlation with f equal to the best error at
-    degree d-1, which exceeds epsilon.
+    degree d-1, which exceeds epsilon: the LP dual there, or at d = n of a
+    full-degree f the exact sign(s) chi_[n]/2^n, whose orthogonality sums
+    are exactly 0.
     """
     return approx_degree(f, epsilon).witness
 

@@ -133,8 +133,12 @@ def degree(f: BoolFunction) -> int:
     The character sums of a +-1 table are integers, so zero is tested
     exactly.
     """
-    nonzero = np.flatnonzero(character_sums(f))
-    return int(np.bitwise_count(nonzero).max(initial=0))
+    return _sums_degree(character_sums(f))
+
+
+def _sums_degree(sums: np.ndarray) -> int:
+    """Largest |T| with a nonzero character sum sums[T]."""
+    return int(np.bitwise_count(np.flatnonzero(sums)).max(initial=0))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import chebyshev
+from .approx import _FEAS_TOL, _first_fit, chebyshev
 from .bounds import BoundReport
 from .errors import ResourceLimitError, check_bytes
 from .matrices import balance_check, block_mask
@@ -908,18 +908,25 @@ def _product_characters(tables):
 def product_approx_degree(fvals, tables, epsilon: float) -> int:
     """Smallest d for which characters with at most d non-identity components
     approximate f, a class function of the product group, within epsilon in
-    sup norm.  All characters span every real class function, so d = t, the
-    number of blocks, needs no LP."""
+    sup norm.  The errors are nonincreasing in d.  Two need no LP: at d = 0
+    the span is the trivial character, so the error is (max f - min f)/2,
+    and all characters span every real class function, so d = t, the
+    number of blocks, is exact.  The degrees in between are searched
+    (approx._first_fit), one Chebyshev LP per degree probed."""
     if not 0 <= epsilon < 1:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     tables = list(tables)
     nonid, product = _product_characters(tables)
     fv = check_class_function(fvals, product)
-    for d in range(len(tables)):
+    tol = epsilon + _FEAS_TOL
+    if (fv.max() - fv.min()) / 2 <= tol:
+        return 0
+
+    def fits(d: int) -> bool:
         basis = _real_span_basis(product, np.flatnonzero(nonid <= d))
-        if chebyshev(fv, basis)[0] <= epsilon + 1e-9:
-            return d
-    return len(tables)
+        return chebyshev(fv, basis)[0] <= tol
+
+    return _first_fit(0, len(tables), fits)
 
 
 def block_group_bound(gmaps, fvals, tables) -> BoundReport:

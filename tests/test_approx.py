@@ -1,5 +1,8 @@
 """Approximate degree, the dual witness, and their verification."""
 
+import functools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -170,19 +173,19 @@ def test_zero_epsilon_refused_before_the_basis_is_built():
 
     from commbound.errors import ResourceLimitError
 
-    # AND:12 flipped also at the points 2^k - 1, k = 0..11 (x_1..x_k = -1):
+    # AND:12 flipped also at the points 2^k - 1, k = 1..11 (x_1..x_k = -1):
     # no swap of two inputs keeps the table, so its types are its 2^12
-    # points, and it is still of degree 12.  epsilon = 0 goes straight to
-    # degree 11, whose 4095 x 4096 basis alone is 134 MB; the 4096 x 12289
-    # tableau is refused first
+    # points, and it is of degree 11.  epsilon = 0 goes straight to degree
+    # 10, whose 4083 x 4096 basis alone is 134 MB; the 4084 x 12277 tableau
+    # is refused first
     table = builtin_function("AND", 12).table.copy()
-    table[[2 ** k - 1 for k in range(12)]] *= -1
+    table[[2 ** k - 1 for k in range(1, 12)]] *= -1
     f = BoolFunction(12, table)
-    assert degree(f) == 12 and len(_classes(f)) == 12
+    assert degree(f) == 11 and len(_classes(f)) == 12
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="simplex tableau of "
-                           "4096 rows and 12289 columns needs 402817040 "):
+                           "4084 rows and 12277 columns needs 401245040 "):
             approx_degree(f, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -201,6 +204,41 @@ def test_zero_epsilon_on_two_classes_solves_on_its_types():
     r = approx_degree(f, 0.0)
     assert (r.d, r.lp_status) == (12, "exact")
     assert verify_dual(r.witness, f).ok
+
+
+def test_the_search_refuses_only_what_a_sweep_would(monkeypatch):
+    import commbound.errors
+    from commbound.errors import ResourceLimitError
+
+    # seeded 5-bit tables with no swap symmetry, so that their types are
+    # their 32 points, under a budget that admits the degree-2 tableau (18 x
+    # 83 cells) and refuses degree 3 (28 x 93).  A sweep from degree 0 up
+    # solved its LPs up to degree min(d, deg(f) - 1); wherever those all
+    # fit, the search returns the result of the full budget (at d = 2 its
+    # doubling probes the refused degree 3 before degree 2), and elsewhere
+    # it refuses degree 3 as the sweep did
+    rng = np.random.default_rng(37)
+    seen = Counter()
+    for _ in range(40):
+        f = BoolFunction(5, rng.choice([-1, 1], size=32))
+        if len(_classes(f)) < 5:
+            continue
+        for eps in (0.1, 1.0 / 3.0, 0.5, 0.7, 0.9, 0.99):
+            full = approx_degree(f, eps)
+            swept = _sweep_lp_count(f, eps, full.d) - 1
+            with monkeypatch.context() as m:
+                m.setattr(commbound.errors, "MAX_TABLE_BYTES", 18 * 83 * 8)
+                if swept > 2 and full.d < f.n:
+                    with pytest.raises(ResourceLimitError,
+                                       match="tableau of 27 rows"):
+                        approx_degree(f, eps)
+                    seen["refused"] += 1
+                    continue
+                r = approx_degree(f, eps)
+            assert (r.d, r.max_error) == (full.d, full.max_error)
+            assert np.array_equal(r.witness.v.table, full.witness.v.table)
+            seen[full.d] += 1
+    assert seen[2] and seen[5] and seen["refused"]
 
 
 def test_maj7_at_one_third():
@@ -325,19 +363,40 @@ def _count_lps(monkeypatch):
     return calls
 
 
-def _reference_sweep(f, epsilon):
-    """(d, witness table) from an LP at every degree 0..n, the full-degree
-    LP included: the sweep before it stopped at deg(f)."""
+def _reference_sweep(f, epsilon, fit=None):
+    """(d, witness table, error) from an LP at every degree 0..n, the
+    full-degree LP included: the sweep before it stopped at deg(f).  fit(d)
+    is the LP of degree d (approx._fit by default); a cached one shares
+    the LPs between epsilons."""
     from commbound.approx import _FEAS_TOL, _fit
 
+    fit = fit or functools.partial(_fit, f)
     v = np.zeros(2 ** f.n)
     v[0] = f.table[0]
     for d in range(f.n + 1):
-        err, _, dual = _fit(f, d)
+        err, _, dual = fit(d)
         if err <= epsilon + _FEAS_TOL:
-            return d, v
+            return d, v, err
         v = dual
     raise AssertionError("the full-degree LP is always exact")
+
+
+def _sweep_lp_count(f, epsilon, d):
+    """LPs the sweep that stopped at deg(f) solved for a result d: one per
+    degree from 0 (from deg(f) - 1 at epsilon = 0) up to d, none from
+    deg(f) up."""
+    top = degree(f)
+    return min(top, 1) if epsilon == 0 else min(d + 1, top)
+
+
+def _parity_witness(f):
+    """sign(s) chi_[n] / 2^n for the top character sum s of f: the unique
+    optimal dual at degree n - 1 of a full-degree f."""
+    from commbound.boolfn import character_sums
+
+    s = int(character_sums(f)[-1])
+    odd = np.bitwise_count(np.arange(2 ** f.n)) & 1
+    return np.where(odd, -1.0, 1.0) * np.sign(s) / 2 ** f.n
 
 
 def test_chebyshev_zero_optimum_is_a_positive_zero():
@@ -350,31 +409,43 @@ def test_chebyshev_zero_optimum_is_a_positive_zero():
 def test_parity_sweep_stops_at_the_exact_degree(monkeypatch):
     import math
 
+    # degree 0 misses with error 1 and degree n - 1 with |s|/2^n = 1, so
+    # no degree is left to an LP
     calls = _count_lps(monkeypatch)
     for n in range(1, 7):
         calls.clear()
         r = approx_degree(builtin_function("PARITY", n), 1.0 / 3.0)
-        assert (r.d, len(calls), r.lp_status) == (n, n, "exact")
+        assert (r.d, len(calls), r.lp_status) == (n, 0, "exact")
         assert math.copysign(1.0, r.max_error) == 1.0 and r.max_error == 0.0
 
 
 def test_epsilon_zero_solves_one_lp(monkeypatch):
+    # the witness is the dual at deg(f) - 1: an LP unless deg(f) = n, where
+    # it is the parity
     calls = _count_lps(monkeypatch)
+    x1x2 = BoolFunction(3, [1, -1, -1, 1] * 2)
     for f in [builtin_function("AND", 4), builtin_function("MAJ", 3),
-              BoolFunction(3, [1] * 8), BoolFunction(3, [-1] * 8)]:
+              BoolFunction(3, [1] * 8), BoolFunction(3, [-1] * 8), x1x2]:
         calls.clear()
         r = approx_degree(f, 0.0)
         assert r.lp_status == "exact" and r.max_error == 0.0
-        assert len(calls) == min(r.d, 1)
+        assert len(calls) == (0 if r.d in (0, f.n) else 1), f.table
+    assert approx_degree(x1x2, 0.0).d == 2
 
 
 def test_sweep_matches_a_full_reference_sweep():
     for f in all_functions(3):
         for eps in (0.0, 1.0 / 3.0, 0.6):
             r = approx_degree(f, eps)
-            d, v = _reference_sweep(f, eps)
+            d, v, _ = _reference_sweep(f, eps)
             assert r.d == r.witness.d == d, (f.table, eps)
-            assert np.array_equal(r.witness.v.table, v), (f.table, eps)
+            if d < f.n:
+                assert np.array_equal(r.witness.v.table, v), (f.table, eps)
+            else:
+                # the degree n - 1 witness is exact; the LP's is within 1e-15
+                exact = _parity_witness(f)
+                assert np.array_equal(r.witness.v.table, exact)
+                assert np.abs(v - exact).max() <= 1e-15, (f.table, eps)
 
 
 def test_error_profile_is_exact_from_the_degree_up():
@@ -610,3 +681,202 @@ def test_verify_dual_transform_matches_the_character_matrix():
             chi = _character_matrix(n, _masks_up_to_degree(n, d - 1))
             want = float(np.abs(chi @ v).max(initial=0.0))
             assert abs(verify_dual(w, f).orthogonality_max - want) <= 1e-12
+
+
+# the search against the sweep: approx_degree reads degrees 0 and n - 1 off
+# the transform and searches the degrees between; _reference_sweep solves an
+# LP at every degree from 0 up
+
+SEARCH_EPSILONS = (0.0, 1.0 / 3.0, 0.6, 1.0 - 1e-10)
+
+
+def _npn_representatives(n):
+    """One table of each class of n-bit functions under permuting and
+    negating the inputs and negating the output, all of which keep every
+    error profile and the exact degree."""
+    import itertools
+
+    x = np.arange(2 ** n)
+    maps = np.array([sum(((x >> i) & 1) << p for i, p in enumerate(perm))
+                     ^ flip for perm in itertools.permutations(range(n))
+                     for flip in range(2 ** n)])
+    weights = 1 << x
+    full = 2 ** 2 ** n - 1
+    seen = np.zeros(full + 1, dtype=bool)
+    reps = []
+    for code in range(full + 1):
+        if not seen[code]:
+            images = ((code >> x) & 1)[maps] @ weights
+            seen[images] = seen[full ^ images] = True
+            reps.append(BoolFunction(n, 1 - 2 * ((code >> x) & 1)))
+    return reps
+
+
+def _check_search_against_the_sweep(f):
+    """Same d and witness as the sweep, and max_error within 1e-12, at
+    every SEARCH_EPSILONS; the degree n - 1 witness, exact here, is within
+    1e-15 of the sweep's LP dual."""
+    from commbound.approx import _fit
+
+    fit = functools.cache(functools.partial(_fit, f))
+    for eps in SEARCH_EPSILONS:
+        r = approx_degree(f, eps)
+        d, v, err = _reference_sweep(f, eps, fit)
+        assert r.d == r.witness.d == d, (f.table, eps)
+        assert abs(r.max_error - err) <= 1e-12, (f.table, eps)
+        if d == f.n:
+            assert np.array_equal(r.witness.v.table, _parity_witness(f))
+            assert np.abs(r.witness.v.table - v).max() <= 1e-15, \
+                (f.table, eps)
+        else:
+            assert np.array_equal(r.witness.v.table, v), (f.table, eps)
+
+
+def test_search_matches_the_sweep_on_every_small_function():
+    for n in (2, 3):
+        for f in all_functions(n):
+            _check_search_against_the_sweep(f)
+    reps = _npn_representatives(4)
+    assert len(reps) == 222
+    for f in reps:
+        _check_search_against_the_sweep(f)
+
+
+def test_search_matches_the_sweep_on_planted_classes():
+    rng = np.random.default_rng(34)
+    for sizes in ((2, 2, 1), (3, 1, 1), (1, 1, 1, 1, 1), (2, 2, 2),
+                  (3, 2, 1), (4, 1, 1), (3, 2, 2), (2, 2, 2, 1)):
+        f, blocks = _planted(rng, sizes)
+        assert sorted(_classes(f)) == blocks, sizes
+        _check_search_against_the_sweep(f)
+
+
+def _full_degree_functions():
+    """Builtins and seeded planted tables of degree n, 2 to 7 bits."""
+    rng = np.random.default_rng(35)
+    fs = [f for f in _builtins(7) if f.n >= 2 and degree(f) == f.n]
+    for sizes in ((2, 1), (1, 1, 1, 1), (3, 2), (2, 2, 1), (3, 3),
+                  (3, 2, 2)):
+        f, _ = _planted(rng, sizes)
+        if degree(f) == f.n:
+            fs.append(f)
+    return fs
+
+
+def test_degree_n_minus_1_closed_form_matches_its_lp():
+    from commbound.boolfn import character_sums
+
+    at_n_minus_1 = 0
+    for f in _full_degree_functions():
+        e = abs(int(character_sums(f)[-1])) / 2 ** f.n
+        lp_err, lp_approximant = best_approximation(f, f.n - 1)
+        assert abs(e - lp_err) <= 1e-12, f.table
+        # epsilon = e: degree n - 1 fits with the parity left out
+        r = approx_degree(f, min(e, 0.99))
+        if r.d == f.n - 1:
+            at_n_minus_1 += 1
+            assert r.lp_status == "optimal" and r.max_error == e
+            assert np.abs(r.approximant.as_array() -
+                          lp_approximant.as_array()).max() <= 1e-12
+        # below e it misses, and the parity is the witness
+        w = approx_degree(f, e / 2).witness
+        check = verify_dual(w, f)
+        assert w.d == f.n and check.ok and check.orthogonality_max == 0.0
+        assert w.correlation == e and w.l1 == 1.0
+    assert at_n_minus_1 >= 5
+
+
+def _workload_calls(monkeypatch, tmp_path):
+    """(workload, seed, f, epsilon, result, LPs solved) of every
+    approx_degree call that perfbench's three workloads make at seeds 1 to
+    3, each task run as perfbench runs it."""
+    import importlib.util
+    import pathlib
+    import sys
+
+    import commbound
+    import commbound.approx
+    import commbound.bounds
+    import commbound.cli
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
+        "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, gen)
+    spec.loader.exec_module(gen)
+    lps = _count_lps(monkeypatch)
+    calls = []
+    solve = commbound.approx.approx_degree
+
+    def counted(f, epsilon):
+        before = len(lps)
+        r = solve(f, epsilon)
+        calls.append((workload, seed, f, epsilon, r, len(lps) - before))
+        return r
+
+    for module in (commbound.approx, commbound.bounds, commbound.cli):
+        monkeypatch.setattr(module, "approx_degree", counted)
+    for workload in gen.WORKLOADS:
+        for seed in (1, 2, 3):
+            root = tmp_path / f"{workload}-{seed}"
+            for task in gen.generate(workload, seed, str(root), commbound):
+                if task.argv is None:
+                    module, name = task.call.split(".")
+                    getattr(getattr(commbound, module), name)(*task.args)
+                else:
+                    out = str(root / (task.id + ".json"))
+                    assert commbound.cli.main(task.argv + ["--output", out]) \
+                        == task.expect, task.id
+    return calls
+
+
+def test_lp_count_guard_on_parity_and_majority(monkeypatch):
+    # degree n - 1 misses: |s|/2^n is 1 for PARITY:n, 1/2 for MAJ:3 and
+    # 3/8 for MAJ:5
+    lps = _count_lps(monkeypatch)
+    for f in [builtin_function("PARITY", n) for n in range(1, 9)] + \
+            [builtin_function("MAJ", 3), builtin_function("MAJ", 5)]:
+        lps.clear()
+        assert approx_degree(f, 1.0 / 3.0).d == f.n
+        assert not lps, (f.n, len(lps))
+
+
+def test_lp_count_guard_on_full_degree_five_bit_tables(monkeypatch):
+    lps = _count_lps(monkeypatch)
+    # degrees 1 to 3 of a full-degree 5-bit table: a probe at 1, then 3,
+    # then 2, or the degree-0 witness LP after a fit at 1.  Seeded tables,
+    # and MAJ:5 with one point flipped, whose degree-1 error can be 6/7
+    rng = np.random.default_rng(36)
+    tables = [rng.choice([-1, 1], size=32) for _ in range(40)]
+    for x in range(32):
+        tables.append(builtin_function("MAJ", 5).table.copy())
+        tables[-1][x] *= -1
+    seen = set()
+    for table in tables:
+        f = BoolFunction(5, table)
+        if degree(f) < 5:
+            continue
+        for eps in (0.1, 0.2, 1.0 / 3.0, 0.5, 0.7, 0.9, 0.99):
+            lps.clear()
+            r = approx_degree(f, eps)
+            assert len(lps) <= 3, (f.table, eps, r.d)
+            seen.add(r.d)
+    assert seen >= {1, 2, 3, 4}
+
+
+def test_lp_count_guard_on_the_workloads(monkeypatch, tmp_path, capsys):
+    # never more LPs than the sweep, on every call the workloads make
+    calls = _workload_calls(monkeypatch, tmp_path)
+    capsys.readouterr()
+    assert {c[0] for c in calls} == {"degree", "inner", "group"}
+    for workload, seed, f, eps, r, count in calls:
+        assert count <= _sweep_lp_count(f, eps, r.d), \
+            (workload, seed, f.table, eps, r.d, count)
+    # at seed 1 the sweep solved 96 LPs a pass on degree and 65 on inner
+    lps_at_seed_1 = Counter()
+    for workload, seed, *_, count in calls:
+        lps_at_seed_1[workload] += count if seed == 1 else 0
+    assert lps_at_seed_1["degree"] <= 32 and lps_at_seed_1["inner"] <= 5, \
+        lps_at_seed_1

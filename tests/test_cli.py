@@ -677,7 +677,9 @@ def test_solver_failure_exits_3(capsys, monkeypatch):
         raise SimplexError("simplex iteration cap 10 exceeded")
 
     monkeypatch.setattr(commbound.approx, "solve_lp", fail)
-    code = main(["approx-degree", "--function", "AND:2", "--epsilon", "0.3"])
+    # AND:3 at 0.3 fits at degree 2 = n - 1 without an LP, and degree 1 is
+    # left to one
+    code = main(["approx-degree", "--function", "AND:3", "--epsilon", "0.3"])
     captured = capsys.readouterr()
     assert code == EXIT_RESOURCE
     assert captured.out == ""
@@ -685,10 +687,12 @@ def test_solver_failure_exits_3(capsys, monkeypatch):
 
 
 def test_dual_solves_one_lp_per_degree(capsys, monkeypatch):
-    # degrees 0..d are each solved once below deg(f), where the transform
-    # is exact without an LP, and the witness is the degree d-1 dual, so
-    # --dual adds no LP: MAJ:5 stops at d = deg = 5 after 5 LPs, AND:5 at
-    # d = 3 < deg = 5 after 4
+    # each degree the search probes is solved once, and the witness is the
+    # degree d-1 dual, so --dual adds no LP.  Degree 0 and, for deg(f) = n,
+    # degree n - 1 are read off the transform: MAJ:5 misses at degree 4
+    # (|s|/2^5 = 3/8) and stops at d = 5 with no LP; AND:5 searches degrees
+    # 1..3 below its fit at degree 4 (1/16), probing 1, 3 and 2, where the
+    # sweep solved 0..3
     import commbound.approx
     from commbound.boolfn import degree, load_function
 
@@ -696,7 +700,7 @@ def test_dual_solves_one_lp_per_degree(capsys, monkeypatch):
     solve = commbound.approx.solve_lp
     monkeypatch.setattr(commbound.approx, "solve_lp",
                         lambda *a, **k: calls.append(1) or solve(*a, **k))
-    for spec, d_want, lps in (("MAJ:5", 5, 5), ("AND:5", 3, 4)):
+    for spec, d_want, lps in (("MAJ:5", 5, 0), ("AND:5", 3, 3)):
         calls.clear()
         code, report = run_cli(capsys, "approx-degree", "--function", spec,
                                "--epsilon", "0.333", "--dual")
@@ -704,7 +708,31 @@ def test_dual_solves_one_lp_per_degree(capsys, monkeypatch):
         assert report["report"]["dual"]["all_checks_pass"] is True
         d = report["report"]["d"]
         assert (d, len(calls)) == (d_want, lps)
-        assert len(calls) == min(d + 1, degree(load_function(spec)))
+        assert len(calls) <= min(d + 1, degree(load_function(spec)))
+
+
+def test_zero_epsilon_certifies_full_degree_without_an_lp(capsys, tmp_path,
+                                                          monkeypatch):
+    # AND:12 flipped also at the points 2^k - 1, k = 0..11: no swap
+    # symmetry, so its LPs run on all 2^12 points, and the degree-11 one is
+    # past the byte budget.  Its degree is 12, so the degree-11 dual is the
+    # parity and no LP is solved
+    import commbound.approx
+    from commbound.boolfn import (BoolFunction, builtin_function,
+                                  format_truth_table)
+
+    table = builtin_function("AND", 12).table.copy()
+    table[[2 ** k - 1 for k in range(12)]] *= -1
+    path = tmp_path / "and12-flipped.txt"
+    path.write_text(format_truth_table(BoolFunction(12, table)))
+    monkeypatch.setattr(commbound.approx, "solve_lp", None)
+    code, report = run_cli(capsys, "approx-degree", "--function", str(path),
+                           "--epsilon", "0", "--dual")
+    assert code == EXIT_OK
+    rep = report["report"]
+    assert (rep["d"], rep["lp_status"], rep["max_error"]) == (12, "exact", 0.0)
+    assert rep["dual"]["all_checks_pass"] is True
+    assert rep["dual"]["margins"]["orthogonality_max"] == 0.0
 
 
 def test_search_balanced_command(capsys):

@@ -1219,14 +1219,15 @@ def test_product_characters_against_per_combination():
 
 def test_product_approx_degree_skips_the_full_character_lp(monkeypatch):
     # every character together spans every class function, so d = t needs
-    # no LP: 3-bit parity over three Z2 tables takes the LPs at d = 0, 1, 2
+    # no LP, and d = 0 misses with error (max f - min f)/2 = 1: 3-bit parity
+    # over three Z2 tables takes the LPs at d = 1 and 2 only
     calls = []
     solve = gc.chebyshev
     monkeypatch.setattr(gc, "chebyshev",
                         lambda *a: calls.append(1) or solve(*a))
     fv = builtin_function("PARITY", 3).table.astype(float)
     assert gc.product_approx_degree(fv, [T_Z2] * 3, 1.0 / 3.0) == 3
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_s3_values_must_be_a_class_function():
@@ -1270,6 +1271,69 @@ def test_product_approx_degree_full_support_character():
     fv = np.array([(w ** ((a + b) % 3)).real
                    for b in range(3) for a in range(3)])
     assert gc.product_approx_degree(fv, [T_Z3, T_Z3], 1.0 / 3.0) == 2
+
+
+def _product_sweep(fvals, tables, epsilon):
+    """The product degree from an LP at every degree below the number of
+    blocks: the reference for product_approx_degree's search."""
+    nonid, product = gc._product_characters(tables)
+    fv = gc.check_class_function(fvals, product)
+    for d in range(len(tables)):
+        basis = gc._real_span_basis(product, np.flatnonzero(nonid <= d))
+        if gc.chebyshev(fv, basis)[0] <= epsilon + 1e-9:
+            return d
+    return len(tables)
+
+
+def test_product_approx_degree_matches_its_sweep():
+    # seeded +-1 and real values on Z2^t (t <= 5) and Z3^t (t <= 3) blocks,
+    # some of them functions of the first k blocks only (the first block is
+    # the least significant digit), so that every d from 0 to t turns up
+    rng = np.random.default_rng(34)
+    seen = Counter()
+    for table, most in ((T_Z2, 5), (T_Z3, 3)):
+        for t in range(1, most + 1):
+            order = table.order ** t
+            values = [rng.choice([-1.0, 1.0], size=order),
+                      rng.uniform(-1.0, 1.0, size=order)]
+            for k in range(1, t):
+                low = rng.choice([-1.0, 1.0], size=table.order ** k)
+                values.append(np.tile(low, order // low.size))
+            for fv in values:
+                for eps in (0.0, 1.0 / 3.0, 0.6, 1.0 - 1e-10):
+                    d = gc.product_approx_degree(fv, [table] * t, eps)
+                    assert d == _product_sweep(fv, [table] * t, eps), \
+                        (table.order, t, fv, eps)
+                    seen[d == t, d == 0] += 1
+    assert seen[False, False] and seen[True, False] and seen[False, True]
+
+
+def test_product_search_refuses_only_what_a_sweep_would(monkeypatch):
+    import commbound.errors
+
+    # five Z2 blocks under a budget that admits the degree-2 span LP (18 x
+    # 83 cells) and refuses degree 3 (28 x 93): the values whose sweep
+    # stopped by degree 2 get their degree, though the search's doubling
+    # probes degree 3 before degree 2, and the rest refuse degree 3 as the
+    # sweep did
+    rng = np.random.default_rng(38)
+    seen = Counter()
+    tables = [T_Z2] * 5
+    for _ in range(20):
+        fv = rng.choice([-1.0, 1.0], size=32)
+        for eps in (0.5, 0.7, 0.9, 0.99):
+            d = _product_sweep(fv, tables, eps)
+            with monkeypatch.context() as m:
+                m.setattr(commbound.errors, "MAX_TABLE_BYTES", 18 * 83 * 8)
+                if d > 2:
+                    with pytest.raises(ResourceLimitError,
+                                       match="tableau of 27 rows"):
+                        gc.product_approx_degree(fv, tables, eps)
+                    seen["refused"] += 1
+                else:
+                    assert gc.product_approx_degree(fv, tables, eps) == d
+                    seen[d] += 1
+    assert seen[2] and seen["refused"]
 
 
 def test_block_group_bound_identical_blocks():

@@ -55,7 +55,7 @@ def test_counters_read_the_traced_results(capsys, tmp_path):
     assert counts["composer.cells"] > 0
     # the counters that bind arguments by name: M, A, and c, A_ub, A_eq
     counts = traced_counts(["analyze-matrix", "--input", "core4"],
-                           ["approx-degree", "--function", "AND:2",
+                           ["approx-degree", "--function", "AND:3",
                             "--epsilon", "0.3"])
     capsys.readouterr()
     # core4 is 4 x 4, and its discrepancy sums 2^4 - 1 row subsets

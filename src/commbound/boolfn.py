@@ -40,9 +40,6 @@ class BoolFunction:
         self.n = n
         self.table = arr
 
-    def __call__(self, mask: int) -> int:
-        return int(self.table[mask])
-
     def __eq__(self, other):
         return (isinstance(other, BoolFunction) and self.n == other.n
                 and np.array_equal(self.table, other.table))
@@ -78,9 +75,6 @@ class FourierSpectrum:
 
     n: int
     coeffs: tuple
-
-    def coeff(self, T: int) -> float:
-        return self.coeffs[T]
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=float)

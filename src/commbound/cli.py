@@ -147,13 +147,7 @@ def _cmd_compose(opts) -> tuple:
     }
     if opts["verify_rank"]:
         with _blaming("--inner"):
-            rep = cp.verify_rank_theorem(comp)
-        payload["rank_formula"] = {
-            "formula_rank": rep.formula_rank,
-            "composed_rank": rep.composed_rank,
-            "equal": rep.equal,
-            "inner_rank": rep.inner_rank,
-        }
+            payload["rank_formula"] = cp.verify_rank_theorem(comp)
     if opts["witness"]:
         eps = opts["epsilon"]
         w = dual_polynomial(f, eps)
@@ -215,12 +209,7 @@ def _cmd_group_check(opts) -> tuple:
         "rows": gmap.rows,
         "cols": gmap.cols,
         "group_order": gmap.order,
-        "regularity": {
-            "regular": reg.regular,
-            "copies": reg.copies,
-            "counts": reg.counts,
-            "diagonal_invariant": reg.diagonal_invariant,
-        },
+        "regularity": reg,
         "easy": sorted(partition.easy),
         "hard": hard,
         "orthogonality": {

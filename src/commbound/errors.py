@@ -18,5 +18,9 @@ class ResourceLimitError(CommboundError):
 def check_bytes(need: int, subject: str) -> None:
     """Refuse need bytes past MAX_TABLE_BYTES; subject ends in its verb."""
     if need > MAX_TABLE_BYTES:
+        try:
+            size = str(need)
+        except ValueError:  # past Python's limit on int-to-str digits
+            size = f"at least 2^{need.bit_length() - 1}"
         raise ResourceLimitError(
-            f"{subject} {need} bytes (cap {MAX_TABLE_BYTES})")
+            f"{subject} {size} bytes (cap {MAX_TABLE_BYTES})")

@@ -30,6 +30,7 @@ from .simplex import check_tableau
 
 MAX_GROUP_ORDER = 2 ** 14
 _SUM_TOL = 1e-8  # zero tests scale with multiset size
+_NO_GROUP = "invariance needs an Abelian group, not only an order"
 
 
 class AbelianGroupSpec:
@@ -46,14 +47,6 @@ class AbelianGroupSpec:
             raise ValueError(f"group order {order} exceeds cap {MAX_GROUP_ORDER}")
         self.moduli = mods
         self.order = order
-
-    def element(self, index: int) -> tuple:
-        return tuple(np.array(np.unravel_index(index, self.moduli,
-                                               order="F")).tolist())
-
-    def index(self, element) -> int:
-        return int(np.ravel_multi_index(tuple(element), self.moduli,
-                                        order="F"))
 
     def __eq__(self, other):
         return isinstance(other, AbelianGroupSpec) and self.moduli == other.moduli
@@ -431,11 +424,9 @@ class HardnessPartition:
 @dataclass(frozen=True)
 class RegularityReport:
     regular: bool
-    divisible: bool
     copies: int | None
     counts: tuple
     diagonal_invariant: bool | None
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -446,10 +437,7 @@ class GroupOrthogonalityReport:
 
     max_row_violation: float
     max_col_violation: float
-    row_threshold: float
-    col_threshold: float
     passed: bool
-    pairs_checked: int
     all_pairs_invariant: bool | None
 
     @property
@@ -552,8 +540,10 @@ def g_invariant(T: np.ndarray, G: AbelianGroupSpec) -> bool:
     all of one multiplicity.  One sort of the (label, t - s, multiplicity)
     keys forms the groups, so a family is checked as a whole.  ValueError
     unless the (label, s, t) keys strictly increase and s, t are elements
-    of G.
+    of G, and when G is None.
     """
+    if G is None:
+        raise ValueError(_NO_GROUP)
     if T.ndim != 2 or T.shape[1] not in (3, 4) or T.dtype.kind not in "iu":
         raise ValueError("pair multiset rows must be integer (s, t, "
                          "multiplicity) or (label, s, t, multiplicity)")
@@ -578,6 +568,8 @@ def g_invariant(T: np.ndarray, G: AbelianGroupSpec) -> bool:
 def all_pairs_invariant(gmap: GroupMapMatrix) -> bool:
     """Is every row-pair and column-pair multiset of an Abelian map fixed
     by every diagonal shift (s, s)?"""
+    if gmap.group is None:
+        raise ValueError(_NO_GROUP)
     fam = pair_multisets(gmap)
     return g_invariant(fam.row_family, gmap.group) and \
         g_invariant(fam.col_family, gmap.group)
@@ -614,27 +606,19 @@ def regularity_check(gmap: GroupMapMatrix) -> RegularityReport:
     multisets are invariant (for Abelian maps), the hypothesis under which
     invariance already forces regularity.  (s,s) fixes the diagonal multiset
     of a line exactly when the line hits every element equally often, so
-    that comes from per-line counts too.
+    that comes from per-line counts too.  copies is None when |G| does not
+    divide the map's size.
     """
     E = gmap.entries
-    total = E.size
     counts = np.bincount(E.reshape(-1), minlength=gmap.order)
-    divisible = total % gmap.order == 0
-    copies = total // gmap.order if divisible else None
-    regular = divisible and bool((counts == copies).all())
+    copies = E.size // gmap.order if E.size % gmap.order == 0 else None
+    regular = copies is not None and bool((counts == copies).all())
     diag = None
     if gmap.group is not None:
         diag = _lines_uniform(E, gmap.order) or _lines_uniform(E.T, gmap.order)
-    if not divisible:
-        reason = (f"matrix size {total} is not divisible by the group "
-                  f"order {gmap.order}")
-    elif not regular:
-        reason = "element counts are not all equal"
-    else:
-        reason = ""
-    return RegularityReport(regular=regular, divisible=divisible,
-                            copies=copies, counts=tuple(int(c) for c in counts),
-                            diagonal_invariant=diag, reason=reason)
+    return RegularityReport(regular=regular, copies=copies,
+                            counts=tuple(int(c) for c in counts),
+                            diagonal_invariant=diag)
 
 
 def _invariance(gmap: GroupMapMatrix, table: CharacterTable) -> bool | None:
@@ -686,13 +670,10 @@ def orthogonality_general(gmap: GroupMapMatrix, table: CharacterTable,
                             float(np.abs(S[i] @ conj_t[i + 1:]).max()))
             worst_col = max(worst_col,
                             float(np.abs(S[i].T @ conj[i + 1:]).max()))
-    row_thr = _SUM_TOL * Y
-    col_thr = _SUM_TOL * X
     return GroupOrthogonalityReport(
         max_row_violation=worst_row, max_col_violation=worst_col,
-        row_threshold=row_thr, col_threshold=col_thr,
-        passed=worst_row <= row_thr and worst_col <= col_thr,
-        pairs_checked=math.comb(k, 2), all_pairs_invariant=invariant)
+        passed=worst_row <= _SUM_TOL * Y and worst_col <= _SUM_TOL * X,
+        all_pairs_invariant=invariant)
 
 
 def tprime_check(T: np.ndarray, table: CharacterTable) -> TPrimeReport:
@@ -861,7 +842,10 @@ def general_bound(gmap: GroupMapMatrix, fvals, table: CharacterTable,
         fv = np.asarray(fvals, dtype=float)
         reg, orth = checked
     if not reg.regular:
-        return report.refuse(f"regularity fails: {reg.reason}")
+        why = "element counts are not all equal" if reg.copies is not None \
+            else (f"matrix size {gmap.entries.size} is not divisible by the "
+                  f"group order {gmap.order}")
+        return report.refuse(f"regularity fails: {why}")
     if not orth.passed:
         return report.refuse(
             f"orthogonality fails: max violations {orth.max_row_violation:.3g} "
@@ -898,11 +882,12 @@ def _product_characters(tables):
     The first group is the least significant factor of the element index,
     as in CharacterTable.product.
     """
+    product = CharacterTable.product(tables)  # its byte check precedes nonid
     nonid = np.zeros(1, dtype=np.int64)
     for t in reversed(tables):
         nonid = np.add.outer(nonid,
                              np.arange(t.h) != t.trivial_index()).ravel()
-    return nonid, CharacterTable.product(tables)
+    return nonid, product
 
 
 def product_approx_degree(fvals, tables, epsilon: float) -> int:

@@ -28,8 +28,9 @@ def _report(num: int, ok: bool, label: str) -> None:
 
 def _add(G, i, j):
     """Index of the sum of elements i and j of the Abelian group G."""
-    return G.index(tuple((a + b) % m for a, b, m in
-                         zip(G.element(i), G.element(j), G.moduli)))
+    digits = np.add(np.unravel_index(i, G.moduli, order="F"),
+                    np.unravel_index(j, G.moduli, order="F")) % G.moduli
+    return int(np.ravel_multi_index(tuple(digits), G.moduli, order="F"))
 
 
 def _all_strongly_balanced_4x4():

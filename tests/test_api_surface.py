@@ -1,5 +1,7 @@
 """Every name commbound exports has a caller: the package itself, a
-benchmark task, the benchmark's tracer, or a test that needs it by name."""
+benchmark task, the benchmark's tracer, or a test that needs it by name.
+Every member of its classes has a reader in the package or the benchmark,
+or a listed reason to have none."""
 
 import ast
 import functools
@@ -16,6 +18,33 @@ TEST_FACING = {
     "tensor": "fixture",
     "canonical_form": "reference",
     "pair_counts": "format",
+}
+
+# class members that no code in src/ or perfbench/ reads, by reason and
+# class: "report", printed whole by the CLI; "traced", the result of an
+# entry point that perfbench/tracing.py wraps; "certificate", kept for the
+# caller to check; "format", a file-format writer
+UNREAD_MEMBERS = {
+    "report": {
+        "BoundReport": "theorem",
+        "BalanceReport": "row_sums col_sums balanced",
+        "RankTheoremReport": "formula_rank composed_rank equal inner_rank",
+        "RegularityReport": "diagonal_invariant",
+        "SpectrumReport": "singular_values trace_norm frobenius_norm "
+                          "numeric_rank tolerance",
+    },
+    "traced": {
+        "TPrimeReport": "direct_max conjugated_max threshold direct_ok "
+                        "conjugated_ok agree",
+        "DualClassFunction": "delta easy_coeff_max",
+        "SpectralDiscReport": "balance_residual balanced cond2_value cond2_ok "
+                              "cond3_value cond3_ok minimal_r",
+        "ShaltielReport": "lhs disc",
+        "ApproxNormBound": "trace_lb gamma2_lb qcc_main_term",
+    },
+    "certificate": {"ApproxDegreeResult": "approximant"},
+    "format": {"CharacterTable": "to_json", "GroupMapMatrix": "to_text",
+               "SignMatrix": "to_text"},
 }
 
 
@@ -90,3 +119,57 @@ def test_test_facing_names_are_uncalled_and_explained():
     # a name that gains a caller leaves the set
     assert _uncalled() == set(TEST_FACING)
     assert set(TEST_FACING.values()) <= {"fixture", "reference", "format"}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+
+
+def _members() -> set:
+    """"Class.member" for every dataclass field, public method or property,
+    and __call__ of each class the package defines."""
+    out = set()
+    for path in PACKAGE.glob("*.py"):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = [item.name for item in cls.body
+                     if isinstance(item, ast.FunctionDef)
+                     and (item.name == "__call__"
+                          or not item.name.startswith("_"))]
+            if _is_dataclass(cls):
+                names += [item.target.id for item in cls.body
+                          if isinstance(item, ast.AnnAssign)]
+            out |= {f"{cls.name}.{name}" for name in names}
+    return out
+
+
+def _unread() -> set:
+    """Members whose name no attribute read in src/ or perfbench/ takes,
+    the class's own methods included.  Reads are matched by name alone, so
+    a member named like another type's attribute counts as read by it: an
+    AbelianGroupSpec.index would pass on list.index in matrices."""
+    reads = set()
+    for path in [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads |= {n.attr for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)
+                  and isinstance(n.ctx, ast.Load)}
+    return {m for m in _members() if m.split(".")[1] not in reads}
+
+
+def _listed() -> set:
+    return {f"{cls}.{name}" for classes in UNREAD_MEMBERS.values()
+            for cls, names in classes.items() for name in names.split()}
+
+
+def test_every_member_has_a_reader():
+    assert _members()
+    assert sorted(_unread() - _listed()) == []
+
+
+def test_unread_members_are_unread_and_explained():
+    # a member that gains a reader leaves the listing
+    assert _unread() == _listed()
+    assert set(UNREAD_MEMBERS) == {"report", "traced", "certificate", "format"}
+    assert set(UNREAD_MEMBERS["format"].values()) <= {"to_text", "to_json"}

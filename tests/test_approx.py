@@ -276,7 +276,7 @@ def test_approximant_quality():
     # no coefficients above the certified degree
     for T in range(4):
         if bin(T).count("1") > r.d:
-            assert r.approximant.coeff(T) == pytest.approx(0.0, abs=1e-9)
+            assert r.approximant.coeffs[T] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_epsilon_validation():
@@ -562,7 +562,7 @@ def test_each_lp_runs_on_the_swap_class_types(monkeypatch):
         # the 6 types of classes of sizes 2 and 1
         want = 2 * math.prod(len(c) + 1 for c in classes)
         assert widths and set(widths) == {want}, f.table
-        symmetric = all(len({int(f(x)) for x in range(8)
+        symmetric = all(len({int(f.table[x]) for x in range(8)
                              if bin(x).count("1") == k}) == 1
                         for k in range(4))
         assert (want == 8) == symmetric, f.table

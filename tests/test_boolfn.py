@@ -46,7 +46,7 @@ def test_wht_parity():
         s = bf.wht(bf.builtin_function("PARITY", n))
         full = 2 ** n - 1
         for T in range(2 ** n):
-            assert s.coeff(T) == pytest.approx(1.0 if T == full else 0.0)
+            assert s.coeffs[T] == pytest.approx(1.0 if T == full else 0.0)
 
 
 def test_wht_and2():
@@ -100,7 +100,8 @@ def test_builtins():
     or2 = bf.builtin_function("OR", 2)
     assert list(or2.table) == [1, -1, -1, -1]
     maj3 = bf.builtin_function("MAJ", 3)
-    assert maj3(0b000) == 1 and maj3(0b011) == -1 and maj3(0b100) == 1
+    assert maj3.table[0b000] == 1 and maj3.table[0b011] == -1 and \
+        maj3.table[0b100] == 1
     with pytest.raises(ValueError):
         bf.builtin_function("MAJ", 2)
     with pytest.raises(ValueError):

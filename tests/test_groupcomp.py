@@ -33,15 +33,25 @@ def as_counter(T):
     return Counter({(s, t): m for s, t, m in T.tolist()})
 
 
+def _element(G, i):
+    """The digits of element index i, packed as the package packs them:
+    first modulus least significant."""
+    return tuple(np.array(np.unravel_index(i, G.moduli, order="F")).tolist())
+
+
+def _index(G, digits):
+    return int(np.ravel_multi_index(tuple(digits), G.moduli, order="F"))
+
+
 def test_group_indexing_round_trip():
     G = gc.AbelianGroupSpec([3, 4, 2])
     for i in range(G.order):
-        assert G.index(G.element(i)) == i
+        assert _index(G, _element(G, i)) == i
     m = G.moduli
-    assert _oracle_add(m, G.index((2, 3, 1)), G.index((1, 1, 1))) == \
-        G.index((0, 0, 0))
-    assert _oracle_negate(m, G.index((1, 0, 1))) == G.index((2, 0, 1))
-    gens = [G.index((1, 0, 0)), G.index((0, 1, 0)), G.index((0, 0, 1))]
+    assert _oracle_add(m, _index(G, (2, 3, 1)), _index(G, (1, 1, 1))) == \
+        _index(G, (0, 0, 0))
+    assert _oracle_negate(m, _index(G, (1, 0, 1))) == _index(G, (2, 0, 1))
+    gens = [_index(G, (1, 0, 0)), _index(G, (0, 1, 0)), _index(G, (0, 0, 1))]
     every = np.arange(G.order)
     for e in gens:
         moved = np.array([_oracle_add(m, a, e) for a in range(G.order)])
@@ -73,7 +83,7 @@ def test_characters_abelian_against_elementwise_formula():
         for a in range(G.order):
             for x in range(G.order):
                 phase = sum(aj * xj / m for aj, xj, m in
-                            zip(G.element(a), G.element(x), moduli))
+                            zip(_element(G, a), _element(G, x), moduli))
                 expect[a, x] = np.exp(2j * math.pi * phase)
         table = gc.characters_abelian(G)
         assert np.abs(table.table - expect).max() <= 1e-12, moduli
@@ -266,8 +276,9 @@ def test_non_abelian_s3_general_bound():
     reg = gc.regularity_check(gm)
     assert reg.regular and reg.copies == 6
     assert reg.diagonal_invariant is None  # no Abelian structure to test
-    orth = gc.orthogonality_general(gm, table, [1, 2])
-    assert orth.passed and orth.pairs_checked == 1
+    hard = [1, 2]
+    orth = gc.orthogonality_general(gm, table, hard)
+    assert orth.passed and math.comb(len(hard), 2) == 1
     assert max(orth.max_row_violation, orth.max_col_violation) <= 1e-12
     # f = the standard character; the best constant is 1/2, off by 3/2 at
     # e and at the 3-cycles
@@ -518,6 +529,16 @@ def test_pair_counts_and_g_invariant_refuse_non_elements():
     # a hand-built -1 was read as |G| - 1 by the shift lookup
     with pytest.raises(ValueError, match="below 3"):
         gc.g_invariant(np.array([[-1, -1, 1], [0, 0, 1], [1, 1, 1]]), Z3)
+
+
+def test_invariance_refuses_a_map_with_only_an_order():
+    # the order-only form is the one non-Abelian maps take; it has no
+    # group to shift by
+    gm = gc.GroupMapMatrix([[0, 1], [1, 0]], order=2)
+    with pytest.raises(ValueError, match="needs an Abelian group"):
+        gc.all_pairs_invariant(gm)
+    with pytest.raises(ValueError, match="needs an Abelian group"):
+        gc.g_invariant(gc.pair_counts([[0, 1], [1, 0]]), None)
 
 
 def test_g_invariant_refuses_keys_that_do_not_increase():
@@ -846,7 +867,16 @@ def test_regularity():
     assert not rep.regular and rep.counts == (4, 0)
     odd = gc.GroupMapMatrix(np.zeros((1, 1), dtype=int), Z3)
     rep = gc.regularity_check(odd)
-    assert not rep.divisible and "divisible" in rep.reason
+    assert rep.copies is None and not rep.regular
+    # general_bound words the refusal from the report and the map
+    partition = gc.HardnessPartition.from_easy([0], 3)
+    refused = gc.general_bound(odd, [0.0] * 3, T_Z3, partition, 0.0)
+    assert refused.warnings[-1] == "regularity fails: matrix size 1 is not " \
+        "divisible by the group order 3"
+    uneven = gc.general_bound(gc.GroupMapMatrix([[0, 1, 1]], Z3), [0.0] * 3,
+                              T_Z3, partition, 0.0)
+    assert uneven.warnings[-1] == \
+        "regularity fails: element counts are not all equal"
 
 
 def test_diagonal_invariance_forces_regularity():
@@ -878,10 +908,10 @@ def test_orthogonality_general_balanced_blocks():
     gm = gc.GroupMapMatrix.from_sign_blocks([mx.PATTERN_CORE_4,
                                              mx.PATTERN_CORE_4])
     rep = gc.orthogonality_general(gm, T_Z22, range(4))
-    assert rep.passed and rep.pairs_checked == 6
+    assert rep.passed and math.comb(len(range(4)), 2) == 6
     # a single hard character passes vacuously
     rep = gc.orthogonality_general(gm, T_Z22, [3])
-    assert rep.passed and rep.pairs_checked == 0
+    assert rep.passed and math.comb(len([3]), 2) == 0
 
 
 def test_orthogonality_general_constant_column_fails():
@@ -919,11 +949,11 @@ def test_orthogonality_general_against_pairwise_loop():
                 hard = rng.choice(G.order, size=size, replace=False).tolist()
                 rep = gc.orthogonality_general(gm, table, hard)
                 row, col, pairs = _pairwise_orthogonality(gm, table, hard)
-                assert rep.pairs_checked == pairs
+                assert math.comb(len(hard), 2) == pairs
                 assert rep.max_row_violation == pytest.approx(row, abs=1e-12)
                 assert rep.max_col_violation == pytest.approx(col, abs=1e-12)
-                assert rep.passed == (row <= rep.row_threshold and
-                                      col <= rep.col_threshold)
+                assert rep.passed == (row <= 1e-8 * gm.cols and
+                                      col <= 1e-8 * gm.rows)
                 verdicts.add(rep.passed)
     assert verdicts == {True, False}
 
@@ -962,8 +992,8 @@ def test_invariance_route_implies_a_dense_pass():
                 if rep.route == "invariance":
                     assert invariant and rep.passed
                     assert rep.max_row_violation == rep.max_col_violation == 0.0
-                    assert row <= rep.row_threshold and \
-                        col <= rep.col_threshold, (moduli, hard)
+                    assert row <= 1e-8 * gm.cols and \
+                        col <= 1e-8 * gm.rows, (moduli, hard)
                 else:
                     assert not invariant
                     assert rep.max_row_violation == pytest.approx(row, abs=1e-12)
@@ -1264,6 +1294,28 @@ def test_product_approx_degree_constant():
     assert gc.product_approx_degree(np.ones(9), [T_Z3, T_Z3], 1.0 / 3.0) == 0
 
 
+def test_product_approx_degree_refuses_before_it_allocates():
+    # 24 blocks of Z2: the product's 2^24 x 2^24 table is refused by its
+    # byte check before the 2^24 non-identity counts are built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="order 16777216"):
+            gc.product_approx_degree([0.0] * 4, [T_Z2] * 24, 1.0 / 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_check_bytes_names_a_need_too_long_to_print():
+    # 10^5000 has more digits than Python converts from int to str
+    from commbound.errors import check_bytes
+
+    with pytest.raises(ResourceLimitError, match=r"^x needs at least 2\^16609 "
+                                                 r"bytes \(cap 268435456\)$"):
+        check_bytes(10 ** 5000, "x needs")
+
+
 def test_product_approx_degree_full_support_character():
     # real part of a character with every component non-trivial needs all
     # blocks (frozen LP oracle: error 0.75 with one component, 0 with two)
@@ -1530,8 +1582,8 @@ def test_group_encoding_against_scalar_oracle():
             _oracle_differences(moduli), moduli
         for i in range(G.order):
             e = _oracle_element(moduli, i)
-            assert G.element(i) == e and G.index(e) == i, (moduli, i)
-            assert all(type(a) is int for a in G.element(i))
+            assert _element(G, i) == e and _index(G, e) == i, (moduli, i)
+            assert all(type(a) is int for a in _element(G, i))
 
 
 def test_group_map_text_against_scalar_oracle():

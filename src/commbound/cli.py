@@ -69,12 +69,6 @@ def _round_floats(obj):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return _round_floats(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, frozenset):
-        return sorted(obj)
     if isinstance(obj, np.ndarray):
         return _round_floats(obj.tolist())
     if dataclasses.is_dataclass(obj):
@@ -138,17 +132,18 @@ def _cmd_approx_degree(opts) -> tuple:
 
 def _cmd_compose(opts) -> tuple:
     f, g = opts["function"], opts["inner"]
-    comp = cp.compose_block(f, g)
     payload = {
         "outer_arity": f.n,
         "blocks": f.n,
-        "rows": comp.matrix.rows,
-        "cols": comp.matrix.cols,
+        "rows": g.rows ** f.n,
+        "cols": g.cols ** f.n,
     }
     if opts["verify_rank"]:
+        comp = cp.compose_block(f, g)
         with _blaming("--inner"):
             payload["rank_formula"] = cp.verify_rank_theorem(comp)
     if opts["witness"]:
+        cp._check_size(g, f.n)  # before the dual LP, which can take minutes
         eps = opts["epsilon"]
         w = dual_polynomial(f, eps)
         with _blaming("--inner"):
@@ -219,13 +214,8 @@ def _cmd_group_check(opts) -> tuple:
             "route": orth.route,
         },
     }
-    if not external_table:
-        # the orthogonality check asked it, unless its pair keys were past
-        # the byte budget, and then asking again raises that refusal; a
-        # user-supplied table's rows need not be the map's characters
-        invariant = orth.all_pairs_invariant
-        payload["all_pairs_invariant"] = gc.all_pairs_invariant(gmap) \
-            if invariant is None else invariant
+    if orth.all_pairs_invariant is not None:
+        payload["all_pairs_invariant"] = orth.all_pairs_invariant
     code = EXIT_OK
     if vals is not None:
         rep = gc.general_bound(gmap, vals, table, partition, opts["epsilon"],
@@ -337,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also emit the dual witness")
     add_common(p)
 
-    p = sub.add_parser("compose", help="materialize a block composition")
+    p = sub.add_parser("compose", help="shape, rank and witness of f o g^n")
     p.add_argument("--function", required=True)
     p.add_argument("--inner", required=True)
     p.add_argument("--verify-rank", action="store_true")

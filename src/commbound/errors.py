@@ -15,12 +15,16 @@ class ResourceLimitError(CommboundError):
     the message names the size needed."""
 
 
+def quantity(n: int) -> str:
+    """n in decimal, or "at least 2^b" past Python's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
+
+
 def check_bytes(need: int, subject: str) -> None:
     """Refuse need bytes past MAX_TABLE_BYTES; subject ends in its verb."""
     if need > MAX_TABLE_BYTES:
-        try:
-            size = str(need)
-        except ValueError:  # past Python's limit on int-to-str digits
-            size = f"at least 2^{need.bit_length() - 1}"
         raise ResourceLimitError(
-            f"{subject} {size} bytes (cap {MAX_TABLE_BYTES})")
+            f"{subject} {quantity(need)} bytes (cap {MAX_TABLE_BYTES})")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .approx import _FEAS_TOL, _first_fit, chebyshev
 from .bounds import BoundReport
-from .errors import ResourceLimitError, check_bytes
+from .errors import ResourceLimitError, check_bytes, quantity
 from .matrices import balance_check, block_mask
 from .simplex import check_tableau
 
@@ -159,7 +159,7 @@ class CharacterTable:
         h = math.prod(t.h for t in tables)
         dtype = np.result_type(float, *(t.table.dtype for t in tables))
         check_bytes(h * order * dtype.itemsize,
-                    f"character table of order {order} needs")
+                    f"character table of order {quantity(order)} needs")
         # one row axis and one column axis per factor, most significant first
         table = np.ones([t.h for t in tables] + [t.order for t in tables],
                         dtype)
@@ -280,8 +280,8 @@ class GroupMapMatrix:
     def __init__(self, entries, group: AbelianGroupSpec | None = None,
                  order: int | None = None):
         arr = np.asarray(entries, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ValueError("group map must be 2-dimensional")
+        if arr.ndim != 2 or arr.size == 0:
+            raise ValueError("group map must be 2-dimensional and non-empty")
         if group is not None:
             order = group.order
         if order is None:

@@ -339,6 +339,17 @@ def test_usage_errors(capsys, monkeypatch, tmp_path, core4_file):
         assert err.startswith("error: --") and err.count("\n") == 1, argv
 
 
+def test_group_order_past_the_cap_is_a_usage_error(capsys, tmp_path):
+    gmap = tmp_path / "gmap.txt"
+    gmap.write_text("group " + ",".join(["2"] * 15) + "\n" +
+                    ":".join(["0"] * 15) + "\n")
+    code = main(["group-check", "--gmap", str(gmap)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: --gmap: ") and "at most 16384" in err \
+        and err.count("\n") == 1
+
+
 def test_input_flag_refusals_name_the_flag(capsys, monkeypatch, tmp_path):
     # every read failure of an input flag, whether the file is missing, a
     # directory, not UTF-8 or malformed, is one line naming that flag
@@ -625,13 +636,37 @@ def test_group_check_easy_indices_exit_2(capsys, tmp_path):
     assert code == EXIT_OK and report["report"]["easy"] == [0, 1]
 
 
-def test_resource_cap_exits_3(capsys):
+def test_resource_cap_exits_3(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the dual LP ran on a refused composition")
+
+    monkeypatch.setattr(cli, "dual_polynomial", unreachable)
     # 8192 x 8192 composed entries pass the 256 MiB budget by themselves
-    code = main(["compose", "--function", "PARITY:13", "--inner", "xor2"])
-    out, err = capsys.readouterr()
-    assert (code, out) == (EXIT_RESOURCE, "")
-    assert err.startswith("resource limit: composed matrix of 8192x8192") \
-        and err.count("\n") == 1
+    for flag in ("--verify-rank", "--witness"):
+        code = main(["compose", "--function", "PARITY:13", "--inner", "xor2",
+                     flag])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_RESOURCE, ""), flag
+        assert err.startswith("resource limit: composed matrix of "
+                              "8192x8192") and err.count("\n") == 1, flag
+
+
+def test_compose_reports_the_shape_without_building_it(capsys):
+    import tracemalloc
+
+    # only --verify-rank and --witness build a matrix, so the shape of one
+    # past the byte budget is still reported
+    tracemalloc.start()
+    try:
+        code = main(["compose", "--function", "PARITY:13", "--inner", "xor2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert code == EXIT_OK
+    assert (rep["rows"], rep["cols"], rep["blocks"]) == (8192, 8192, 13)
+    assert set(rep) == {"outer_arity", "blocks", "rows", "cols"}
+    assert peak < 2 ** 20
 
 
 def test_arity_cap_exits_3_before_building_the_table(capsys, tmp_path):
@@ -651,14 +686,13 @@ def test_arity_cap_exits_3_before_building_the_table(capsys, tmp_path):
 
 def test_group_check_character_table_cap_exits_3(capsys, tmp_path):
     gmap = tmp_path / "gmap.txt"
-    # a character table of order 2^13, the pair multisets of a 330 x 330
-    # map, then the character stacks of Z2^11 on a 128 x 32 map that holds
-    # each element twice (the real stacks of a 64 x 32 map fit the budget)
+    # a character table of order 2^13, then the character stacks of Z2^11
+    # on a 128 x 32 map that holds each element twice (the real stacks of a
+    # 64 x 32 map fit the budget)
     elements = [":".join(str(a >> b & 1) for b in range(11))
                 for a in range(2 ** 11)] * 2
     for text in ("group " + ",".join(["2"] * 13) + "\n" +
                  ":".join(["0"] * 13) + "\n",
-                 "group 2\n" + (",".join("01" * 165) + "\n") * 330,
                  "group " + ",".join(["2"] * 11) + "\n" +
                  "".join(",".join(elements[r::128]) + "\n"
                          for r in range(128))):
@@ -667,6 +701,15 @@ def test_group_check_character_table_cap_exits_3(capsys, tmp_path):
         out, err = capsys.readouterr()
         assert (code, out) == (EXIT_RESOURCE, "")
         assert err.startswith("resource limit:") and err.count("\n") == 1
+    # the pair multisets of a 330 x 330 map are past the budget, so the
+    # dense route decides orthogonality and invariance is left out
+    gmap.write_text("group 2\n" + (",".join("01" * 165) + "\n") * 330)
+    code = main(["group-check", "--gmap", str(gmap)])
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert code == EXIT_OK
+    assert rep["orthogonality"]["passed"] is True
+    assert rep["orthogonality"]["route"] == "dense"
+    assert "all_pairs_invariant" not in rep
 
 
 def test_solver_failure_exits_3(capsys, monkeypatch):

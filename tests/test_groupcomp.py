@@ -1307,6 +1307,21 @@ def test_product_approx_degree_refuses_before_it_allocates():
     assert peak < 2 ** 20
 
 
+def test_product_refuses_an_order_too_long_to_print():
+    # Z2^20000 has an order of 6,021 digits, more than Python converts from
+    # int to str, so its refusal words the order as it words the need
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError,
+                           match=r"^character table of order at least "
+                                 r"2\^20000 needs at least 2\^40003 bytes"):
+            gc.product_approx_degree([0.0] * 4, [T_Z2] * 20000, 1.0 / 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 def test_check_bytes_names_a_need_too_long_to_print():
     # 10^5000 has more digits than Python converts from int to str
     from commbound.errors import check_bytes

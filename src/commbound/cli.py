@@ -70,7 +70,9 @@ def _round_floats(obj):
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _round_floats(obj.tolist())
+        # bool and integer entries need no rounding
+        return (obj.tolist() if obj.dtype.kind in "biu"
+                else _round_floats(obj.tolist()))
     if dataclasses.is_dataclass(obj):
         return {f.name: _round_floats(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}

@@ -4,12 +4,14 @@ Sign matrices (entries in {-1,+1}) represent two-party Boolean functions.
 This module provides exact rank over the rationals, singular spectra from
 LAPACK's SVD, balance predicates, Kronecker products, pattern containment
 up to row/column permutations, and a canonical enumerator for strongly
-balanced matrices.  Containment and the enumerator's forbidden-pattern
-check share one matcher that encodes every submatrix as an integer and
-looks chunks of them up in sorted targets.
-Canonical forms keep a code per column, the enumerator its rows' codes, column
-sums and a tie mask; both walk their trees on explicit stacks, so any height
-runs, and the enumerator refuses widths past MAX_TABLE_BYTES of balanced rows.
+balanced matrices.  Containment encodes every submatrix as an integer and
+looks chunks of them up in sorted targets; the enumerator's forbidden-pattern
+check reads a node's new row sets off its packed rows against the same
+targets.
+Canonical forms keep the columns as bitmask cells, the enumerator its rows'
+codes, column sums and a tie mask; both walk their trees on explicit stacks,
+so any height runs, and the enumerator refuses widths past MAX_TABLE_BYTES of
+balanced rows.
 
 Conventions: for canonical forms and search order, +1 sorts before -1.
 """
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 from dataclasses import dataclass
 
@@ -266,6 +267,11 @@ def load_matrix(path_or_name: str) -> SignMatrix:
 # is below 2^42, so int64 entries absorb up to 2^21 unreduced row updates.
 _PRIME_LIMIT = 1 << 21
 _PRIMES: list[int] = []  # those found so far, largest first
+# Below this many entries _rank_mod eliminates on Python lists: per column,
+# numpy's dozen calls cost more than the list updates.  On +-1 matrices
+# (one BLAS thread, 2-core Xeon) lists took 30 us against numpy's 125 us at
+# 6 x 8 and 240 against 340 us at 16 x 16, tied at 18 x 18 and lost at 20 x 20.
+_LIST_RANK_CELLS = 256
 
 
 def _prime(i: int) -> int:
@@ -310,8 +316,11 @@ def _rank_mod(A: np.ndarray, p: int) -> int:
     Gaussian elimination with lazy reduction: only the pivot column and the
     pivot row are reduced mod p, and each update of the trailing block adds
     less than p^2 in magnitude, so A is overwritten but never overflows.
+    Up to _LIST_RANK_CELLS entries the same elimination runs on A.tolist().
     """
     m, n = A.shape
+    if A.size <= _LIST_RANK_CELLS:
+        return _rank_mod_list(A.tolist(), p)
     rank = 0
     for c in range(n):
         col = A[rank:, c] % p
@@ -327,6 +336,28 @@ def _rank_mod(A: np.ndarray, p: int) -> int:
         factors = col[1:] * pow(int(col[0]), -1, p) % p
         A[rank + 1:, c + 1:] -= factors[:, None] * (A[rank, c + 1:] % p)
         rank += 1
+    return rank
+
+
+def _rank_mod_list(rows: list, p: int) -> int:
+    """_rank_mod's elimination, pivot for pivot, on lists of Python ints."""
+    m, n = len(rows), len(rows[0])
+    rank = 0
+    for c in range(n):
+        k = next((k for k in range(rank, m) if rows[k][c] % p), None)
+        if k is None:
+            continue
+        rows[rank], rows[k] = rows[k], rows[rank]
+        pivot = rows[rank]
+        rank += 1
+        if rank == m:
+            return m
+        inv = pow(pivot[c], -1, p)
+        tail = [y % p for y in pivot[c + 1:]]
+        for row in rows[rank:]:
+            f = row[c] * inv % p
+            if f:
+                row[c + 1:] = [x - f * y for x, y in zip(row[c + 1:], tail)]
     return rank
 
 
@@ -459,45 +490,48 @@ def _signs(ints, width: int) -> np.ndarray:
                      for v in ints])
 
 
-def _row_word(codes) -> int:
-    """The last bits of the sorted codes, the first most significant."""
-    word = 0
-    for code in sorted(codes):
-        word = word << 1 | code & 1
-    return word
+def _packed(arr) -> list[int]:
+    """The rows of a +-1 array as ints, as _signs reads them."""
+    return [int("".join("1" if v < 0 else "0" for v in row), 2)
+            for row in np.asarray(arr).tolist()]
 
 
-def _minimal_word(arr: np.ndarray, stop_early: bool = False):
-    """Lexicographically minimal row-major word over all row/column permutations.
+def _minimal_word(rows: list[int], width: int, stop_early: bool = False):
+    """Lexicographically minimal row-major word over all row/column
+    permutations of the matrix whose rows are the width-bit ints rows.
 
     Returns (word, smaller_than_identity), the word a tuple of per-row ints.
-    Placed rows order the columns by their codes (first row most
-    significant), so placing a row extends each code to 2 * code + bit.
-    Each level tries each distinct unused row in ascending order of its
-    word, so the first descent is greedy, and cuts a branch and all later
-    ones once its word exceeds the best complete word's.  With stop_early
-    the search stops once any word beats the identity arrangement, which is
-    all a canonicality test needs.
+    The columns form an ordered list of cells, bitmasks of the columns that
+    placed rows have not told apart (first row most significant): sorted
+    columns are their best order.  Placing row r writes, for each cell c in
+    order, 0^(|c| - k) 1^k with k = popcount(r & c), and splits c into
+    c & ~r, then c & r.  Each level tries each distinct unused row in
+    ascending order of its word, so the first descent is greedy, and cuts a
+    branch and all later ones once its word exceeds the best complete
+    word's.  With stop_early the search stops once any word beats the
+    identity arrangement, which is all a canonicality test needs.
     """
-    m, n = arr.shape
-    bits = tuple(map(tuple, (arr == -1).astype(int).tolist()))
-    best = tuple(int("".join(map(str, row)), 2) for row in bits)  # identity
+    best = tuple(rows)  # identity
     found_smaller = False
 
     def children(node):
-        word, left, codes = node
-        twice = [2 * c for c in codes]
+        word, left, cells = node
         options = []
-        for row in set(left):
-            new = tuple(map(operator.add, twice, row))
-            options.append((_row_word(new), row, new))
-        for w, row, new in sorted(options):
+        for r in set(left):
+            w = 0
+            for c in cells:
+                w = w << c.bit_count() | (1 << (r & c).bit_count()) - 1
+            options.append((w, r))
+        options.sort()
+        for w, r in options:
             if word + (w,) > best[:len(word) + 1]:
                 return
-            i = left.index(row)
-            yield word + (w,), left[:i] + left[i + 1:], new
+            i = left.index(r)
+            yield (word + (w,), left[:i] + left[i + 1:],
+                   [part for c in cells for part in (c & ~r, c & r) if part])
 
-    for word, _, _ in _depth_first(children, ((), bits, (0,) * n), m):
+    root = ((), tuple(rows), [(1 << width) - 1])
+    for word, _, _ in _depth_first(children, root, len(rows)):
         if word < best:
             best, found_smaller = word, True
             if stop_early:
@@ -507,16 +541,28 @@ def _minimal_word(arr: np.ndarray, stop_early: bool = False):
 
 def canonical_form(M: SignMatrix) -> SignMatrix:
     """Lexicographically minimal representative of M under row/column permutations."""
-    return SignMatrix(_signs(_minimal_word(M.entries)[0], M.cols))
+    return SignMatrix(_signs(_minimal_word(_packed(M.entries), M.cols)[0],
+                             M.cols))
 
 
 def is_canonical(M: SignMatrix) -> bool:
     """True iff M equals its own canonical form."""
-    return not _minimal_word(M.entries, stop_early=True)[1]
+    return not _minimal_word(_packed(M.entries), M.cols, stop_early=True)[1]
 
 
 # ---------------------------------------------------------------------------
 # pattern containment
+
+def _line_codes(lines: np.ndarray, permute: bool) -> np.ndarray:
+    """The codes of the columns of the +-1 array lines, bit i set where row
+    i is -1: one row of codes per order of lines' rows, every permutation
+    when permute (each row of codes then sorted), else the given order."""
+    k = lines.shape[0]
+    orders = np.array(list(itertools.permutations(range(k))) if permute
+                      else [range(k)], dtype=np.intp)
+    codes = (1 << np.arange(k)) @ (lines[orders] == -1)
+    return np.sort(codes, axis=-1) if permute else codes
+
 
 def _submatrix_matcher(P: SignMatrix, permute: bool, cols: int):
     """find(E, row_sets) for P in matrices E with `cols` columns: the first
@@ -537,11 +583,13 @@ def _submatrix_matcher(P: SignMatrix, permute: bool, cols: int):
     tall = p > q
     if P.size > _KEY_BITS:
         # the canonical word branches over rows: take it along the short side
-        orient = np.transpose if tall else np.asarray
-        word = _minimal_word(orient(P.entries))[0]
+        def canonical_word(sub):
+            sub = sub.T if tall else sub
+            return _minimal_word(_packed(sub), sub.shape[1])[0]
+        word = canonical_word(P.entries)
 
         def same(sub):
-            return (_minimal_word(orient(sub))[0] == word if permute
+            return (canonical_word(sub) == word if permute
                     else np.array_equal(sub, P.entries))
 
         def find(E, row_sets):
@@ -557,10 +605,9 @@ def _submatrix_matcher(P: SignMatrix, permute: bool, cols: int):
     def keys(codes):
         return (np.sort(codes, axis=-1) if permute else codes) @ places
 
-    lines = (P.entries.T if tall else P.entries) == -1
-    orders = itertools.permutations(range(short)) if permute else [range(short)]
     # not np.unique or np.isin: their hash table made peak memory vary by run
-    targets = np.sort([keys(weights @ lines[list(o)]) for o in orders])
+    targets = np.sort(_line_codes(P.entries.T if tall else P.entries,
+                                  permute) @ places)
 
     def find(E, row_sets):
         bits = np.asarray(E) == -1
@@ -617,6 +664,93 @@ def _balanced_rows(cols: int) -> list[int]:
     return v[np.bitwise_count(v) == cols // 2].tolist()
 
 
+def _grid(placed: int, cols: int) -> np.ndarray:
+    """The +-1 rows packed in placed: a 1 bit, then each row's cols-bit code."""
+    return _signs([placed], placed.bit_length() - 1).reshape(-1, cols)
+
+
+def _rows_of(placed: int, cols: int) -> list[int]:
+    """The row codes packed in placed, first row first."""
+    full = (1 << cols) - 1
+    return [placed >> cols * k & full
+            for k in range(placed.bit_length() // cols - 1, -1, -1)]
+
+
+def _forbidden_check(P: SignMatrix, cols: int):
+    """contains(placed): whether rows packed as in _grid hold P, after some
+    row and column permutation, on a row set through the newest row, the
+    only submatrices a node adds to its parent's.
+
+    Each row set's column codes (bit i from its i-th row) come off the
+    packed rows: a row spread to one p-bit field per column, shifted by i
+    and summed over the set.  The codes found in some target, P's sorted
+    column codes under one order of its rows (_line_codes, as the matcher's
+    targets), are sorted, and their increasing q-subsets are walked only
+    through prefixes of targets.  Rows repeated beyond P's most repeated
+    row are left out, so a tall search walks a few row sets per node, not
+    C(depth - 1, p - 1).  A P whose row orders are too many to list (taller
+    than wide, or past _KEY_BITS cells) goes to the shared matcher.
+    """
+    p, q = P.rows, P.cols
+    if p > q or P.size > _KEY_BITS:
+        find = _submatrix_matcher(P, True, cols)
+
+        def contains(placed) -> bool:
+            depth = placed.bit_length() // cols
+            heads = itertools.combinations(range(depth - 1), p - 1)
+            return find(_grid(placed, cols),
+                        (h + (depth - 1,) for h in heads)) is not None
+        return contains
+    lines = P.entries.tolist()
+    most = max(map(lines.count, lines))
+    targets = {tuple(t) for t in _line_codes(P.entries, True).tolist()}
+    useful = {c for t in targets for c in t}
+    prefixes = {t[:k] for t in targets for k in range(1, q + 1)}
+    fields, mask = range(0, p * cols, p), (1 << p) - 1
+    spread = {}
+
+    def spread_of(r):
+        if r not in spread:
+            spread[r] = sum(1 << p * j for j in range(cols) if r >> j & 1)
+        return spread[r]
+
+    def holds(kept):
+        stack = [((), 0)]
+        while stack:
+            prefix, i = stack.pop()
+            if len(prefix) == q:
+                return True
+            for j in range(i, len(kept) + len(prefix) - q + 1):
+                if j == i or kept[j] != kept[j - 1]:
+                    t = prefix + (kept[j],)
+                    if t in prefixes:
+                        stack.append((t, j + 1))
+        return False
+
+    def contains(placed) -> bool:
+        # a match holds each row value at most `most` times; with that many
+        # earlier copies the newest row could swap for one the match leaves
+        # out, giving a row set the node's ancestors already cleared
+        *earlier, newest = _rows_of(placed, cols)
+        seen, spreads = dict.fromkeys(earlier, 0), []
+        for r in earlier:
+            seen[r] += 1
+            if seen[r] <= most:
+                spreads.append(spread_of(r))
+        if seen.get(newest, 0) >= most:
+            return False
+        last = spread_of(newest) << p - 1
+        for h in itertools.combinations(spreads, p - 1):
+            x = last
+            for i, s in enumerate(h):
+                x |= s << i
+            kept = [c for f in fields if (c := x >> f & mask) in useful]
+            if len(kept) >= q and holds(sorted(kept)):
+                return True
+        return False
+    return contains
+
+
 def search_strongly_balanced(rows: int, cols: int, min_rank: int | None = None,
                              forbidden: SignMatrix | None = None,
                              limit: int | None = None):
@@ -642,18 +776,9 @@ def search_strongly_balanced(rows: int, cols: int, min_rank: int | None = None,
 
     candidates = _balanced_rows(cols)
     bits = [1 << cols - 1 - j for j in range(cols)]
-    find = forbidden and _submatrix_matcher(forbidden, True, cols)
-
-    def grid(placed) -> np.ndarray:
-        # placed is a 1 bit followed by each placed row's code
-        return _signs([placed], placed.bit_length() - 1).reshape(-1, cols)
-
-    def contains_forbidden(placed) -> bool:
-        # only submatrices through the newest row can be new
-        depth = placed.bit_length() // cols
-        heads = itertools.combinations(range(depth - 1), forbidden.rows - 1)
-        return find(grid(placed),
-                    (h + (depth - 1,) for h in heads)) is not None
+    contains_forbidden = (forbidden is not None and forbidden.rows <= rows
+                          and forbidden.cols <= cols
+                          and _forbidden_check(forbidden, cols))
 
     def children(node):
         # the first row is the smallest code and codes never decrease.  Columns
@@ -671,13 +796,17 @@ def search_strongly_balanced(rows: int, cols: int, min_rank: int | None = None,
             c = candidates[i]
             if c & must == must and not c & never and \
                     not c >> 1 & ~c & ties and \
-                    not (find and contains_forbidden(placed << cols | c)):
+                    not (contains_forbidden and
+                         contains_forbidden(placed << cols | c)):
                 yield (i, placed << cols | c,
                        [s - 1 if c & b else s + 1 for b, s in zip(bits, sums)],
                        ties & ~(c >> 1 ^ c))
 
-    leaves = (SignMatrix(grid(placed)) for _, placed, _, _ in
+    # the rank floor first: canonicity, the dearer test, then runs only on
+    # leaves that can be emitted
+    leaves = (placed for _, placed, _, _ in
               _depth_first(children, (0, 1, [0] * cols, bits[0] - 1), rows))
     yield from itertools.islice(
-        (M for M in leaves if is_canonical(M) and
-         (min_rank is None or exact_rank(M) >= min_rank)), limit)
+        (SignMatrix(_grid(placed, cols)) for placed in leaves
+         if (min_rank is None or exact_rank(_grid(placed, cols)) >= min_rank)
+         and not _minimal_word(_rows_of(placed, cols), cols, True)[1]), limit)

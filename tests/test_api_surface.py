@@ -17,6 +17,7 @@ TEST_FACING = {
     "all_ones": "fixture",
     "tensor": "fixture",
     "canonical_form": "reference",
+    "is_canonical": "reference",
     "pair_counts": "format",
 }
 

@@ -954,6 +954,14 @@ def test_reports_are_deterministic(capsys, core4_file):
     assert first == second
 
 
+def test_report_arrays_round_only_their_floats():
+    ints = cli._round_floats(np.array([[1, -1], [-1, 1]]))
+    assert ints == [[1, -1], [-1, 1]] and type(ints[0][0]) is int
+    assert cli._round_floats(np.array([True, False])) == [True, False]
+    assert cli._round_floats(np.array([0.1 + 0.2, 2.0 / 3.0])) == \
+        [0.3, 0.666666666667]
+
+
 def test_one_parser_per_process(capsys, monkeypatch):
     import argparse
 

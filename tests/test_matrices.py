@@ -108,6 +108,34 @@ def test_exact_rank_vs_bareiss():
         assert mx.exact_rank(A) == _bareiss_rank(A), (m, n, r)
 
 
+def test_rank_mod_on_lists_and_arrays_across_the_crossover(monkeypatch):
+    # low-rank integer and +-1 matrices on both sides of _LIST_RANK_CELLS:
+    # the list and the numpy elimination agree prime by prime, and
+    # exact_rank agrees with Bareiss
+    rng = np.random.default_rng(29)
+    cut = mx._LIST_RANK_CELLS
+    shapes = [(6, 8), (16, 16), (15, 17), (17, 15), (8, 32), (32, 8),
+              (16, 17), (20, 20), (1, cut), (cut, 1), (1, cut + 1)]
+    assert {m * n <= cut for m, n in shapes} == {True, False}
+    p = mx._prime(0)
+    for m, n in shapes:
+        r = int(rng.integers(0, min(m, n) + 1))
+        low = rng.integers(-3, 4, size=(m, r)) @ rng.integers(-3, 4, size=(r, n))
+        # +-1 rows drawn from r kinds, each up to sign
+        kinds = rng.choice((-1, 1), size=(max(r, 1), n))
+        signs = kinds[rng.integers(0, len(kinds), size=m)] * \
+            rng.choice((-1, 1), size=(m, 1))
+        for A in (low, signs, rng.choice((-1, 1), size=(m, n))):
+            want = _bareiss_rank(A)
+            assert mx.exact_rank(A) == want, (m, n, r)
+            ranks = []
+            for cells in (cut, -1):     # as configured, then numpy only
+                monkeypatch.setattr(mx, "_LIST_RANK_CELLS", cells)
+                ranks.append(mx._rank_mod(A % p, p))
+            monkeypatch.setattr(mx, "_LIST_RANK_CELLS", cut)
+            assert ranks[0] == ranks[1] <= want, (m, n, r)
+
+
 def test_exact_rank_vs_sympy():
     import sympy
     rng = np.random.default_rng(12)
@@ -469,16 +497,21 @@ def _brute_canonical_word(E):
 
 
 def test_canonical_form_tall_repeated_rows_against_brute_force():
+    def check(E):
+        want = _brute_canonical_word(E)
+        got = mx.canonical_form(mx.SignMatrix(E)).entries
+        assert tuple((got == -1).ravel()) == want, E
+        ident = tuple((E == -1).astype(int).ravel())
+        assert mx.is_canonical(mx.SignMatrix(E)) == (ident == want), E
+
     rng = np.random.default_rng(23)
     for m, n in ((5, 2), (6, 2), (7, 2), (5, 3), (6, 3), (4, 4)):
         for _ in range(4):
             kinds = rng.choice((-1, 1), size=(int(rng.integers(1, 4)), n))
-            E = kinds[rng.integers(0, len(kinds), size=m)]
-            want = _brute_canonical_word(E)
-            got = mx.canonical_form(mx.SignMatrix(E)).entries
-            assert tuple((got == -1).ravel()) == want, E
-            ident = tuple((E == -1).astype(int).ravel())
-            assert mx.is_canonical(mx.SignMatrix(E)) == (ident == want), E
+            check(kinds[rng.integers(0, len(kinds), size=m)])
+    # wide shapes, and random rows that need not repeat
+    for m, n in ((2, 5), (3, 5), (3, 6), (4, 5), (4, 5), (4, 5)):
+        check(rng.choice((-1, 1), size=(m, n)))
     # 32 copies each of two rows: one branch per distinct row, not per row
     M = mx.SignMatrix(np.kron(np.ones((32, 1), dtype=int), mx.XOR_2.entries))
     assert mx.canonical_form(M).entries.tolist() == \
@@ -694,12 +727,74 @@ def test_search_against_the_column_code_enumerator(monkeypatch):
     # codes and reachable sums did
     shapes = [(r, c) for r in (2, 4, 6, 8) for c in (2, 4, 6, 8)
               if r * c <= 48]
-    for rows, cols in shapes:
-        for kw in ({}, {"min_rank": 2}, {"forbidden": mx.PATTERN_CORE_4}):
-            want = walk_counted(monkeypatch, reference_search, rows, cols,
-                                **kw)
-            assert walk_counted(monkeypatch, mx.search_strongly_balanced,
-                                rows, cols, **kw) == want, (rows, cols, kw)
+    cases = [(rows, cols, kw) for rows, cols in shapes
+             for kw in ({}, {"min_rank": 2}, {"forbidden": mx.PATTERN_CORE_4})]
+    # the other builtin patterns, a wide search with a limit, tall
+    # core4-free searches, a pattern with a repeated row, and a pattern
+    # taller than wide, which goes to the shared matcher
+    cf6, h2, core4 = mx.CORE_FREE_6, mx.HADAMARD_2, mx.PATTERN_CORE_4
+    twice = mx.SignMatrix(np.array([[1, 1, -1, -1], [1, 1, -1, -1],
+                                    [1, -1, 1, -1]]))
+    tall = mx.SignMatrix(np.array([[1, 1], [1, -1], [-1, 1]]))
+    cases += [(6, 6, {"forbidden": cf6}), (8, 6, {"forbidden": cf6}),
+              (6, 10, {"forbidden": cf6, "limit": 3}),
+              (6, 6, {"forbidden": h2}), (4, 8, {"forbidden": h2}),
+              (20, 2, {"forbidden": h2}), (12, 4, {"forbidden": core4}),
+              (16, 4, {"forbidden": core4, "limit": 1}),
+              (6, 6, {"forbidden": twice}), (12, 4, {"forbidden": twice}),
+              (6, 4, {"forbidden": tall}), (8, 6, {"forbidden": tall})]
+    matcher = mx._submatrix_matcher
+    for rows, cols, kw in cases:
+        want = walk_counted(monkeypatch, reference_search, rows, cols, **kw)
+        calls = []
+
+        def counted(P, permute, width):
+            find = matcher(P, permute, width)
+            return lambda E, row_sets: calls.append(1) or find(E, row_sets)
+        with monkeypatch.context() as m:
+            m.setattr(mx, "_submatrix_matcher", counted)
+            got = walk_counted(monkeypatch, mx.search_strongly_balanced,
+                               rows, cols, **kw)
+        assert got == want, (rows, cols, kw)
+        assert bool(calls) == (kw.get("forbidden") is tall), (rows, cols, kw)
+
+
+def test_search_ranks_before_it_tests_canonicity(monkeypatch):
+    # 25 leaves of search(6, 6), of which 10 have rank >= 4: only those
+    # reach the canonicity test, and 2 of them are emitted
+    ranked, tested = [], []
+    exact_rank, minimal_word = mx.exact_rank, mx._minimal_word
+
+    def rank(M, at_most=None):
+        ranked.append(exact_rank(M))
+        return ranked[-1]
+
+    def word(rows, width, stop_early=False):
+        tested.append(exact_rank(mx._signs(rows, width)))
+        return minimal_word(rows, width, stop_early)
+    monkeypatch.setattr(mx, "exact_rank", rank)
+    monkeypatch.setattr(mx, "_minimal_word", word)
+    found = list(mx.search_strongly_balanced(6, 6, min_rank=4))
+    assert len(found) == 2 and len(ranked) == 25
+    assert len(tested) == sum(r >= 4 for r in ranked) == 10
+    assert min(tested) >= 4
+
+
+def test_search_skips_a_forbidden_pattern_that_cannot_fit(monkeypatch):
+    # a pattern with more columns, or more rows, than the search is in no
+    # node, so the search is the unfiltered one and never looks for it
+    def never(*args):
+        raise AssertionError("looked for a pattern that cannot fit")
+    cases = [(40, 2, mx.PATTERN_CORE_4, 3), (4, 4, mx.CORE_FREE_6, None),
+             (2, 6, mx.PATTERN_CORE_4, None)]
+    for rows, cols, P, limit in cases:
+        want = list(mx.search_strongly_balanced(rows, cols, limit=limit))
+        with monkeypatch.context() as m:
+            m.setattr(mx, "_forbidden_check", never)
+            m.setattr(mx, "_submatrix_matcher", never)
+            got = list(mx.search_strongly_balanced(rows, cols, forbidden=P,
+                                                   limit=limit))
+        assert got == want and want, (rows, cols)
 
 
 def test_search_wide_outputs_frozen():

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import (BoolFunction, FourierSpectrum, RealPointFunction,
-                     _fwht_inplace, _sums_degree, character_sums, degree)
+from .boolfn import (BoolFunction, RealPointFunction, _fwht_inplace,
+                     _sums_degree, character_sums, degree)
 from .errors import ResourceLimitError
 from .simplex import check_tableau, solve_lp
 
@@ -58,8 +58,11 @@ class DualWitness:
 
 @dataclass(frozen=True)
 class ApproxDegreeResult:
+    """approximant is the spectrum of the degree-d polynomial, a read-only
+    array indexed by subset mask as wht returns it."""
+
     d: int
-    approximant: FourierSpectrum
+    approximant: np.ndarray
     max_error: float
     lp_status: str
     witness: DualWitness
@@ -167,13 +170,12 @@ def _lp(types: tuple, d: int) -> tuple[float, np.ndarray, np.ndarray]:
     return err, c @ B, psi
 
 
-def _approximant(f: BoolFunction, t: np.ndarray, d: int,
-                 P: np.ndarray) -> FourierSpectrum:
-    """The spectrum of p(x) = P(t(x)), cut above degree d, where only
-    rounding noise is left."""
-    coeffs = _fwht_inplace(P[t]) / 2 ** f.n
-    coeffs[_popcounts(f.n) > d] = 0.0
-    return FourierSpectrum(n=f.n, coeffs=tuple(coeffs))
+def _approximant(coeffs: np.ndarray, d: int) -> np.ndarray:
+    """A spectrum cut above degree d, where only rounding noise or the
+    parity is left, and made read-only."""
+    coeffs[np.bitwise_count(np.arange(coeffs.size)) > d] = 0.0
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def _lift(t: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -182,23 +184,18 @@ def _lift(t: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return (psi / np.bincount(t, minlength=len(psi)))[t]
 
 
-def _fit(f: BoolFunction, d: int) -> tuple[float, FourierSpectrum, np.ndarray]:
-    """Chebyshev LP of degree d, with its approximant and its dual as a
-    point table."""
+def _fit(f: BoolFunction, d: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Chebyshev LP of degree d, with the spectrum of its approximant
+    p(x) = P(t(x)) and its dual as a point table."""
     types = _types(f)
     err, P, psi = _lp(types, d)
-    return err, _approximant(f, types[1], d, P), _lift(types[1], psi)
+    t = types[1]
+    return err, _approximant(_fwht_inplace(P[t]) / t.size, d), _lift(t, psi)
 
 
-def _witness(f: BoolFunction, d: int, epsilon: float,
-             v: np.ndarray) -> DualWitness:
-    return DualWitness(v=RealPointFunction(f.n, v), d=d, epsilon=epsilon,
-                       correlation=float(v @ f.table.astype(float)),
-                       l1=float(np.abs(v).sum()))
-
-
-def best_approximation(f: BoolFunction, d: int) -> tuple[float, FourierSpectrum]:
-    """Minimal sup-norm error over real polynomials of degree <= d."""
+def best_approximation(f: BoolFunction, d: int) -> tuple[float, np.ndarray]:
+    """Minimal sup-norm error over real polynomials of degree <= d, and the
+    spectrum of a polynomial that attains it."""
     err, approximant, _ = _fit(f, d)
     return err, approximant
 
@@ -291,21 +288,19 @@ def approx_degree(f: BoolFunction, epsilon: float) -> ApproxDegreeResult:
         v = math.copysign(2.0 ** -n, s) * (-1.0) ** (_popcounts(n) & 1)
     else:
         v = _lift(t, lp(d - 1)[2])
-    witness = _witness(f, d, epsilon, v)
-    coeffs = (sums / 2 ** n).tolist()   # the transform, wht(f)
     if d == top:
-        return ApproxDegreeResult(
-            d=d, approximant=FourierSpectrum(n=n, coeffs=tuple(coeffs)),
-            max_error=0.0, lp_status="exact", witness=witness)
-    if d == n - 1:
-        coeffs[-1] = 0.0
-        return ApproxDegreeResult(
-            d=d, approximant=FourierSpectrum(n=n, coeffs=tuple(coeffs)),
-            max_error=parity_err, lp_status="optimal", witness=witness)
-    err, P, _ = lp(d)
-    return ApproxDegreeResult(d=d, approximant=_approximant(f, t, d, P),
-                              max_error=err, lp_status="optimal",
-                              witness=witness)
+        err, coeffs = 0.0, sums / 2 ** n    # the transform, wht(f)
+    elif d == n - 1:
+        err, coeffs = parity_err, sums / 2 ** n     # its parity cut below
+    else:
+        err, P, _ = lp(d)
+        coeffs = _fwht_inplace(P[t]) / 2 ** n
+    return ApproxDegreeResult(
+        d=d, approximant=_approximant(coeffs, d), max_error=err,
+        lp_status="exact" if d == top else "optimal",
+        witness=DualWitness(v=RealPointFunction(n, v), d=d, epsilon=epsilon,
+                            correlation=float(v @ f.table.astype(float)),
+                            l1=float(np.abs(v).sum())))
 
 
 def dual_polynomial(f: BoolFunction, epsilon: float) -> DualWitness:

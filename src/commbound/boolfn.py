@@ -4,15 +4,14 @@ Index convention, shared across the package: tables have length 2^n and are
 indexed by a bitmask where bit i set means coordinate x_{i+1} equals -1.
 Characters are chi_T(x) = prod_{i in T} x_i, so chi_T(x) = (-1)^popcount(T&x).
 
-Fourier coefficients carry the 1/2^n normalization:
+A spectrum is a read-only float64 array of length 2^n, indexed by subset
+mask T, whose coefficients carry the 1/2^n normalization:
 coeffs[T] = 2^-n * sum_x f(x) chi_T(x).  Inner products of point tables, by
 contrast, are plain sums sum_x u(x) v(x); both conventions are used side by
 side and named explicitly where it matters.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,17 +68,6 @@ class RealPointFunction:
         return f"RealPointFunction(n={self.n})"
 
 
-@dataclass(frozen=True)
-class FourierSpectrum:
-    """Coefficients f_hat[T] indexed by subset mask T, 2^-n normalized."""
-
-    n: int
-    coeffs: tuple
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=float)
-
-
 def character_eval(T: int, x: int) -> int:
     """chi_T(x) = (-1)^popcount(T & x)."""
     return -1 if bin(T & x).count("1") % 2 else 1
@@ -102,12 +90,11 @@ def _fwht_inplace(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def wht(f) -> FourierSpectrum:
+def wht(f) -> np.ndarray:
     """Walsh-Hadamard transform: coeffs[T] = 2^-n sum_x f(x) chi_T(x)."""
-    table = np.asarray(f.table, dtype=float).copy()
-    sums = _fwht_inplace(table)
-    coeffs = sums / (2 ** f.n)
-    return FourierSpectrum(n=f.n, coeffs=tuple(float(c) for c in coeffs))
+    coeffs = _fwht_inplace(np.array(f.table, dtype=float)) / 2 ** f.n
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def character_sums(f) -> np.ndarray:
@@ -115,10 +102,14 @@ def character_sums(f) -> np.ndarray:
     return _fwht_inplace(np.asarray(f.table, dtype=np.int64).copy())
 
 
-def iwht(s: FourierSpectrum) -> RealPointFunction:
-    """Inverse transform: f(x) = sum_T coeffs[T] chi_T(x)."""
-    table = _fwht_inplace(s.as_array().copy())
-    return RealPointFunction(s.n, table)
+def iwht(coeffs) -> RealPointFunction:
+    """Inverse transform: f(x) = sum_T coeffs[T] chi_T(x), the arity read
+    off the length 2^n."""
+    a = np.array(coeffs, dtype=float)
+    n = a.size.bit_length() - 1
+    if a.shape != (1 << max(n, 0),):
+        raise ValueError(f"a spectrum has length 2^n, got shape {a.shape}")
+    return RealPointFunction(n, _fwht_inplace(a))
 
 
 def degree(f: BoolFunction) -> int:

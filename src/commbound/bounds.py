@@ -238,12 +238,13 @@ def sherstov_bound(f: BoolFunction, g: SignMatrix,
 
 def disc_bound(f: BoolFunction, g: SignMatrix) -> BoundReport:
     """Discrepancy form of the composition bound:
-    (1/3) deg_{1/3}(f) (log2(1/disc_U(M_g)) - 7)."""
+    (1/3) deg_{1/3}(f) (log2(1/disc_U(M_g)) - 7).  disc_U comes first, so
+    a g past the enumeration cap is refused before the LP."""
     report = BoundReport(theorem="disc")
     if not balance_check(g).strongly_balanced:
         return report.refuse("inner matrix is not strongly balanced")
-    d = approx_degree(f, 1.0 / 3.0).d
     disc = uniform_discrepancy(g)
+    d = approx_degree(f, 1.0 / 3.0).d
     inner = math.log2(1.0 / disc) - 7.0
     report.main_term = d * inner / 3.0 + 0.0  # 0.0, not -0.0, at d = 0
     report.intermediates = {

@@ -140,16 +140,17 @@ def _cmd_compose(opts) -> tuple:
         "rows": g.rows ** f.n,
         "cols": g.cols ** f.n,
     }
+    if opts["verify_rank"] or opts["witness"]:
+        cp._check_size(g, f.n)  # before the composition and the dual LP
+        with _blaming("--inner"):
+            cp.require_strongly_balanced(g, witness=not opts["verify_rank"])
     if opts["verify_rank"]:
         comp = cp.compose_block(f, g)
-        with _blaming("--inner"):
-            payload["rank_formula"] = cp.verify_rank_theorem(comp)
+        payload["rank_formula"] = cp.verify_rank_theorem(comp)
     if opts["witness"]:
-        cp._check_size(g, f.n)  # before the dual LP, which can take minutes
         eps = opts["epsilon"]
         w = dual_polynomial(f, eps)
-        with _blaming("--inner"):
-            W = cp.build_witness(w, g)
+        W = cp.build_witness(w, g)
         payload["witness"] = {
             "epsilon": eps,
             "d": w.d,
@@ -183,22 +184,26 @@ def _cmd_lower_bound(opts) -> tuple:
 
 def _cmd_group_check(opts) -> tuple:
     gmap, table, vals = opts["gmap"], opts["table"], opts["values"]
-    external_table = table is not None
-    if external_table:
+    easy = opts["easy"]
+    if table is not None:
         with _blaming("--table"):
             gc.check_table_order(gmap, table)
     if vals is not None and len(vals) != gmap.order:
         raise UsageError(
             f"--values must supply {gmap.order} numbers, got {len(vals)}")
-    if not external_table:
+    # an explicit --easy before the table: Abelian ones have a row per element
+    if easy is not None:
+        with _blaming("--easy"):
+            partition = gc.HardnessPartition.from_easy(
+                easy, gmap.order if table is None else table.h)
+    if table is None:
         table = gc.characters_abelian(gmap.group)
     if vals is not None:
         with _blaming("--values"):
             vals = gc.check_class_function(vals, table)
-    easy = opts["easy"] if opts["easy"] is not None else \
-        [table.trivial_index()]
-    with _blaming("--easy"):
-        partition = gc.HardnessPartition.from_easy(easy, table.h)
+    if easy is None:
+        partition = gc.HardnessPartition.from_easy([table.trivial_index()],
+                                                   table.h)
     hard = sorted(partition.hard)
     reg = gc.regularity_check(gmap)
     orth = gc.orthogonality_general(gmap, table, hard)

@@ -60,6 +60,16 @@ def _check_size(g: SignMatrix, n: int) -> None:
                 f"composed matrix of {rows}x{cols} entries needs")
 
 
+def require_strongly_balanced(g: SignMatrix, witness: bool) -> None:
+    """ValueError unless g is strongly balanced, as the witness without mu,
+    or else the rank formula, needs it."""
+    if not balance_check(g).strongly_balanced:
+        raise ValueError("witness construction without mu requires a "
+                         "strongly balanced inner matrix" if witness else
+                         "inner matrix must be strongly balanced for the "
+                         "rank formula to apply")
+
+
 def char_compose(T: int, g: SignMatrix, n: int) -> SignMatrix:
     """Sign matrix of chi_T composed with g^n: Kronecker factors M_g for
     blocks in T and all-ones otherwise, block 1 leftmost."""
@@ -97,9 +107,7 @@ def verify_rank_theorem(comp: Composition) -> RankTheoremReport:
     every g, and the first prime whose rank reaches it settles equality.
     Requires g strongly balanced (the formula does not hold otherwise).
     """
-    if not balance_check(comp.g).strongly_balanced:
-        raise ValueError("inner matrix must be strongly balanced for the "
-                         "rank formula to apply")
+    require_strongly_balanced(comp.g, witness=False)
     rank_g = exact_rank(comp.g)
     support = np.flatnonzero(character_sums(comp.f))
     formula = sum(rank_g ** int(k) for k in np.bitwise_count(support))
@@ -125,9 +133,7 @@ def build_witness(w: DualWitness, g: SignMatrix, mu=None) -> WitnessMatrix:
 
     slack = 1e-9
     if mu is None:
-        if not balance_check(g).strongly_balanced:
-            raise ValueError("witness construction without mu requires a "
-                             "strongly balanced inner matrix")
+        require_strongly_balanced(g, witness=True)
         scale = (2.0 ** n) / float(g.size) ** n
         factor = 1.0
     else:

@@ -276,7 +276,7 @@ def test_approximant_quality():
     # no coefficients above the certified degree
     for T in range(4):
         if bin(T).count("1") > r.d:
-            assert r.approximant.coeffs[T] == pytest.approx(0.0, abs=1e-9)
+            assert r.approximant[T] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_epsilon_validation():
@@ -498,7 +498,7 @@ def test_level_lp_matches_the_full_lp():
             assert verify_dual(r.witness, f).ok, (f.table, eps)
             # the approximant lives on degrees <= d and meets its error
             high = np.bitwise_count(np.arange(2 ** f.n)) > d
-            assert not r.approximant.as_array()[high].any()
+            assert not r.approximant[high].any()
             assert np.abs(iwht(r.approximant).table - f.table).max() <= \
                 r.max_error + 1e-9
 
@@ -776,8 +776,7 @@ def test_degree_n_minus_1_closed_form_matches_its_lp():
         if r.d == f.n - 1:
             at_n_minus_1 += 1
             assert r.lp_status == "optimal" and r.max_error == e
-            assert np.abs(r.approximant.as_array() -
-                          lp_approximant.as_array()).max() <= 1e-12
+            assert np.abs(r.approximant - lp_approximant).max() <= 1e-12
         # below e it misses, and the parity is the witness
         w = approx_degree(f, e / 2).witness
         check = verify_dual(w, f)
@@ -880,3 +879,62 @@ def test_lp_count_guard_on_the_workloads(monkeypatch, tmp_path, capsys):
         lps_at_seed_1[workload] += count if seed == 1 else 0
     assert lps_at_seed_1["degree"] <= 32 and lps_at_seed_1["inner"] <= 5, \
         lps_at_seed_1
+
+
+def _lp_spectrum(f, d):
+    """Reference coefficients of the degree-d LP approximant: the type
+    polynomial at every point, transformed and cut above degree d."""
+    from commbound.approx import _lp
+    from commbound.boolfn import _fwht_inplace
+
+    types = _types(f)
+    coeffs = _fwht_inplace(_lp(types, d)[1][types[1]]) / 2 ** f.n
+    coeffs[np.bitwise_count(np.arange(2 ** f.n)) > d] = 0.0
+    return coeffs
+
+
+def _transform(f, d):
+    """Reference coefficients read off the transform: all of them, cut
+    above degree d (only the parity, at d = n - 1)."""
+    from commbound.boolfn import character_sums
+
+    coeffs = character_sums(f) / 2 ** f.n
+    coeffs[np.bitwise_count(np.arange(2 ** f.n)) > d] = 0.0
+    return coeffs
+
+
+def _is_spectrum(a, n):
+    return (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.shape == (2 ** n,) and not a.flags.writeable)
+
+
+def test_spectra_are_read_only_coefficient_arrays():
+    from commbound.boolfn import iwht, wht
+
+    rng = np.random.default_rng(38)
+    fs = list(all_functions(3)) + [
+        BoolFunction(5, rng.choice((-1, 1), size=32)) for _ in range(4)]
+    branches = Counter()
+    for f in fs:
+        s = wht(f)
+        assert _is_spectrum(s, f.n)
+        assert s.tobytes() == _transform(f, f.n).tobytes()
+        assert np.array_equal(iwht(s).table, f.table)
+        for d in range(f.n):
+            approximant = best_approximation(f, d)[1]
+            assert _is_spectrum(approximant, f.n)
+            assert approximant.tobytes() == _lp_spectrum(f, d).tobytes()
+        for eps in (0.0, 0.2, 1.0 / 3.0, 0.6, 0.9):
+            r = approx_degree(f, eps)
+            if r.d == degree(f):
+                branch, want = "transform", _transform(f, r.d)
+            elif r.d == f.n - 1:
+                branch, want = "parity left out", _transform(f, r.d)
+            else:
+                branch, want = "lp", _lp_spectrum(f, r.d)
+            branches[branch, f.n] += 1
+            assert _is_spectrum(r.approximant, f.n), (f.table, eps)
+            assert r.approximant.tobytes() == want.tobytes(), (f.table, eps)
+    assert len(branches) == 6, branches
+    with pytest.raises(ValueError, match="length 2\\^n"):
+        iwht(np.zeros(6))

@@ -651,6 +651,78 @@ def test_resource_cap_exits_3(capsys, monkeypatch):
                               "8192x8192") and err.count("\n") == 1, flag
 
 
+def test_unbalanced_inner_refused_before_the_composition(capsys,
+                                                         monkeypatch):
+    from commbound import composer
+
+    def unreachable(*args):
+        raise AssertionError("work began on a refused inner matrix")
+
+    monkeypatch.setattr(composer, "compose_block", unreachable)
+    monkeypatch.setattr(cli, "dual_polynomial", unreachable)
+    rank = ("error: --inner: inner matrix must be strongly balanced for the "
+            "rank formula to apply\n")
+    witness = ("error: --inner: witness construction without mu requires a "
+               "strongly balanced inner matrix\n")
+    for flags, line in ((["--verify-rank"], rank), (["--witness"], witness),
+                        (["--verify-rank", "--witness"], rank)):
+        code = main(["compose", "--function", "AND:11", "--inner", "h2",
+                     *flags])
+        assert (code, *capsys.readouterr()) == (EXIT_USAGE, "", line), flags
+        # the byte budget is checked first
+        code = main(["compose", "--function", "PARITY:13", "--inner", "h2",
+                     *flags])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_RESOURCE, ""), flags
+        assert err.startswith("resource limit: composed matrix of "
+                              "8192x8192") and err.count("\n") == 1, flags
+
+
+def test_disc_enumeration_cap_refused_before_the_lp(capsys, monkeypatch,
+                                                    tmp_path):
+    def unreachable(*args):
+        raise AssertionError("the degree LP ran on a refused inner matrix")
+
+    monkeypatch.setattr(bd, "approx_degree", unreachable)
+    inner = tmp_path / "core6sq.txt"
+    inner.write_text(tensor(CORE_FREE_6, CORE_FREE_6).to_text())
+    code = main(["lower-bound", "--theorem", "disc", "--function", "MAJ:9",
+                 "--inner", str(inner)])
+    assert (code, *capsys.readouterr()) == (
+        EXIT_RESOURCE, "",
+        "resource limit: discrepancy enumeration needs 2^36 subsets of the "
+        "shorter side (cap 2^24); fall back to the bound "
+        "disc <= ||A||/sqrt(size(A))\n")
+
+
+def test_explicit_easy_refused_before_the_character_table(
+        capsys, monkeypatch, tmp_path):
+    from commbound import groupcomp as gc
+
+    def unreachable(*args):
+        raise AssertionError("the character table was built")
+
+    gmap = tmp_path / "gmap.txt"
+    gmap.write_text("group " + ",".join(["2"] * 12) + "\n" + "".join(
+        ",".join(":".join(str(a >> b & 1) for b in range(12))
+                 for a in range(64 * r, 64 * r + 64)) + "\n"
+        for r in range(64)))
+    table = tmp_path / "table.json"
+    table.write_text(characters_abelian(AbelianGroupSpec([2])).to_json())
+    gmap2 = tmp_path / "gmap2.txt"
+    gmap2.write_text(GroupMapMatrix.from_sign_blocks([XOR_2]).to_text())
+    monkeypatch.setattr(gc, "characters_abelian", unreachable)
+    for argv, line in (
+            (["--gmap", str(gmap), "--easy", "5000"], "[0, 4096), got [5000]"),
+            (["--gmap", str(gmap), "--easy", "0,0"], "[0, 4096), got [0, 0]"),
+            (["--gmap", str(gmap2), "--table", str(table), "--easy", "2"],
+             "[0, 2), got [2]")):
+        code = main(["group-check", *argv])
+        assert (code, *capsys.readouterr()) == (
+            EXIT_USAGE, "",
+            f"error: --easy: easy indices must be distinct and in {line}\n")
+
+
 def test_compose_reports_the_shape_without_building_it(capsys):
     import tracemalloc
 

@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .approx import (ApproxDegreeResult, DualWitness, approx_degree,
                      best_approximation, dual_polynomial, verify_dual)
-from .boolfn import (BoolFunction, RealPointFunction, builtin_function,
-                     character_eval, degree, iwht, wht)
+from .boolfn import (BoolFunction, builtin_function, character_eval, degree,
+                     iwht, wht)
 from .bounds import (BoundReport, DistributionMatrix, SpectralDiscCert,
                      approx_trace_lower, disc_bound, discrepancy,
                      gamma2_star_interval, shaltiel_verify, sherstov_bound,

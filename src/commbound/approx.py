@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import (BoolFunction, RealPointFunction, _fwht_inplace,
-                     _sums_degree, character_sums, degree)
+from .boolfn import (BoolFunction, _arity, _fwht_inplace, _sums_degree,
+                     character_sums, degree)
 from .errors import ResourceLimitError
 from .simplex import check_tableau, solve_lp
 
@@ -49,7 +49,7 @@ _FEAS_TOL = 1e-9
 class DualWitness:
     """Certificate that deg_epsilon(f) >= d (see verify_dual for the checks)."""
 
-    v: RealPointFunction
+    v: np.ndarray       # the dual's read-only point table
     d: int
     epsilon: float
     correlation: float
@@ -271,10 +271,10 @@ def approx_degree(f: BoolFunction, epsilon: float) -> ApproxDegreeResult:
     top = _sums_degree(sums)
     s = int(sums[-1])
     parity_err = abs(s) / 2 ** n        # the error at n-1 when top = n
-    types = _types(f)
-    t = types[1]
+    # built by the first LP, if any runs
+    types = functools.cache(functools.partial(_types, f))
     tol = epsilon + _FEAS_TOL
-    lp = functools.cache(functools.partial(_lp, types))
+    lp = functools.cache(lambda d: _lp(types(), d))
     if top == 0 or tol < 2.0 ** (1 - n) or parity_err > tol:
         d = top
     elif tol >= 1.0:
@@ -287,18 +287,19 @@ def approx_degree(f: BoolFunction, epsilon: float) -> ApproxDegreeResult:
     elif d == n:
         v = math.copysign(2.0 ** -n, s) * (-1.0) ** (_popcounts(n) & 1)
     else:
-        v = _lift(t, lp(d - 1)[2])
+        v = _lift(types()[1], lp(d - 1)[2])
+    v.setflags(write=False)
     if d == top:
-        err, coeffs = 0.0, sums / 2 ** n    # the transform, wht(f)
+        err, coeffs = 0.0, sums / 2 ** n    # the transform, wht(f.table)
     elif d == n - 1:
         err, coeffs = parity_err, sums / 2 ** n     # its parity cut below
     else:
         err, P, _ = lp(d)
-        coeffs = _fwht_inplace(P[t]) / 2 ** n
+        coeffs = _fwht_inplace(P[types()[1]]) / 2 ** n
     return ApproxDegreeResult(
         d=d, approximant=_approximant(coeffs, d), max_error=err,
         lp_status="exact" if d == top else "optimal",
-        witness=DualWitness(v=RealPointFunction(n, v), d=d, epsilon=epsilon,
+        witness=DualWitness(v=v, d=d, epsilon=epsilon,
                             correlation=float(v @ f.table.astype(float)),
                             l1=float(np.abs(v).sum())))
 
@@ -317,14 +318,14 @@ def dual_polynomial(f: BoolFunction, epsilon: float) -> DualWitness:
 
 def verify_dual(w: DualWitness, f: BoolFunction) -> DualCheck:
     """Re-check the three witness properties independently of the LP."""
-    if w.v.n != f.n:
-        raise ValueError(f"arity mismatch: witness {w.v.n}, function {f.n}")
-    v = w.v.table
+    n = _arity(w.v)
+    if n != f.n:
+        raise ValueError(f"arity mismatch: witness {n}, function {f.n}")
     # plain sums against every character at once, by the fast transform
-    sums = _fwht_inplace(v.copy())
+    sums = _fwht_inplace(w.v.copy())
     orth_max = float(np.abs(sums[_popcounts(f.n) < w.d]).max(initial=0.0))
-    l1 = float(np.abs(v).sum())
-    corr = float(v @ f.table.astype(float))
+    l1 = float(np.abs(w.v).sum())
+    corr = float(w.v @ f.table.astype(float))
     return DualCheck(
         orthogonality_max=orth_max,
         orthogonality_ok=orth_max <= ORTHOGONALITY_SLACK,

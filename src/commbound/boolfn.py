@@ -4,11 +4,11 @@ Index convention, shared across the package: tables have length 2^n and are
 indexed by a bitmask where bit i set means coordinate x_{i+1} equals -1.
 Characters are chi_T(x) = prod_{i in T} x_i, so chi_T(x) = (-1)^popcount(T&x).
 
-A spectrum is a read-only float64 array of length 2^n, indexed by subset
-mask T, whose coefficients carry the 1/2^n normalization:
-coeffs[T] = 2^-n * sum_x f(x) chi_T(x).  Inner products of point tables, by
-contrast, are plain sums sum_x u(x) v(x); both conventions are used side by
-side and named explicitly where it matters.
+A real point table is a read-only float64 array of length 2^n indexed by
+point mask x; a spectrum is one indexed by subset mask T, with the 1/2^n
+normalization coeffs[T] = 2^-n * sum_x f(x) chi_T(x).  Inner products of
+point tables, by contrast, are plain sums sum_x u(x) v(x); both conventions
+are used side by side and named explicitly where it matters.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ class BoolFunction:
     __slots__ = ("n", "table")
 
     def __init__(self, n: int, table):
-        arr = np.asarray(table, dtype=np.int64)
+        arr = np.asarray(table)
         if n < 0 or arr.shape != (2 ** n,):
             raise ValueError(f"table must have length 2^{n}")
-        if not (np.abs(arr) == 1).all():
+        # the given values, before a cast to int could truncate 1.9 to 1
+        if not ((arr == 1) | (arr == -1)).all():
             raise ValueError("Boolean function values must be -1 or +1")
-        arr = arr.copy()
+        arr = arr.astype(np.int64)
         arr.setflags(write=False)
         self.n = n
         self.table = arr
@@ -48,24 +49,6 @@ class BoolFunction:
 
     def __repr__(self):
         return f"BoolFunction(n={self.n})"
-
-
-class RealPointFunction:
-    """Real-valued table on {-1,+1}^n (same mask indexing as BoolFunction)."""
-
-    __slots__ = ("n", "table")
-
-    def __init__(self, n: int, table):
-        arr = np.asarray(table, dtype=float)
-        if n < 0 or arr.shape != (2 ** n,):
-            raise ValueError(f"table must have length 2^{n}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self.n = n
-        self.table = arr
-
-    def __repr__(self):
-        return f"RealPointFunction(n={self.n})"
 
 
 def character_eval(T: int, x: int) -> int:
@@ -90,9 +73,17 @@ def _fwht_inplace(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def wht(f) -> np.ndarray:
-    """Walsh-Hadamard transform: coeffs[T] = 2^-n sum_x f(x) chi_T(x)."""
-    coeffs = _fwht_inplace(np.array(f.table, dtype=float)) / 2 ** f.n
+def _arity(table: np.ndarray) -> int:
+    """n of a table of length 2^n; ValueError for any other shape."""
+    n = table.size.bit_length() - 1
+    if table.shape != (1 << max(n, 0),):
+        raise ValueError(f"a spectrum has length 2^n, got shape {table.shape}")
+    return n
+
+
+def wht(table) -> np.ndarray:
+    """Spectrum coeffs[T] = 2^-n sum_x table[x] chi_T(x) of a point table."""
+    coeffs = iwht(table) / len(table)
     coeffs.setflags(write=False)
     return coeffs
 
@@ -102,14 +93,13 @@ def character_sums(f) -> np.ndarray:
     return _fwht_inplace(np.asarray(f.table, dtype=np.int64).copy())
 
 
-def iwht(coeffs) -> RealPointFunction:
-    """Inverse transform: f(x) = sum_T coeffs[T] chi_T(x), the arity read
-    off the length 2^n."""
+def iwht(coeffs) -> np.ndarray:
+    """Inverse transform, the point table f(x) = sum_T coeffs[T] chi_T(x)."""
     a = np.array(coeffs, dtype=float)
-    n = a.size.bit_length() - 1
-    if a.shape != (1 << max(n, 0),):
-        raise ValueError(f"a spectrum has length 2^n, got shape {a.shape}")
-    return RealPointFunction(n, _fwht_inplace(a))
+    _arity(a)
+    _fwht_inplace(a)
+    a.setflags(write=False)
+    return a
 
 
 def degree(f: BoolFunction) -> int:

@@ -118,7 +118,7 @@ def _cmd_approx_degree(opts) -> tuple:
         w = result.witness
         check = verify_dual(w, f)
         payload["dual"] = {
-            "witness_table": w.v.table,
+            "witness_table": w.v,
             "d": w.d,
             "correlation": w.correlation,
             "l1": w.l1,

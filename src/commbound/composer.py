@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import DualWitness
-from .boolfn import BoolFunction, character_sums
+from .boolfn import BoolFunction, _arity, character_sums
 from .errors import check_bytes
 from .matrices import (DistributionMatrix, SignMatrix, balance_check,
                        block_mask, exact_rank, spectrum)
@@ -128,7 +128,7 @@ def build_witness(w: DualWitness, g: SignMatrix, mu=None) -> WitnessMatrix:
     puts each block's +1 and -1 masses at (1 +- delta)/2, so ||B||_1 may
     then lie anywhere in [(1 - delta)^n, (1 + delta)^n].
     """
-    n = w.v.n
+    n = _arity(w.v)
     _check_size(g, n)
 
     slack = 1e-9
@@ -144,7 +144,7 @@ def build_witness(w: DualWitness, g: SignMatrix, mu=None) -> WitnessMatrix:
         delta = abs(float((mu.weights * g.entries).sum()))
         slack += (1.0 + delta) ** n - 1.0
 
-    B = scale * w.v.table[block_mask([g] * n)] * factor
+    B = scale * w.v[block_mask([g] * n)] * factor
 
     l1 = float(np.abs(B).sum())
     if abs(l1 - 1.0) > slack:
@@ -161,4 +161,4 @@ def witness_spectral_bound(w: DualWitness, g: SignMatrix) -> float:
     """Proof-side ceiling for ||B||: (||M_g||/sqrt(size))^d * size^(-n/2)."""
     sp = spectrum(g)
     ratio = sp.spectral_norm / np.sqrt(g.size)
-    return float(ratio ** w.d * (1.0 / g.size) ** (w.v.n / 2.0))
+    return float(ratio ** w.d * (1.0 / g.size) ** (_arity(w.v) / 2.0))

@@ -39,8 +39,9 @@ class AbelianGroupSpec:
     __slots__ = ("moduli", "order")
 
     def __init__(self, moduli):
-        mods = tuple(int(m) for m in moduli)
-        if not mods or any(m < 2 for m in mods):
+        given = tuple(moduli)
+        mods = tuple(int(m) for m in given)
+        if not mods or any(m < 2 for m in mods) or mods != given:
             raise ValueError("every modulus must be an integer >= 2")
         order = math.prod(mods)
         if order > MAX_GROUP_ORDER:
@@ -279,16 +280,17 @@ class GroupMapMatrix:
 
     def __init__(self, entries, group: AbelianGroupSpec | None = None,
                  order: int | None = None):
-        arr = np.asarray(entries, dtype=np.int64)
+        arr = np.asarray(entries)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("group map must be 2-dimensional and non-empty")
         if group is not None:
             order = group.order
         if order is None:
             raise ValueError("either a group or an explicit order is required")
-        if arr.min() < 0 or arr.max() >= order:
+        # the given entries, before a cast to int could truncate 0.5 to 0
+        if not ((arr >= 0) & (arr < order) & (arr % 1 == 0)).all():
             raise ValueError("entries must be valid element indices")
-        arr = arr.copy()
+        arr = arr.astype(np.int64)
         arr.setflags(write=False)
         self.group = group
         self.order = order

@@ -41,12 +41,13 @@ class SignMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        arr = np.asarray(entries, dtype=np.int64)
+        arr = np.asarray(entries)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("sign matrix must be 2-dimensional and non-empty")
-        if not (np.abs(arr) == 1).all():
+        # the given entries, before a cast to int could truncate 1.7 to 1
+        if not ((arr == 1) | (arr == -1)).all():
             raise ValueError("sign matrix entries must be -1 or +1")
-        arr = arr.copy()
+        arr = arr.astype(np.int64)
         arr.setflags(write=False)
         self.entries = arr
 

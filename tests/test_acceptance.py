@@ -119,7 +119,7 @@ def test_criterion_4_witness_spectral_bound():
             M = cp.compose_block(f, g).matrix
             inner = float((M.entries * W.B).sum())
             bound = (mx.spectrum(g).spectral_norm
-                     / math.sqrt(g.size)) ** w.d * (1.0 / g.size) ** (w.v.n / 2)
+                     / math.sqrt(g.size)) ** w.d * (1.0 / g.size) ** (f.n / 2)
             this_ok = (abs(W.l1 - 1.0) <= 1e-9
                        and inner >= eps0 - 1e-8
                        and W.spectral_norm <= bound + 1e-8)

@@ -9,8 +9,8 @@ import pytest
 from commbound.approx import (_types, approx_degree, best_approximation,
                               chebyshev, dual_polynomial, error_profile,
                               verify_dual)
-from commbound.boolfn import (BoolFunction, RealPointFunction, all_functions,
-                              builtin_function, degree)
+from commbound.boolfn import (BoolFunction, all_functions, builtin_function,
+                              degree)
 
 AND2 = builtin_function("AND", 2)
 
@@ -74,7 +74,7 @@ def test_constant_function():
     # at d = 0 the witness is the point mass f(0) e_0
     for eps in (0.0, 1.0 / 3.0):
         w = dual_polynomial(BoolFunction(2, [-1, -1, -1, -1]), eps)
-        assert w.d == 0 and list(w.v.table) == [-1.0, 0.0, 0.0, 0.0]
+        assert w.d == 0 and list(w.v) == [-1.0, 0.0, 0.0, 0.0]
 
 
 def test_exact_path_witness():
@@ -236,7 +236,7 @@ def test_the_search_refuses_only_what_a_sweep_would(monkeypatch):
                     continue
                 r = approx_degree(f, eps)
             assert (r.d, r.max_error) == (full.d, full.max_error)
-            assert np.array_equal(r.witness.v.table, full.witness.v.table)
+            assert np.array_equal(r.witness.v, full.witness.v)
             seen[full.d] += 1
     assert seen[2] and seen[5] and seen["refused"]
 
@@ -271,7 +271,7 @@ def test_approximant_quality():
     # reconstruct the approximant pointwise and check the sup error
     from commbound.boolfn import iwht
 
-    values = iwht(r.approximant).table
+    values = iwht(r.approximant)
     assert np.abs(values - AND2.table).max() <= 1.0 / 3.0 + 1e-8
     # no coefficients above the certified degree
     for T in range(4):
@@ -294,7 +294,7 @@ def test_parity_dual_witness_is_scaled_parity():
     assert w.d == 3
     assert w.correlation == pytest.approx(1.0, abs=1e-8)
     assert w.l1 == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(w.v.table, f.table / 8.0, atol=1e-8)
+    assert np.allclose(w.v, f.table / 8.0, atol=1e-8)
 
 
 def test_and2_dual_witness():
@@ -306,7 +306,7 @@ def test_and2_dual_witness():
 
 def test_verify_dual_catches_scaling():
     w = dual_polynomial(AND2, 1.0 / 3.0)
-    doubled = type(w)(v=RealPointFunction(2, 2.0 * w.v.table), d=w.d,
+    doubled = type(w)(v=2.0 * w.v, d=w.d,
                       epsilon=w.epsilon, correlation=2 * w.correlation,
                       l1=2 * w.l1)
     chk = verify_dual(doubled, AND2)
@@ -315,7 +315,7 @@ def test_verify_dual_catches_scaling():
 
 def test_verify_dual_catches_orthogonality_shift():
     w = dual_polynomial(AND2, 1.0 / 3.0)
-    shifted = type(w)(v=RealPointFunction(2, w.v.table + 1e-3), d=w.d,
+    shifted = type(w)(v=w.v + 1e-3, d=w.d,
                       epsilon=w.epsilon, correlation=w.correlation, l1=w.l1)
     chk = verify_dual(shifted, AND2)
     # the constant-character inner product moves by 1e-3 * 2^n
@@ -440,11 +440,11 @@ def test_sweep_matches_a_full_reference_sweep():
             d, v, _ = _reference_sweep(f, eps)
             assert r.d == r.witness.d == d, (f.table, eps)
             if d < f.n:
-                assert np.array_equal(r.witness.v.table, v), (f.table, eps)
+                assert np.array_equal(r.witness.v, v), (f.table, eps)
             else:
                 # the degree n - 1 witness is exact; the LP's is within 1e-15
                 exact = _parity_witness(f)
-                assert np.array_equal(r.witness.v.table, exact)
+                assert np.array_equal(r.witness.v, exact)
                 assert np.abs(v - exact).max() <= 1e-15, (f.table, eps)
 
 
@@ -499,7 +499,7 @@ def test_level_lp_matches_the_full_lp():
             # the approximant lives on degrees <= d and meets its error
             high = np.bitwise_count(np.arange(2 ** f.n)) > d
             assert not r.approximant[high].any()
-            assert np.abs(iwht(r.approximant).table - f.table).max() <= \
+            assert np.abs(iwht(r.approximant) - f.table).max() <= \
                 r.max_error + 1e-9
 
 
@@ -676,7 +676,7 @@ def test_verify_dual_transform_matches_the_character_matrix():
         f = BoolFunction(n, [1] * 2 ** n)
         v = rng.standard_normal(2 ** n)
         for d in range(n + 2):
-            w = DualWitness(v=RealPointFunction(n, v), d=d, epsilon=0.5,
+            w = DualWitness(v=v, d=d, epsilon=0.5,
                             correlation=0.0, l1=0.0)
             chi = _character_matrix(n, _masks_up_to_degree(n, d - 1))
             want = float(np.abs(chi @ v).max(initial=0.0))
@@ -725,11 +725,11 @@ def _check_search_against_the_sweep(f):
         assert r.d == r.witness.d == d, (f.table, eps)
         assert abs(r.max_error - err) <= 1e-12, (f.table, eps)
         if d == f.n:
-            assert np.array_equal(r.witness.v.table, _parity_witness(f))
-            assert np.abs(r.witness.v.table - v).max() <= 1e-15, \
+            assert np.array_equal(r.witness.v, _parity_witness(f))
+            assert np.abs(r.witness.v - v).max() <= 1e-15, \
                 (f.table, eps)
         else:
-            assert np.array_equal(r.witness.v.table, v), (f.table, eps)
+            assert np.array_equal(r.witness.v, v), (f.table, eps)
 
 
 def test_search_matches_the_sweep_on_every_small_function():
@@ -903,7 +903,9 @@ def _transform(f, d):
     return coeffs
 
 
-def _is_spectrum(a, n):
+def _is_table(a, n):
+    """a is a read-only float64 array of length 2^n, a spectrum or a point
+    table."""
     return (isinstance(a, np.ndarray) and a.dtype == np.float64
             and a.shape == (2 ** n,) and not a.flags.writeable)
 
@@ -916,13 +918,13 @@ def test_spectra_are_read_only_coefficient_arrays():
         BoolFunction(5, rng.choice((-1, 1), size=32)) for _ in range(4)]
     branches = Counter()
     for f in fs:
-        s = wht(f)
-        assert _is_spectrum(s, f.n)
+        s = wht(f.table)
+        assert _is_table(s, f.n)
         assert s.tobytes() == _transform(f, f.n).tobytes()
-        assert np.array_equal(iwht(s).table, f.table)
+        assert np.array_equal(iwht(s), f.table)
         for d in range(f.n):
             approximant = best_approximation(f, d)[1]
-            assert _is_spectrum(approximant, f.n)
+            assert _is_table(approximant, f.n)
             assert approximant.tobytes() == _lp_spectrum(f, d).tobytes()
         for eps in (0.0, 0.2, 1.0 / 3.0, 0.6, 0.9):
             r = approx_degree(f, eps)
@@ -933,8 +935,72 @@ def test_spectra_are_read_only_coefficient_arrays():
             else:
                 branch, want = "lp", _lp_spectrum(f, r.d)
             branches[branch, f.n] += 1
-            assert _is_spectrum(r.approximant, f.n), (f.table, eps)
+            assert _is_table(r.approximant, f.n), (f.table, eps)
             assert r.approximant.tobytes() == want.tobytes(), (f.table, eps)
     assert len(branches) == 6, branches
     with pytest.raises(ValueError, match="length 2\\^n"):
         iwht(np.zeros(6))
+
+
+def test_witness_tables_are_read_only_point_arrays():
+    # each branch's table byte for byte: the point mass f(0) e_0 at d = 0,
+    # the parity at d = n, and otherwise the lifted LP dual at d - 1
+    from commbound.approx import _fit
+
+    rng = np.random.default_rng(39)
+    fs = list(all_functions(3)) + [
+        BoolFunction(5, rng.choice((-1, 1), size=32)) for _ in range(4)]
+    branches = Counter()
+    cases = [(f, eps) for f in fs
+             for eps in (0.0, 0.2, 1.0 / 3.0, 0.6, 0.9, 1.0 - 1e-10)]
+    cases.append((builtin_function("AND", 12), 0.0))
+    for f, eps in cases:
+        w = approx_degree(f, eps).witness
+        if w.d == 0:
+            branch, want = "point mass", np.zeros(2 ** f.n)
+            want[0] = f.table[0]
+        elif w.d == f.n:
+            branch, want = "parity", _parity_witness(f)
+        else:
+            branch, want = "lp", _fit(f, w.d - 1)[2]
+        branches[branch, f.n] += 1
+        assert _is_table(w.v, f.n), (f.table, eps)
+        assert w.v.tobytes() == want.tobytes(), (f.table, eps)
+    assert len(branches) == 7 and branches["parity", 12] == 1, branches
+
+
+def _fields(r):
+    """Every field of an approx_degree result, arrays as bytes."""
+    w = r.witness
+    return (r.d, r.max_error, r.lp_status, r.approximant.tobytes(),
+            w.v.tobytes(), w.d, w.epsilon, w.correlation, w.l1)
+
+
+def test_degrees_read_off_the_transform_build_no_types(monkeypatch):
+    # f's types are built by the first LP.  No LP runs when both sides are
+    # free: the witness at d = 0 or n (the LP at d - 1 otherwise), and the
+    # approximant at deg(f) or n - 1 (the LP at d otherwise)
+    import commbound.approx
+
+    def no_types(f):
+        raise AssertionError("types built")
+
+    fs = list(all_functions(3)) + [builtin_function(name, n) for name, n in
+                                   [("PARITY", 6), ("MAJ", 15), ("AND", 12),
+                                    ("AND", 16)]]
+    seen = Counter()
+    for f in fs:
+        for eps in SEARCH_EPSILONS:
+            want = approx_degree(f, eps)
+            with monkeypatch.context() as m:
+                m.setattr(commbound.approx, "_types", no_types)
+                if not (want.d in (0, f.n)
+                        and want.d in (degree(f), f.n - 1)):
+                    with pytest.raises(AssertionError, match="types built"):
+                        approx_degree(f, eps)
+                    seen["lp"] += 1
+                    continue
+                got = approx_degree(f, eps)
+            assert _fields(got) == _fields(want), (f.table, eps)
+            seen[want.d == 0, f.n] += 1
+    assert seen["lp"] and seen[False, 16] and seen[True, 3], seen

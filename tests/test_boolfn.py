@@ -43,7 +43,7 @@ def test_character_orthogonality_exhaustive():
 
 def test_wht_parity():
     for n in (1, 2, 3):
-        s = bf.wht(bf.builtin_function("PARITY", n))
+        s = bf.wht(bf.builtin_function("PARITY", n).table)
         full = 2 ** n - 1
         for T in range(2 ** n):
             assert s[T] == pytest.approx(1.0 if T == full else 0.0)
@@ -51,31 +51,33 @@ def test_wht_parity():
 
 def test_wht_and2():
     # direct 4-point summation: {}, {1}, {2} -> 1/2; {1,2} -> -1/2
-    s = bf.wht(bf.builtin_function("AND", 2))
+    s = bf.wht(bf.builtin_function("AND", 2).table)
     assert list(s) == pytest.approx([0.5, 0.5, 0.5, -0.5])
 
 
 def test_wht_constant():
-    s = bf.wht(bf.BoolFunction(2, [1, 1, 1, 1]))
+    s = bf.wht(bf.BoolFunction(2, [1, 1, 1, 1]).table)
     assert list(s) == pytest.approx([1.0, 0.0, 0.0, 0.0])
 
 
 def test_transform_round_trip():
     rng = np.random.default_rng(0)
     for n in range(1, 11):
-        f = bf.RealPointFunction(n, rng.normal(size=2 ** n))
+        f = rng.normal(size=2 ** n)
         back = bf.iwht(bf.wht(f))
-        assert np.abs(back.table - f.table).max() <= 1e-12
+        assert np.abs(back - f).max() <= 1e-12
         coeffs = rng.normal(size=2 ** n)
         s = bf.wht(bf.iwht(coeffs))
         assert np.abs(s - coeffs).max() <= 1e-12
+        for a in (back, s):     # iwht's and wht's, read-only float64
+            assert a.dtype == np.float64 and not a.flags.writeable
 
 
 def test_parseval():
     rng = np.random.default_rng(1)
     for n in range(1, 6):
         f = bf.BoolFunction(n, rng.choice((-1, 1), size=2 ** n))
-        coeffs = bf.wht(f)
+        coeffs = bf.wht(f.table)
         assert (coeffs ** 2).sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -165,10 +167,10 @@ def test_wht_iwht_bitwise_against_per_block_loop():
     rng = np.random.default_rng(5)
     for n in range(0, 13):
         table = rng.normal(size=2 ** n)
-        got = bf.wht(bf.RealPointFunction(n, table))
+        got = bf.wht(table)
         want = _per_block_fwht(table.copy()) / 2 ** n
         assert got.tobytes() == want.tobytes(), n
-        got = bf.iwht(table).table
+        got = bf.iwht(table)
         assert got.tobytes() == _per_block_fwht(table.copy()).tobytes(), n
 
 

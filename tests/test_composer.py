@@ -9,8 +9,8 @@ import pytest
 from commbound import composer as cp
 from commbound import matrices as mx
 from commbound.approx import DualWitness, dual_polynomial
-from commbound.boolfn import (BoolFunction, RealPointFunction, all_functions,
-                              builtin_function, character_sums)
+from commbound.boolfn import (BoolFunction, all_functions, builtin_function,
+                              character_sums)
 from commbound.errors import ResourceLimitError
 
 CORE4 = mx.PATTERN_CORE_4
@@ -299,11 +299,35 @@ def test_rank_theorem_requires_strong_balance():
 
 def test_witness_hand_value():
     # single-block parity with the 4x4 core: B = core / 16
-    w = DualWitness(v=RealPointFunction(1, [0.5, -0.5]), d=1,
+    w = DualWitness(v=np.array([0.5, -0.5]), d=1,
                     epsilon=1.0 / 3.0, correlation=1.0, l1=1.0)
     W = cp.build_witness(w, CORE4)
     assert np.allclose(W.B, CORE4.entries / 16.0)
     assert W.l1 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_witness_matrix_reads_the_point_table_per_entry():
+    # B[x, y] = 2^n / size^n * v(mask of the n blocks), block 1 the most
+    # significant digit of x and y, byte for byte; the bound reads n off v
+    for g in (CORE4, CORE6):
+        for f in [*all_functions(2), builtin_function("MAJ", 3),
+                  BoolFunction(3, [1, -1, -1, -1, 1, 1, -1, 1])]:
+            n = f.n
+            if g.size ** n > 64 * 64:
+                continue
+            w = dual_polynomial(f, 1.0 / 3.0)
+            scale = 2.0 ** n / float(g.size) ** n
+            want = np.empty((g.rows ** n, g.cols ** n))
+            for x in range(g.rows ** n):
+                for y in range(g.cols ** n):
+                    m = sum(1 << i for i in range(n)
+                            if g[x // g.rows ** (n - 1 - i) % g.rows,
+                                 y // g.cols ** (n - 1 - i) % g.cols] == -1)
+                    want[x, y] = scale * w.v[m]
+            assert cp.build_witness(w, g).B.tobytes() == want.tobytes()
+            ratio = mx.spectrum(g).spectral_norm / np.sqrt(g.size)
+            assert cp.witness_spectral_bound(w, g) == \
+                float(ratio ** w.d * (1.0 / g.size) ** (n / 2.0))
 
 
 def test_witness_inner_product_identity():

@@ -1123,9 +1123,8 @@ def test_dual_h_properties():
     assert dh.easy_coeff_max <= 1e-8
     # halving h gives a valid witness in the Boolean normalization
     from commbound.approx import DualWitness
-    from commbound.boolfn import RealPointFunction
 
-    w = DualWitness(v=RealPointFunction(2, dh.h / 2.0), d=2,
+    w = DualWitness(v=dh.h / 2.0, d=2,
                     epsilon=1.0 / 3.0,
                     correlation=float(fv @ dh.h / 2.0),
                     l1=float(np.abs(dh.h / 2.0).sum()))

@@ -9,11 +9,14 @@ import pytest
 from commbound import approx as ap
 from commbound import boolfn as bf
 from commbound import bounds as bd
+from commbound import composer as cp
 from commbound import groupcomp as gc
 from commbound import matrices as mx
 
 T_Z2 = gc.characters_abelian(gc.AbelianGroupSpec([2]))
 PLUS_MINUS = [[1, 1], [1, -1]]
+WITNESS_OF_3 = ap.DualWitness(v=np.zeros(3), d=1, epsilon=0.5,
+                              correlation=0.0, l1=0.0)
 
 # id: (call, pattern its message matches)
 REFUSALS = {
@@ -77,8 +80,29 @@ REFUSALS = {
         lambda: bf.builtin_function("AND", 0),
         r"arity must be at least 1"),
     "point function of the wrong length": (
-        lambda: bf.RealPointFunction(2, [0.0] * 3),
-        r"table must have length 2\^2"),
+        lambda: bf.wht([0.0] * 3),
+        r"a spectrum has length 2\^n, got shape \(3,\)"),
+    "spectrum of the wrong length": (
+        lambda: bf.iwht(np.zeros(6)),
+        r"a spectrum has length 2\^n, got shape \(6,\)"),
+    "witness of the wrong length": (
+        lambda: ap.verify_dual(WITNESS_OF_3, bf.builtin_function("AND", 2)),
+        r"a spectrum has length 2\^n, got shape \(3,\)"),
+    "witness matrix of a witness of the wrong length": (
+        lambda: cp.build_witness(WITNESS_OF_3, mx.PATTERN_CORE_4),
+        r"a spectrum has length 2\^n, got shape \(3,\)"),
+    "Boolean function value not an integer": (
+        lambda: bf.BoolFunction(1, [1.9, -1.5]),
+        r"Boolean function values must be -1 or \+1"),
+    "sign matrix entry not an integer": (
+        lambda: mx.SignMatrix([[1.7, -1.2], [-1.0, 1.0]]),
+        r"sign matrix entries must be -1 or \+1"),
+    "group map entry not an integer": (
+        lambda: gc.GroupMapMatrix([[0.5, 1.2]], order=2),
+        r"entries must be valid element indices"),
+    "modulus not an integer": (
+        lambda: gc.AbelianGroupSpec([2.5, 3.9]),
+        r"every modulus must be an integer >= 2"),
     "shizhu epsilon0 outside (0, 1)": (
         lambda: bd.shizhu_bound(bf.builtin_function("PARITY", 2), mx.XOR_2,
                                 mx.DistributionMatrix(np.full((2, 2), 0.25)),
@@ -94,3 +118,14 @@ def test_refusal_is_one_line_naming_the_problem(case):
         call()
     assert info.type is ValueError
     assert "\n" not in str(info.value)
+
+
+def test_integral_floats_are_accepted():
+    # the checks read the given values, so 1.0 passes where 1.7 does not
+    assert bf.BoolFunction(1, [1.0, -1.0]) == bf.BoolFunction(1, [1, -1])
+    signs = mx.SignMatrix([[1.0, -1.0]]).entries
+    assert signs.dtype == np.int64 and signs.tolist() == [[1, -1]]
+    elements = gc.GroupMapMatrix([[1.0, 0.0]], order=2).entries
+    assert elements.dtype == np.int64 and elements.tolist() == [[1, 0]]
+    spec = gc.AbelianGroupSpec([2.0, np.int64(3)])
+    assert spec == gc.AbelianGroupSpec([2, 3]) and spec.moduli == (2, 3)
